@@ -25,7 +25,7 @@ import numpy as np
 
 from . import baselines, joint_wmmse, streamwise
 from .channel import effective_channels
-from .errors import ConfigError, InfeasibleError, ValidationError
+from .errors import ConfigError, InfeasibleError, NumericsError, ValidationError
 from .power import per_antenna, per_sat_total, make_constraint_set
 from .scenario import ScenarioConfig, load_scenario, sample_geometry
 from .se_eval import approx_se, exact_se_mc, mc_rng
@@ -199,7 +199,7 @@ def run_job(job: Job) -> dict:
             report = approx_se(W, effective, noise)
         else:
             report = exact_se_mc(W, geometry, effective, noise, cfg.mc_trials, rng)
-    except InfeasibleError as exc:
+    except (InfeasibleError, NumericsError, ValidationError) as exc:
         error = str(exc)
         report = None
     if report is None:

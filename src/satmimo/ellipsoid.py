@@ -5,7 +5,8 @@ to the power-constraint residuals, finds mu >= 0 making the precoders
 feasible: mu = 0 when already feasible, otherwise a geometric expansion
 brackets a feasible upper bound and the ellipsoid shrinks around the
 boundary. The one-dimensional case degenerates in the central-cut formulas
-(d^2 - 1 = 0) and is replaced by bisection on the bracket.
+(d^2 - 1 = 0) and is handed to `bisect_multiplier`, the package's one scalar
+multiplier search, which the single-cap precoder updates also call directly.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError
+from .errors import InfeasibleError, NumericsError
 
 
 @dataclass
@@ -23,8 +24,6 @@ class EllipsoidParams:
     tol: float = 1e-8           # residual tolerance and ellipsoid-size stop
     max_iters: int = 300
     max_doublings: int = 60
-    most_violated_cut: bool = False  # documented alternative: cut along the
-                                     # single most-violated constraint
 
 
 @dataclass
@@ -52,11 +51,55 @@ def solve_multipliers(precoder_oracle, residual_oracle, dim: int,
         raise ValueError(f"residual oracle must return {dim} entries")
     if np.all(g0 <= 0):
         return np.zeros(dim)
+    if dim == 1:
+        return np.array([bisect_multiplier(
+            lambda mu: float(residual_oracle(np.array([mu]))[0]), params.tol,
+            params.alpha, params.max_doublings)])
 
     mu_bar = _expand_feasible(residual_oracle, dim, params)
-    if dim == 1:
-        return _bisect_scalar(residual_oracle, float(mu_bar[0]), params.tol)
     return _ellipsoid_search(residual_oracle, mu_bar, params)
+
+
+def bisect_multiplier(residual_fn, tol: float, alpha: float = 2.0,
+                      max_doublings: int = 60) -> float:
+    """Smallest mu >= 0 with residual_fn(mu) <= 0, to 1e-15 relative.
+
+    residual_fn maps a scalar multiplier to (power - cap) and must decrease
+    in mu. mu = 0 when already feasible; otherwise mu = 1 is scaled by alpha
+    until feasible and [0, mu] is bisected. Raises InfeasibleError when no
+    feasible mu is found within max_doublings, and NumericsError when the
+    residual at the returned mu is not within tol (absolute, in the
+    residual's units), e.g. because the oracle is not reproducible or
+    returns NaN.
+    """
+    if alpha <= 1:
+        raise ValueError("multiplier expansion factor must exceed 1")
+    if residual_fn(0.0) <= 0:
+        return 0.0
+    hi = 1.0
+    for _ in range(max_doublings + 1):
+        if residual_fn(hi) <= 0:
+            break
+        hi *= alpha
+    else:
+        raise InfeasibleError(
+            "geometric expansion found no feasible multiplier; constraint set "
+            "appears ill-posed")
+    lo = 0.0
+    for _ in range(200):
+        if hi - lo <= 1e-15 * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        if residual_fn(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    residual = residual_fn(hi)
+    if not residual <= tol:
+        raise NumericsError(
+            f"multiplier search ended at residual {residual:.3e} above the "
+            f"tolerance {tol:.3e}")
+    return hi
 
 
 def _expand_feasible(residual_oracle, dim, params) -> np.ndarray:
@@ -69,21 +112,6 @@ def _expand_feasible(residual_oracle, dim, params) -> np.ndarray:
     raise InfeasibleError(
         "geometric expansion found no feasible multiplier; constraint set "
         "appears ill-posed")
-
-
-def _bisect_scalar(residual_oracle, hi: float, tol: float) -> np.ndarray:
-    """Scalar bisection on [0, hi]; hi is feasible, 0 is not."""
-    lo = 0.0
-    for _ in range(200):
-        if hi - lo <= 1e-15 * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if np.max(residual_oracle(np.array([mid]))) > 0:
-            lo = mid
-        else:
-            hi = mid
-    assert np.max(residual_oracle(np.array([hi]))) <= tol
-    return np.array([hi])
 
 
 def _ellipsoid_search(residual_oracle, mu_bar, params) -> np.ndarray:
@@ -113,9 +141,6 @@ def _ellipsoid_search(residual_oracle, mu_bar, params) -> np.ndarray:
         # infeasible center this raises the multipliers of the violated
         # constraints; at a feasible one it lowers the slack ones.)
         cut = -g
-        if params.most_violated_cut:
-            cut = np.zeros(d)
-            cut[int(np.argmax(g))] = -g.max()
         denom = cut @ state.shape @ cut
         if denom <= 0:  # ellipsoid numerically collapsed
             break

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import EffectiveChannel
-from .ellipsoid import EllipsoidParams, solve_multipliers
+from .ellipsoid import EllipsoidParams, bisect_multiplier, solve_multipliers
 from .errors import NumericsError, ValidationError
 from .power import PowerConstraintSet, residuals as power_residuals
 from .scenario import ScenarioConfig
@@ -244,20 +244,27 @@ class _SatSubproblem:
             lam, basis = _range_eigen(self.factor)
             coords = basis.conj().T @ self.rhs_dir.T        # (rank, K)
             perp = self.rhs_dir.T - basis @ coords          # (N, K)
-            self._eig = (lam, basis, coords,
-                         np.maximum(np.einsum("nk,nk->k", perp.conj(), perp).real, 0.0),
-                         np.einsum("ks,ks->k", self.rhs_row.conj(), self.rhs_row).real)
+            perp_sq = np.maximum(
+                np.einsum("nk,nk->k", perp.conj(), perp).real, 0.0)
+            row_sq = np.einsum("ks,ks->k", self.rhs_row.conj(), self.rhs_row).real
+            self._eig = (lam, basis, coords, perp_sq, row_sq)
+            # secular power curve p(mu) = sum_j c_j/(lam_j + mu)^2 + d/mu^2,
+            # kept as Python floats: the rank is at most K, and a Python
+            # loop over a few floats is several times faster than numpy's
+            # per-call overhead in the multiplier search
+            self._curve = ((np.abs(coords) ** 2 @ row_sq).tolist(), lam.tolist(),
+                           float(perp_sq @ row_sq))
         return self._eig
 
     def power_identity(self, mu: float) -> float:
         """sum_k ||W_k(mu)||_F^2 for the single A = I constraint."""
-        lam, basis, coords, perp_sq, row_sq = self._eigen()
-        core = np.abs(coords) ** 2 / (lam[:, None] + mu) ** 2 if lam.size else 0.0
-        per_dir = np.sum(core, axis=0) if lam.size else np.zeros(self.num_users)
-        if mu > 0:
-            per_dir = per_dir + perp_sq / mu ** 2
+        self._eigen()
+        c, lam, d = self._curve
         # mu == 0: pseudoinverse solution, null-space component dropped
-        return float(np.sum(per_dir * row_sq))
+        total = d / mu ** 2 if mu > 0 else 0.0
+        for c_j, lam_j in zip(c, lam):
+            total += c_j / (lam_j + mu) ** 2
+        return total
 
     def precoders_identity(self, mu: float) -> np.ndarray:
         lam, basis, coords, perp_sq, row_sq = self._eigen()
@@ -372,9 +379,12 @@ def solve(effective: EffectiveChannel, constraints: PowerConstraintSet,
     Alternates MMSE combiners, inverse-MSE weights and per-satellite
     closed-form precoders whose multipliers come from bisection (single
     total-power constraint) or the central-cut ellipsoid method (general
-    constraint families). Returns (precoders, SolveTrace); the objective
-    trace is non-increasing and the output satisfies every power constraint
-    within the feasibility tolerance.
+    constraint families). A precoder column W[l, k, :, s] that is zero at
+    the start stays exactly zero (its combiner column is zero and its MSE
+    block the identity), which is how the streamwise mode restricts the
+    design to its sparsity pattern. Returns (precoders, SolveTrace); the
+    objective trace is non-increasing and the output satisfies every power
+    constraint within the feasibility tolerance.
     """
     if params is None:
         params = SolverParams()
@@ -398,20 +408,25 @@ def solve(effective: EffectiveChannel, constraints: PowerConstraintSet,
 
         iter_mus = []
         for l in range(L):
+            if not W[l].any():
+                # a silent satellite stays silent: its combiner columns,
+                # hence its right-hand sides, are exactly zero
+                iter_mus.append(np.zeros(constraints.num_constraints(l)))
+                continue
             sub = _SatSubproblem(effective, U, C, l, S)
             tol_abs = params.power_tol_rel * float(constraints.caps[l].max())
-            ell = EllipsoidParams(alpha=params.ellipsoid_alpha, tol=tol_abs,
-                                  max_iters=params.ellipsoid_max_iters,
-                                  max_doublings=params.max_doublings)
             if constraints.identity[l]:
                 rho = float(constraints.caps[l][0])
-                oracle = lambda mu: np.array([sub.power_identity(float(mu[0])) - rho])
-                mu = solve_multipliers(lambda m: sub.precoders_identity(float(m[0])),
-                                       oracle, 1, ell)
+                mu = np.array([bisect_multiplier(
+                    lambda m: sub.power_identity(m) - rho, tol_abs,
+                    params.ellipsoid_alpha, params.max_doublings)])
                 if mu[0] == 0.0 and sub.pinv_used():
                     trace.pinv_fallbacks += 1
                 W[l] = sub.precoders_identity(float(mu[0]))
             else:
+                ell = EllipsoidParams(alpha=params.ellipsoid_alpha, tol=tol_abs,
+                                      max_iters=params.ellipsoid_max_iters,
+                                      max_doublings=params.max_doublings)
                 oracle = lambda mu: power_residuals(
                     sub.precoders_general(mu, constraints), constraints, l)
                 mu = solve_multipliers(

@@ -53,13 +53,18 @@ def make_constraint_set(per_sat_pairs) -> PowerConstraintSet:
             A = np.asarray(A, complex)
             if A.ndim != 2 or A.shape[0] != A.shape[1]:
                 raise ValidationError(f"satellite {l} constraint {x}: A must be square")
-            if not np.allclose(A, A.conj().T, atol=1e-12 * max(1.0, np.abs(A).max())):
-                raise ValidationError(f"satellite {l} constraint {x}: A must be Hermitian")
-            eigs = np.linalg.eigvalsh(A)
-            norm = max(eigs.max(), -eigs.min(), 1e-300)
-            if eigs.min() < -PSD_TOL * norm:
-                raise ValidationError(
-                    f"satellite {l} constraint {x}: A must be positive semidefinite")
+            # the identity is Hermitian PSD: skipping its N x N eigensolve
+            # keeps per_sat_total cheap enough to build for every solve
+            if not np.array_equal(A, np.eye(A.shape[0])):
+                if not np.allclose(A, A.conj().T,
+                                   atol=1e-12 * max(1.0, np.abs(A).max())):
+                    raise ValidationError(
+                        f"satellite {l} constraint {x}: A must be Hermitian")
+                eigs = np.linalg.eigvalsh(A)
+                norm = max(eigs.max(), -eigs.min(), 1e-300)
+                if eigs.min() < -PSD_TOL * norm:
+                    raise ValidationError(
+                        f"satellite {l} constraint {x}: A must be positive semidefinite")
             if not rho > 0:
                 raise ValidationError(f"satellite {l} constraint {x}: rho must be positive")
             mats.append(A)
@@ -108,6 +113,8 @@ def residuals(precoders_for_sat: np.ndarray, constraints: PowerConstraintSet,
     if W.ndim != 3 or W.shape[1] != n:
         raise ValidationError(
             f"satellite {l}: precoders must have shape (K, {n}, S), got {W.shape}")
+    if constraints.identity[l]:
+        return np.array([np.vdot(W, W).real]) - constraints.caps[l]
     g = np.empty(constraints.num_constraints(l))
     for x, (A, rho) in enumerate(zip(constraints.weights[l], constraints.caps[l])):
         g[x] = sum(np.trace(Wk.conj().T @ A @ Wk).real for Wk in W) - rho

@@ -5,10 +5,13 @@ decomposed by an economy SVD; the squared norms of the per-satellite blocks
 of each right singular vector give participation factors that say how much
 of each transmit eigenmode lives on each satellite. Streams ride the
 strongest eigenmodes and are matched one-to-one to satellites by
-maximum-weight bipartite matching on those factors. Precoding then follows
-the same weighted-MSE block-coordinate descent as joint transmission,
-restricted to the assigned sparsity pattern, with per-satellite total power
-caps and a bisection multiplier search.
+maximum-weight bipartite matching on those factors. Precoding then runs the
+joint weighted-MSE block-coordinate descent (`joint_wmmse.solve`) under
+per-satellite total power caps, started from the streamwise initialization
+embedded in joint form. That start is the support mask: a precoder column
+that is zero makes its combiner column zero and its MSE block the identity,
+so the closed-form precoder update keeps every entry off the assigned
+sparsity pattern exactly zero. `solve_streamwise` checks that it did.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ import numpy as np
 from .assignment import max_weight_assignment
 from .channel import EffectiveChannel, aggregate_all
 from .errors import InfeasibleError, NumericsError, ValidationError
-from .joint_wmmse import SolveTrace, SolverParams
+from .joint_wmmse import SolverParams
+from .power import per_sat_total
 from . import joint_wmmse
 
 
@@ -133,179 +137,20 @@ def associate(eta: np.ndarray, num_streams: int,
     return StreamAssignment.from_pi(pi, L, eta)
 
 
-def _active_blocks(w, assignment, effective, k):
-    """Vectors received by user k from every active stream (i, s):
-    Hb_{pi_i(s),k} w_{pi_i(s),i,s}."""
-    L, K, M, N = effective.shape
-    S = assignment.pi.shape[1]
-    recv = []
-    for i in range(K):
-        for s in range(S):
-            l = assignment.pi[i, s]
-            recv.append((i, s, effective.hbar[l, k] @ w[l, i, s]))
-    return recv
-
-
-def mse_matrix(combiner_k: np.ndarray, w: np.ndarray,
-               assignment: StreamAssignment, effective: EffectiveChannel,
-               k: int, noise: float) -> np.ndarray:
-    """Streamwise MSE matrix of user k (S x S); identity at zero combiner."""
-    S = assignment.pi.shape[1]
-    U = np.asarray(combiner_k)
-    J0 = np.zeros((effective.shape[2],) * 2, complex)
-    for _, _, vec in _active_blocks(w, assignment, effective, k):
-        J0 += np.outer(vec, vec.conj())
-    G = desired_matrix(w, assignment, effective, k)
-    cross = U.conj().T @ G
-    E = U.conj().T @ J0 @ U + noise * (U.conj().T @ U) \
-        - cross - cross.conj().T + np.eye(S)
-    return 0.5 * (E + E.conj().T)
-
-
-def desired_matrix(w, assignment, effective, k) -> np.ndarray:
-    """G_k: column s is Hb_{pi_k(s),k} w_{pi_k(s),k,s}, shape (M, S)."""
-    S = assignment.pi.shape[1]
-    cols = [effective.hbar[assignment.pi[k, s], k] @ w[assignment.pi[k, s], k, s]
-            for s in range(S)]
-    return np.stack(cols, axis=1)
-
-
-def update_combiners(w: np.ndarray, assignment: StreamAssignment,
-                     effective: EffectiveChannel, noise: float) -> np.ndarray:
-    """MMSE combiners U_k = J_k^{-1} G_k, shape (K, M, S)."""
-    L, K, M, N = effective.shape
-    S = assignment.pi.shape[1]
-    out = np.empty((K, M, S), complex)
-    for k in range(K):
-        J = noise * np.eye(M, dtype=complex)
-        for _, _, vec in _active_blocks(w, assignment, effective, k):
-            J += np.outer(vec, vec.conj())
-        out[k] = np.linalg.solve(J, desired_matrix(w, assignment, effective, k))
-    return out
-
-
-def update_weights(mse: np.ndarray) -> np.ndarray:
-    """C_k = E_k^{-1} / ln 2 (same optimality condition as joint mode)."""
-    return joint_wmmse.update_weights(mse)
-
-
-def _mse_at_optimum(combiners, w, assignment, effective):
-    K, M, S = combiners.shape
-    out = np.empty((K, S, S), complex)
-    for k in range(K):
-        G = desired_matrix(w, assignment, effective, k)
-        E = np.eye(S) - G.conj().T @ combiners[k]
-        out[k] = 0.5 * (E + E.conj().T)
-    return out
-
-
-class _SatStreamProblem:
-    """Per-satellite streamwise subproblem: min sum w^H T w - 2 Re(z^H w)
-    over the assigned streams, subject to the total-power cap."""
-
-    def __init__(self, effective, combiners, weights, assignment, l):
-        L, K, M, N = effective.shape
-        self.l = l
-        self.streams = assignment.sat_streams[l]
-        coeff = np.empty(K)
-        for i in range(K):
-            u_row = effective.b[l, i].conj() @ combiners[i]
-            coeff[i] = effective.beta[l, i] * float(
-                np.real(u_row @ weights[i] @ u_row.conj()))
-        self.factor = np.sqrt(np.maximum(coeff, 0.0)) * effective.a[l].conj().T
-        self.z_dir = {}
-        self.z_scale = {}
-        for (k, s) in self.streams:
-            row = effective.b[l, k].conj() @ (combiners[k] @ weights[k])
-            self.z_dir[k] = np.sqrt(effective.beta[l, k]) * effective.a[l, k].conj()
-            self.z_scale[(k, s)] = row[s]
-        self._eig = None
-
-    def _eigen(self):
-        if self._eig is None:
-            lam, basis = joint_wmmse._range_eigen(self.factor)
-            users = sorted({k for k, _ in self.streams})
-            coords = {k: basis.conj().T @ self.z_dir[k] for k in users}
-            perp = {k: self.z_dir[k] - basis @ coords[k] for k in users}
-            perp_sq = {k: max(float(np.vdot(perp[k], perp[k]).real), 0.0)
-                       for k in users}
-            self._eig = (lam, basis, coords, perp_sq)
-        return self._eig
-
-    def power(self, mu: float) -> float:
-        lam, basis, coords, perp_sq = self._eigen()
-        total = 0.0
-        for (k, s) in self.streams:
-            core = float(np.sum(np.abs(coords[k]) ** 2 / (lam + mu) ** 2)) \
-                if lam.size else 0.0
-            if mu > 0:
-                core += perp_sq[k] / mu ** 2
-            total += abs(self.z_scale[(k, s)]) ** 2 * core
-        return total
-
-    def vectors(self, mu: float) -> dict:
-        lam, basis, coords, perp_sq = self._eigen()
-        out = {}
-        for (k, s) in self.streams:
-            if lam.size:
-                v = basis @ (coords[k] / (lam + mu))
-            else:
-                v = np.zeros(self.z_dir[k].shape, complex)
-            if mu > 0:
-                v = v + (self.z_dir[k] - basis @ coords[k]) / mu
-            out[(k, s)] = self.z_scale[(k, s)] * v
-        return out
-
-
-def precoder_given_mu(mu: float, combiners: np.ndarray, weights: np.ndarray,
-                      effective: EffectiveChannel, assignment: StreamAssignment,
-                      l: int) -> dict:
-    """Closed-form streamwise vectors {(k, s): w} of satellite l; the mu = 0
-    system falls back to the minimum-norm pseudoinverse solution."""
-    if mu < 0:
-        raise ValidationError("multiplier must be nonnegative")
-    sub = _SatStreamProblem(effective, combiners, weights, assignment, l)
-    return sub.vectors(float(mu))
-
-
-def bisection_multiplier(residual_fn, rho_l: float, tol: float = 1e-12,
-                         max_doublings: int = 60) -> float:
-    """Smallest mu >= 0 with residual_fn(mu) <= 0, assuming the residual
-    decreases in mu. residual_fn maps mu to (power - rho_l)."""
-    if residual_fn(0.0) <= 0:
-        return 0.0
-    hi = 1.0
-    for _ in range(max_doublings + 1):
-        if residual_fn(hi) <= 0:
-            break
-        hi *= 2.0
-    else:
-        raise InfeasibleError("no feasible multiplier within the doubling budget")
-    lo = 0.0
-    for _ in range(200):
-        if hi - lo <= 1e-15 * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if residual_fn(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    if residual_fn(hi) > tol * max(rho_l, 1e-300):
-        raise NumericsError("bisection terminated above the residual tolerance")
-    return hi
-
-
 def init_streamwise(effective: EffectiveChannel, rho: np.ndarray,
-                    assignment: StreamAssignment) -> np.ndarray:
+                    assignment: StreamAssignment,
+                    eig: EigenStructure) -> np.ndarray:
     """Per-stream initialization: regularized-MMSE response to the user's
     s-th aggregated eigen-direction, powered by the sqrt(beta) share rule.
 
-    The share denominator counts assigned (user, stream) pairs with
-    multiplicity, so each satellite spends exactly its cap at start.
+    eig is the eigenstructure of the aggregated channels (from
+    `participation_factors`). The share denominator counts assigned
+    (user, stream) pairs with multiplicity, so each satellite spends exactly
+    its cap at start.
     """
     L, K, M, N = effective.shape
     S = assignment.pi.shape[1]
-    _, eig = participation_factors(aggregate_all(effective), L)
+    agg = aggregate_all(effective)
     w = np.zeros((L, K, S, N), complex)
     for l in range(L):
         streams = assignment.sat_streams[l]
@@ -318,7 +163,7 @@ def init_streamwise(effective: EffectiveChannel, rho: np.ndarray,
         for (k, s) in streams:
             share = rho[l] * np.sqrt(effective.beta[l, k]) / denom
             direction = np.linalg.solve(reg, effective.hbar[l, k].conj().T
-                                        @ _left_vector(effective, eig, k, s))
+                                        @ _left_vector(agg, eig, k, s))
             norm = np.linalg.norm(direction)
             if norm < 1e-300:  # mismatched pairing: eigenmode invisible here
                 direction = effective.a[l, k].conj()
@@ -327,17 +172,12 @@ def init_streamwise(effective: EffectiveChannel, rho: np.ndarray,
     return w
 
 
-def _left_vector(effective, eig, k, s):
+def _left_vector(agg, eig, k, s):
     # left singular vector of mode s: Hb_k v / sigma
-    agg = aggregate_all(effective)[k]
     sigma = eig.singular_values[k, s]
     if sigma <= 0:
-        return np.zeros(agg.shape[0], complex)
-    return agg @ eig.right_vectors[k][:, s] / sigma
-
-
-def wmmse_objective(mse: np.ndarray, weights: np.ndarray) -> float:
-    return joint_wmmse.wmmse_objective(mse, weights)
+        return np.zeros(agg.shape[1], complex)
+    return agg[k] @ eig.right_vectors[k][:, s] / sigma
 
 
 def solve_streamwise(effective: EffectiveChannel, rho,
@@ -350,64 +190,35 @@ def solve_streamwise(effective: EffectiveChannel, rho,
     rho: per-satellite total power caps (watts). When no assignment is
     given, streams are matched to satellites by participation factors
     (optionally after preselecting the `preselect` best-scoring satellites
-    per user). Returns (StreamwisePrecoderSet, StreamAssignment, SolveTrace).
+    per user). The precoders come from `joint_wmmse.solve` started at the
+    embedded streamwise initialization, which keeps them on the assignment's
+    support. Returns (StreamwisePrecoderSet, StreamAssignment, SolveTrace);
+    raises NumericsError if a precoder entry off the support is not zero.
     """
-    if params is None:
-        params = SolverParams()
     L, K, M, N = effective.shape
     rho = np.broadcast_to(np.asarray(rho, float), (L,)).copy()
     S = num_streams if num_streams is not None else min(M, L)
-    noise = effective.noise_power_w
+    if assignment is not None and assignment.pi.shape != (K, S):
+        raise ValidationError(
+            f"assignment shape {assignment.pi.shape} does not match (K, S)=({K}, {S})")
 
+    eta, eig = participation_factors(aggregate_all(effective), L)
     if assignment is None:
-        eta, eig = participation_factors(aggregate_all(effective), L)
         sets = None
         if preselect is not None:
             sets = select_serving_sats(eta, eig.singular_values, preselect)
         assignment = associate(eta, S, serving_sets=sets)
-    elif assignment.pi.shape != (K, S):
-        raise ValidationError(
-            f"assignment shape {assignment.pi.shape} does not match (K, S)=({K}, {S})")
 
-    w = init_streamwise(effective, rho, assignment)
-    trace = SolveTrace()
-    prev_obj = np.inf
-
-    for it in range(1, params.max_iters + 1):
-        U = update_combiners(w, assignment, effective, noise)
-        E_opt = _mse_at_optimum(U, w, assignment, effective)
-        C = update_weights(E_opt)
-
-        iter_mus = []
-        for l in range(L):
-            if not assignment.sat_streams[l]:
-                iter_mus.append(np.zeros(1))
-                continue
-            sub = _SatStreamProblem(effective, U, C, assignment, l)
-            mu = bisection_multiplier(lambda m: sub.power(m) - rho[l],
-                                      rho[l], tol=params.power_tol_rel)
-            for (k, s), vec in sub.vectors(mu).items():
-                w[l, k, s] = vec
-            iter_mus.append(np.array([mu]))
-
-        mse_now = np.stack([mse_matrix(U[k], w, assignment, effective, k, noise)
-                            for k in range(K)])
-        obj = wmmse_objective(mse_now, C)
-        trace.objective.append(obj)
-        trace.multipliers.append(iter_mus)
-        trace.max_residual.append(max(
-            float(np.sum(np.abs(w[l]) ** 2) - rho[l]) for l in range(L)))
-        trace.iterations = it
-        delta = prev_obj - obj
-        prev_obj = obj
-        if delta <= params.tol:
-            trace.converged = True
-            break
-
-    for l in range(L):
-        used = float(np.sum(np.abs(w[l]) ** 2))
-        if used > rho[l] * (1 + params.power_tol_rel) + 1e-12:
-            raise NumericsError(f"satellite {l}: streamwise power exceeds its cap")
+    start = StreamwisePrecoderSet(
+        w=init_streamwise(effective, rho, assignment, eig), assignment=assignment)
+    W, trace = joint_wmmse.solve(effective, per_sat_total(rho, N), params,
+                                 initial=to_joint_form(start), num_streams=S)
+    w = W.transpose(0, 1, 3, 2).copy()          # (L, K, S, N)
+    off_support = np.ones((L, K, S), bool)
+    for k in range(K):
+        off_support[assignment.pi[k], k, np.arange(S)] = False
+    if np.any(w[off_support]):
+        raise NumericsError("streamwise precoders left their assigned satellites")
     return StreamwisePrecoderSet(w=w, assignment=assignment), assignment, trace
 
 

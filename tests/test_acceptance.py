@@ -21,6 +21,7 @@ from satmimo import (EllipsoidParams, ScenarioConfig, approx_se,
                      to_joint_form, ula_response, zf_baseline)
 from satmimo import joint_wmmse, streamwise
 from satmimo.assignment import assignment_value
+from satmimo.ellipsoid import bisect_multiplier
 from satmimo.joint_wmmse import SolverParams, init_precoders
 from tests.conftest import crandn, synthetic_effective
 
@@ -315,9 +316,13 @@ class TestCriterion8SolverProperties:
         assert worst <= 1e-8
 
     def test_ellipsoid_matches_bisection_scalar(self):
+        # the ellipsoid's one-dimensional case is the scalar bisection; its
+        # multiplier is certified as the root of the power curve: p(mu) = rho
+        # to 1e-10 relative, and p(mu (1 - 1e-9)) > rho
         rng = np.random.default_rng(55)
         checked = 0
         worst = 0.0
+        certified = True
         while checked < 20:
             eff, cons, S, caps = self._random_instance(rng)
             W0 = crandn(rng, *eff.shape[:2], eff.shape[3], S)
@@ -331,14 +336,18 @@ class TestCriterion8SolverProperties:
                 lambda m: sub.precoders_identity(float(m[0])),
                 lambda m: np.array([sub.power_identity(float(m[0])) - rho]),
                 1, EllipsoidParams(tol=1e-10 * rho))
-            mu_b = streamwise.bisection_multiplier(
-                lambda m: sub.power_identity(m) - rho, rho, tol=1e-12)
-            worst = max(worst, abs(mu_e[0] - mu_b) / mu_b)
+            mu_b = bisect_multiplier(lambda m: sub.power_identity(m) - rho,
+                                     1e-10 * rho)
+            worst = max(worst, abs(mu_e[0] - mu_b) / mu_b,
+                        abs(sub.power_identity(mu_b) - rho) / rho)
+            certified &= sub.power_identity(mu_b * (1 - 1e-9)) > rho
             checked += 1
-        ok = worst <= 1e-4
-        _report(8, ok, f"(d) ellipsoid vs bisection multiplier agreement, "
-                f"worst relative gap {worst:.2e} <= 1e-4 on {checked} instances")
-        assert worst <= 1e-4
+        ok = worst <= 1e-10 and certified
+        _report(8, ok, f"(d) ellipsoid scalar path = bisection, root certificate "
+                f"worst relative gap {worst:.2e} <= 1e-10, minimal: {certified}, "
+                f"on {checked} instances")
+        assert worst <= 1e-10
+        assert certified
 
 
 class TestCriterion9OracleEquivalences:
@@ -381,35 +390,37 @@ class TestCriterion9OracleEquivalences:
         assert ok_joint
 
     def test_streamwise_precoder_stationarity(self):
+        # the streamwise update is the joint closed form at an embedded
+        # streamwise point: stationary in every direction, zero off support
         rng = np.random.default_rng(32)
         eff = synthetic_effective(rng, L=2, K=2, M=3, N=4)
         assoc = streamwise.StreamAssignment.from_pi(np.array([[0, 1], [1, 0]]), 2)
-        w0 = crandn(rng, 2, 2, 2, 4) * 0.4
-        U = streamwise.update_combiners(w0, assoc, eff, eff.noise_power_w)
-        C = streamwise.update_weights(
-            streamwise._mse_at_optimum(U, w0, assoc, eff))
+        w0 = np.zeros((2, 2, 2, 4), complex)
+        for k in range(2):
+            for s in range(2):
+                w0[assoc.pi[k, s], k, s] = crandn(rng, 4) * 0.4
+        W0 = to_joint_form(streamwise.StreamwisePrecoderSet(w=w0, assignment=assoc))
+        U = joint_wmmse.update_combiners(W0, eff, eff.noise_power_w)
+        C = joint_wmmse.update_weights(joint_wmmse.mse_at_optimum(U, W0, eff))
         mu = 0.4
-        sub = streamwise._SatStreamProblem(eff, U, C, assoc, 0)
-        vecs = sub.vectors(mu)
-        T = sub.factor @ sub.factor.conj().T
+        cons = per_sat_total([1.0, 1.0], 4)
+        W = joint_wmmse.precoder_given_mu(mu, U, C, eff, 0, cons)
+        sub = joint_wmmse._SatSubproblem(eff, U, C, 0, 2)
+        on_support = np.zeros((2, 2), bool)       # (user, stream) on satellite 0
+        on_support[assoc.pi == 0] = True
 
-        def lagr(vd):
-            val = 0.0
-            for (k, s), v in vd.items():
-                z = sub.z_scale[(k, s)] * sub.z_dir[k]
-                val += (v.conj() @ T @ v).real - 2 * (z.conj() @ v).real
-                val += mu * (v.conj() @ v).real
-            return val
+        def lagr(Wl):
+            return sub.objective(Wl) + mu * float(np.sum(np.abs(Wl) ** 2))
 
         h, worst = 1e-6, 0.0
         for _ in range(40):
-            d = {key: crandn(rng, 4) for key in vecs}
-            nrm = np.sqrt(sum(np.sum(np.abs(x) ** 2) for x in d.values()))
-            plus = {k_: v + h * d[k_] / nrm for k_, v in vecs.items()}
-            minus = {k_: v - h * d[k_] / nrm for k_, v in vecs.items()}
-            worst = max(worst, abs(lagr(plus) - lagr(minus)) / (2 * h))
-        ok_sw = worst <= 1e-8
-        _report(9, ok_sw, f"streamwise closed-form stationarity {worst:.2e} <= 1e-8")
+            d = crandn(rng, 2, 4, 2)
+            d /= np.linalg.norm(d)
+            worst = max(worst, abs(lagr(W + h * d) - lagr(W - h * d)) / (2 * h))
+        masked = bool(np.all(W.transpose(0, 2, 1)[~on_support] == 0))
+        ok_sw = worst <= 1e-8 and masked
+        _report(9, ok_sw, f"streamwise closed-form stationarity {worst:.2e} <= 1e-8,"
+                f" off-support entries exactly zero: {masked}")
         assert ok_sw
 
     def test_slant_range_zenith(self):

@@ -85,6 +85,31 @@ class TestRun:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 1
 
+    def test_failing_point_keeps_sweep_alive(self, tiny_config, tmp_path,
+                                             monkeypatch):
+        # a solver error at one sweep point annotates that row only
+        from satmimo import NumericsError, cli, streamwise
+        solve = streamwise.solve_streamwise
+
+        def flaky(effective, rho, *args, **kwargs):
+            if rho[0] > 5.0:
+                raise NumericsError("MSE matrix of user 0 is not positive definite")
+            return solve(effective, rho, *args, **kwargs)
+
+        monkeypatch.setattr(cli.streamwise, "solve_streamwise", flaky)
+        out = str(tmp_path / "flaky.csv")
+        assert main(["run", "--preset", "joint-vs-streamwise-orthogonal",
+                     "--config", tiny_config, "--out", out, "--quiet",
+                     "--trials", "20"]) == 0
+        rows = read_rows(out)
+        assert len(rows) == 4
+        failed = [r for r in rows if r["sum_se"] == "nan"]
+        assert [(r["mode"], r["power_cap_dbw"]) for r in failed] == [
+            ("streamwise", "10.0")]
+        assert failed[0]["per_user_se"] == (
+            "error=MSE matrix of user 0 is not positive definite")
+        assert all(float(r["sum_se"]) > 0 for r in rows if r not in failed)
+
     def test_seed_override(self, tiny_config, tmp_path):
         out = str(tmp_path / "seeded.csv")
         assert main(["run", "--preset", "joint-vs-streamwise-orthogonal",

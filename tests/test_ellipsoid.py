@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from satmimo import EllipsoidParams, InfeasibleError, solve_multipliers
+from satmimo import (EllipsoidParams, InfeasibleError, NumericsError,
+                     solve_multipliers)
+from satmimo.ellipsoid import bisect_multiplier
 from satmimo import joint_wmmse, per_antenna, per_sat_total
 from satmimo.power import make_constraint_set, residuals
 from tests.conftest import crandn, synthetic_effective
@@ -54,6 +56,23 @@ class TestScalarAgainstOracle:
                 lambda m: np.array([residual(float(m[0]))]), 1, params)
             oracle = _bisect_oracle(residual)
             assert mu[0] == pytest.approx(oracle, rel=1e-4)
+
+    @pytest.mark.parametrize("oracle", ["drifting", "nan-below-one"])
+    def test_residual_above_tolerance_raises(self, oracle):
+        # an oracle that does not reproduce its own values (the curve rises
+        # on every call) or turns NaN below the bracket leaves the returned
+        # multiplier above the tolerance; the search must say so, also
+        # under python -O
+        calls = []
+
+        def residual(mu):
+            calls.append(mu)
+            if oracle == "drifting":
+                return 1.0 / (1.0 + mu) - 0.25 + 1e-3 * len(calls)
+            return 1.0 / (1.0 + mu) - 0.75 if mu >= 1.0 else np.nan
+
+        with pytest.raises(NumericsError):
+            bisect_multiplier(residual, 1e-8)
 
     def test_residual_monotone_in_multiplier(self, rng):
         sub = _subproblem(rng)

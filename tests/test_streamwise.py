@@ -1,19 +1,56 @@
 import numpy as np
 import pytest
 
-from satmimo import (InfeasibleError, ScenarioConfig, aggregate_all, approx_se,
-                     associate, brute_force_assignment, effective_channels,
+from satmimo import (EllipsoidParams, InfeasibleError, NumericsError,
+                     ScenarioConfig, aggregate_all, approx_se, associate,
+                     brute_force_assignment, effective_channels,
                      participation_factors, per_sat_total, sample_geometry,
-                     sat_selection_score, solve_streamwise, to_joint_form)
-from satmimo import joint_wmmse, streamwise
+                     sat_selection_score, solve_multipliers, solve_streamwise,
+                     to_joint_form)
+from satmimo import joint_wmmse
 from satmimo.assignment import assignment_value
-from satmimo.joint_wmmse import SolverParams
-from satmimo.streamwise import (StreamAssignment, bisection_multiplier,
-                                precoder_given_mu, select_serving_sats)
+from satmimo.ellipsoid import bisect_multiplier
+from satmimo.joint_wmmse import SolverParams, precoder_given_mu
+from satmimo.streamwise import (StreamAssignment, StreamwisePrecoderSet,
+                                select_serving_sats)
 from tests.conftest import crandn, synthetic_effective
 
 ORTHOGONAL = (-0.9, -0.4, 0.1, 0.6)
 NON_ORTHOGONAL = (-0.340, -0.119, 0.119, 0.340)
+
+
+def _masked(rng, eff, pi, scale=0.4):
+    """A streamwise precoder set with random vectors on the support of pi,
+    embedded in joint form, and the joint receiver state at it:
+    (assignment, W, U, C)."""
+    L, K, M, N = eff.shape
+    assoc = StreamAssignment.from_pi(np.array(pi), L)
+    S = assoc.pi.shape[1]
+    w = np.zeros((L, K, S, N), complex)
+    for k in range(K):
+        for s in range(S):
+            w[assoc.pi[k, s], k, s] = crandn(rng, N) * scale
+    W = to_joint_form(StreamwisePrecoderSet(w=w, assignment=assoc))
+    U = joint_wmmse.update_combiners(W, eff, eff.noise_power_w)
+    C = joint_wmmse.update_weights(joint_wmmse.mse_at_optimum(U, W, eff))
+    return assoc, W, U, C
+
+
+def _off_support(assoc, L):
+    """Boolean mask (L, K, S): True where satellite l does not carry (k, s)."""
+    K, S = assoc.pi.shape
+    mask = np.ones((L, K, S), bool)
+    for k in range(K):
+        mask[assoc.pi[k], k, np.arange(S)] = False
+    return mask
+
+
+def _root_certificate(power, mu, rho):
+    """mu is the smallest multiplier meeting the cap: p(mu) = rho to 1e-10
+    relative, and 1e-9 less would overshoot it."""
+    assert mu > 0
+    assert abs(power(mu) - rho) <= 1e-10 * rho
+    assert power(mu * (1 - 1e-9)) > rho
 
 
 def _fixed_scenario(sines, seed=3, S=2):
@@ -130,134 +167,137 @@ class TestSelectionScore:
 
 
 class TestCombinersAndWeights:
+    # the streamwise receiver update is the joint one on the embedded set
+
     def test_zero_precoders(self, rng):
-        eff = synthetic_effective(rng, L=3, K=2, M=3, N=4)
+        eff = synthetic_effective(rng, L=3, K=2, M=3, N=4, noise=0.5)
         assoc = StreamAssignment.from_pi(np.array([[0, 1], [2, 0]]), 3)
         w = np.zeros((3, 2, 2, 4), complex)
-        U = streamwise.update_combiners(w, assoc, eff, 0.5)
+        W = to_joint_form(StreamwisePrecoderSet(w=w, assignment=assoc))
+        U = joint_wmmse.update_combiners(W, eff, 0.5)
         assert np.all(U == 0)
-        E = streamwise.mse_matrix(U[0], w, assoc, eff, 0, 0.5)
-        np.testing.assert_allclose(E, np.eye(2), atol=1e-14)
-        C = streamwise.update_weights(E[None])
-        np.testing.assert_allclose(C[0], np.eye(2) / np.log(2), atol=1e-13)
+        E = joint_wmmse.mse_matrix(U[0], W, eff, 0, 0.5)
+        np.testing.assert_allclose(E, np.eye(6), atol=1e-14)
+        C = joint_wmmse.update_weights(E[None])
+        np.testing.assert_allclose(C[0], np.eye(6) / np.log(2), atol=1e-13)
 
     def test_embedding_matches_joint_combiners(self, rng):
-        # a streamwise precoder set embedded in joint form must produce the
-        # same combiner columns from the joint update at the assigned slots
-        eff = synthetic_effective(rng, L=3, K=2, M=4, N=5)
-        assoc = StreamAssignment.from_pi(np.array([[0, 2], [1, 0]]), 3)
-        w = np.zeros((3, 2, 2, 5), complex)
-        for k in range(2):
-            for s in range(2):
-                w[assoc.pi[k, s], k, s] = crandn(rng, 5) * 0.4
-        U_sw = streamwise.update_combiners(w, assoc, eff, 0.6)
-        sw_set = streamwise.StreamwisePrecoderSet(w=w, assignment=assoc)
-        W = to_joint_form(sw_set)
-        U_joint = joint_wmmse.update_combiners(W, eff, 0.6)
+        # joint combiners of the embedded set against a per-stream reference
+        # U[:, (l, s)] = J_k^{-1} Hb_{l,k} w_{l,k,s}, J_k summed over the
+        # active streams only; every column off the support is exactly zero
+        eff = synthetic_effective(rng, L=3, K=2, M=4, N=5, noise=0.6)
+        assoc, W, U, C = _masked(rng, eff, [[0, 2], [1, 0]])
         S = 2
+        off = _off_support(assoc, 3)
+        E = joint_wmmse.mse_at_optimum(U, W, eff)
         for k in range(2):
-            for s in range(2):
-                col = assoc.pi[k, s] * S + s
-                np.testing.assert_allclose(U_joint[k][:, col], U_sw[k][:, s],
-                                           atol=1e-10)
+            J = 0.6 * np.eye(4, dtype=complex)
+            for i in range(2):
+                for s in range(S):
+                    g = eff.hbar[assoc.pi[i, s], k] @ W[assoc.pi[i, s], i, :, s]
+                    J += np.outer(g, g.conj())
+            for l in range(3):
+                for s in range(S):
+                    col = U[k][:, l * S + s]
+                    if off[l, k, s]:
+                        assert np.all(col == 0)
+                        row = E[k, l * S + s]
+                        assert row[l * S + s] == 1.0
+                        assert np.count_nonzero(row) == 1
+                    else:
+                        g = eff.hbar[l, k] @ W[l, k, :, s]
+                        np.testing.assert_allclose(col, np.linalg.solve(J, g),
+                                                   atol=1e-10)
 
     def test_combiner_minimizes_mse(self, rng):
-        eff = synthetic_effective(rng, L=3, K=2, M=4, N=5)
-        assoc = StreamAssignment.from_pi(np.array([[0, 1], [1, 2]]), 3)
-        w = crandn(rng, 3, 2, 2, 5) * 0.3
-        U = streamwise.update_combiners(w, assoc, eff, 0.5)
-        base = np.trace(streamwise.mse_matrix(U[1], w, assoc, eff, 1, 0.5)).real
+        eff = synthetic_effective(rng, L=3, K=2, M=4, N=5, noise=0.5)
+        assoc, W, U, C = _masked(rng, eff, [[0, 1], [1, 2]], scale=0.3)
+        base = np.trace(joint_wmmse.mse_matrix(U[1], W, eff, 1, 0.5)).real
         for _ in range(100):
-            pert = U[1] + 0.01 * crandn(rng, 4, 2)
-            val = np.trace(streamwise.mse_matrix(pert, w, assoc, eff, 1, 0.5)).real
+            pert = U[1] + 0.01 * crandn(rng, 4, 6)
+            val = np.trace(joint_wmmse.mse_matrix(pert, W, eff, 1, 0.5)).real
             assert val >= base - 1e-12
 
 
 class TestPrecoderAndBisection:
+    # per-satellite closed form and multiplier search of the masked joint
+    # solve
+
     def test_zero_coupling_zero_vectors(self, rng):
-        eff = synthetic_effective(rng, L=2, K=1, M=3, N=4)
-        assoc = StreamAssignment.from_pi(np.array([[0, 1]]), 2)
-        U = np.zeros((1, 3, 2), complex)
-        C = np.eye(2, dtype=complex)[None]
-        vecs = precoder_given_mu(0.0, U, C, eff, assoc, 0)
-        for v in vecs.values():
-            assert np.all(v == 0)
+        eff = synthetic_effective(rng, L=3, K=1, M=3, N=4)
+        cons = per_sat_total(np.ones(3), 4)
+        U = np.zeros((1, 3, 6), complex)
+        C = np.eye(6, dtype=complex)[None]
+        assert np.all(precoder_given_mu(0.0, U, C, eff, 0, cons) == 0)
+        # a real masked state: the satellite carrying no stream and every
+        # off-support column get exactly zero, at any multiplier
+        assoc, W, U, C = _masked(rng, eff, [[0, 1]])
+        off = _off_support(assoc, 3)
+        for mu in (0.0, 0.3):
+            for l in range(3):
+                Wl = precoder_given_mu(mu, U, C, eff, l, cons)
+                assert np.all(Wl.transpose(0, 2, 1)[off[l]] == 0)
+            assert np.all(precoder_given_mu(mu, U, C, eff, 2, cons) == 0)
 
     def test_norm_decreasing_in_mu(self, rng):
         eff = synthetic_effective(rng, L=2, K=2, M=3, N=4)
-        assoc = StreamAssignment.from_pi(np.array([[0, 1], [1, 0]]), 2)
-        w0 = crandn(rng, 2, 2, 2, 4) * 0.4
-        U = streamwise.update_combiners(w0, assoc, eff, 0.5)
-        C = streamwise.update_weights(streamwise._mse_at_optimum(U, w0, assoc, eff))
+        assoc, W, U, C = _masked(rng, eff, [[0, 1], [1, 0]])
+        cons = per_sat_total(np.ones(2), 4)
+        sub = joint_wmmse._SatSubproblem(eff, U, C, 0, 2)
         prev = np.inf
         for mu in (0.01, 0.1, 1.0, 10.0):
-            vecs = precoder_given_mu(mu, U, C, eff, assoc, 0)
-            total = sum(np.sum(np.abs(v) ** 2) for v in vecs.values())
+            total = np.sum(np.abs(precoder_given_mu(mu, U, C, eff, 0, cons)) ** 2)
             assert total < prev
+            assert sub.power_identity(mu) == pytest.approx(total, rel=1e-12)
             prev = total
 
     def test_stationarity_finite_difference(self, rng):
+        # every direction, off-support columns included
         eff = synthetic_effective(rng, L=2, K=2, M=3, N=4)
-        assoc = StreamAssignment.from_pi(np.array([[0, 1], [1, 0]]), 2)
-        w0 = crandn(rng, 2, 2, 2, 4) * 0.4
-        U = streamwise.update_combiners(w0, assoc, eff, 0.5)
-        C = streamwise.update_weights(streamwise._mse_at_optimum(U, w0, assoc, eff))
+        assoc, W, U, C = _masked(rng, eff, [[0, 1], [1, 0]])
         l, mu = 0, 0.3
-        sub = streamwise._SatStreamProblem(eff, U, C, assoc, l)
-        vecs = sub.vectors(mu)
-        T = sub.factor @ sub.factor.conj().T
+        cons = per_sat_total(np.ones(2), 4)
+        Wl = precoder_given_mu(mu, U, C, eff, l, cons)
+        sub = joint_wmmse._SatSubproblem(eff, U, C, l, 2)
 
-        def lagrangian(vd):
-            val = 0.0
-            for (k, s), v in vd.items():
-                z = sub.z_scale[(k, s)] * sub.z_dir[k]
-                val += (v.conj() @ T @ v).real - 2 * (z.conj() @ v).real
-                val += mu * (v.conj() @ v).real
-            return val
+        def lagrangian(x):
+            return sub.objective(x) + mu * float(np.sum(np.abs(x) ** 2))
 
-        base = lagrangian(vecs)
+        base = lagrangian(Wl)
         h = 1e-6
         for _ in range(20):
-            d = {key: crandn(rng, 4) for key in vecs}
-            nrm = np.sqrt(sum(np.sum(np.abs(x) ** 2) for x in d.values()))
-            plus = {k_: v + h * d[k_] / nrm for k_, v in vecs.items()}
-            minus = {k_: v - h * d[k_] / nrm for k_, v in vecs.items()}
-            grad = (lagrangian(plus) - lagrangian(minus)) / (2 * h)
+            d = crandn(rng, 2, 4, 2)
+            d /= np.linalg.norm(d)
+            grad = (lagrangian(Wl + h * d) - lagrangian(Wl - h * d)) / (2 * h)
             assert abs(grad) <= 1e-8 * max(1.0, abs(base)) + 1e-8
 
     def test_bisection_inactive_at_zero(self):
-        assert bisection_multiplier(lambda m: -1.0, 1.0) == 0.0
+        assert bisect_multiplier(lambda m: -1.0, 1e-12) == 0.0
 
     def test_bisection_power_tolerance(self, rng):
         eff = synthetic_effective(rng, L=2, K=2, M=3, N=4)
-        assoc = StreamAssignment.from_pi(np.array([[0, 1], [1, 0]]), 2)
-        w0 = crandn(rng, 2, 2, 2, 4)
-        U = streamwise.update_combiners(w0, assoc, eff, 0.5)
-        C = streamwise.update_weights(streamwise._mse_at_optimum(U, w0, assoc, eff))
-        sub = streamwise._SatStreamProblem(eff, U, C, assoc, 0)
+        assoc, W, U, C = _masked(rng, eff, [[0, 1], [1, 0]], scale=1.0)
+        sub = joint_wmmse._SatSubproblem(eff, U, C, 0, 2)
         rho = 0.05
-        mu = bisection_multiplier(lambda m: sub.power(m) - rho, rho, tol=1e-10)
-        assert mu > 0
-        assert abs(sub.power(mu) - rho) <= 1e-10 * rho
+        mu = bisect_multiplier(lambda m: sub.power_identity(m) - rho, 1e-10 * rho)
+        _root_certificate(sub.power_identity, mu, rho)
 
     def test_bisection_agrees_with_ellipsoid_scalar_path(self, rng):
-        from satmimo import EllipsoidParams, solve_multipliers
+        # solve_multipliers hands its one-dimensional case to the same search
         eff = synthetic_effective(rng, L=2, K=2, M=3, N=4)
-        assoc = StreamAssignment.from_pi(np.array([[0, 1], [1, 0]]), 2)
-        w0 = crandn(rng, 2, 2, 2, 4)
-        U = streamwise.update_combiners(w0, assoc, eff, 0.5)
-        C = streamwise.update_weights(streamwise._mse_at_optimum(U, w0, assoc, eff))
-        sub = streamwise._SatStreamProblem(eff, U, C, assoc, 0)
+        assoc, W, U, C = _masked(rng, eff, [[0, 1], [1, 0]], scale=1.0)
+        sub = joint_wmmse._SatSubproblem(eff, U, C, 0, 2)
         rho = 0.05
-        mu_b = bisection_multiplier(lambda m: sub.power(m) - rho, rho, tol=1e-12)
+        mu_b = bisect_multiplier(lambda m: sub.power_identity(m) - rho, 1e-12 * rho)
         mu_e = solve_multipliers(lambda m: None,
-                                 lambda m: np.array([sub.power(float(m[0])) - rho]),
+                                 lambda m: np.array([sub.power_identity(float(m[0])) - rho]),
                                  1, EllipsoidParams(tol=1e-12 * rho))
-        assert mu_e[0] == pytest.approx(mu_b, rel=1e-6)
+        assert mu_e[0] == mu_b
+        _root_certificate(sub.power_identity, mu_b, rho)
 
     def test_bracket_budget_exhausted(self):
         with pytest.raises(InfeasibleError):
-            bisection_multiplier(lambda m: 1.0, 1.0, max_doublings=5)
+            bisect_multiplier(lambda m: 1.0, 1e-12, max_doublings=5)
 
 
 class TestSolveStreamwise:
@@ -281,10 +321,11 @@ class TestSolveStreamwise:
     def test_rate_identity_streamwise(self, rng):
         eff = synthetic_effective(rng, L=3, K=2, M=4, N=5)
         sw, assoc, _ = solve_streamwise(eff, np.full(3, 1.0), num_streams=2)
-        U = streamwise.update_combiners(sw.w, assoc, eff, eff.noise_power_w)
-        E = streamwise._mse_at_optimum(U, sw.w, assoc, eff)
+        W = to_joint_form(sw)
+        U = joint_wmmse.update_combiners(W, eff, eff.noise_power_w)
+        E = joint_wmmse.mse_at_optimum(U, W, eff)
         ident = -sum(np.linalg.slogdet(Ek)[1] for Ek in E) / np.log(2)
-        se = approx_se(to_joint_form(sw), eff, eff.noise_power_w).sum_se
+        se = approx_se(W, eff, eff.noise_power_w).sum_se
         assert ident == pytest.approx(se, rel=1e-8)
 
     def test_orthogonal_parity_with_joint(self):
@@ -321,6 +362,28 @@ class TestSolveStreamwise:
                     if l != assoc.pi[k, s]:
                         assert np.all(sw.w[l, k, s] == 0)
 
+    def test_support_certificate(self, rng, monkeypatch):
+        # off-support entries come back exactly zero; one that is not makes
+        # solve_streamwise raise instead of returning a leaked precoder
+        eff = synthetic_effective(rng, L=3, K=2, M=4, N=5)
+        rho = np.full(3, 1.0)
+        sw, assoc, _ = solve_streamwise(eff, rho, num_streams=2)
+        off = _off_support(assoc, 3)
+        assert np.all(sw.w[off] == 0)
+        assert np.all(np.abs(sw.w[~off]).sum(axis=-1) > 0)
+
+        solve = joint_wmmse.solve
+
+        def leaky(*args, **kwargs):
+            W, trace = solve(*args, **kwargs)
+            l, k, s = np.argwhere(off)[0]
+            W[l, k, 0, s] = 1e-300
+            return W, trace
+
+        monkeypatch.setattr(joint_wmmse, "solve", leaky)
+        with pytest.raises(NumericsError):
+            solve_streamwise(eff, rho, num_streams=2)
+
     def test_preselection_runs(self, default_effective):
         sw, assoc, _ = solve_streamwise(default_effective, np.full(4, 10.0),
                                         num_streams=2, preselect=3)
@@ -333,7 +396,7 @@ class TestToJointForm:
         assoc = StreamAssignment.from_pi(np.array([[1]]), 2)
         w = np.zeros((2, 1, 1, 4), complex)
         w[1, 0, 0] = crandn(rng, 4)
-        W = to_joint_form(streamwise.StreamwisePrecoderSet(w=w, assignment=assoc))
+        W = to_joint_form(StreamwisePrecoderSet(w=w, assignment=assoc))
         assert W.shape == (2, 1, 4, 1)
         np.testing.assert_array_equal(W[1, 0, :, 0], w[1, 0, 0])
         assert np.all(W[0] == 0)
