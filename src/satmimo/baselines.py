@@ -15,7 +15,7 @@ import numpy as np
 from .channel import EffectiveChannel
 from .joint_wmmse import init_precoders
 from .power import PowerConstraintSet, per_sat_total
-from .se_eval import SEReport, approx_se, exact_se_mc
+from .se_eval import SEReport, approx_se, exact_se_trials
 from .streamwise import StreamAssignment
 
 _RIDGE = 1e-8
@@ -94,19 +94,28 @@ def tdma_mrt_baseline(effective: EffectiveChannel, link_stats, rho,
                       estimator: str = "approx", trials: int = 0,
                       rng=None) -> SEReport:
     """Orthogonal scheduling: each user is served alone by its nearest
-    satellite with MRT, and the time sharing divides each SE by K."""
+    satellite with MRT, and the time sharing divides each SE by K.
+
+    With the Monte-Carlo estimator each user's slot takes its own full gain
+    draw and evaluates only the scheduled user; the slots' draws are
+    independent, so their variances add in the standard error."""
     L, K, M, N = effective.shape
     noise = effective.noise_power_w
     per_user = np.empty(K)
+    variance = 0.0
     for k, (_, W) in enumerate(tdma_mrt_precoders(effective, link_stats, rho)):
         if estimator == "approx":
-            rep = approx_se(W, effective, noise)
+            per_user[k] = approx_se(W, effective, noise).per_user_se[k] / K
         else:
-            rep = exact_se_mc(W, link_stats, effective, noise, trials, rng)
-        per_user[k] = rep.per_user_se[k] / K
+            se_t = exact_se_trials(W, link_stats, effective, noise, trials,
+                                   rng, [k])[0]
+            per_user[k] = se_t.mean() / K
+            variance += (np.var(se_t, ddof=1) / (trials * K * K)
+                         if trials > 1 else np.nan)
     return SEReport(per_user_se=per_user, sum_se=float(per_user.sum()),
                     trials_used=trials if estimator != "approx" else 0,
-                    estimator_kind=estimator)
+                    estimator_kind=estimator,
+                    sum_se_stderr=float(np.sqrt(variance)))
 
 
 def random_association(rng: np.random.Generator, num_streams: int,

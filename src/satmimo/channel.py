@@ -75,10 +75,19 @@ def sample_gamma(beta: np.ndarray, kappa: np.ndarray, rng: np.random.Generator,
     """
     shape = beta.shape if trials is None else (trials,) + beta.shape
     psi = rng.uniform(0.0, 2 * np.pi, size=shape)
-    z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-    los = np.sqrt(kappa / (kappa + 1.0)) * np.exp(1j * psi)
-    nlos = np.sqrt(1.0 / (kappa + 1.0)) * z
-    return np.sqrt(beta) * (los + nlos)
+    x = rng.standard_normal(shape)        # real part of z, then imaginary
+    y = rng.standard_normal(shape)
+    los = np.sqrt(beta * kappa / (kappa + 1.0))
+    nlos = np.sqrt(beta / (2.0 * (kappa + 1.0)))
+    gamma = np.empty(shape, complex)
+    re, im = gamma.real, gamma.imag
+    np.cos(psi, out=re)
+    re *= los
+    re += nlos * x
+    np.sin(psi, out=im)
+    im *= los
+    im += nlos * y
+    return gamma
 
 
 def sample_realization(effective: EffectiveChannel, link_stats: LinkStatistics,

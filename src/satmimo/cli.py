@@ -145,7 +145,10 @@ def _constraints_for(cfg: ScenarioConfig, rho_w: float):
 
 
 def run_job(job: Job) -> dict:
-    """Evaluate one (scenario, mode, sweep point) row. Pure given the job."""
+    """Evaluate one (scenario, mode, sweep point) row. Pure given the job.
+
+    Besides the CSV columns the row carries "converged": False when the
+    WMMSE loop stopped at max_iters before meeting its tolerance."""
     cfg = job.config
     t0 = time.perf_counter()
     rho_w = 10 ** (job.power_dbw / 10)
@@ -156,6 +159,7 @@ def run_job(job: Job) -> dict:
     rng = mc_rng(cfg.rng_seed, job.point_index)
     rho_vec = np.full(cfg.L, rho_w)
     iterations = 0
+    converged = True
     error = ""
 
     try:
@@ -172,12 +176,12 @@ def run_job(job: Job) -> dict:
         elif job.mode == "joint":
             W, trace = joint_wmmse.solve(effective, _constraints_for(cfg, rho_w),
                                          params, num_streams=cfg.S)
-            iterations = trace.iterations
+            iterations, converged = trace.iterations, trace.converged
         elif job.mode == "streamwise":
             sw, _, trace = streamwise.solve_streamwise(effective, rho_vec, params,
                                                        num_streams=cfg.S)
             W = streamwise.to_joint_form(sw)
-            iterations = trace.iterations
+            iterations, converged = trace.iterations, trace.converged
         elif job.mode == "streamwise-random":
             assoc = baselines.random_association(
                 np.random.default_rng(np.random.SeedSequence([cfg.rng_seed, 1])),
@@ -186,12 +190,12 @@ def run_job(job: Job) -> dict:
                                                        num_streams=cfg.S,
                                                        assignment=assoc)
             W = streamwise.to_joint_form(sw)
-            iterations = trace.iterations
+            iterations, converged = trace.iterations, trace.converged
         elif job.mode == "tdma-mrt":
             report = baselines.tdma_mrt_baseline(effective, geometry, rho_vec,
                                                  estimator="exact-mc",
                                                  trials=cfg.mc_trials, rng=rng)
-            return _row(job, report, 0, t0)
+            return _row(job, report, 0, t0, True)
         else:
             raise ValueError(f"unhandled mode {job.mode}")
 
@@ -203,13 +207,13 @@ def run_job(job: Job) -> dict:
         error = str(exc)
         report = None
     if report is None:
-        row = _row(job, None, iterations, t0)
+        row = _row(job, None, iterations, t0, converged)
         row["per_user_se"] = f"error={error}"
         return row
-    return _row(job, report, iterations, t0)
+    return _row(job, report, iterations, t0, converged)
 
 
-def _row(job, report, iterations, t0):
+def _row(job, report, iterations, t0, converged):
     cfg = job.config
     return {
         "scenario_id": job.scenario_id,
@@ -222,22 +226,32 @@ def _row(job, report, iterations, t0):
         "iterations": iterations,
         "wall_time_ms": int(round(1000 * (time.perf_counter() - t0))),
         "seed": job.seed,
+        "converged": converged,
     }
 
 
-def _write_outputs(rows, out_path, cfg, args):
+def _write_outputs(rows, unconverged, out_path, cfg, args):
     with open(out_path, "w", newline="") as fh:
         fh.write(SCHEMA_LINE + "\n")
-        writer = csv.DictWriter(fh, fieldnames=COLUMNS)
+        writer = csv.DictWriter(fh, fieldnames=COLUMNS, extrasaction="ignore")
         writer.writeheader()
         writer.writerows(rows)
     sidecar = {
         "schema": 1,
         "preset": args.preset,
         "config": _jsonable(cfg.as_dict()),
+        "unconverged": unconverged,
     }
     with open(out_path + ".json", "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
+
+
+def _unconverged(rows):
+    """Rows whose solver stopped at max_iters, for the sidecar."""
+    return [{"row": i, "scenario_id": r["scenario_id"], "mode": r["mode"],
+             "power_cap_dbw": float(r["power_cap_dbw"]),
+             "iterations": r["iterations"]}
+            for i, r in enumerate(rows) if not r["converged"]]
 
 
 def _jsonable(obj):
@@ -286,7 +300,8 @@ def cmd_run(args, parser) -> int:
             rows = list(pool.map(run_job, jobs))
     else:
         rows = [run_job(job) for job in jobs]
-    _write_outputs(rows, args.out, cfg, args)
+    unconverged = _unconverged(rows)
+    _write_outputs(rows, unconverged, args.out, cfg, args)
     failures = [r for r in rows if r["sum_se"] == "nan"]
     if not args.quiet:
         print(f"wrote {len(rows)} rows to {args.out}"
@@ -294,6 +309,11 @@ def cmd_run(args, parser) -> int:
     for r in failures:
         print(f"warning: {r['scenario_id']}/{r['mode']} at "
               f"{r['power_cap_dbw']} dBW: {r['per_user_se']}", file=sys.stderr)
+    for r in unconverged:
+        print(f"warning: {r['scenario_id']}/{r['mode']} at "
+              f"{r['power_cap_dbw']!r} dBW: solver stopped at "
+              f"{r['iterations']} iterations without converging",
+              file=sys.stderr)
     return 0
 
 

@@ -38,3 +38,58 @@ def default_links(default_config):
 def default_effective(default_config, default_links):
     from satmimo import effective_channels
     return effective_channels(default_links, default_config)
+
+
+def synthetic_links(eff, kappa=15.8):
+    """Link statistics matching a synthetic_effective channel."""
+    from satmimo.scenario import LinkStatistics
+    L, K = eff.beta.shape
+    return LinkStatistics(theta=np.zeros((L, K)), phi=np.zeros((L, K)),
+                          elevation=np.zeros((L, K)),
+                          distance_m=np.ones((L, K)), beta=eff.beta,
+                          kappa=np.full((L, K), kappa),
+                          noise_power_w=eff.noise_power_w)
+
+
+def dense_exact_se(precoders, link_stats, effective, noise, trials, rng):
+    """Reference Monte-Carlo evaluator: per-trial dense stream matrices,
+    einsum Grams for every user and batched Cholesky log-dets. Returns the
+    per-trial SE in bits, shape (K, T)."""
+    from satmimo.channel import sample_gamma
+    L, K, M, N = effective.shape
+    gamma = sample_gamma(link_stats.beta, link_stats.kappa, rng, trials=trials)
+    out = np.empty((K, trials))
+    for k in range(K):
+        mats = _dense_stream_mats(precoders, effective, k)      # (K, L, M, S)
+        d = np.einsum("tl,ilms->tims", gamma[:, :, k], mats)   # (T, K, M, S)
+        grams = np.einsum("tims,tins->timn", d, d.conj())      # (T, K, M, M)
+        total = grams.sum(axis=1) + noise * np.eye(M)
+        interf = total - grams[:, k]
+        out[k] = (_chol_logdet(total) - _chol_logdet(interf)) / np.log(2.0)
+    return out
+
+
+def dense_approx_se(precoders, effective, noise):
+    """Reference approximation: per-link Grams scaled by beta, (K,)."""
+    L, K, M, N = effective.shape
+    out = np.empty(K)
+    for k in range(K):
+        mats = _dense_stream_mats(precoders, effective, k)
+        mats = mats * np.sqrt(effective.beta[:, k])[None, :, None, None]
+        grams = np.einsum("ilms,ilns->imn", mats, mats.conj())  # (K, M, M)
+        total = grams.sum(axis=0) + noise * np.eye(M)
+        interf = total - grams[k]
+        out[k] = (_chol_logdet(total) - _chol_logdet(interf)) / np.log(2.0)
+    return out
+
+
+def _dense_stream_mats(precoders, effective, k):
+    """(K, L, M, S) with entry [i, l] = b_{l,k} (a_{l,k}^T W_{l,i})."""
+    rows = np.einsum("ln,lins->lis", effective.a[:, k], precoders)
+    return np.einsum("lm,lis->ilms", effective.b[:, k], rows)
+
+
+def _chol_logdet(mats):
+    chol = np.linalg.cholesky(mats)
+    idx = np.arange(mats.shape[-1])
+    return 2.0 * np.sum(np.log(np.real(chol[..., idx, idx])), axis=-1)

@@ -6,7 +6,8 @@ from satmimo import (approx_se, mmse_baseline, per_sat_total,
                      to_joint_form, zf_baseline)
 from satmimo.joint_wmmse import init_precoders, solve
 from satmimo.power import max_violation
-from tests.conftest import synthetic_effective
+from tests.conftest import (dense_exact_se, synthetic_effective,
+                            synthetic_links)
 
 
 class TestMmseBaseline:
@@ -87,6 +88,24 @@ class TestTdmaMrt:
             solo = approx_se(W, default_effective,
                              default_links.noise_power_w).per_user_se[k]
             assert rep.per_user_se[k] == pytest.approx(solo / 2, rel=1e-12)
+
+    @pytest.mark.parametrize("K", [1, 2, 6])
+    def test_exact_matches_full_evaluation(self, K):
+        # the scheduled user alone against the dense evaluation of all K
+        # users on the same per-slot draw, keeping user k
+        rng = np.random.default_rng(4)
+        eff = synthetic_effective(rng, L=3, K=K, M=2, N=5)
+        links = synthetic_links(eff)
+        from satmimo.baselines import tdma_mrt_precoders
+        rho = np.full(3, 2.0)
+        rep = tdma_mrt_baseline(eff, links, rho, estimator="exact-mc",
+                                trials=50, rng=np.random.default_rng(8))
+        ref_rng = np.random.default_rng(8)
+        ref = [dense_exact_se(W, links, eff, eff.noise_power_w, 50,
+                              ref_rng)[k].mean() / K
+               for k, (_, W) in enumerate(tdma_mrt_precoders(eff, links, rho))]
+        np.testing.assert_allclose(rep.per_user_se, ref, rtol=1e-12, atol=0)
+        assert rep.trials_used == 50
 
     def test_serves_from_strongest_gain(self, default_effective, default_links):
         from satmimo.baselines import tdma_mrt_precoders

@@ -89,6 +89,21 @@ class TestSampleRealization:
         gamma = sample_gamma(beta, kappa, np.random.default_rng(11), trials=100_000)
         assert np.mean(np.abs(gamma) ** 2) / 2.5 == pytest.approx(1.0, abs=0.02)
 
+    def test_matches_reference_draw_order(self, default_links):
+        # the Rician formula on uniform, then real and imaginary normal
+        # draws taken in that order from the same generator state
+        beta = default_links.beta
+        kappa = np.full_like(beta, 10 ** 1.2)
+        gamma = sample_gamma(beta, kappa, np.random.default_rng(4), trials=50)
+        ref_rng = np.random.default_rng(4)
+        shape = (50,) + beta.shape
+        psi = ref_rng.uniform(0.0, 2 * np.pi, size=shape)
+        z = (ref_rng.standard_normal(shape)
+             + 1j * ref_rng.standard_normal(shape)) / np.sqrt(2)
+        ref = np.sqrt(beta) * (np.sqrt(kappa / (kappa + 1)) * np.exp(1j * psi)
+                               + np.sqrt(1 / (kappa + 1)) * z)
+        np.testing.assert_allclose(gamma, ref, rtol=1e-14, atol=0)
+
     def test_deterministic(self, default_effective, default_links):
         g1 = sample_realization(default_effective, default_links,
                                 np.random.default_rng(9)).gamma

@@ -110,6 +110,40 @@ class TestRun:
             "error=MSE matrix of user 0 is not positive definite")
         assert all(float(r["sum_se"]) > 0 for r in rows if r not in failed)
 
+    def test_unconverged_rows_in_sidecar(self, tmp_path, capsys):
+        # one WMMSE iteration cannot meet the tolerance: every joint row
+        # stops at max_iters, while TDMA rows run no solver
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(dict(TINY, max_iters=1)))
+        out = str(tmp_path / "short.csv")
+        assert main(["run", "--preset", "user-loading", "--config", str(path),
+                     "--out", out, "--quiet", "--trials", "20"]) == 0
+        rows = read_rows(out)
+        assert list(rows[0].keys()) == COLUMNS
+        with open(out + ".json") as fh:
+            unconverged = json.load(fh)["unconverged"]
+        joint = [i for i, r in enumerate(rows) if r["mode"] == "joint"]
+        assert [u["row"] for u in unconverged] == joint
+        for u in unconverged:
+            row = rows[u["row"]]
+            assert u["mode"] == "joint"
+            assert u["scenario_id"] == row["scenario_id"]
+            assert u["power_cap_dbw"] == float(row["power_cap_dbw"])
+            assert u["iterations"] == int(row["iterations"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("without converging") == len(joint) == 6
+
+    def test_converged_rows_not_listed(self, tiny_config, tmp_path, capsys):
+        out = str(tmp_path / "ok.csv")
+        assert main(["run", "--preset", "joint-vs-streamwise-orthogonal",
+                     "--config", tiny_config, "--out", out, "--quiet",
+                     "--trials", "20"]) == 0
+        assert all(0 < int(r["iterations"]) < TINY["max_iters"]
+                   for r in read_rows(out))
+        with open(out + ".json") as fh:
+            assert json.load(fh)["unconverged"] == []
+        assert "without converging" not in capsys.readouterr().err
+
     def test_seed_override(self, tiny_config, tmp_path):
         out = str(tmp_path / "seeded.csv")
         assert main(["run", "--preset", "joint-vs-streamwise-orthogonal",

@@ -1,14 +1,22 @@
 import numpy as np
 import pytest
 
-from satmimo import (ScenarioConfig, approx_se, approx_vs_exact_gap,
-                     effective_channels, exact_se_mc, mc_rng, sample_geometry)
+from satmimo import (NumericsError, ScenarioConfig, approx_se,
+                     approx_vs_exact_gap, effective_channels, exact_se_mc,
+                     mc_rng, sample_geometry, tdma_mrt_baseline)
 from satmimo.baselines import mmse_baseline
-from tests.conftest import crandn, synthetic_effective
+from satmimo.channel import sample_gamma
+from satmimo.se_eval import _logdet
+from tests.conftest import (crandn, dense_approx_se, dense_exact_se,
+                            synthetic_effective, synthetic_links)
 
 
 def _links_for(config, seed=0):
     return sample_geometry(config, np.random.default_rng(seed))
+
+
+# (M, S) with S in {1, 2, M}, S <= M
+_SHAPES = [(1, 1), (2, 1), (2, 2), (4, 1), (4, 2), (4, 4)]
 
 
 class TestZeroAndErrors:
@@ -117,6 +125,118 @@ class TestExactMcProperties:
         s_big = batch_std(800, 12)
         # 16x the trials should shrink the std about 4x; allow a loose band
         assert s_big < s_small / 1.8
+
+
+class TestAgainstDenseOracle:
+    """The structured evaluator against the dense per-trial einsum and
+    Cholesky evaluator kept in conftest, on identical gain draws."""
+
+    @staticmethod
+    def _instance(K, M, S, seed=0):
+        rng = np.random.default_rng(seed)
+        eff = synthetic_effective(rng, L=3, K=K, M=M, N=5)
+        W = crandn(rng, 3, K, 5, S)
+        if K > 1:
+            W[:, 0] = 0.0               # a user with all-zero precoders
+        if S > 1:
+            W[:, K - 1, :, S - 1] = 0.0  # and a silent stream
+        return eff, synthetic_links(eff), W
+
+    @pytest.mark.parametrize("K", [1, 2, 6])
+    @pytest.mark.parametrize("M,S", _SHAPES)
+    def test_exact_matches_dense(self, K, M, S):
+        eff, links, W = self._instance(K, M, S)
+        noise = eff.noise_power_w
+        rep = exact_se_mc(W, links, eff, noise, 64, np.random.default_rng(5))
+        ref = dense_exact_se(W, links, eff, noise, 64, np.random.default_rng(5))
+        np.testing.assert_allclose(rep.per_user_se, ref.mean(axis=1),
+                                   rtol=1e-12, atol=0)
+        assert rep.sum_se == pytest.approx(ref.mean(axis=1).sum(), rel=1e-12)
+        if K > 1:
+            assert rep.per_user_se[0] == 0.0
+
+    @pytest.mark.parametrize("K", [1, 2, 6])
+    @pytest.mark.parametrize("M,S", _SHAPES)
+    def test_approx_matches_dense(self, K, M, S):
+        eff, _, W = self._instance(K, M, S, seed=1)
+        rep = approx_se(W, eff, eff.noise_power_w)
+        np.testing.assert_allclose(rep.per_user_se,
+                                   dense_approx_se(W, eff, eff.noise_power_w),
+                                   rtol=1e-12, atol=0)
+
+    def test_generator_advances_by_one_draw(self):
+        eff, links, W = self._instance(2, 4, 2)
+        rng = np.random.default_rng(9)
+        exact_se_mc(W, links, eff, eff.noise_power_w, 37, rng)
+        ref = np.random.default_rng(9)
+        sample_gamma(links.beta, links.kappa, ref, trials=37)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_tdma_advances_by_one_draw_per_user(self):
+        eff, links, _ = self._instance(6, 2, 2)
+        rng = np.random.default_rng(9)
+        tdma_mrt_baseline(eff, links, np.full(3, 2.0), estimator="exact-mc",
+                          trials=37, rng=rng)
+        ref = np.random.default_rng(9)
+        for _ in range(6):
+            sample_gamma(links.beta, links.kappa, ref, trials=37)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+class TestStandardError:
+    def test_tracks_spread_over_seeds(self, default_config, default_links,
+                                      default_effective):
+        # the reported standard error against the spread of sum_se over
+        # independent generators (40 seeds: about 11% sampling error)
+        rho = np.full(default_config.L, 100.0)
+        W = mmse_baseline(default_effective, rho, default_config.S)
+        noise = default_links.noise_power_w
+        for evaluate in (
+                lambda rng: exact_se_mc(W, default_links, default_effective,
+                                        noise, 100, rng),
+                lambda rng: tdma_mrt_baseline(default_effective, default_links,
+                                              rho, estimator="exact-mc",
+                                              trials=100, rng=rng)):
+            reps = [evaluate(np.random.default_rng(500 + s)) for s in range(40)]
+            spread = np.std([r.sum_se for r in reps], ddof=1)
+            stderr = np.mean([r.sum_se_stderr for r in reps])
+            assert 0.6 < stderr / spread < 1.6
+
+    def test_deterministic_and_single_trial(self, default_links,
+                                            default_effective):
+        W = mmse_baseline(default_effective, np.full(4, 10.0), 2)
+        noise = default_links.noise_power_w
+        assert approx_se(W, default_effective, noise).sum_se_stderr == 0.0
+        one = exact_se_mc(W, default_links, default_effective, noise, 1,
+                          np.random.default_rng(0))
+        assert np.isnan(one.sum_se_stderr)
+
+
+class TestLogDetChecks:
+    def test_nan_precoders_raise(self, default_links, default_effective):
+        W = mmse_baseline(default_effective, np.full(4, 10.0), 2)
+        W[1, 0, 3, 0] = np.nan
+        noise = default_links.noise_power_w
+        with pytest.raises(NumericsError):
+            exact_se_mc(W, default_links, default_effective, noise, 20,
+                        np.random.default_rng(0))
+        with pytest.raises(NumericsError):
+            approx_se(W, default_effective, noise)
+
+    def test_indefinite_gram_raises(self):
+        # [[1, 2], [2, 1]] has eigenvalues 3 and -1: the second pivot is -3
+        gram = np.zeros((2, 2, 3), complex)
+        gram[0, 0] = gram[1, 1] = 1.0
+        gram[1, 0] = 2.0
+        with pytest.raises(NumericsError, match="pivot 1"):
+            _logdet(gram)
+
+    def test_matches_dense_logdet(self, rng):
+        a = crandn(rng, 7, 4, 6)
+        mats = a @ a.conj().transpose(0, 2, 1) + 0.1 * np.eye(4)
+        lower = np.tril(mats).transpose(1, 2, 0)
+        np.testing.assert_allclose(_logdet(lower),
+                                   np.linalg.slogdet(mats)[1], rtol=1e-13)
 
 
 class TestGap:
