@@ -65,6 +65,40 @@ def effective_channels(link_stats: LinkStatistics, config: ScenarioConfig) -> Ef
                             noise_power_w=link_stats.noise_power_w)
 
 
+def rician_amplitudes(beta: np.ndarray, kappa: np.ndarray):
+    """LoS and scattered amplitudes (sqrt(beta kappa/(kappa+1)),
+    sqrt(beta/(2(kappa+1)))) of the Rician gains."""
+    return (np.sqrt(beta * kappa / (kappa + 1.0)),
+            np.sqrt(beta / (2.0 * (kappa + 1.0))))
+
+
+def draw_rician(rng: np.random.Generator, shape):
+    """Raw variates of Rician gains in draw order: the LoS phases
+    psi ~ U[0, 2pi), then the standard normal real parts x and imaginary
+    parts y of the scattered component."""
+    psi = rng.uniform(0.0, 2 * np.pi, size=shape)
+    x = rng.standard_normal(shape)
+    y = rng.standard_normal(shape)
+    return psi, x, y
+
+
+def rician_gains(psi, x, y, los, nlos, out: np.ndarray) -> np.ndarray:
+    """Write los e^{j psi} + nlos (x + j y) into the complex array out, as
+    los cos psi + nlos x and los sin psi + nlos y.
+
+    Elementwise, so any view of the raw variates gives bitwise the entries
+    of the full draw. x and y are overwritten with nlos x and nlos y.
+    """
+    re, im = out.real, out.imag
+    np.cos(psi, out=re)
+    re *= los
+    re += np.multiply(x, nlos, out=x)
+    np.sin(psi, out=im)
+    im *= los
+    im += np.multiply(y, nlos, out=y)
+    return out
+
+
 def sample_gamma(beta: np.ndarray, kappa: np.ndarray, rng: np.random.Generator,
                  trials: int | None = None) -> np.ndarray:
     """Draw Rician link gains with uniformly random LoS phase.
@@ -74,20 +108,9 @@ def sample_gamma(beta: np.ndarray, kappa: np.ndarray, rng: np.random.Generator,
     trials. Returns shape beta.shape, or (trials,) + beta.shape.
     """
     shape = beta.shape if trials is None else (trials,) + beta.shape
-    psi = rng.uniform(0.0, 2 * np.pi, size=shape)
-    x = rng.standard_normal(shape)        # real part of z, then imaginary
-    y = rng.standard_normal(shape)
-    los = np.sqrt(beta * kappa / (kappa + 1.0))
-    nlos = np.sqrt(beta / (2.0 * (kappa + 1.0)))
-    gamma = np.empty(shape, complex)
-    re, im = gamma.real, gamma.imag
-    np.cos(psi, out=re)
-    re *= los
-    re += nlos * x
-    np.sin(psi, out=im)
-    im *= los
-    im += nlos * y
-    return gamma
+    psi, x, y = draw_rician(rng, shape)
+    los, nlos = rician_amplitudes(beta, kappa)
+    return rician_gains(psi, x, y, los, nlos, np.empty(shape, complex))
 
 
 def sample_realization(effective: EffectiveChannel, link_stats: LinkStatistics,

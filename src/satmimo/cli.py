@@ -147,8 +147,10 @@ def _constraints_for(cfg: ScenarioConfig, rho_w: float):
 def run_job(job: Job) -> dict:
     """Evaluate one (scenario, mode, sweep point) row. Pure given the job.
 
-    Besides the CSV columns the row carries "converged": False when the
-    WMMSE loop stopped at max_iters before meeting its tolerance."""
+    Besides the CSV columns the row carries "converged", False when the
+    WMMSE loop stopped at max_iters before meeting its tolerance, and
+    "sum_se_stderr", the Monte-Carlo standard error of sum_se (0.0 for the
+    approximation, nan for an error row or a single trial)."""
     cfg = job.config
     t0 = time.perf_counter()
     rho_w = 10 ** (job.power_dbw / 10)
@@ -227,6 +229,7 @@ def _row(job, report, iterations, t0, converged):
         "wall_time_ms": int(round(1000 * (time.perf_counter() - t0))),
         "seed": job.seed,
         "converged": converged,
+        "sum_se_stderr": float(report.sum_se_stderr) if report else float("nan"),
     }
 
 
@@ -241,6 +244,7 @@ def _write_outputs(rows, unconverged, out_path, cfg, args):
         "preset": args.preset,
         "config": _jsonable(cfg.as_dict()),
         "unconverged": unconverged,
+        "sum_se_stderr": _stderrs(rows),
     }
     with open(out_path + ".json", "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
@@ -252,6 +256,16 @@ def _unconverged(rows):
              "power_cap_dbw": float(r["power_cap_dbw"]),
              "iterations": r["iterations"]}
             for i, r in enumerate(rows) if not r["converged"]]
+
+
+def _stderrs(rows):
+    """Every row's Monte-Carlo standard error for the sidecar; null where it
+    is nan (an error row or a single trial), so the file stays strict JSON."""
+    return [{"row": i, "scenario_id": r["scenario_id"], "mode": r["mode"],
+             "power_cap_dbw": float(r["power_cap_dbw"]),
+             "stderr": (r["sum_se_stderr"] if np.isfinite(r["sum_se_stderr"])
+                        else None)}
+            for i, r in enumerate(rows)]
 
 
 def _jsonable(obj):
@@ -294,7 +308,11 @@ def cmd_run(args, parser) -> int:
     except (ConfigError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    workers = int(os.environ.get("SATMIMO_WORKERS", "1"))
+    try:
+        workers = int(os.environ.get("SATMIMO_WORKERS", "1"))
+    except ValueError:
+        print("error: SATMIMO_WORKERS must be an integer", file=sys.stderr)
+        return 1
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(run_job, jobs))

@@ -7,9 +7,11 @@ that replaces the signal and interference Grams by their expectations.
 Both use the rank-one links. User k receives stream s of user i as
 D_i[:, s] = sum_l gamma_{l,k} b_{l,k} (a_{l,k}^T W_{l,i})_s, so every
 received column is a fixed M x L factor matrix applied to the vector of
-user k's L link gains. A trial's responses therefore come from one GEMM
-over all trials, and its Grams from the M(M+1)/2 pairwise products of the
-columns. The log-dets logdet(signal + interference + noise) -
+user k's L link gains. Links whose factors are all zero (a satellite
+that sends user k nothing it receives) are dropped, and their gains are
+never synthesised. A trial's responses come from one GEMM per chunk of
+trials, and its Grams from the M(M+1)/2 pairwise products of the columns.
+The log-dets logdet(signal + interference + noise) -
 logdet(interference + noise) come from an unpivoted LDL^H factorization
 vectorised over trials, so no explicit inverse is formed; a pivot that is
 not positive and finite raises NumericsError.
@@ -21,11 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import EffectiveChannel, sample_gamma
+from .channel import (EffectiveChannel, draw_rician, rician_amplitudes,
+                      rician_gains)
 from .errors import NumericsError
 from .scenario import LinkStatistics
 
 _LN2 = np.log(2.0)
+# trials per evaluation chunk: bounds the GEMM and Gram temporaries
+_TRIAL_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -104,28 +109,54 @@ def _se_bits(other, own, noise):
     return (_logdet(total) - _logdet(interf)) / _LN2
 
 
+def _live_gains(raw, los, nlos, k, live):
+    """Gains of user k on the links `live`, trial-last (len(live), T), from
+    the raw (T, L, K) draws of draw_rician; bitwise the sample_gamma entries
+    of the same draw. Scales user k's columns of the raw normals in place."""
+    psi, x, y = raw
+    gains = np.empty((live.size, psi.shape[0]), complex)
+    for j, l in enumerate(live):
+        rician_gains(psi[:, l, k], x[:, l, k], y[:, l, k], los[l, k],
+                     nlos[l, k], gains[j])
+    return gains
+
+
 def exact_se_trials(precoders: np.ndarray, link_stats: LinkStatistics,
                     effective: EffectiveChannel, noise: float, trials: int,
                     rng: np.random.Generator, users) -> np.ndarray:
-    """Per-trial SE in bits/s/Hz of the listed users, shape (len(users), T).
+    """Per-trial SE in bits/s/Hz of the listed (distinct) users, shape
+    (len(users), T).
 
-    Draws one full (T, L, K) set of Rician gains, so the generator advances
-    exactly as in exact_se_mc whichever users are evaluated.
+    Draws the raw variates of one full (T, L, K) set of Rician gains, so the
+    generator advances exactly as in exact_se_mc whichever users are
+    evaluated, but synthesises a user's gains only on the links that carry
+    one of its received streams. The raw draws are released before the
+    evaluation, which runs in chunks of _TRIAL_CHUNK trials, so its
+    temporaries do not grow with T.
     """
     if noise <= 0:
         raise ValueError("Monte-Carlo SE: noise power must be positive")
     if trials < 1:
         raise ValueError("Monte-Carlo SE: need at least one trial")
-    gamma = sample_gamma(link_stats.beta, link_stats.kappa, rng, trials=trials)
-    out = np.empty((len(users), trials))
-    for u, k in enumerate(users):
+    raw = draw_rician(rng, (trials,) + link_stats.beta.shape)
+    los, nlos = rician_amplitudes(link_stats.beta, link_stats.kappa)
+    work = []
+    for k in users:
         other, own = _split_streams(_stream_factors(precoders, effective, k), k)
-        gains = np.ascontiguousarray(gamma[:, :, k].T)       # (L, T)
         cols = np.concatenate([other, own], axis=1)          # (M, J, L)
+        live = np.flatnonzero(np.any(cols != 0, axis=(0, 1)))
+        work.append((cols[:, :, live], other.shape[1],
+                     _live_gains(raw, los, nlos, k, live)))
+    del raw
+    out = np.empty((len(users), trials))
+    for u, (cols, split, gains) in enumerate(work):
         M, J, L = cols.shape
-        resp = (cols.reshape(M * J, L) @ gains).reshape(M, J, trials)
-        split = other.shape[1]
-        out[u] = _se_bits(resp[:, :split], resp[:, split:], noise)
+        mat = cols.reshape(M * J, L)
+        for start in range(0, trials, _TRIAL_CHUNK):
+            chunk = gains[:, start:start + _TRIAL_CHUNK]
+            resp = (mat @ chunk).reshape(M, J, chunk.shape[1])
+            out[u, start:start + chunk.shape[1]] = _se_bits(
+                resp[:, :split], resp[:, split:], noise)
     return out
 
 

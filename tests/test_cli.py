@@ -144,6 +144,70 @@ class TestRun:
             assert json.load(fh)["unconverged"] == []
         assert "without converging" not in capsys.readouterr().err
 
+    @staticmethod
+    def _strict_sidecar(out):
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        with open(out + ".json") as fh:
+            return json.loads(fh.read(), parse_constant=reject)
+
+    def test_stderr_in_rows_and_sidecar(self, tiny_config, tmp_path):
+        from dataclasses import replace
+        from satmimo import load_scenario
+        from satmimo.cli import PRESETS, run_job
+        out = str(tmp_path / "gap.csv")
+        assert main(["run", "--preset", "approx-gap", "--config", tiny_config,
+                     "--out", out, "--quiet", "--trials", "30"]) == 0
+        rows = read_rows(out)
+        assert list(rows[0].keys()) == COLUMNS
+        stderrs = self._strict_sidecar(out)["sum_se_stderr"]
+        assert [s["row"] for s in stderrs] == list(range(len(rows)))
+        with open(tiny_config) as fh:
+            cfg = replace(load_scenario(fh.read()), mc_trials=30)
+        jobs = PRESETS["approx-gap"](cfg)
+        for s, row, job in zip(stderrs, rows, jobs):
+            assert s["scenario_id"] == row["scenario_id"]
+            assert s["mode"] == row["mode"]
+            assert s["power_cap_dbw"] == float(row["power_cap_dbw"])
+            assert s["stderr"] == run_job(job)["sum_se_stderr"]
+            if row["mode"] == "mmse-approx":
+                assert s["stderr"] == 0.0
+            else:
+                assert 0 < s["stderr"] < float(row["sum_se"])
+
+    def test_nan_stderr_written_as_null(self, tiny_config, tmp_path,
+                                        monkeypatch):
+        # one trial has no sample variance, and an error row no estimate
+        from satmimo import NumericsError, cli, streamwise
+        solve = streamwise.solve_streamwise
+
+        def flaky(effective, rho, *args, **kwargs):
+            if rho[0] > 5.0:
+                raise NumericsError("forced failure")
+            return solve(effective, rho, *args, **kwargs)
+
+        monkeypatch.setattr(cli.streamwise, "solve_streamwise", flaky)
+        out = str(tmp_path / "one.csv")
+        assert main(["run", "--preset", "joint-vs-streamwise-orthogonal",
+                     "--config", tiny_config, "--out", out, "--quiet",
+                     "--trials", "1"]) == 0
+        rows = read_rows(out)
+        assert sum(r["sum_se"] == "nan" for r in rows) == 1
+        stderrs = self._strict_sidecar(out)["sum_se_stderr"]
+        assert len(stderrs) == len(rows) == 4
+        assert all(s["stderr"] is None for s in stderrs)
+
+    def test_non_integer_workers_exit_1(self, tiny_config, tmp_path,
+                                        monkeypatch, capsys):
+        monkeypatch.setenv("SATMIMO_WORKERS", "two")
+        out = tmp_path / "w.csv"
+        assert main(["run", "--preset", "approx-gap", "--config", tiny_config,
+                     "--out", str(out), "--quiet"]) == 1
+        assert ("error: SATMIMO_WORKERS must be an integer"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_seed_override(self, tiny_config, tmp_path):
         out = str(tmp_path / "seeded.csv")
         assert main(["run", "--preset", "joint-vs-streamwise-orthogonal",

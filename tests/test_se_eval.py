@@ -1,12 +1,15 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from satmimo import (NumericsError, ScenarioConfig, approx_se,
                      approx_vs_exact_gap, effective_channels, exact_se_mc,
                      mc_rng, sample_geometry, tdma_mrt_baseline)
-from satmimo.baselines import mmse_baseline
-from satmimo.channel import sample_gamma
-from satmimo.se_eval import _logdet
+from satmimo.baselines import mmse_baseline, tdma_mrt_precoders
+from satmimo.channel import draw_rician, rician_amplitudes, sample_gamma
+from satmimo.se_eval import _TRIAL_CHUNK, _live_gains, _logdet, exact_se_trials
 from tests.conftest import (crandn, dense_approx_se, dense_exact_se,
                             synthetic_effective, synthetic_links)
 
@@ -181,6 +184,95 @@ class TestAgainstDenseOracle:
         for _ in range(6):
             sample_gamma(links.beta, links.kappa, ref, trials=37)
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+class TestLiveLinkSynthesis:
+    """Gains synthesised only on the links a user reads, and evaluation in
+    trial chunks, against sample_gamma and the dense oracle."""
+
+    def test_gains_bitwise_equal_sample_gamma(self):
+        eff = synthetic_effective(np.random.default_rng(0), L=5, K=3)
+        links = synthetic_links(eff)
+        live = np.array([0, 2, 3])
+        gamma = sample_gamma(links.beta, links.kappa, np.random.default_rng(6),
+                             trials=1001)
+        raw = draw_rician(np.random.default_rng(6), (1001, 5, 3))
+        los, nlos = rician_amplitudes(links.beta, links.kappa)
+        for k in range(3):
+            assert np.array_equal(_live_gains(raw, los, nlos, k, live),
+                                  gamma[:, live, k].T)
+
+    @staticmethod
+    def _check_against_dense(W, eff, links, trials, users=None):
+        K = eff.shape[1]
+        users = range(K) if users is None else users
+        got = exact_se_trials(W, links, eff, eff.noise_power_w, trials,
+                              np.random.default_rng(3), users)
+        ref = dense_exact_se(W, links, eff, eff.noise_power_w, trials,
+                             np.random.default_rng(3))[list(users)]
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+        return got
+
+    def test_silent_satellite(self):
+        rng = np.random.default_rng(1)
+        eff = synthetic_effective(rng, L=4, K=3, M=2, N=5)
+        W = crandn(rng, 4, 3, 5, 2)
+        W[2] = 0.0
+        self._check_against_dense(W, eff, synthetic_links(eff), 300)
+
+    def test_user_with_every_link_dead(self):
+        # user 1 sees antenna 0 only and no satellite radiates from it: no
+        # stream reaches user 1, so its gains are never synthesised
+        rng = np.random.default_rng(2)
+        eff = synthetic_effective(rng, L=3, K=3, M=2, N=4)
+        a = eff.a.copy()
+        a[:, 1] = 0.0
+        a[:, 1, 0] = 1.0
+        hbar = np.sqrt(eff.beta)[..., None, None] * np.einsum(
+            "lkm,lkn->lkmn", eff.b, a)
+        eff = replace(eff, a=a, hbar=hbar)
+        W = crandn(rng, 3, 3, 4, 2)
+        W[:, :, 0] = 0.0
+        got = self._check_against_dense(W, eff, synthetic_links(eff), 300)
+        assert np.all(got[1] == 0.0)
+        assert np.all(got[[0, 2]] > 0)
+
+    def test_tdma_single_link_slot(self):
+        eff = synthetic_effective(np.random.default_rng(3), L=3, K=4, M=2, N=5)
+        links = synthetic_links(eff)
+        for k, (_, W) in enumerate(tdma_mrt_precoders(eff, links,
+                                                      np.full(3, 2.0))):
+            self._check_against_dense(W, eff, links, 300, users=[k])
+
+    @pytest.mark.parametrize("trials", [1, _TRIAL_CHUNK - 1, _TRIAL_CHUNK,
+                                        _TRIAL_CHUNK + 1, 2 * _TRIAL_CHUNK + 3])
+    def test_trial_chunks(self, trials):
+        rng = np.random.default_rng(4)
+        eff = synthetic_effective(rng, L=3, K=2, M=2, N=4)
+        W = crandn(rng, 3, 2, 4, 2)
+        self._check_against_dense(W, eff, synthetic_links(eff), trials)
+
+    def test_memory_bounded_by_draws_and_gains(self):
+        # at L = 8, K = 6 with every link live, doubling T may add at most
+        # the raw draws (24 bytes) and the gains (16 bytes) per (trial,
+        # link, user): the evaluation temporaries must not grow with T
+        L, K, M, N, S = 8, 6, 4, 6, 2
+        rng = np.random.default_rng(5)
+        eff = synthetic_effective(rng, L=L, K=K, M=M, N=N)
+        links = synthetic_links(eff)
+        W = crandn(rng, L, K, N, S)
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                exact_se_trials(W, links, eff, eff.noise_power_w, trials,
+                                np.random.default_rng(0), range(K))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(20_000), peak(40_000)
+        assert large - small <= 40 * 20_000 * L * K
 
 
 class TestStandardError:
