@@ -148,9 +148,11 @@ def run_job(job: Job) -> dict:
     """Evaluate one (scenario, mode, sweep point) row. Pure given the job.
 
     Besides the CSV columns the row carries "converged", False when the
-    WMMSE loop stopped at max_iters before meeting its tolerance, and
+    WMMSE loop stopped at max_iters before meeting its tolerance;
     "sum_se_stderr", the Monte-Carlo standard error of sum_se (0.0 for the
-    approximation, nan for an error row or a single trial)."""
+    approximation, nan for an error row or a single trial); and
+    "multiplier_evals", the secular-curve evaluations of the solver's
+    single-cap multiplier searches (0 for modes that run no solver)."""
     cfg = job.config
     t0 = time.perf_counter()
     rho_w = 10 ** (job.power_dbw / 10)
@@ -160,8 +162,7 @@ def run_job(job: Job) -> dict:
     params = joint_wmmse.SolverParams.from_config(cfg)
     rng = mc_rng(cfg.rng_seed, job.point_index)
     rho_vec = np.full(cfg.L, rho_w)
-    iterations = 0
-    converged = True
+    trace = None
     error = ""
 
     try:
@@ -178,12 +179,10 @@ def run_job(job: Job) -> dict:
         elif job.mode == "joint":
             W, trace = joint_wmmse.solve(effective, _constraints_for(cfg, rho_w),
                                          params, num_streams=cfg.S)
-            iterations, converged = trace.iterations, trace.converged
         elif job.mode == "streamwise":
             sw, _, trace = streamwise.solve_streamwise(effective, rho_vec, params,
                                                        num_streams=cfg.S)
             W = streamwise.to_joint_form(sw)
-            iterations, converged = trace.iterations, trace.converged
         elif job.mode == "streamwise-random":
             assoc = baselines.random_association(
                 np.random.default_rng(np.random.SeedSequence([cfg.rng_seed, 1])),
@@ -192,12 +191,11 @@ def run_job(job: Job) -> dict:
                                                        num_streams=cfg.S,
                                                        assignment=assoc)
             W = streamwise.to_joint_form(sw)
-            iterations, converged = trace.iterations, trace.converged
         elif job.mode == "tdma-mrt":
             report = baselines.tdma_mrt_baseline(effective, geometry, rho_vec,
                                                  estimator="exact-mc",
                                                  trials=cfg.mc_trials, rng=rng)
-            return _row(job, report, 0, t0, True)
+            return _row(job, report, None, t0)
         else:
             raise ValueError(f"unhandled mode {job.mode}")
 
@@ -209,13 +207,13 @@ def run_job(job: Job) -> dict:
         error = str(exc)
         report = None
     if report is None:
-        row = _row(job, None, iterations, t0, converged)
+        row = _row(job, None, trace, t0)
         row["per_user_se"] = f"error={error}"
         return row
-    return _row(job, report, iterations, t0, converged)
+    return _row(job, report, trace, t0)
 
 
-def _row(job, report, iterations, t0, converged):
+def _row(job, report, trace, t0):
     cfg = job.config
     return {
         "scenario_id": job.scenario_id,
@@ -225,11 +223,12 @@ def _row(job, report, iterations, t0, converged):
         "sum_se": repr(float(report.sum_se)) if report else "nan",
         "per_user_se": ";".join(repr(float(v)) for v in report.per_user_se)
                        if report else "",
-        "iterations": iterations,
+        "iterations": trace.iterations if trace else 0,
         "wall_time_ms": int(round(1000 * (time.perf_counter() - t0))),
         "seed": job.seed,
-        "converged": converged,
+        "converged": trace.converged if trace else True,
         "sum_se_stderr": float(report.sum_se_stderr) if report else float("nan"),
+        "multiplier_evals": trace.multiplier_evals if trace else 0,
     }
 
 

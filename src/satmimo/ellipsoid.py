@@ -5,8 +5,10 @@ to the power-constraint residuals, finds mu >= 0 making the precoders
 feasible: mu = 0 when already feasible, otherwise a geometric expansion
 brackets a feasible upper bound and the ellipsoid shrinks around the
 boundary. The one-dimensional case degenerates in the central-cut formulas
-(d^2 - 1 = 0) and is handed to `bisect_multiplier`, the package's one scalar
-multiplier search, which the single-cap precoder updates also call directly.
+(d^2 - 1 = 0) and is handed to `bisect_multiplier`, a bisection on the
+residual oracle. (A satellite whose only constraint is the total-power cap
+A = I never comes here: its multiplier is the root of a closed-form secular
+curve, `joint_wmmse.secular_multiplier`.)
 """
 
 from __future__ import annotations

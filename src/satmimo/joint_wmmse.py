@@ -12,18 +12,23 @@ positive definite for any precoders, and the per-satellite precoder update
 keeps the familiar regularized closed form
     W_{l,k}(mu) = (sum_i Hb^H U_i C_i U_i^H Hb + sum_x mu_x A_x)^{-1} B_{l,k}.
 
-The per-satellite quadratic coupling matrix has rank at most K, which gives
-a closed-form power curve for the per-satellite-total multiplier search.
+One iteration is batched array work: every user's J_k and desired blocks G_k
+come from one helper, and for fixed combiners and weights the satellites'
+precoder subproblems are built together. Each per-satellite coupling matrix
+has rank at most K, which gives a closed-form (secular) power curve; the
+per-satellite-total multiplier is its root, found by a safeguarded Newton
+iteration.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import EffectiveChannel
-from .ellipsoid import EllipsoidParams, bisect_multiplier, solve_multipliers
+from .ellipsoid import EllipsoidParams, solve_multipliers
 from .errors import NumericsError, ValidationError
 from .power import PowerConstraintSet, residuals as power_residuals
 from .scenario import ScenarioConfig
@@ -31,6 +36,10 @@ from .scenario import ScenarioConfig
 _LN2 = np.log(2.0)
 _RANK_TOL = 1e-12
 _DIRECTION_TOL = 1e-14
+# the secular search takes its iterate as the root once a Newton step is
+# below this fraction of it, and gives up after this many curve evaluations
+_NEWTON_STOP = 1e-13
+_MAX_CURVE_EVALS = 100
 
 
 @dataclass
@@ -58,6 +67,8 @@ class SolveTrace:
     iterations: int = 0
     converged: bool = False
     pinv_fallbacks: int = 0
+    multiplier_searches: int = 0      # single-cap (secular) searches
+    multiplier_evals: int = 0         # secular-curve evaluations they made
 
 
 @dataclass
@@ -73,13 +84,52 @@ class WmmseState:
     objective: float
 
 
+def _hermitian(mats: np.ndarray) -> np.ndarray:
+    return 0.5 * (mats + mats.conj().swapaxes(-1, -2))
+
+
+def _receiver_grams(precoders: np.ndarray, effective: EffectiveChannel,
+                    noise: float):
+    """J (K, M, M) and G (K, M, L*S) of every user at the given precoders.
+
+    G_k holds the desired blocks Hb_{l,k} W_{l,k} side by side (satellite
+    major) and J_k = noise*I + sum_{l,i} (Hb_{l,k} W_{l,i})(Hb_{l,k} W_{l,i})^H,
+    which for rank-one links is noise*I + sum_l beta_{l,k} ||a_{l,k}^T W_l||^2
+    b_{l,k} b_{l,k}^H.
+    """
+    L, K, M, N = effective.shape
+    S = precoders.shape[-1]
+    rows = np.einsum("lkn,lins->lkis", effective.a, precoders)    # (L, K, K, S)
+    load = effective.beta * np.einsum("lkis,lkis->lk", rows, rows.conj()).real
+    J = np.einsum("lk,lkm,lkn->kmn", load, effective.b, effective.b.conj())
+    J += noise * np.eye(M)
+    own = rows[:, np.arange(K), np.arange(K)]                    # (L, K, S)
+    G = np.einsum("lk,lkm,lks->kmls", np.sqrt(effective.beta), effective.b, own)
+    return J, G.reshape(K, M, L * S)
+
+
+def _mse_matrices(combiners: np.ndarray, J: np.ndarray,
+                  G: np.ndarray) -> np.ndarray:
+    """E_k = U^H J U - U^H G - G^H U + I for arbitrary combiners, stacked."""
+    UH = combiners.conj().swapaxes(-1, -2)
+    cross = UH @ G
+    E = UH @ J @ combiners - cross - cross.conj().swapaxes(-1, -2)
+    return _hermitian(E + np.eye(G.shape[-1]))
+
+
+def _mse_at_optimum(combiners: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """E_k = I - G_k^H U_k, valid only at the MMSE combiner (cheap and PD)."""
+    return _hermitian(np.eye(G.shape[-1]) - G.conj().swapaxes(-1, -2) @ combiners)
+
+
 def wmmse_state(precoders: np.ndarray, effective: EffectiveChannel,
                 noise: float) -> WmmseState:
     """Snapshot the receiver-side quantities for a given precoder set:
     optimal combiners, the MSE matrices at them, the matched weights and the
     weighted sum-MSE objective."""
-    U = update_combiners(precoders, effective, noise)
-    E = mse_at_optimum(U, precoders, effective)
+    J, G = _receiver_grams(precoders, effective, noise)
+    U = np.linalg.solve(J, G)
+    E = _mse_at_optimum(U, G)
     C = update_weights(E)
     return WmmseState(combiners=U, weights=C, mse=E,
                       objective=wmmse_objective(E, C))
@@ -89,22 +139,7 @@ def stacked_streams(precoders: np.ndarray, effective: EffectiveChannel,
                     k: int) -> np.ndarray:
     """Desired stream matrix of user k: the L per-satellite blocks
     Hb_{l,k} W_{l,k} side by side, shape (M, L*S)."""
-    L, K, M, N = effective.shape
-    S = precoders.shape[-1]
-    rows = np.einsum("ln,lns->ls", effective.a[:, k], precoders[:, k])
-    blocks = np.sqrt(effective.beta[:, k])[:, None, None] * \
-        effective.b[:, k][:, :, None] * rows[:, None, :]       # (L, M, S)
-    return blocks.transpose(1, 0, 2).reshape(M, L * S)
-
-
-def _total_gram(precoders, effective, k, noise):
-    """J_k = noise*I + sum_i sum_l (Hb W)(Hb W)^H for user k."""
-    L, K, M, N = effective.shape
-    rows = np.einsum("ln,lins->lis", effective.a[:, k], precoders)   # (L,K,S)
-    blocks = np.sqrt(effective.beta[:, k])[:, None, None, None] * \
-        effective.b[:, k][:, None, :, None] * rows[:, :, None, :]    # (L,K,M,S)
-    gram = np.einsum("lims,lins->mn", blocks, blocks.conj())
-    return gram + noise * np.eye(M)
+    return _receiver_grams(precoders, effective, 0.0)[1][k]
 
 
 def mse_matrix(combiner_k: np.ndarray, precoders: np.ndarray,
@@ -115,111 +150,221 @@ def mse_matrix(combiner_k: np.ndarray, precoders: np.ndarray,
     identity when the combiner is zero.
     """
     U = np.asarray(combiner_k)
-    J = _total_gram(precoders, effective, k, noise)
-    G = stacked_streams(precoders, effective, k)
-    if U.shape != G.shape:
+    J, G = _receiver_grams(precoders, effective, noise)
+    if U.shape != G.shape[1:]:
         raise ValidationError(
-            f"combiner of user {k} must have shape {G.shape}, got {U.shape}")
-    cross = U.conj().T @ G
-    E = U.conj().T @ J @ U - cross - cross.conj().T + np.eye(G.shape[1])
-    return 0.5 * (E + E.conj().T)
+            f"combiner of user {k} must have shape {G.shape[1:]}, got {U.shape}")
+    return _mse_matrices(U, J[k], G[k])
 
 
 def update_combiners(precoders: np.ndarray, effective: EffectiveChannel,
                      noise: float) -> np.ndarray:
     """MMSE combiners (K, M, L*S); minimizes Tr(E_k) for every user."""
-    L, K, M, N = effective.shape
-    S = precoders.shape[-1]
-    out = np.empty((K, M, L * S), complex)
-    for k in range(K):
-        J = _total_gram(precoders, effective, k, noise)
-        out[k] = np.linalg.solve(J, stacked_streams(precoders, effective, k))
-    return out
+    J, G = _receiver_grams(precoders, effective, noise)
+    return np.linalg.solve(J, G)
 
 
 def mse_at_optimum(combiners: np.ndarray, precoders: np.ndarray,
                    effective: EffectiveChannel) -> np.ndarray:
     """E_k = I - G_k^H U_k, valid only at the MMSE combiner (cheap and PD)."""
-    K = combiners.shape[0]
-    dim = combiners.shape[2]
-    out = np.empty((K, dim, dim), complex)
-    for k in range(K):
-        G = stacked_streams(precoders, effective, k)
-        E = np.eye(dim) - G.conj().T @ combiners[k]
-        out[k] = 0.5 * (E + E.conj().T)
-    return out
+    return _mse_at_optimum(combiners,
+                           _receiver_grams(precoders, effective, 0.0)[1])
 
 
 def update_weights(mse: np.ndarray) -> np.ndarray:
     """Optimal MSE weights C_k = E_k^{-1} / ln 2; requires E_k Hermitian PD."""
-    out = np.empty_like(mse)
-    for k, E in enumerate(mse):
-        try:
-            np.linalg.cholesky(E)
-        except np.linalg.LinAlgError:
-            raise NumericsError(
-                f"MSE matrix of user {k} is not positive definite") from None
-        out[k] = np.linalg.inv(E) / _LN2
-        out[k] = 0.5 * (out[k] + out[k].conj().T)
-    return out
+    try:
+        np.linalg.cholesky(mse)
+    except np.linalg.LinAlgError:
+        k = int(np.argmin(np.linalg.eigvalsh(mse)[:, 0]))
+        raise NumericsError(
+            f"MSE matrix of user {k} is not positive definite") from None
+    return _hermitian(np.linalg.inv(mse) / _LN2)
 
 
 def wmmse_objective(mse: np.ndarray, weights: np.ndarray) -> float:
     """sum_k Tr(C_k E_k) - log2 det(C_k)."""
-    total = 0.0
-    for E, C in zip(mse, weights):
-        sign, logdet = np.linalg.slogdet(C)
-        if sign <= 0:
-            raise NumericsError("weight matrix lost positive definiteness")
-        total += float(np.trace(C @ E).real) - logdet / _LN2
-    return total
+    sign, logdet = np.linalg.slogdet(weights)
+    if not np.all(sign.real > 0):
+        raise NumericsError("weight matrix lost positive definiteness")
+    traces = np.einsum("kij,kji->k", weights, mse).real
+    return float(np.sum(traces - logdet / _LN2))
 
 
-def _range_eigen(factor: np.ndarray):
-    """Eigenpairs of factor @ factor^H restricted to its range.
+# -- single-cap multiplier: the secular equation ------------------------------
 
-    QR first, then the K x K projected eigenproblem: the returned basis is
-    orthonormal to machine precision even when the eigenvalue spread is
-    extreme, which the plain Gram route is not.
+def _secular(curve, mu: float):
+    """p(mu) = sum_j c_j/(lam_j + mu)^2 + d/mu^2 and q(mu) = -p'(mu)/2.
+
+    curve is (c, lam, d) as Python floats: the rank is at most K, and a
+    Python loop over a few floats is several times faster than numpy's
+    per-call overhead. At mu = 0 the d term is dropped (the pseudoinverse
+    solution, null-space component removed).
     """
-    q, r = np.linalg.qr(factor)
-    small = r @ r.conj().T
-    lam, z = np.linalg.eigh(0.5 * (small + small.conj().T))
-    keep = lam > _RANK_TOL * max(lam.max(initial=0.0), 1e-300)
-    return lam[keep], q @ z[:, keep]
+    c, lam, d = curve
+    p = d / mu ** 2 if mu > 0 else 0.0
+    q = p / mu if mu > 0 else 0.0
+    for c_j, lam_j in zip(c, lam):
+        term = c_j / (lam_j + mu) ** 2
+        p += term
+        q += term / (lam_j + mu)
+    return p, q
 
 
-class _SatSubproblem:
-    """Per-satellite precoder subproblem for fixed combiners and weights.
+def secular_multiplier(curve, rho: float):
+    """Smallest mu >= 0 with p(mu) <= rho, and the curve evaluations spent.
 
-    min_W sum_k Tr(W_k^H T W_k) - 2 Re Tr(B_k^H W_k)  s.t. power constraints,
-    where T has rank <= K and every B_k is a rank-one outer product. The
-    identity-constraint path eigendecomposes T once and evaluates the power
-    curve of W(mu) in closed form.
+    Safeguarded Newton on phi(mu) = p(mu)^{-1/2} - rho^{-1/2} (More &
+    Sorensen, "Computing a trust region step", 1983). phi is concave and
+    increasing, so Newton steps taken left of the root stay left of it and
+    approach it monotonically. The search starts at mu = 0 (the answer when
+    the pseudoinverse solution meets the cap) and jumps to the largest of
+    three lower bounds on the root: the first Newton step from 0,
+    sqrt(d/rho) and max_j sqrt(c_j/rho) - lam_j. The bracket [lo, hi] starts
+    with hi = sqrt((sum_j c_j + d)/rho); a step that leaves it is replaced by
+    bisection. Once the Newton step is negligible the root certificate
+    p(mu (1 - 1e-9)) > rho is checked; where the curve is flat to rounding
+    and it fails, the root lies further left and the bracket shrinks to
+    [lo, mu (1 - 1e-9)]. Raises NumericsError for a curve value that is not
+    finite, for an exhausted evaluation budget, and unless
+    |p(mu) - rho| <= 1e-10 rho at the returned mu.
+    """
+    c, lam, d = curve
+    p, q = _secular(curve, 0.0)
+    evals = 1
+    if not math.isfinite(p):
+        raise NumericsError(f"secular power curve is not finite at 0: {p}")
+    if p <= rho:
+        return 0.0, evals
+    lo, hi = 0.0, math.sqrt((sum(c) + d) / rho)
+    mu = max(p * (math.sqrt(p / rho) - 1.0) / q, math.sqrt(d / rho),
+             *(math.sqrt(c_j / rho) - lam_j for c_j, lam_j in zip(c, lam)))
+    while True:
+        if evals >= _MAX_CURVE_EVALS:
+            raise NumericsError(
+                f"secular multiplier search used {evals} curve evaluations "
+                f"without converging (bracket [{lo:.17g}, {hi:.17g}])")
+        p, q = _secular(curve, mu)
+        evals += 1
+        if not (math.isfinite(p) and q > 0):
+            raise NumericsError(f"secular power curve is not finite at {mu}")
+        if p > rho:
+            lo = mu
+        else:
+            hi = mu
+        step = p * (math.sqrt(p / rho) - 1.0) / q
+        if abs(step) <= _NEWTON_STOP * mu or hi - lo <= _NEWTON_STOP * hi:
+            evals += 1
+            if _secular(curve, mu * (1.0 - 1e-9))[0] > rho:
+                break
+            hi = mu * (1.0 - 1e-9)
+            mu = 0.5 * (lo + hi)
+            continue
+        mu += step
+        if not lo < mu < hi:
+            mu = 0.5 * (lo + hi)
+    if not abs(p - rho) <= 1e-10 * rho:
+        raise NumericsError(
+            f"secular multiplier {mu:.17g} fails the root certificate "
+            f"(power {p:.17g}, cap {rho:.17g})")
+    return mu, evals
+
+
+# -- precoder subproblems -----------------------------------------------------
+
+class _PrecoderStep:
+    """All satellites' precoder subproblems for fixed combiners and weights.
+
+    Satellite l solves
+        min_W sum_k Tr(W_k^H T_l W_k) - 2 Re Tr(B_{l,k}^H W_k)
+    under its power constraints, where T_l = factor[l] factor[l]^H has rank
+    <= K and B_{l,k} = rhs_dir[l, k] rhs_row[l, k]^T is rank one. Arrays:
+    factor (L, N, K), rhs_dir (L, K, N), rhs_row (L, K, S).
     """
 
     def __init__(self, effective: EffectiveChannel, combiners: np.ndarray,
-                 weights: np.ndarray, l: int, num_streams: int):
+                 weights: np.ndarray, num_streams: int):
         L, K, M, N = effective.shape
         S = num_streams
-        self.l = l
-        self.num_users = K
         self.shape = (K, N, S)
-        coeff = np.empty(K)
-        for i in range(K):
-            u_row = effective.b[l, i].conj() @ combiners[i]       # (L*S,)
-            coeff[i] = effective.beta[l, i] * float(
-                np.real(u_row @ weights[i] @ u_row.conj()))
-        coeff = np.maximum(coeff, 0.0)
-        self.factor = np.sqrt(coeff) * effective.a[l].conj().T    # (N, K)
+        # u[l, i] = b_{l,i}^H U_i and uc[l, i] = u[l, i] C_i, both (L*S,)
+        u = np.einsum("lim,imj->lij", effective.b.conj(), combiners)
+        uc = np.einsum("lij,ijh->lih", u, weights)
+        coeff = effective.beta * np.einsum("lih,lih->li", uc, u.conj()).real
+        self.factor = (np.sqrt(np.maximum(coeff, 0.0))[:, :, None]
+                       * effective.a.conj()).swapaxes(1, 2)
+        self.rhs_dir = np.sqrt(effective.beta)[:, :, None] * effective.a.conj()
+        sats = np.arange(L)
+        self.rhs_row = uc.reshape(L, K, L, S)[sats, :, sats]       # block l
 
-        self.rhs_dir = np.empty((K, N), complex)    # a_{l,k}^* scaled by sqrt(beta)
-        self.rhs_row = np.empty((K, S), complex)    # b^H (U_k C_k) block l
-        for k in range(K):
-            uc = combiners[k] @ weights[k]
-            self.rhs_dir[k] = np.sqrt(effective.beta[l, k]) * effective.a[l, k].conj()
-            self.rhs_row[k] = effective.b[l, k].conj() @ uc[:, l * S:(l + 1) * S]
-        self._eig = None
+
+class _Spectrum:
+    """Range eigenpairs of the coupling matrices of some satellites, stacked.
+
+    One QR of the stacked factors, then the K x K projected eigenproblems:
+    the bases are orthonormal to machine precision even when the eigenvalue
+    spread is extreme, which the plain Gram route is not. Eigenvalues below
+    _RANK_TOL of a satellite's largest are masked out of its range; the part
+    of the right-hand side outside the range is `perp`.
+    """
+
+    def __init__(self, step: _PrecoderStep, sats: np.ndarray):
+        q, r = np.linalg.qr(step.factor[sats])
+        lam, z = np.linalg.eigh(_hermitian(r @ r.conj().swapaxes(1, 2)))
+        keep = lam > _RANK_TOL * np.maximum(lam.max(axis=1, keepdims=True), 1e-300)
+        basis = q @ z                                     # (n, N, r)
+        rdir = step.rhs_dir[sats]                         # (n, K, N)
+        rhs = rdir.swapaxes(1, 2)
+        coords = np.where(keep[:, :, None],
+                          basis.conj().swapaxes(1, 2) @ rhs, 0.0)
+        perp = rhs - basis @ coords
+        perp_sq = np.maximum(np.einsum("xnk,xnk->xk", perp.conj(), perp).real, 0.0)
+        row = step.rhs_row[sats]
+        row_sq = np.einsum("xks,xks->xk", row.conj(), row).real
+        dir_sq = np.einsum("xkn,xkn->xk", rdir.conj(), rdir).real
+        c = np.einsum("xjk,xk->xj", np.abs(coords) ** 2, row_sq)
+        d = np.einsum("xk,xk->x", perp_sq, row_sq)
+        self.lam, self.keep, self.basis = lam, keep, basis
+        self.coords, self.perp, self.row = coords, perp, row
+        # secular power curves p(mu) = sum_j c_j/(lam_j + mu)^2 + d/mu^2
+        self.curves = [(c[x][keep[x]].tolist(), lam[x][keep[x]].tolist(),
+                        float(d[x])) for x in range(len(sats))]
+        # the mu = 0 solve drops a null-space component of an active user
+        active = row_sq > 0
+        self.pinv = np.any(
+            active & (perp_sq > _DIRECTION_TOL * np.maximum(dir_sq, 1e-300)), axis=1)
+
+    def precoders(self, mu: np.ndarray) -> np.ndarray:
+        """Closed-form precoders (n, K, N, S) at per-satellite multipliers."""
+        mu = np.asarray(mu, float)
+        scaled = np.divide(self.coords, (self.lam + mu[:, None])[:, :, None],
+                           out=np.zeros_like(self.coords),
+                           where=self.keep[:, :, None])
+        v = self.basis @ scaled                                   # (n, N, K)
+        v += np.divide(self.perp, mu[:, None, None], out=np.zeros_like(v),
+                       where=(mu > 0)[:, None, None])
+        return np.einsum("xnk,xks->xkns", v, self.row)
+
+
+class _SatSubproblem:
+    """Per-satellite view of a _PrecoderStep (built here when step is None).
+
+    factor (N, K), rhs_dir (K, N) and rhs_row (K, S) are satellite l's slices.
+    """
+
+    def __init__(self, effective: EffectiveChannel, combiners: np.ndarray,
+                 weights: np.ndarray, l: int, num_streams: int,
+                 step: _PrecoderStep | None = None):
+        if step is None:
+            step = _PrecoderStep(effective, combiners, weights, num_streams)
+        self.step = step
+        self.l = l
+        self.shape = step.shape
+        self.num_users = self.shape[0]
+        self.factor = step.factor[l]
+        self.rhs_dir = step.rhs_dir[l]
+        self.rhs_row = step.rhs_row[l]
+        self._spectrum = None
 
     # -- shared --------------------------------------------------------------
     def coupling_matrix(self) -> np.ndarray:
@@ -238,54 +383,22 @@ class _SatSubproblem:
             val -= 2.0 * float(np.trace(self.rhs_matrix(k).conj().T @ Wk).real)
         return val
 
-    # -- identity-constraint fast path ----------------------------------------
-    def _eigen(self):
-        if self._eig is None:
-            lam, basis = _range_eigen(self.factor)
-            coords = basis.conj().T @ self.rhs_dir.T        # (rank, K)
-            perp = self.rhs_dir.T - basis @ coords          # (N, K)
-            perp_sq = np.maximum(
-                np.einsum("nk,nk->k", perp.conj(), perp).real, 0.0)
-            row_sq = np.einsum("ks,ks->k", self.rhs_row.conj(), self.rhs_row).real
-            self._eig = (lam, basis, coords, perp_sq, row_sq)
-            # secular power curve p(mu) = sum_j c_j/(lam_j + mu)^2 + d/mu^2,
-            # kept as Python floats: the rank is at most K, and a Python
-            # loop over a few floats is several times faster than numpy's
-            # per-call overhead in the multiplier search
-            self._curve = ((np.abs(coords) ** 2 @ row_sq).tolist(), lam.tolist(),
-                           float(perp_sq @ row_sq))
-        return self._eig
+    # -- identity-constraint path ---------------------------------------------
+    def _eigen(self) -> _Spectrum:
+        if self._spectrum is None:
+            self._spectrum = _Spectrum(self.step, [self.l])
+        return self._spectrum
 
     def power_identity(self, mu: float) -> float:
         """sum_k ||W_k(mu)||_F^2 for the single A = I constraint."""
-        self._eigen()
-        c, lam, d = self._curve
-        # mu == 0: pseudoinverse solution, null-space component dropped
-        total = d / mu ** 2 if mu > 0 else 0.0
-        for c_j, lam_j in zip(c, lam):
-            total += c_j / (lam_j + mu) ** 2
-        return total
+        return _secular(self._eigen().curves[0], mu)[0]
 
     def precoders_identity(self, mu: float) -> np.ndarray:
-        lam, basis, coords, perp_sq, row_sq = self._eigen()
-        K, N, S = self.shape
-        out = np.empty((K, N, S), complex)
-        for k in range(K):
-            if lam.size:
-                v = basis @ (coords[:, k] / (lam + mu))
-            else:
-                v = np.zeros(N, complex)
-            if mu > 0:
-                v = v + (self.rhs_dir[k] - basis @ coords[:, k]) / mu
-            out[k] = np.outer(v, self.rhs_row[k])
-        return out
+        return self._eigen().precoders(np.array([mu]))[0]
 
     def pinv_used(self) -> bool:
         """True when the mu = 0 solve had to drop a null-space component."""
-        lam, basis, coords, perp_sq, row_sq = self._eigen()
-        dir_sq = np.einsum("kn,kn->k", self.rhs_dir.conj(), self.rhs_dir).real
-        active = row_sq > 0
-        return bool(np.any(perp_sq[active] > _DIRECTION_TOL * np.maximum(dir_sq[active], 1e-300)))
+        return bool(self._eigen().pinv[0])
 
     # -- general-constraint path ----------------------------------------------
     def precoders_general(self, mu: np.ndarray,
@@ -377,14 +490,17 @@ def solve(effective: EffectiveChannel, constraints: PowerConstraintSet,
     """Run the block-coordinate WMMSE design.
 
     Alternates MMSE combiners, inverse-MSE weights and per-satellite
-    closed-form precoders whose multipliers come from bisection (single
-    total-power constraint) or the central-cut ellipsoid method (general
-    constraint families). A precoder column W[l, k, :, s] that is zero at
-    the start stays exactly zero (its combiner column is zero and its MSE
-    block the identity), which is how the streamwise mode restricts the
-    design to its sparsity pattern. Returns (precoders, SolveTrace); the
-    objective trace is non-increasing and the output satisfies every power
-    constraint within the feasibility tolerance.
+    closed-form precoders. Satellites with a single total-power cap are
+    updated together: one stacked eigendecomposition, a safeguarded Newton
+    root of each secular power curve (`secular_multiplier`, certified) and
+    one batched precoder expression. Satellites with general constraint
+    families take their multipliers from the central-cut ellipsoid method.
+    A precoder column W[l, k, :, s] that is zero at the start stays exactly
+    zero (its combiner column is zero and its MSE block the identity),
+    which is how the streamwise mode restricts the design to its sparsity
+    pattern. Returns (precoders, SolveTrace); the objective trace is
+    non-increasing and the output satisfies every power constraint within
+    the feasibility tolerance.
     """
     if params is None:
         params = SolverParams()
@@ -400,44 +516,48 @@ def solve(effective: EffectiveChannel, constraints: PowerConstraintSet,
         effective, constraints, S, stream_basis="aggregated")
     trace = SolveTrace()
     prev_obj = np.inf
+    identity = np.array(constraints.identity, bool)
+    J, G = _receiver_grams(W, effective, noise)
 
     for it in range(1, params.max_iters + 1):
-        U = update_combiners(W, effective, noise)
-        E_opt = mse_at_optimum(U, W, effective)
-        C = update_weights(E_opt)
+        U = np.linalg.solve(J, G)
+        C = update_weights(_mse_at_optimum(U, G))
 
-        iter_mus = []
-        for l in range(L):
-            if not W[l].any():
-                # a silent satellite stays silent: its combiner columns,
-                # hence its right-hand sides, are exactly zero
-                iter_mus.append(np.zeros(constraints.num_constraints(l)))
-                continue
-            sub = _SatSubproblem(effective, U, C, l, S)
+        # a silent satellite stays silent: its combiner columns, hence its
+        # right-hand sides, are exactly zero
+        live = W.reshape(L, -1).any(axis=1)
+        iter_mus = [np.zeros(constraints.num_constraints(l)) for l in range(L)]
+        step = _PrecoderStep(effective, U, C, S)
+        single = np.flatnonzero(live & identity)
+        if single.size:
+            spectrum = _Spectrum(step, single)
+            mus = np.empty(single.size)
+            for x, l in enumerate(single):
+                mus[x], evals = secular_multiplier(
+                    spectrum.curves[x], float(constraints.caps[l][0]))
+                trace.multiplier_evals += evals
+                iter_mus[l] = mus[x:x + 1].copy()
+            trace.multiplier_searches += single.size
+            trace.pinv_fallbacks += int(np.sum((mus == 0.0) & spectrum.pinv))
+            W[single] = spectrum.precoders(mus)
+        for l in np.flatnonzero(live & ~identity):
+            sub = _SatSubproblem(effective, U, C, l, S, step=step)
             tol_abs = params.power_tol_rel * float(constraints.caps[l].max())
-            if constraints.identity[l]:
-                rho = float(constraints.caps[l][0])
-                mu = np.array([bisect_multiplier(
-                    lambda m: sub.power_identity(m) - rho, tol_abs,
-                    params.ellipsoid_alpha, params.max_doublings)])
-                if mu[0] == 0.0 and sub.pinv_used():
-                    trace.pinv_fallbacks += 1
-                W[l] = sub.precoders_identity(float(mu[0]))
-            else:
-                ell = EllipsoidParams(alpha=params.ellipsoid_alpha, tol=tol_abs,
-                                      max_iters=params.ellipsoid_max_iters,
-                                      max_doublings=params.max_doublings)
-                oracle = lambda mu: power_residuals(
-                    sub.precoders_general(mu, constraints), constraints, l)
-                mu = solve_multipliers(
-                    lambda m: sub.precoders_general(m, constraints), oracle,
-                    constraints.num_constraints(l), ell)
-                W[l] = sub.precoders_general(mu, constraints)
-            iter_mus.append(mu)
+            ell = EllipsoidParams(alpha=params.ellipsoid_alpha, tol=tol_abs,
+                                  max_iters=params.ellipsoid_max_iters,
+                                  max_doublings=params.max_doublings)
+            oracle = lambda mu: power_residuals(
+                sub.precoders_general(mu, constraints), constraints, l)
+            mu = solve_multipliers(
+                lambda m: sub.precoders_general(m, constraints), oracle,
+                constraints.num_constraints(l), ell)
+            W[l] = sub.precoders_general(mu, constraints)
+            iter_mus[l] = mu
 
-        mse_now = np.stack([mse_matrix(U[k], W, effective, k, noise)
-                            for k in range(K)])
-        obj = wmmse_objective(mse_now, C)
+        # the grams at the new precoders serve this iteration's objective
+        # and the next iteration's combiners
+        J, G = _receiver_grams(W, effective, noise)
+        obj = wmmse_objective(_mse_matrices(U, J, G), C)
         trace.objective.append(obj)
         trace.multipliers.append(iter_mus)
         trace.max_residual.append(max(

@@ -93,3 +93,39 @@ def _chol_logdet(mats):
     chol = np.linalg.cholesky(mats)
     idx = np.arange(mats.shape[-1])
     return 2.0 * np.sum(np.log(np.real(chol[..., idx, idx])), axis=-1)
+
+
+def one_wmmse_iteration(eff, cons, W0, S):
+    """One iteration of joint_wmmse.solve from W0, and the receiver state at
+    W0 its precoder step saw: (W1, multipliers per satellite, trace, U, C)."""
+    from satmimo import joint_wmmse
+    W1, trace = joint_wmmse.solve(eff, cons, joint_wmmse.SolverParams(max_iters=1),
+                                  initial=W0, num_streams=S)
+    U = joint_wmmse.update_combiners(W0, eff, eff.noise_power_w)
+    C = joint_wmmse.update_weights(joint_wmmse.mse_at_optimum(U, W0, eff))
+    mus = [float(m[0]) for m in trace.multipliers[0]]
+    return W1, mus, trace, U, C
+
+
+def assert_precoder_kkt(eff, cons, U, C, W1, mus, l, power_tol_rel=1e-5):
+    """Closed-form KKT conditions of satellite l's total-power subproblem,
+    with T = sum_i Hb_{l,i}^H U_i C_i U_i^H Hb_{l,i} and
+    B_k = Hb_{l,k}^H (U_k C_k)[:, block l] built densely from the channel:
+    stationarity T W_k + mu W_k - B_k = 0 for every user, complementary
+    slackness mu (p - rho) = 0 and feasibility p <= rho (1 + tol)."""
+    S = W1.shape[-1]
+    K = W1.shape[1]
+    hb = eff.hbar[l]
+    T = sum(hb[i].conj().T @ U[i] @ C[i] @ U[i].conj().T @ hb[i] for i in range(K))
+    mu, rho = mus[l], float(cons.caps[l][0])
+    for k in range(K):
+        B = hb[k].conj().T @ (U[k] @ C[k])[:, l * S:(l + 1) * S]
+        W = W1[l, k]
+        scale = np.linalg.norm(T, 2) * np.linalg.norm(W) + mu * np.linalg.norm(W) \
+            + np.linalg.norm(B)
+        resid = T @ W + mu * W - B
+        assert np.linalg.norm(resid) <= 1e-10 * max(scale, 1e-300)
+    p = float(np.sum(np.abs(W1[l]) ** 2))
+    assert mu >= 0.0
+    assert mu * abs(p - rho) <= 1e-10 * mu * rho
+    assert p <= rho * (1 + power_tol_rel)

@@ -176,6 +176,28 @@ class TestRun:
             else:
                 assert 0 < s["stderr"] < float(row["sum_se"])
 
+    def test_multiplier_evals_in_rows_not_in_csv(self, tiny_config, monkeypatch):
+        from satmimo import joint_wmmse, load_scenario
+        from satmimo.cli import PRESETS, run_job
+        with open(tiny_config) as fh:
+            cfg = load_scenario(fh.read())
+        traces = []
+        original = joint_wmmse.solve
+
+        def spy(*args, **kwargs):
+            result = original(*args, **kwargs)
+            traces.append(result[1])
+            return result
+
+        monkeypatch.setattr(joint_wmmse, "solve", spy)
+        rows = [run_job(job) for job in PRESETS["baselines"](cfg)]
+        assert "multiplier_evals" not in COLUMNS
+        assert [r["multiplier_evals"] for r in rows if r["mode"] == "joint"] == \
+            [t.multiplier_evals for t in traces]
+        assert all(t.multiplier_evals >= t.multiplier_searches > 0 for t in traces)
+        assert all(r["multiplier_evals"] == 0 for r in rows
+                   if r["mode"] in ("mmse", "zf"))
+
     def test_nan_stderr_written_as_null(self, tiny_config, tmp_path,
                                         monkeypatch):
         # one trial has no sample variance, and an error row no estimate

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from satmimo import approx_se, per_antenna, per_sat_total
+from satmimo import NumericsError, approx_se, per_antenna, per_sat_total
 from satmimo import joint_wmmse
+from satmimo.ellipsoid import bisect_multiplier
 from satmimo.joint_wmmse import (SolverParams, init_precoders, mse_at_optimum,
                                  mse_matrix, precoder_given_mu, solve,
                                  stacked_streams, update_combiners,
                                  update_weights, wmmse_objective)
-from tests.conftest import crandn, synthetic_effective
+from tests.conftest import (assert_precoder_kkt, crandn, one_wmmse_iteration,
+                            synthetic_effective)
 
 LN2 = np.log(2.0)
 
@@ -328,3 +330,142 @@ class TestSolve:
         expect = sum(np.trace(C[k] @ E[k]).real
                      - np.linalg.slogdet(C[k])[1] / LN2 for k in range(2))
         assert val == pytest.approx(expect, rel=1e-12)
+
+
+
+def _pinv_rule(sub):
+    """The per-satellite pseudoinverse rule, computed on its own: QR of the
+    factor, the K x K eigenproblem, the range kept above 1e-12 of the
+    largest eigenvalue, and a null-space part of an active user's direction
+    above 1e-14 of its squared norm."""
+    q, r = np.linalg.qr(sub.factor)
+    lam, z = np.linalg.eigh(r @ r.conj().T)
+    basis = q @ z[:, lam > 1e-12 * max(lam.max(), 1e-300)]
+    rhs = sub.rhs_dir.T
+    perp_sq = np.sum(np.abs(rhs - basis @ (basis.conj().T @ rhs)) ** 2, axis=0)
+    dir_sq = np.sum(np.abs(rhs) ** 2, axis=0)
+    active = np.sum(np.abs(sub.rhs_row) ** 2, axis=1) > 0
+    return bool(np.any(perp_sq[active] > 1e-14 * np.maximum(dir_sq[active], 1e-300)))
+
+
+class TestBatchedPrecoderStep:
+    # every satellite of one batched precoder step, as solve runs it, against
+    # the closed-form KKT conditions of its subproblem
+
+    def test_joint_state(self, rng):
+        eff = synthetic_effective(rng, L=3, K=2, M=3, N=5)
+        W0 = crandn(rng, 3, 2, 5, 2) * 0.5
+        cons = per_sat_total([0.05, 1e6, 0.3], 5)
+        W1, mus, _, U, C = one_wmmse_iteration(eff, cons, W0, 2)
+        assert mus[0] > 0 and mus[2] > 0
+        assert mus[1] == 0.0                 # the cap is slack at mu = 0
+        for l in range(3):
+            assert_precoder_kkt(eff, cons, U, C, W1, mus, l)
+
+    def test_rank_deficient_coupling(self, rng):
+        # user 1 starts silent: its combiner and coupling coefficient are
+        # exactly zero on every satellite, so T_l has rank one
+        eff = synthetic_effective(rng, L=3, K=2, M=3, N=5)
+        W0 = crandn(rng, 3, 2, 5, 2) * 0.5
+        W0[:, 1] = 0
+        cons = per_sat_total([0.05, 0.1, 1e6], 5)
+        W1, mus, _, U, C = one_wmmse_iteration(eff, cons, W0, 2)
+        assert np.all(U[1] == 0)
+        for l in range(3):
+            sub = joint_wmmse._SatSubproblem(eff, U, C, l, 2)
+            assert np.all(sub.factor[:, 1] == 0)
+            assert np.linalg.matrix_rank(sub.coupling_matrix()) == 1
+            assert_precoder_kkt(eff, cons, U, C, W1, mus, l)
+        assert np.all(W1[:, 1] == 0)
+        assert mus[0] > 0 and mus[2] == 0.0
+
+    @pytest.mark.parametrize("tiny, caps, fallbacks", [
+        (1.0, [1e6, 1e6], 0),      # full-rank coupling: no fallback
+        (1e-9, [1e6, 1e6], 2),     # user 1's eigenvalue dropped, mu = 0
+        (1e-9, [1e-3, 1e-3], 0),   # same state, but the caps bind: mu > 0
+    ])
+    def test_pinv_fallbacks_counted_by_rule(self, rng, tiny, caps, fallbacks):
+        eff = synthetic_effective(rng, L=2, K=2, M=3, N=4)
+        W0 = crandn(rng, 2, 2, 4, 2) * 0.5
+        W0[:, 1] *= tiny
+        cons = per_sat_total(caps, 4)
+        W1, mus, trace, U, C = one_wmmse_iteration(eff, cons, W0, 2)
+        expect = 0
+        for l in range(2):
+            sub = joint_wmmse._SatSubproblem(eff, U, C, l, 2)
+            assert sub.pinv_used() == _pinv_rule(sub) == (tiny < 1)
+            expect += int(mus[l] == 0.0 and _pinv_rule(sub))
+            if mus[l] > 0:
+                # the null-space part of the right-hand side enters as
+                # perp / mu
+                assert_precoder_kkt(eff, cons, U, C, W1, mus, l)
+        assert trace.pinv_fallbacks == expect == fallbacks
+
+def _random_curve(rng, with_d):
+    """Secular curve (c, lam, d) with eigenvalues spread over 1e-10...1e6."""
+    rank = int(rng.integers(1, 7))
+    lam = 10.0 ** rng.uniform(-10, 6, rank)
+    c = 10.0 ** rng.uniform(-4, 4, rank)
+    d = float(10.0 ** rng.uniform(-4, 4)) if with_d else 0.0
+    return c.tolist(), lam.tolist(), d
+
+
+class TestSecularMultiplier:
+    # safeguarded Newton on the secular equation against the bisection of
+    # ellipsoid.bisect_multiplier on the same closed-form curve
+
+    @pytest.mark.parametrize("with_d", [False, True])
+    def test_matches_bisection_with_certificate(self, with_d):
+        rng = np.random.default_rng(2024 + with_d)
+        evals, agreed = [], 0
+        for _ in range(300):
+            curve = _random_curve(rng, with_d)
+            root = 10.0 ** rng.uniform(-10, 6)
+            rho = joint_wmmse._secular(curve, root)[0]
+            power = lambda m: joint_wmmse._secular(curve, m)[0]
+            mu, n = joint_wmmse.secular_multiplier(curve, rho)
+            evals.append(n)
+            mu_b = bisect_multiplier(lambda m: power(m) - rho, 1e-10 * rho)
+            if mu_b == 0.0:
+                # the cap is met by the mu = 0 (pseudoinverse) solution
+                assert mu == 0.0 and power(0.0) <= rho
+                continue
+            assert abs(power(mu) - rho) <= 1e-10 * rho
+            assert power(mu * (1 - 1e-9)) > rho
+            # a root where the curve is flat to rounding (relative slope
+            # |p'| mu / p below 1e-3) is fixed only to eps over that slope,
+            # by either search; agreement is required where it is defined
+            p, q = joint_wmmse._secular(curve, mu)
+            if 2.0 * q * mu / p >= 1e-3:
+                assert mu == pytest.approx(mu_b, rel=1e-11, abs=0.0)
+                agreed += 1
+        assert agreed >= 200
+        assert np.mean(evals) <= 12
+
+    def test_feasible_at_zero(self):
+        curve = ([1.0, 4.0], [2.0, 1.0], 0.0)          # p(0) = 0.25 + 4
+        assert joint_wmmse.secular_multiplier(curve, 5.0) == (0.0, 1)
+
+    @pytest.mark.parametrize("curve", [
+        ([float("nan"), 1.0], [1.0, 2.0], 0.0),        # NaN at mu = 0
+        ([1.0, 1.0], [1.0, 2.0], float("nan")),        # NaN for mu > 0
+    ])
+    def test_nan_curve_raises(self, curve):
+        # an `if`, not an assert: also raises under python -O
+        with pytest.raises(NumericsError):
+            joint_wmmse.secular_multiplier(curve, 0.1)
+
+    def test_exhausted_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(joint_wmmse, "_MAX_CURVE_EVALS", 2)
+        curve = ([1.0, 3.0], [1e-6, 2.0], 0.5)
+        with pytest.raises(NumericsError):
+            joint_wmmse.secular_multiplier(curve, 0.1)
+
+    def test_solve_counts_searches_and_evaluations(self, rng):
+        eff = synthetic_effective(rng, L=3, K=2, M=3, N=5)
+        cons = per_sat_total([0.05, 0.1, 0.2], 5)
+        W, trace = solve(eff, cons, SolverParams(max_iters=6, tol=1e-12),
+                         num_streams=2)
+        assert trace.multiplier_searches == 3 * trace.iterations
+        assert trace.multiplier_searches <= trace.multiplier_evals
+        assert trace.multiplier_evals <= 12 * trace.multiplier_searches

@@ -13,7 +13,8 @@ from satmimo.ellipsoid import bisect_multiplier
 from satmimo.joint_wmmse import SolverParams, precoder_given_mu
 from satmimo.streamwise import (StreamAssignment, StreamwisePrecoderSet,
                                 select_serving_sats)
-from tests.conftest import crandn, synthetic_effective
+from tests.conftest import (assert_precoder_kkt, crandn, one_wmmse_iteration,
+                            synthetic_effective)
 
 ORTHOGONAL = (-0.9, -0.4, 0.1, 0.6)
 NON_ORTHOGONAL = (-0.340, -0.119, 0.119, 0.340)
@@ -299,6 +300,24 @@ class TestPrecoderAndBisection:
         with pytest.raises(InfeasibleError):
             bisect_multiplier(lambda m: 1.0, 1e-12, max_doublings=5)
 
+
+class TestBatchedPrecoderStep:
+    # one batched precoder step of the masked joint solve, every satellite
+    # against the closed-form KKT conditions of its subproblem
+
+    def test_masked_state(self, rng):
+        eff = synthetic_effective(rng, L=3, K=2, M=3, N=4)
+        assoc, W, _, _ = _masked(rng, eff, [[0, 1], [1, 0]], scale=1.0)
+        cons = per_sat_total([0.05, 1e6, 1.0], 4)
+        W1, mus, trace, U, C = one_wmmse_iteration(eff, cons, W, 2)
+        off = _off_support(assoc, 3)
+        assert np.all(W1.transpose(0, 1, 3, 2)[off] == 0)
+        # satellite 2 carries no stream: it stays silent and is not searched
+        assert np.all(W1[2] == 0) and mus[2] == 0.0
+        assert trace.multiplier_searches == 2
+        assert mus[0] > 0 and mus[1] == 0.0
+        for l in (0, 1):
+            assert_precoder_kkt(eff, cons, U, C, W1, mus, l)
 
 class TestSolveStreamwise:
     def test_monotone_feasible_deterministic(self, rng):
