@@ -1,9 +1,12 @@
 """Maximum-weight bipartite matching of streams to satellites.
 
 Rectangular problems (S streams, L >= S satellites) are padded to square
-with zero-weight dummy streams and solved by the Hungarian algorithm in its
-O(n^3) potential/augmenting-path form. A brute-force enumerator serves as
-the test oracle.
+with zero-weight dummy streams and solved once by the Hungarian algorithm in
+its O(n^3) potential/augmenting-path form. Its optimal dual potentials give
+the equality graph, whose perfect matchings are exactly the optimal
+assignments (complementary slackness); the lexicographic tie-break walks
+that graph by alternating cycles, so it needs no further solve. A
+brute-force enumerator serves as the test oracle.
 """
 
 from __future__ import annotations
@@ -17,11 +20,13 @@ from .errors import InfeasibleError
 _BRUTE_FORCE_LIMIT = 8
 
 
-def _hungarian_min(cost: np.ndarray) -> np.ndarray:
+def _hungarian_min(cost: np.ndarray):
     """Minimum-cost perfect matching on a square matrix.
 
-    Returns row -> column. Classic dual-potential shortest augmenting path;
-    1-based internal indexing with column 0 as the virtual root.
+    Returns row -> column and the optimal dual potentials (u, v) of the rows
+    and columns: cost[i, j] - u[i] - v[j] >= 0, with equality on the
+    matching. Classic dual-potential shortest augmenting path; 1-based
+    internal indexing with column 0 as the virtual root.
     """
     n = cost.shape[0]
     u = np.zeros(n + 1)
@@ -64,7 +69,7 @@ def _hungarian_min(cost: np.ndarray) -> np.ndarray:
     rows = np.empty(n, dtype=int)
     for j in range(1, n + 1):
         rows[match[j] - 1] = j - 1
-    return rows
+    return rows, u[1:], v[1:]
 
 
 def _check_weights(weights: np.ndarray) -> np.ndarray:
@@ -79,48 +84,61 @@ def _check_weights(weights: np.ndarray) -> np.ndarray:
     return w
 
 
-def _optimal_value(w: np.ndarray) -> float:
-    """Optimal assignment value of a (possibly rectangular) weight matrix."""
-    s, l = w.shape
-    if s == 0:
-        return 0.0
-    padded = np.zeros((l, l))
-    padded[:s] = w
-    cost = padded.max() - padded
-    cols = _hungarian_min(cost)
-    return float(sum(w[i, cols[i]] for i in range(s)))
+def _rematch(tight, row_of, s, l):
+    """Move row s of the perfect matching row_of (column -> row) onto column
+    l along an alternating cycle of the bipartite graph `tight` that leaves
+    rows 0..s-1 where they are; returns False, changing nothing, when no
+    such cycle exists."""
+    target = np.flatnonzero(row_of == s)[0]     # the column s frees
+    seen = set(range(s + 1))
+    path = []
+
+    def reach(r):
+        # row r must leave its column: find it another, ending at target
+        seen.add(r)
+        for c in np.flatnonzero(tight[r]):
+            if c == target or (row_of[c] not in seen and reach(row_of[c])):
+                path.append((r, c))
+                return True
+        return False
+
+    if not reach(row_of[l]):
+        return False
+    for r, c in path:
+        row_of[c] = r
+    row_of[l] = s
+    return True
 
 
 def max_weight_assignment(weights) -> np.ndarray:
     """Injective stream -> satellite map maximizing the summed weight.
 
     Among optimal assignments, returns the lexicographically smallest
-    mapping by stream index. Raises InfeasibleError when S > L.
+    mapping by stream index. An assignment counts as optimal when each pair
+    it uses has a reduced cost of at most 1e-9 max(1, max |w|) under the
+    optimal duals of the one Hungarian solve. Raises InfeasibleError when
+    S > L.
     """
     w = _check_weights(weights)
     s_count, l_count = w.shape
-    scale = max(1.0, np.abs(w).max())
-    tol = 1e-9 * scale
-
-    target = _optimal_value(w)
-    mapping = np.empty(s_count, dtype=int)
-    avail = list(range(l_count))
-    sub = w
+    if s_count == 0:
+        return np.empty(0, dtype=int)
+    tol = 1e-9 * max(1.0, np.abs(w).max())
+    padded = np.zeros((l_count, l_count))
+    padded[:s_count] = w
+    cost = padded.max() - padded
+    cols, u, v = _hungarian_min(cost)
+    tight = cost - u[:, None] - v[None, :] <= tol
+    row_of = np.empty(l_count, dtype=int)
+    row_of[cols] = np.arange(l_count)
     for s in range(s_count):
-        for pos, l in enumerate(avail):
-            rest = np.delete(sub[1:], pos, axis=1)
-            if sub[0, pos] + _optimal_value(rest) >= target - tol:
-                mapping[s] = l
-                target -= sub[0, pos]
-                avail.pop(pos)
-                sub = rest
+        # the smallest column s can take while streams 0..s-1 keep theirs;
+        # its own column is tight, so the search always stops
+        for l in np.flatnonzero(tight[s]):
+            if row_of[l] == s or (row_of[l] > s
+                                  and _rematch(tight, row_of, s, l)):
                 break
-        else:  # numerically unreachable; fall back to the largest remainder
-            pos = int(np.argmax(sub[0]))
-            mapping[s] = avail.pop(pos)
-            target -= sub[0, pos]
-            sub = np.delete(sub[1:], pos, axis=1)
-    return mapping
+    return np.argsort(row_of)[:s_count]
 
 
 def brute_force_assignment(weights) -> np.ndarray:

@@ -7,14 +7,21 @@ that replaces the signal and interference Grams by their expectations.
 Both use the rank-one links. User k receives stream s of user i as
 D_i[:, s] = sum_l gamma_{l,k} b_{l,k} (a_{l,k}^T W_{l,i})_s, so every
 received column is a fixed M x L factor matrix applied to the vector of
-user k's L link gains. Links whose factors are all zero (a satellite
-that sends user k nothing it receives) are dropped, and their gains are
-never synthesised. A trial's responses come from one GEMM per chunk of
-trials, and its Grams from the M(M+1)/2 pairwise products of the columns.
-The log-dets logdet(signal + interference + noise) -
-logdet(interference + noise) come from an unpivoted LDL^H factorization
-vectorised over trials, so no explicit inverse is formed; a pivot that is
-not positive and finite raises NumericsError.
+user k's L link gains. All-zero columns are dropped, and so are links whose
+factors are all zero (a satellite that sends user k nothing it receives):
+their gains are never synthesised. The Monte-Carlo estimator runs in chunks
+of trials; per chunk, _gather_gains copies the raw draws of a user's live
+(link, user) pairs in one gather and synthesises their gains, and one GEMM
+gives the trials' received responses.
+
+_se_bits turns the J live columns, the other users' first, into the SE
+log det(signal + interference + noise) - log det(interference + noise).
+When J <= M it factors the J x J stream-space Gram noise I + C^H C once
+(Sylvester's determinant identity; the leading pivots factor the
+interference); when J > M it factors the M x M interference-plus-noise and
+total Grams. Each factorization is an unpivoted LDL^H vectorised over
+trials, so no explicit inverse is formed; a pivot that is not positive and
+finite raises NumericsError.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from .errors import NumericsError
 from .scenario import LinkStatistics
 
 _LN2 = np.log(2.0)
-# trials per evaluation chunk: bounds the GEMM and Gram temporaries
+# trials per evaluation chunk: bounds the gain, GEMM and Gram temporaries
 _TRIAL_CHUNK = 2048
 
 
@@ -56,83 +63,116 @@ def _stream_factors(precoders, effective, k):
     return effective.b[:, k].T[:, None, None, :] * rows[None]
 
 
-def _split_streams(factors, k):
-    """(other users' columns, user k's columns) of (M, K, S, X) factors, as
-    (M, J, X) arrays; all-zero columns carry nothing and are dropped."""
+def _stream_columns(factors, k):
+    """User k's received columns of (M, K, S, X) factors as (M, J, X), the
+    other users' streams first and user k's own last, with the number of
+    other users' columns. All-zero columns carry nothing and are dropped."""
     live = np.any(factors != 0, axis=(0, 3))                 # (K, S)
     own = np.zeros_like(live)
     own[k] = live[k]
-    return factors[:, live & ~own], factors[:, own]
+    other = live & ~own
+    cols = np.concatenate([factors[:, other], factors[:, own]], axis=1)
+    return cols, int(np.count_nonzero(other))
 
 
-def _gram(cols, M, T):
+def _antenna_gram(cols):
     """Lower triangle of sum_j c_j c_j^H for columns (M, J, T), per trial,
     as (M, M, T); entries above the diagonal are left zero."""
+    M, _, T = cols.shape
     gram = np.zeros((M, M, T), complex)
     conj = cols.conj()
     for m in range(M):
         for n in range(m + 1):
-            gram[m, n] = np.einsum("jt,jt->t", cols[m], conj[n])
+            np.sum(cols[m] * conj[n], axis=0, out=gram[m, n])
     return gram
 
 
-def _logdet(gram):
-    """log det of Hermitian positive-definite matrices given by their lower
-    triangle (M, M, T), by an unpivoted LDL^H factorization over trials."""
-    M, _, T = gram.shape
-    d = np.empty((M, T))
-    low = np.empty((M, M, T), complex)      # strictly lower unit factor
-    for j in range(M):
+def _stream_gram(cols, noise):
+    """Lower triangle of noise I + C^H C for columns C (M, J, T), per trial,
+    as (J, J, T); entries above the diagonal are left unset."""
+    _, J, T = cols.shape
+    gram = np.empty((J, J, T), complex)
+    for i in range(J):
+        conj = cols[:, i].conj()
+        for j in range(i + 1):
+            np.sum(conj * cols[:, j], axis=0, out=gram[i, j])
+        gram[i, i] += noise
+    return gram
+
+
+def _ldl_pivots(gram):
+    """Pivots (n, T) of the unpivoted LDL^H factorization of Hermitian
+    matrices given by their lower triangle (n, n, T), vectorised over
+    trials. The strictly lower triangle is overwritten with the unit lower
+    factor. A pivot that is not positive and finite raises NumericsError."""
+    n, _, T = gram.shape
+    d = np.empty((n, T))
+    for j in range(n):
+        row = gram[j, :j]                   # factor entries of row j
         dj = gram[j, j].real.copy()
         for p in range(j):
-            dj -= d[p] * (low[j, p].real ** 2 + low[j, p].imag ** 2)
-        if not np.all((dj > 0) & (dj < np.inf)):
-            raise NumericsError(f"SE Gram pivot {j} of {M} is not positive "
+            dj -= d[p] * (row[p].real ** 2 + row[p].imag ** 2)
+        if not (dj.min() > 0 and dj.max() < np.inf):   # NaN fails both
+            raise NumericsError(f"SE Gram pivot {j} of {n} is not positive "
                                 "and finite (matrix not positive definite)")
         d[j] = dj
-        if j + 1 < M:
-            col = gram[j + 1:, j].copy()
+        if j + 1 < n:
+            col = gram[j + 1:, j]
             for p in range(j):
-                col -= low[j + 1:, p] * (d[p] * low[j, p].conj())
-            low[j + 1:, j] = col / dj
-    return np.log(d).sum(axis=0)
+                col -= gram[j + 1:, p] * (d[p] * row[p].conj())
+            col /= dj
+    return d
 
 
-def _se_bits(other, own, noise):
-    """Per-trial SE in bits from received responses (M, J, T): the other
-    users' streams form the interference, user k's own streams the signal."""
-    M, _, T = own.shape
-    interf = _gram(other, M, T)
+def _se_bits(cols, split, noise):
+    """Per-trial SE in bits from received responses (M, J, T): the first
+    `split` columns (other users' streams) are the interference, the rest
+    user k's own streams the signal.
+
+    With J <= M columns, one LDL^H of the J x J Gram noise I + C^H C: by
+    Sylvester's identity log det(noise I_M + C C^H) is
+    (M - J) log(noise) + log det(noise I_J + C^H C) for any J columns, and
+    the first `split` pivots factor the interference's Gram, so the SE is
+    the sum of the own pivots' log(d_j / noise). With J > M, the log-dets
+    of the M x M interference-plus-noise and total Grams.
+    """
+    M, J, _ = cols.shape
+    if J <= M:
+        d = _ldl_pivots(_stream_gram(cols, noise))
+        return np.log(d[split:] / noise).sum(axis=0) / _LN2
+    interf = _antenna_gram(cols[:, :split])
     idx = np.arange(M)
     interf[idx, idx] += noise
-    total = interf + _gram(own, M, T)
-    return (_logdet(total) - _logdet(interf)) / _LN2
+    total = interf + _antenna_gram(cols[:, split:])
+    return (np.log(_ldl_pivots(total)).sum(axis=0)
+            - np.log(_ldl_pivots(interf)).sum(axis=0)) / _LN2
 
 
-def _live_gains(raw, los, nlos, k, live):
-    """Gains of user k on the links `live`, trial-last (len(live), T), from
-    the raw (T, L, K) draws of draw_rician; bitwise the sample_gamma entries
-    of the same draw. Scales user k's columns of the raw normals in place."""
-    psi, x, y = raw
-    gains = np.empty((live.size, psi.shape[0]), complex)
-    for j, l in enumerate(live):
-        rician_gains(psi[:, l, k], x[:, l, k], y[:, l, k], los[l, k],
-                     nlos[l, k], gains[j])
-    return gains
+def _gather_gains(raw, los, nlos, pairs, rows):
+    """Gains (trials, len(pairs)) of the trial slice `rows` on the flat
+    (link, user) indices `pairs` (l K + k), from the raw (T, L, K) draws of
+    draw_rician; bitwise the sample_gamma entries of the same draw.
+
+    One contiguous gather per variate from the (T, L K) view copies the
+    chunk's draws, so the raw draws themselves are never modified.
+    """
+    psi, x, y = (r.reshape(r.shape[0], -1)[rows, pairs] for r in raw)
+    return rician_gains(psi, x, y, los.ravel()[pairs], nlos.ravel()[pairs],
+                        np.empty(psi.shape, complex))
 
 
 def exact_se_trials(precoders: np.ndarray, link_stats: LinkStatistics,
                     effective: EffectiveChannel, noise: float, trials: int,
                     rng: np.random.Generator, users) -> np.ndarray:
-    """Per-trial SE in bits/s/Hz of the listed (distinct) users, shape
-    (len(users), T).
+    """Per-trial SE in bits/s/Hz of the listed users, shape (len(users), T).
 
     Draws the raw variates of one full (T, L, K) set of Rician gains, so the
     generator advances exactly as in exact_se_mc whichever users are
-    evaluated, but synthesises a user's gains only on the links that carry
-    one of its received streams. The raw draws are released before the
-    evaluation, which runs in chunks of _TRIAL_CHUNK trials, so its
-    temporaries do not grow with T.
+    evaluated. The evaluation runs in chunks of _TRIAL_CHUNK trials, so its
+    temporaries do not grow with T: per chunk, a user's gains are
+    synthesised only on the links that carry one of its received streams,
+    its responses come from one GEMM, and its SE from _se_bits. A user
+    listed twice gets the same row twice.
     """
     if noise <= 0:
         raise ValueError("Monte-Carlo SE: noise power must be positive")
@@ -140,23 +180,20 @@ def exact_se_trials(precoders: np.ndarray, link_stats: LinkStatistics,
         raise ValueError("Monte-Carlo SE: need at least one trial")
     raw = draw_rician(rng, (trials,) + link_stats.beta.shape)
     los, nlos = rician_amplitudes(link_stats.beta, link_stats.kappa)
-    work = []
-    for k in users:
-        other, own = _split_streams(_stream_factors(precoders, effective, k), k)
-        cols = np.concatenate([other, own], axis=1)          # (M, J, L)
-        live = np.flatnonzero(np.any(cols != 0, axis=(0, 1)))
-        work.append((cols[:, :, live], other.shape[1],
-                     _live_gains(raw, los, nlos, k, live)))
-    del raw
+    K = link_stats.beta.shape[1]
     out = np.empty((len(users), trials))
-    for u, (cols, split, gains) in enumerate(work):
-        M, J, L = cols.shape
-        mat = cols.reshape(M * J, L)
+    for u, k in enumerate(users):
+        cols, split = _stream_columns(
+            _stream_factors(precoders, effective, k), k)      # (M, J, L)
+        live = np.flatnonzero(np.any(cols != 0, axis=(0, 1)))
+        M, J, _ = cols.shape
+        mat = cols[:, :, live].reshape(M * J, live.size)
+        pairs = live * K + k
         for start in range(0, trials, _TRIAL_CHUNK):
-            chunk = gains[:, start:start + _TRIAL_CHUNK]
-            resp = (mat @ chunk).reshape(M, J, chunk.shape[1])
-            out[u, start:start + chunk.shape[1]] = _se_bits(
-                resp[:, :split], resp[:, split:], noise)
+            rows = slice(start, min(start + _TRIAL_CHUNK, trials))
+            gains = _gather_gains(raw, los, nlos, pairs, rows)
+            resp = (mat @ gains.T).reshape(M, J, gains.shape[0])
+            out[u, rows] = _se_bits(resp, split, noise)
     return out
 
 
@@ -198,8 +235,8 @@ def approx_se(precoders: np.ndarray, effective: EffectiveChannel,
     for k in range(K):
         factors = _stream_factors(precoders, effective, k)
         factors = factors * np.sqrt(effective.beta[:, k])
-        other, own = _split_streams(factors.reshape(M, K, S * L, 1), k)
-        per_user[k] = _se_bits(other, own, noise)[0]
+        cols, split = _stream_columns(factors.reshape(M, K, S * L, 1), k)
+        per_user[k] = _se_bits(cols, split, noise)[0]
     return SEReport(per_user_se=per_user, sum_se=float(per_user.sum()),
                     trials_used=0, estimator_kind="approx")
 

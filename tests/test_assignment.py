@@ -50,6 +50,38 @@ class TestMaxWeightAssignment:
             assert assignment_value(w, fast) == pytest.approx(
                 assignment_value(w, slow), rel=1e-12)
 
+    def test_matches_brute_force_mapping_with_integer_ties(self):
+        # integer-valued weights tie often; brute force sums them exactly
+        # and keeps the first optimum in lexicographic order, so the two
+        # mappings must agree entry for entry
+        rng = np.random.default_rng(17)
+        for _ in range(1500):
+            s = int(rng.integers(1, 6))
+            l = int(rng.integers(s, 7))
+            top = int(rng.integers(1, 4))
+            w = rng.integers(0, top + 1, size=(s, l)) * rng.choice([1.0, 7.0, 1e5])
+            np.testing.assert_array_equal(max_weight_assignment(w),
+                                          brute_force_assignment(w))
+
+    def test_one_hungarian_solve(self, monkeypatch):
+        from satmimo import assignment
+        calls = []
+        hungarian = assignment._hungarian_min
+
+        def count(cost):
+            calls.append(cost.shape)
+            return hungarian(cost)
+
+        monkeypatch.setattr(assignment, "_hungarian_min", count)
+        rng = np.random.default_rng(3)
+        w = rng.integers(0, 2, size=(4, 6)).astype(float)
+        np.testing.assert_array_equal(max_weight_assignment(w),
+                                      brute_force_assignment(w))
+        assert calls == [(6, 6)]
+
+    def test_no_streams(self):
+        assert max_weight_assignment(np.zeros((0, 3))).shape == (0,)
+
     def test_column_permutation_equivariance(self):
         rng = np.random.default_rng(5)
         w = rng.uniform(0, 1, size=(3, 5))

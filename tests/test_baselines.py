@@ -108,30 +108,33 @@ class TestTdmaMrt:
         assert rep.trials_used == 50
 
     def test_slot_synthesises_only_its_link(self, monkeypatch):
-        # each slot reads one link out of L*K: only the serving satellite's
-        # gains of the scheduled user are built, over more than one trial
-        # chunk, and the SE still matches the dense evaluation
+        # each slot reads one link out of L*K: every trial chunk gathers only
+        # the serving satellite's gains of the scheduled user, over more than
+        # one chunk, and the SE still matches the dense evaluation
         from satmimo import se_eval
         from satmimo.baselines import tdma_mrt_precoders
-        eff = synthetic_effective(np.random.default_rng(4), L=3, K=4, M=2, N=5)
+        L, K = 3, 4
+        eff = synthetic_effective(np.random.default_rng(4), L=L, K=K, M=2, N=5)
         links = synthetic_links(eff)
-        rho = np.full(3, 2.0)
+        rho = np.full(L, 2.0)
         trials = se_eval._TRIAL_CHUNK + 1
         seen = []
-        live_gains = se_eval._live_gains
+        gather_gains = se_eval._gather_gains
 
-        def record(raw, los, nlos, k, live):
-            seen.append((k, live.tolist()))
-            return live_gains(raw, los, nlos, k, live)
+        def record(raw, los, nlos, pairs, rows):
+            seen.append(([divmod(int(p), K)[::-1] for p in pairs],
+                         rows.stop - rows.start))
+            return gather_gains(raw, los, nlos, pairs, rows)
 
-        monkeypatch.setattr(se_eval, "_live_gains", record)
+        monkeypatch.setattr(se_eval, "_gather_gains", record)
         rep = tdma_mrt_baseline(eff, links, rho, estimator="exact-mc",
                                 trials=trials, rng=np.random.default_rng(8))
         sets = tdma_mrt_precoders(eff, links, rho)
-        assert seen == [(k, [l]) for k, (l, _) in enumerate(sets)]
+        assert seen == [([(k, l)], size) for k, (l, _) in enumerate(sets)
+                        for size in (se_eval._TRIAL_CHUNK, 1)]
         ref_rng = np.random.default_rng(8)
         ref = [dense_exact_se(W, links, eff, eff.noise_power_w, trials,
-                              ref_rng)[k].mean() / 4
+                              ref_rng)[k].mean() / K
                for k, (_, W) in enumerate(sets)]
         np.testing.assert_allclose(rep.per_user_se, ref, rtol=1e-12, atol=0)
 

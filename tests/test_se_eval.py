@@ -9,7 +9,9 @@ from satmimo import (NumericsError, ScenarioConfig, approx_se,
                      mc_rng, sample_geometry, tdma_mrt_baseline)
 from satmimo.baselines import mmse_baseline, tdma_mrt_precoders
 from satmimo.channel import draw_rician, rician_amplitudes, sample_gamma
-from satmimo.se_eval import _TRIAL_CHUNK, _live_gains, _logdet, exact_se_trials
+from satmimo import se_eval
+from satmimo.se_eval import (_TRIAL_CHUNK, _gather_gains, _ldl_pivots,
+                             exact_se_trials)
 from tests.conftest import (crandn, dense_approx_se, dense_exact_se,
                             synthetic_effective, synthetic_links)
 
@@ -191,16 +193,24 @@ class TestLiveLinkSynthesis:
     trial chunks, against sample_gamma and the dense oracle."""
 
     def test_gains_bitwise_equal_sample_gamma(self):
-        eff = synthetic_effective(np.random.default_rng(0), L=5, K=3)
+        # every chunk's gather, over a partial last chunk, gives bitwise the
+        # sample_gamma entries and leaves the raw draws as drawn
+        L, K, T = 5, 3, 1001
+        eff = synthetic_effective(np.random.default_rng(0), L=L, K=K)
         links = synthetic_links(eff)
         live = np.array([0, 2, 3])
         gamma = sample_gamma(links.beta, links.kappa, np.random.default_rng(6),
-                             trials=1001)
-        raw = draw_rician(np.random.default_rng(6), (1001, 5, 3))
+                             trials=T)
+        raw = draw_rician(np.random.default_rng(6), (T, L, K))
+        drawn = [r.copy() for r in raw]
         los, nlos = rician_amplitudes(links.beta, links.kappa)
-        for k in range(3):
-            assert np.array_equal(_live_gains(raw, los, nlos, k, live),
-                                  gamma[:, live, k].T)
+        for k in range(K):
+            for start in range(0, T, 400):
+                rows = slice(start, min(start + 400, T))
+                assert np.array_equal(
+                    _gather_gains(raw, los, nlos, live * K + k, rows),
+                    gamma[rows][:, live, k])
+        assert all(np.array_equal(r, d) for r, d in zip(raw, drawn))
 
     @staticmethod
     def _check_against_dense(W, eff, links, trials, users=None):
@@ -321,14 +331,106 @@ class TestLogDetChecks:
         gram[0, 0] = gram[1, 1] = 1.0
         gram[1, 0] = 2.0
         with pytest.raises(NumericsError, match="pivot 1"):
-            _logdet(gram)
+            _ldl_pivots(gram)
 
     def test_matches_dense_logdet(self, rng):
         a = crandn(rng, 7, 4, 6)
         mats = a @ a.conj().transpose(0, 2, 1) + 0.1 * np.eye(4)
         lower = np.tril(mats).transpose(1, 2, 0)
-        np.testing.assert_allclose(_logdet(lower),
+        np.testing.assert_allclose(np.log(_ldl_pivots(lower)).sum(axis=0),
                                    np.linalg.slogdet(mats)[1], rtol=1e-13)
+
+
+class TestKernelSpaces:
+    """_se_bits factors the J x J stream-space Gram once when a user
+    receives J <= M live columns and the two M x M antenna-space Grams when
+    J > M; both against the dense oracle."""
+
+    M = 4
+
+    @staticmethod
+    def _instance(streams, seed=7):
+        rng = np.random.default_rng(seed)
+        eff = synthetic_effective(rng, L=3, K=2, M=TestKernelSpaces.M, N=5)
+        return eff, synthetic_links(eff), crandn(rng, 3, 2, 5, streams)
+
+    @staticmethod
+    def _spy(monkeypatch):
+        spaces = []
+        for name, space in (("_stream_gram", "stream"),
+                            ("_antenna_gram", "antenna")):
+            def record(*args, _f=getattr(se_eval, name), _s=space):
+                spaces.append(_s)
+                return _f(*args)
+            monkeypatch.setattr(se_eval, name, record)
+        return spaces
+
+    @pytest.mark.parametrize("J", [M - 1, M, M + 1])
+    def test_columns_around_antenna_count(self, monkeypatch, J):
+        # user 1 keeps 2 of its 3 streams and user 0 keeps J - 2: user 1
+        # receives J live columns, J_other = J - 2 of them interference
+        eff, links, W = self._instance(3)
+        W[:, 1, :, 2] = 0.0
+        W[:, 0, :, J - 2:] = 0.0
+        spaces = self._spy(monkeypatch)
+        trials = _TRIAL_CHUNK + 5
+        got = exact_se_trials(W, links, eff, eff.noise_power_w, trials,
+                              np.random.default_rng(3), [1])
+        ref = dense_exact_se(W, links, eff, eff.noise_power_w, trials,
+                             np.random.default_rng(3))[[1]]
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+        assert set(spaces) == {"stream" if J <= self.M else "antenna"}
+
+    @pytest.mark.parametrize("streams", [1, 4])
+    def test_no_interference(self, monkeypatch, streams):
+        # user 0 silent: user 1 hears only its own streams (J_other = 0) and
+        # user 0 hears interference only, so its SE is exactly 0
+        eff, links, W = self._instance(streams)
+        W[:, 0] = 0.0
+        spaces = self._spy(monkeypatch)
+        got = exact_se_trials(W, links, eff, eff.noise_power_w, 300,
+                              np.random.default_rng(3), [0, 1])
+        ref = dense_exact_se(W, links, eff, eff.noise_power_w, 300,
+                             np.random.default_rng(3))
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+        assert np.all(got[0] == 0.0)
+        assert set(spaces) == {"stream"}
+        rep = approx_se(W, eff, eff.noise_power_w)
+        np.testing.assert_allclose(
+            rep.per_user_se, dense_approx_se(W, eff, eff.noise_power_w),
+            rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("streams,space", [(2, "stream"), (3, "antenna")])
+    def test_nan_raises_in_each_space(self, monkeypatch, streams, space):
+        # M = 4 and two users: 4 live columns take the stream space, 6 the
+        # antenna space; a NaN precoder entry reaches a pivot in either
+        eff, links, W = self._instance(streams)
+        W[1, 0, 2, 0] = np.nan
+        spaces = self._spy(monkeypatch)
+        with pytest.raises(NumericsError, match="pivot"):
+            exact_se_trials(W, links, eff, eff.noise_power_w, 20,
+                            np.random.default_rng(0), [1])
+        assert set(spaces) == {space}
+
+
+class TestRepeatedUsers:
+    def test_repeated_and_reversed_users_match_single_rows(self):
+        eff, links, W = TestKernelSpaces._instance(2, seed=8)
+        noise = eff.noise_power_w
+        trials = _TRIAL_CHUNK + 7
+
+        def rows(users):
+            return exact_se_trials(W, links, eff, noise, trials,
+                                   np.random.default_rng(11), users)
+
+        single = [rows([k])[0] for k in range(2)]
+        for k in range(2):
+            twice = rows([k, k])
+            assert np.array_equal(twice[0], single[k])
+            assert np.array_equal(twice[1], single[k])
+        reversed_rows = rows([1, 0])
+        assert np.array_equal(reversed_rows[0], single[1])
+        assert np.array_equal(reversed_rows[1], single[0])
 
 
 class TestGap:
