@@ -96,9 +96,16 @@ def tdma_mrt_baseline(effective: EffectiveChannel, link_stats, rho,
     """Orthogonal scheduling: each user is served alone by its nearest
     satellite with MRT, and the time sharing divides each SE by K.
 
-    With the Monte-Carlo estimator each user's slot takes its own full gain
-    draw and evaluates only the scheduled user; the slots' draws are
-    independent, so their variances add in the standard error."""
+    With the Monte-Carlo estimator ("exact-mc", which needs rng and
+    trials >= 1) each user's slot takes its own full gain draw and evaluates
+    only the scheduled user; the slots' draws are independent, so their
+    variances add in the standard error."""
+    if estimator not in ("approx", "exact-mc"):
+        raise ValueError(f"tdma_mrt_baseline: unknown estimator {estimator!r}"
+                         " (expected 'approx' or 'exact-mc')")
+    if estimator == "exact-mc" and (rng is None or trials < 1):
+        raise ValueError("tdma_mrt_baseline: 'exact-mc' needs a generator "
+                         "and at least one trial")
     L, K, M, N = effective.shape
     noise = effective.noise_power_w
     per_user = np.empty(K)

@@ -5,6 +5,11 @@ product of the user-side and satellite-side ULA responses, scaled by a
 complex gain whose phase fluctuates much faster than the geometry. The
 transmitter designs precoders from the deterministic effective matrices;
 Monte-Carlo evaluation draws the random gains.
+
+sample_pair_gains is the one Rician synthesis: it streams a full
+(trials, L, K) draw through a chunk buffer in a fixed order (phases, then
+real, then imaginary normals) and stores the gains of the requested
+(link, user) pairs only. sample_gamma is the same pass over every pair.
 """
 
 from __future__ import annotations
@@ -14,6 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scenario import LinkStatistics, ScenarioConfig
+
+# trials per chunk of the gain synthesis and of the Monte-Carlo evaluation:
+# bounds their per-chunk buffers and temporaries
+_TRIAL_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -65,38 +74,53 @@ def effective_channels(link_stats: LinkStatistics, config: ScenarioConfig) -> Ef
                             noise_power_w=link_stats.noise_power_w)
 
 
-def rician_amplitudes(beta: np.ndarray, kappa: np.ndarray):
-    """LoS and scattered amplitudes (sqrt(beta kappa/(kappa+1)),
-    sqrt(beta/(2(kappa+1)))) of the Rician gains."""
-    return (np.sqrt(beta * kappa / (kappa + 1.0)),
-            np.sqrt(beta / (2.0 * (kappa + 1.0))))
+def sample_pair_gains(beta: np.ndarray, kappa: np.ndarray,
+                      rng: np.random.Generator, trials: int,
+                      pairs) -> np.ndarray:
+    """Rician gains (trials, len(pairs)) on the flat (link, user) indices
+    `pairs` (l K + k, in any order) out of one full (trials, L, K) draw.
 
-
-def draw_rician(rng: np.random.Generator, shape):
-    """Raw variates of Rician gains in draw order: the LoS phases
-    psi ~ U[0, 2pi), then the standard normal real parts x and imaginary
-    parts y of the scattered component."""
-    psi = rng.uniform(0.0, 2 * np.pi, size=shape)
-    x = rng.standard_normal(shape)
-    y = rng.standard_normal(shape)
-    return psi, x, y
-
-
-def rician_gains(psi, x, y, los, nlos, out: np.ndarray) -> np.ndarray:
-    """Write los e^{j psi} + nlos (x + j y) into the complex array out, as
-    los cos psi + nlos x and los sin psi + nlos y.
-
-    Elementwise, so any view of the raw variates gives bitwise the entries
-    of the full draw. x and y are overwritten with nlos x and nlos y.
+    The generator walks the full draw's order: every LoS phase
+    psi ~ U[0, 2pi), then every real part x, then every imaginary part y of
+    the standard normal scattered component. It fills one reused
+    (_TRIAL_CHUNK, L K) buffer a chunk of trials at a time, and only the
+    requested pairs are kept and accumulated in place as los cos psi + nlos x
+    and los sin psi + nlos y. The unkept variates are generated, because a
+    normal variate takes a variable number of generator words, but never
+    stored. Each gain is bitwise the entry of the full draw, and the
+    generator ends where the full draw leaves it.
     """
-    re, im = out.real, out.imag
-    np.cos(psi, out=re)
-    re *= los
-    re += np.multiply(x, nlos, out=x)
-    np.sin(psi, out=im)
-    im *= los
-    im += np.multiply(y, nlos, out=y)
-    return out
+    pairs = np.asarray(pairs, np.intp)
+    if pairs.size and not 0 <= pairs.min() <= pairs.max() < beta.size:
+        raise ValueError("sample_pair_gains: pair index out of range")
+    los = np.sqrt(beta * kappa / (kappa + 1.0)).ravel()[pairs]
+    nlos = np.sqrt(beta / (2.0 * (kappa + 1.0))).ravel()[pairs]
+    gains = np.empty((trials, pairs.size), complex)
+    buf = np.empty((min(trials, _TRIAL_CHUNK), beta.size))
+    kept = np.empty((buf.shape[0], pairs.size))
+
+    def chunks(fill):
+        """(rows, kept variates) per chunk, filled in draw order."""
+        for start in range(0, trials, _TRIAL_CHUNK):
+            rows = slice(start, min(start + _TRIAL_CHUNK, trials))
+            n = rows.stop - start
+            fill(out=buf[:n])
+            yield rows, np.take(buf[:n], pairs, axis=1, out=kept[:n],
+                                mode="clip")
+
+    # U[0, 2pi) as 2pi times a unit uniform: the same variates and bits
+    for rows, psi in chunks(rng.random):
+        psi *= 2 * np.pi
+        re, im = gains[rows].real, gains[rows].imag
+        np.cos(psi, out=re)
+        re *= los
+        np.sin(psi, out=im)
+        im *= los
+    for part in (gains.real, gains.imag):
+        for rows, z in chunks(rng.standard_normal):
+            acc = part[rows]
+            acc += np.multiply(z, nlos, out=z)
+    return gains
 
 
 def sample_gamma(beta: np.ndarray, kappa: np.ndarray, rng: np.random.Generator,
@@ -108,9 +132,10 @@ def sample_gamma(beta: np.ndarray, kappa: np.ndarray, rng: np.random.Generator,
     trials. Returns shape beta.shape, or (trials,) + beta.shape.
     """
     shape = beta.shape if trials is None else (trials,) + beta.shape
-    psi, x, y = draw_rician(rng, shape)
-    los, nlos = rician_amplitudes(beta, kappa)
-    return rician_gains(psi, x, y, los, nlos, np.empty(shape, complex))
+    gains = sample_pair_gains(beta, kappa, rng,
+                              1 if trials is None else trials,
+                              np.arange(beta.size))
+    return gains.reshape(shape)
 
 
 def sample_realization(effective: EffectiveChannel, link_stats: LinkStatistics,

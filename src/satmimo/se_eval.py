@@ -9,10 +9,11 @@ D_i[:, s] = sum_l gamma_{l,k} b_{l,k} (a_{l,k}^T W_{l,i})_s, so every
 received column is a fixed M x L factor matrix applied to the vector of
 user k's L link gains. All-zero columns are dropped, and so are links whose
 factors are all zero (a satellite that sends user k nothing it receives):
-their gains are never synthesised. The Monte-Carlo estimator runs in chunks
-of trials; per chunk, _gather_gains copies the raw draws of a user's live
-(link, user) pairs in one gather and synthesises their gains, and one GEMM
-gives the trials' received responses.
+their gains are never stored. The Monte-Carlo estimator streams one full
+draw through channel.sample_pair_gains, which keeps only the live
+(link, user) pairs of the evaluated users, 16 bytes per trial and pair; it
+then runs in chunks of trials, and per chunk and user one GEMM on the
+user's columns of the kept gains gives the trials' received responses.
 
 _se_bits turns the J live columns, the other users' first, into the SE
 log det(signal + interference + noise) - log det(interference + noise).
@@ -30,14 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (EffectiveChannel, draw_rician, rician_amplitudes,
-                      rician_gains)
+from .channel import _TRIAL_CHUNK, EffectiveChannel, sample_pair_gains
 from .errors import NumericsError
 from .scenario import LinkStatistics
 
 _LN2 = np.log(2.0)
-# trials per evaluation chunk: bounds the gain, GEMM and Gram temporaries
-_TRIAL_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -148,51 +146,44 @@ def _se_bits(cols, split, noise):
             - np.log(_ldl_pivots(interf)).sum(axis=0)) / _LN2
 
 
-def _gather_gains(raw, los, nlos, pairs, rows):
-    """Gains (trials, len(pairs)) of the trial slice `rows` on the flat
-    (link, user) indices `pairs` (l K + k), from the raw (T, L, K) draws of
-    draw_rician; bitwise the sample_gamma entries of the same draw.
-
-    One contiguous gather per variate from the (T, L K) view copies the
-    chunk's draws, so the raw draws themselves are never modified.
-    """
-    psi, x, y = (r.reshape(r.shape[0], -1)[rows, pairs] for r in raw)
-    return rician_gains(psi, x, y, los.ravel()[pairs], nlos.ravel()[pairs],
-                        np.empty(psi.shape, complex))
-
-
 def exact_se_trials(precoders: np.ndarray, link_stats: LinkStatistics,
                     effective: EffectiveChannel, noise: float, trials: int,
                     rng: np.random.Generator, users) -> np.ndarray:
     """Per-trial SE in bits/s/Hz of the listed users, shape (len(users), T).
 
-    Draws the raw variates of one full (T, L, K) set of Rician gains, so the
-    generator advances exactly as in exact_se_mc whichever users are
-    evaluated. The evaluation runs in chunks of _TRIAL_CHUNK trials, so its
-    temporaries do not grow with T: per chunk, a user's gains are
-    synthesised only on the links that carry one of its received streams,
-    its responses come from one GEMM, and its SE from _se_bits. A user
-    listed twice gets the same row twice.
+    One streamed pass over a full (T, L, K) draw of Rician gains
+    (channel.sample_pair_gains) keeps the gains of the union of the users'
+    live (link, user) pairs, the links that carry one of a user's received
+    streams, so the generator advances exactly as in exact_se_mc whichever
+    users are evaluated. The evaluation then runs in chunks of _TRIAL_CHUNK
+    trials, so its temporaries do not grow with T: per chunk, a user's
+    responses come from one GEMM on its columns of the kept gains, and its
+    SE from _se_bits. A user listed twice gets the same row twice.
     """
     if noise <= 0:
         raise ValueError("Monte-Carlo SE: noise power must be positive")
     if trials < 1:
         raise ValueError("Monte-Carlo SE: need at least one trial")
-    raw = draw_rician(rng, (trials,) + link_stats.beta.shape)
-    los, nlos = rician_amplitudes(link_stats.beta, link_stats.kappa)
-    K = link_stats.beta.shape[1]
-    out = np.empty((len(users), trials))
-    for u, k in enumerate(users):
+    L, K, M, N = effective.shape
+    # per distinct user: response matrix, column split and its columns of
+    # the kept gains
+    plans, pairs = {}, []
+    for k in dict.fromkeys(users):
         cols, split = _stream_columns(
             _stream_factors(precoders, effective, k), k)      # (M, J, L)
         live = np.flatnonzero(np.any(cols != 0, axis=(0, 1)))
-        M, J, _ = cols.shape
-        mat = cols[:, :, live].reshape(M * J, live.size)
-        pairs = live * K + k
+        mat = cols[:, :, live].reshape(M * cols.shape[1], live.size)
+        plans[k] = mat, split, slice(len(pairs), len(pairs) + live.size)
+        pairs.extend(live * K + k)
+    gains = sample_pair_gains(link_stats.beta, link_stats.kappa, rng, trials,
+                              pairs)
+    out = np.empty((len(users), trials))
+    for u, k in enumerate(users):
+        mat, split, span = plans[k]
         for start in range(0, trials, _TRIAL_CHUNK):
             rows = slice(start, min(start + _TRIAL_CHUNK, trials))
-            gains = _gather_gains(raw, los, nlos, pairs, rows)
-            resp = (mat @ gains.T).reshape(M, J, gains.shape[0])
+            chunk = gains[rows, span]
+            resp = (mat @ chunk.T).reshape(M, -1, chunk.shape[0])
             out[u, rows] = _se_bits(resp, split, noise)
     return out
 

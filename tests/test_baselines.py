@@ -108,9 +108,9 @@ class TestTdmaMrt:
         assert rep.trials_used == 50
 
     def test_slot_synthesises_only_its_link(self, monkeypatch):
-        # each slot reads one link out of L*K: every trial chunk gathers only
-        # the serving satellite's gains of the scheduled user, over more than
-        # one chunk, and the SE still matches the dense evaluation
+        # each slot reads one link out of L*K: its streamed draw over more
+        # than one trial chunk keeps only the serving satellite's gains of
+        # the scheduled user, and the SE still matches the dense evaluation
         from satmimo import se_eval
         from satmimo.baselines import tdma_mrt_precoders
         L, K = 3, 4
@@ -119,24 +119,33 @@ class TestTdmaMrt:
         rho = np.full(L, 2.0)
         trials = se_eval._TRIAL_CHUNK + 1
         seen = []
-        gather_gains = se_eval._gather_gains
+        sample_pair_gains = se_eval.sample_pair_gains
 
-        def record(raw, los, nlos, pairs, rows):
-            seen.append(([divmod(int(p), K)[::-1] for p in pairs],
-                         rows.stop - rows.start))
-            return gather_gains(raw, los, nlos, pairs, rows)
+        def record(beta, kappa, rng, num_trials, pairs):
+            seen.append(([divmod(int(p), K)[::-1] for p in pairs], num_trials))
+            return sample_pair_gains(beta, kappa, rng, num_trials, pairs)
 
-        monkeypatch.setattr(se_eval, "_gather_gains", record)
+        monkeypatch.setattr(se_eval, "sample_pair_gains", record)
         rep = tdma_mrt_baseline(eff, links, rho, estimator="exact-mc",
                                 trials=trials, rng=np.random.default_rng(8))
         sets = tdma_mrt_precoders(eff, links, rho)
-        assert seen == [([(k, l)], size) for k, (l, _) in enumerate(sets)
-                        for size in (se_eval._TRIAL_CHUNK, 1)]
+        assert seen == [([(k, l)], trials) for k, (l, _) in enumerate(sets)]
         ref_rng = np.random.default_rng(8)
         ref = [dense_exact_se(W, links, eff, eff.noise_power_w, trials,
                               ref_rng)[k].mean() / K
                for k, (_, W) in enumerate(sets)]
         np.testing.assert_allclose(rep.per_user_se, ref, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"estimator": "exact", "trials": 10, "rng": np.random.default_rng(0)},
+        {"estimator": "exact-mc", "trials": 10, "rng": None},
+        {"estimator": "exact-mc", "trials": 0, "rng": np.random.default_rng(0)},
+    ], ids=["unknown-estimator", "no-generator", "no-trials"])
+    def test_estimator_validated(self, default_effective, default_links,
+                                 kwargs):
+        with pytest.raises(ValueError):
+            tdma_mrt_baseline(default_effective, default_links,
+                              np.full(4, 1.0), **kwargs)
 
     def test_serves_from_strongest_gain(self, default_effective, default_links):
         from satmimo.baselines import tdma_mrt_precoders

@@ -310,3 +310,16 @@ class TestEntryPoint:
         for r in rows_p + rows_s:
             r["wall_time_ms"] = "0"
         assert rows_p == rows_s
+
+
+class TestImportCost:
+    def test_import_loads_no_scipy(self):
+        # scipy stays out of the package's import, so start-up time does not
+        # grow with it; a solver that needs it must import it lazily
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, satmimo; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -8,10 +8,9 @@ from satmimo import (NumericsError, ScenarioConfig, approx_se,
                      approx_vs_exact_gap, effective_channels, exact_se_mc,
                      mc_rng, sample_geometry, tdma_mrt_baseline)
 from satmimo.baselines import mmse_baseline, tdma_mrt_precoders
-from satmimo.channel import draw_rician, rician_amplitudes, sample_gamma
+from satmimo.channel import sample_gamma, sample_pair_gains
 from satmimo import se_eval
-from satmimo.se_eval import (_TRIAL_CHUNK, _gather_gains, _ldl_pivots,
-                             exact_se_trials)
+from satmimo.se_eval import _TRIAL_CHUNK, _ldl_pivots, exact_se_trials
 from tests.conftest import (crandn, dense_approx_se, dense_exact_se,
                             synthetic_effective, synthetic_links)
 
@@ -193,24 +192,25 @@ class TestLiveLinkSynthesis:
     trial chunks, against sample_gamma and the dense oracle."""
 
     def test_gains_bitwise_equal_sample_gamma(self):
-        # every chunk's gather, over a partial last chunk, gives bitwise the
-        # sample_gamma entries and leaves the raw draws as drawn
-        L, K, T = 5, 3, 1001
+        # the streamed pass keeps bitwise the sample_gamma entries of the
+        # requested pairs, in the order asked (a repeat included), over a
+        # partial last chunk
+        L, K, T = 5, 3, 2 * _TRIAL_CHUNK + 5
         eff = synthetic_effective(np.random.default_rng(0), L=L, K=K)
         links = synthetic_links(eff)
         live = np.array([0, 2, 3])
         gamma = sample_gamma(links.beta, links.kappa, np.random.default_rng(6),
                              trials=T)
-        raw = draw_rician(np.random.default_rng(6), (T, L, K))
-        drawn = [r.copy() for r in raw]
-        los, nlos = rician_amplitudes(links.beta, links.kappa)
         for k in range(K):
-            for start in range(0, T, 400):
-                rows = slice(start, min(start + 400, T))
-                assert np.array_equal(
-                    _gather_gains(raw, los, nlos, live * K + k, rows),
-                    gamma[rows][:, live, k])
-        assert all(np.array_equal(r, d) for r, d in zip(raw, drawn))
+            assert np.array_equal(
+                sample_pair_gains(links.beta, links.kappa,
+                                  np.random.default_rng(6), T, live * K + k),
+                gamma[:, live, k])
+        pairs = [7, 0, 14, 7]
+        assert np.array_equal(
+            sample_pair_gains(links.beta, links.kappa,
+                              np.random.default_rng(6), T, pairs),
+            gamma.reshape(T, L * K)[:, pairs])
 
     @staticmethod
     def _check_against_dense(W, eff, links, trials, users=None):
@@ -262,27 +262,130 @@ class TestLiveLinkSynthesis:
         W = crandn(rng, 3, 2, 4, 2)
         self._check_against_dense(W, eff, synthetic_links(eff), trials)
 
-    def test_memory_bounded_by_draws_and_gains(self):
-        # at L = 8, K = 6 with every link live, doubling T may add at most
-        # the raw draws (24 bytes) and the gains (16 bytes) per (trial,
-        # link, user): the evaluation temporaries must not grow with T
-        L, K, M, N, S = 8, 6, 4, 6, 2
-        rng = np.random.default_rng(5)
-        eff = synthetic_effective(rng, L=L, K=K, M=M, N=N)
-        links = synthetic_links(eff)
-        W = crandn(rng, L, K, N, S)
+    @staticmethod
+    def _peak_growth(W, eff, links, users):
+        """Growth of the traced peak memory from 20 000 to 40 000 trials,
+        after one untraced call of each size has filled numpy's one-time
+        caches."""
+        def run(trials):
+            exact_se_trials(W, links, eff, eff.noise_power_w, trials,
+                            np.random.default_rng(0), users)
 
         def peak(trials):
             tracemalloc.start()
             try:
-                exact_se_trials(W, links, eff, eff.noise_power_w, trials,
-                                np.random.default_rng(0), range(K))
+                run(trials)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        small, large = peak(20_000), peak(40_000)
-        assert large - small <= 40 * 20_000 * L * K
+        run(20_000)
+        run(40_000)
+        return peak(40_000) - peak(20_000)
+
+    def test_memory_bounded_by_draws_and_gains(self):
+        # at L = 8, K = 6 with every link live, doubling T may add only the
+        # kept gains (16 bytes per trial, link and user) and the output
+        # (8 bytes per trial and user, 1 byte per trial, link and user at
+        # L = 8): the
+        # draw is streamed through one chunk buffer and the evaluation
+        # temporaries must not grow with T
+        L, K, M, N, S = 8, 6, 4, 6, 2
+        rng = np.random.default_rng(5)
+        eff = synthetic_effective(rng, L=L, K=K, M=M, N=N)
+        W = crandn(rng, L, K, N, S)
+        growth = self._peak_growth(W, eff, synthetic_links(eff), range(K))
+        assert growth <= 18 * 20_000 * L * K
+
+    def test_memory_bounded_by_live_pairs(self):
+        # only satellites 0 and 1 carry a stream, so 2 K of the L K pairs are
+        # live: doubling T may add 16 bytes per live (trial, pair) and
+        # 8 bytes per (trial, user) of output, nothing per dead pair
+        L, K, M, N, S = 8, 6, 4, 6, 2
+        rng = np.random.default_rng(5)
+        eff = synthetic_effective(rng, L=L, K=K, M=M, N=N)
+        W = crandn(rng, L, K, N, S)
+        W[2:] = 0.0
+        growth = self._peak_growth(W, eff, synthetic_links(eff), range(K))
+        assert growth <= (16 * 2 * K + 8 * K) * 20_000
+
+
+def _same_state(a, b):
+    """Bit-generator states equal entry by entry (MT19937 keeps an array)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[key], b[key])
+                                            for key in a)
+    return np.array_equal(a, b)
+
+
+_BIT_GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.SFC64,
+                   np.random.Philox]
+
+
+class TestStreamedDraw:
+    """sample_pair_gains against the Rician formula applied to an explicit
+    full draw from the same generator state: every phase, then every real
+    normal, then every imaginary normal."""
+
+    L, K = 3, 4
+
+    @staticmethod
+    def _full_draw(beta, kappa, rng, trials):
+        shape = (trials,) + beta.shape
+        psi = rng.uniform(0.0, 2 * np.pi, size=shape)
+        x = rng.standard_normal(shape)
+        y = rng.standard_normal(shape)
+        los = np.sqrt(beta * kappa / (kappa + 1.0))
+        nlos = np.sqrt(beta / (2.0 * (kappa + 1.0)))
+        gamma = np.empty(shape, complex)
+        gamma.real = los * np.cos(psi) + nlos * x
+        gamma.imag = los * np.sin(psi) + nlos * y
+        return gamma.reshape(trials, -1)
+
+    def _links(self):
+        eff = synthetic_effective(np.random.default_rng(1), L=self.L,
+                                  K=self.K, M=2, N=3)
+        return eff, synthetic_links(eff)
+
+    @pytest.mark.parametrize("bit_generator", _BIT_GENERATORS)
+    @pytest.mark.parametrize("trials", [1, _TRIAL_CHUNK - 1, _TRIAL_CHUNK,
+                                        _TRIAL_CHUNK + 1, 2 * _TRIAL_CHUNK + 3])
+    def test_matches_full_draw(self, bit_generator, trials):
+        _, links = self._links()
+        ref_rng = np.random.Generator(bit_generator(21))
+        ref = self._full_draw(links.beta, links.kappa, ref_rng, trials)
+        for pairs in (range(self.L * self.K), [5, 0, 11, 5], []):
+            rng = np.random.Generator(bit_generator(21))
+            got = sample_pair_gains(links.beta, links.kappa, rng, trials, pairs)
+            want = ref[:, list(pairs)]
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert _same_state(rng.bit_generator.state,
+                               ref_rng.bit_generator.state)
+
+    @pytest.mark.parametrize("bit_generator", _BIT_GENERATORS)
+    def test_no_live_pair_advances_one_full_draw(self, bit_generator):
+        # no user listed, or every precoder zero: nothing is kept, and the
+        # generator still ends after one full (T, L, K) draw
+        eff, links = self._links()
+        trials = _TRIAL_CHUNK + 1
+        ref_rng = np.random.Generator(bit_generator(3))
+        self._full_draw(links.beta, links.kappa, ref_rng, trials)
+        W = np.zeros((self.L, self.K, 3, 2), complex)
+        for users in ([], range(self.K)):
+            rng = np.random.Generator(bit_generator(3))
+            got = exact_se_trials(W, links, eff, eff.noise_power_w, trials,
+                                  rng, users)
+            assert got.shape == (len(users), trials)
+            assert np.all(got == 0.0)
+            assert _same_state(rng.bit_generator.state,
+                               ref_rng.bit_generator.state)
+
+    def test_pair_out_of_range(self):
+        _, links = self._links()
+        with pytest.raises(ValueError):
+            sample_pair_gains(links.beta, links.kappa,
+                              np.random.default_rng(0), 5, [self.L * self.K])
 
 
 class TestStandardError:
