@@ -1,9 +1,11 @@
 """Reference precoders: MMSE, ZF, orthogonal TDMA-MRT and random association.
 
-Each baseline is defined per satellite on the effective channels and uses
-the same sqrt(beta)-proportional per-user power sharing as the WMMSE
-initializer, so comparisons isolate the precoding strategy rather than the
-power policy.
+Each baseline is defined per satellite on the effective channels. MMSE is
+the WMMSE initializer itself, and ZF is built by the initializer's own
+per-satellite builder (`joint_wmmse.share_rule_blocks`) with the
+regularizer set to zero, so both use literally the same
+sqrt(beta)-proportional per-user power sharing and comparisons isolate the
+precoding strategy rather than the power policy.
 """
 
 from __future__ import annotations
@@ -13,64 +15,50 @@ import warnings
 import numpy as np
 
 from .channel import EffectiveChannel
-from .joint_wmmse import init_precoders
-from .power import PowerConstraintSet, per_sat_total
+from .errors import InfeasibleError
+from .joint_wmmse import init_precoders, link_bases, share_rule_blocks
+from .power import per_sat_total
 from .se_eval import SEReport, approx_se, exact_se_trials
 from .streamwise import StreamAssignment
 
 _RIDGE = 1e-8
 
 
-def _as_constraints(effective, rho) -> PowerConstraintSet:
-    L, K, M, N = effective.shape
-    rho = np.broadcast_to(np.asarray(rho, float), (L,))
-    return per_sat_total(rho, N)
-
-
 def mmse_baseline(effective: EffectiveChannel, rho,
                   num_streams: int | None = None) -> np.ndarray:
     """Regularized-MMSE precoders; identical to the WMMSE initialization."""
-    return init_precoders(effective, _as_constraints(effective, rho), num_streams)
+    L, K, M, N = effective.shape
+    rho = np.broadcast_to(np.asarray(rho, float), (L,))
+    return init_precoders(effective, per_sat_total(rho, N), num_streams)
 
 
 def zf_baseline(effective: EffectiveChannel, rho,
                 num_streams: int | None = None) -> np.ndarray:
     """Zero-forcing: per satellite, directions that null the other users'
     effective rows, mapped to the dominant user directions and power-shared
-    like the initializer. Rank-deficient user geometries fall back to a
-    small ridge."""
+    like the initializer (`share_rule_blocks` on the unregularized Gram,
+    inverted on its row space). Rank-deficient user geometries fall back to
+    a small ridge."""
     L, K, M, N = effective.shape
     S = M if num_streams is None else num_streams
-    constraints = _as_constraints(effective, rho)
+    rho = np.broadcast_to(np.asarray(rho, float), (L,))
     out = np.empty((L, K, N, S), complex)
     for l in range(L):
-        gram = np.zeros((N, N), complex)
-        for i in range(K):
-            gram += effective.hbar[l, i].conj().T @ effective.hbar[l, i]
-        # gram has rank K; invert it on its row space only
-        eigval = np.linalg.eigvalsh(gram)
-        rank_ok = eigval[-K] > 1e-10 * eigval[-1] if K <= N else False
-        if not rank_ok:
-            warnings.warn(f"satellite {l}: user directions nearly collinear, "
-                          "using ridge-regularized zero forcing")
-            gram = gram + _RIDGE * (np.trace(gram).real / N) * np.eye(N)
-            inv = np.linalg.inv(gram)
-        else:
-            inv = np.linalg.pinv(gram, hermitian=True,
-                                 rcond=1e-10)
-        rho_bar = float(constraints.caps[l].min())
-        root_beta = np.sqrt(effective.beta[l])
-        shares = rho_bar * root_beta / root_beta.sum()
-        for k in range(K):
-            left = np.linalg.svd(effective.hbar[l, k], full_matrices=True)[0]
-            raw = inv @ (effective.hbar[l, k].conj().T @ left[:, :S])
-            norm = np.linalg.norm(raw)
-            if norm < 1e-300:
-                raw = np.zeros((N, S), complex)
-                raw[:, 0] = effective.a[l, k].conj() / np.sqrt(N)
-                norm = 1.0
-            out[l, k] = np.sqrt(shares[k]) * raw / norm
+        out[l] = share_rule_blocks(effective, l, float(rho[l]),
+                                   enumerate(link_bases(effective, l, S)), 0.0,
+                                   inverse=lambda gram: _zf_inverse(gram, l, K))
     return out
+
+
+def _zf_inverse(gram: np.ndarray, l: int, num_users: int) -> np.ndarray:
+    # gram has rank K; invert it on its row space only
+    N = gram.shape[0]
+    eigval = np.linalg.eigvalsh(gram)
+    if num_users <= N and eigval[-num_users] > 1e-10 * eigval[-1]:
+        return np.linalg.pinv(gram, hermitian=True, rcond=1e-10)
+    warnings.warn(f"satellite {l}: user directions nearly collinear, "
+                  "using ridge-regularized zero forcing")
+    return np.linalg.inv(gram + _RIDGE * (np.trace(gram).real / N) * np.eye(N))
 
 
 def tdma_mrt_precoders(effective: EffectiveChannel, link_stats, rho) -> list:
@@ -127,9 +115,12 @@ def tdma_mrt_baseline(effective: EffectiveChannel, link_stats, rho,
 
 def random_association(rng: np.random.Generator, num_streams: int,
                        num_sats: int, num_users: int) -> StreamAssignment:
-    """Uniformly random injective stream -> satellite map per user."""
+    """Uniformly random injective stream -> satellite map per user; raises
+    InfeasibleError, as `associate` does, when S > L."""
     if num_streams > num_sats:
-        raise ValueError("cannot assign more streams than satellites")
+        raise InfeasibleError(
+            f"{num_streams} streams need {num_streams} distinct satellites, "
+            f"have {num_sats}")
     pi = np.stack([rng.permutation(num_sats)[:num_streams]
                    for _ in range(num_users)])
     return StreamAssignment.from_pi(pi, num_sats)

@@ -52,85 +52,56 @@ def _clear_fixed_angles(cfg: ScenarioConfig) -> ScenarioConfig:
                    sat_sin_phi=None, elevation_deg=None)
 
 
-def _preset_approx_gap(cfg):
-    jobs = []
-    for L in (4, 8):
-        sub = replace(_clear_fixed_angles(cfg), L=L, S=cfg.M)
-        for p, dbw in enumerate(sub.power_cap_dbw_grid):
-            for mode in ("mmse-exact-mc", "mmse-approx"):
-                jobs.append(Job(f"L{L}", mode, sub, dbw, p, sub.rng_seed))
-    return jobs
+def _sweep(variants, modes) -> list:
+    """Jobs for (scenario id, config) variants: per variant, every power
+    point in grid order, and per point every mode in the given order."""
+    return [Job(sid, mode, sub, dbw, p, sub.rng_seed)
+            for sid, sub in variants
+            for p, dbw in enumerate(sub.power_cap_dbw_grid)
+            for mode in modes]
 
 
 def _preset_joint_vs_streamwise(cfg, orthogonal: bool):
     if orthogonal:
         # one stream per eigenmode per satellite: the regime where the
         # streamwise mode matches joint transmission
-        sub = replace(cfg, L=4, M=4, S=4, angle_mode="fixed-list",
-                      ue_sin_theta=ORTHOGONAL_SINES, sat_sin_phi=None,
-                      elevation_deg=None)
-        sid = "orthogonal"
+        variant = ("orthogonal",
+                   replace(cfg, L=4, M=4, S=4, angle_mode="fixed-list",
+                           ue_sin_theta=ORTHOGONAL_SINES, sat_sin_phi=None,
+                           elevation_deg=None))
     else:
-        sub = _clear_fixed_angles(cfg)
-        sid = "non-orthogonal"
-    return [Job(sid, mode, sub, dbw, p, sub.rng_seed)
-            for p, dbw in enumerate(sub.power_cap_dbw_grid)
-            for mode in ("joint", "streamwise")]
-
-
-def _preset_stream_count(cfg):
-    jobs = []
-    for S in (1, 2, 3):
-        sub = replace(_clear_fixed_angles(cfg), S=S)
-        for p, dbw in enumerate(sub.power_cap_dbw_grid):
-            for mode in ("joint", "streamwise"):
-                jobs.append(Job("main", mode, sub, dbw, p, sub.rng_seed))
-    return jobs
-
-
-def _preset_baselines(cfg):
-    jobs = []
-    for L in (4, 8):
-        sub = replace(_clear_fixed_angles(cfg), L=L)
-        for p, dbw in enumerate(sub.power_cap_dbw_grid):
-            for mode in ("joint", "mmse", "zf"):
-                jobs.append(Job(f"L{L}", mode, sub, dbw, p, sub.rng_seed))
-    return jobs
-
-
-def _preset_user_loading(cfg):
-    jobs = []
-    for K in (2, 4, 6):
-        sub = replace(_clear_fixed_angles(cfg), L=8, K=K)
-        for p, dbw in enumerate(sub.power_cap_dbw_grid):
-            for mode in ("joint", "tdma-mrt"):
-                jobs.append(Job(f"K{K}", mode, sub, dbw, p, sub.rng_seed))
-    return jobs
+        variant = ("non-orthogonal", _clear_fixed_angles(cfg))
+    return _sweep([variant], ("joint", "streamwise"))
 
 
 def _preset_association(cfg):
     # association gains require angularly separated users; the reference
     # drift co-locates them and the map then only decides how many
     # satellites stay idle
-    jobs = []
+    variants = []
     for N in (16, 64):
         base = replace(_clear_fixed_angles(cfg), L=8, N=N,
                        azimuth_drift_deg=60.0, elevation_drift_deg=20.0)
-        for j in range(cfg.association_seeds):
-            sub = replace(base, rng_seed=cfg.rng_seed + j)
-            for p, dbw in enumerate(sub.power_cap_dbw_grid):
-                for mode in ("streamwise", "streamwise-random"):
-                    jobs.append(Job(f"N{N}", mode, sub, dbw, p, sub.rng_seed))
-    return jobs
+        variants += [(f"N{N}", replace(base, rng_seed=cfg.rng_seed + j))
+                     for j in range(cfg.association_seeds)]
+    return _sweep(variants, ("streamwise", "streamwise-random"))
 
 
 PRESETS = {
-    "approx-gap": _preset_approx_gap,
+    "approx-gap": lambda c: _sweep(
+        [(f"L{L}", replace(_clear_fixed_angles(c), L=L, S=c.M)) for L in (4, 8)],
+        ("mmse-exact-mc", "mmse-approx")),
     "joint-vs-streamwise-orthogonal": lambda c: _preset_joint_vs_streamwise(c, True),
     "joint-vs-streamwise-nonorthogonal": lambda c: _preset_joint_vs_streamwise(c, False),
-    "stream-count": _preset_stream_count,
-    "baselines": _preset_baselines,
-    "user-loading": _preset_user_loading,
+    "stream-count": lambda c: _sweep(
+        [("main", replace(_clear_fixed_angles(c), S=S)) for S in (1, 2, 3)],
+        ("joint", "streamwise")),
+    "baselines": lambda c: _sweep(
+        [(f"L{L}", replace(_clear_fixed_angles(c), L=L)) for L in (4, 8)],
+        ("joint", "mmse", "zf")),
+    "user-loading": lambda c: _sweep(
+        [(f"K{K}", replace(_clear_fixed_angles(c), L=8, K=K)) for K in (2, 4, 6)],
+        ("joint", "tdma-mrt")),
     "association": _preset_association,
 }
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import EffectiveChannel
+from .channel import EffectiveChannel, aggregate_all
 from .ellipsoid import EllipsoidParams, solve_multipliers
 from .errors import NumericsError, ValidationError
 from .power import PowerConstraintSet, residuals as power_residuals
@@ -435,52 +435,79 @@ def precoder_given_mu(mu, combiners: np.ndarray, weights: np.ndarray,
     return sub.precoders_general(mu, constraints)
 
 
+def link_bases(effective: EffectiveChannel, l: int, num_streams: int) -> list:
+    """Per-link stream bases of satellite l: for every user k the S dominant
+    left singular vectors of the rank-one Hb_{l,k} (first column
+    channel-determined, remainder an orthonormal completion), (M, S) each."""
+    return [np.linalg.svd(hb, full_matrices=True)[0][:, :num_streams]
+            for hb in effective.hbar[l]]
+
+
+def share_rule_blocks(effective: EffectiveChannel, l: int, cap: float,
+                      blocks, reg: float, inverse=None) -> list:
+    """Satellite l's regularized channel-inversion blocks under the
+    sqrt(beta) share rule.
+
+    blocks are (user k, stream basis Q (M, S_b)) pairs; a user may repeat.
+    The block of (k, Q) points along G^{-1} Hb_{l,k}^H Q with the Gram
+    G = reg*I + sum_i Hb_{l,i}^H Hb_{l,i} (inverse(G) replaces G^{-1} when
+    given) and is scaled to squared Frobenius norm exactly
+    cap * sqrt(beta_{l,k}) / sum_j sqrt(beta_{l,k_j}), the sum running over
+    all blocks j, so together they spend the cap. A direction below 1e-300
+    in norm (the basis is invisible on this link) falls back to the matched
+    filter conj(a_{l,k}) in its first column. Returns the (N, S_b) blocks in
+    order.
+    """
+    N = effective.shape[3]
+    gram = reg * np.eye(N, dtype=complex)
+    for hb in effective.hbar[l]:
+        gram += hb.conj().T @ hb
+    inv = None if inverse is None else inverse(gram)
+    blocks = list(blocks)
+    root_beta = np.sqrt(effective.beta[l, [k for k, _ in blocks]])
+    shares = cap * root_beta / root_beta.sum()
+    out = []
+    for (k, q), share in zip(blocks, shares):
+        rhs = effective.hbar[l, k].conj().T @ q
+        raw = np.linalg.solve(gram, rhs) if inv is None else inv @ rhs
+        norm = np.linalg.norm(raw)
+        if norm < 1e-300:
+            raw = np.zeros_like(raw)
+            raw[:, 0] = effective.a[l, k].conj()
+            norm = np.linalg.norm(raw)
+        out.append(np.sqrt(share) * raw / norm)
+    return out
+
+
 def init_precoders(effective: EffectiveChannel, constraints: PowerConstraintSet,
                    num_streams: int | None = None,
                    stream_basis: str = "per-link") -> np.ndarray:
     """Regularized-MMSE initialization with sqrt(beta)-proportional power
-    sharing; feasible for per-satellite-total constraints by construction.
+    sharing (`share_rule_blocks` with the noise power as regularizer, one
+    block per user, cap min_x rho_{l,x}); feasible for per-satellite-total
+    constraints by construction.
 
-    Per link the direction follows (sum_i Hb_i^H Hb_i + noise I)^{-1} Hb_k^H Q,
-    then W_{l,k} is scaled to its power share exactly. With the default
-    stream basis, Q holds the S dominant left singular vectors of the
-    rank-one Hb_{l,k} itself (first column channel-determined, remainder an
-    orthonormal completion), which leaves every stream beyond the first with
-    zero power. stream_basis="aggregated" takes Q from the user's aggregated
-    channel instead, seeding S distinct stream directions per link; the two
-    variants have identical approximate SE (all columns share one transmit
-    direction) but only the aggregated one lets the solver develop genuine
-    multi-stream structure.
+    With the default stream basis, Q holds the S dominant left singular
+    vectors of the rank-one Hb_{l,k} itself (`link_bases`), which leaves
+    every stream beyond the first with zero power. stream_basis="aggregated"
+    takes Q from the user's aggregated channel instead, seeding S distinct
+    stream directions per link; the two variants have identical approximate
+    SE (all columns share one transmit direction) but only the aggregated
+    one lets the solver develop genuine multi-stream structure.
     """
     L, K, M, N = effective.shape
     S = M if num_streams is None else num_streams
-    noise = effective.noise_power_w
     if stream_basis not in ("per-link", "aggregated"):
         raise ValidationError(f"unknown stream basis {stream_basis!r}")
     if stream_basis == "aggregated":
-        from .channel import aggregate_all
         bases = [np.linalg.svd(agg, full_matrices=False)[0][:, :S]
                  for agg in aggregate_all(effective)]
     out = np.empty((L, K, N, S), complex)
     for l in range(L):
-        reg = noise * np.eye(N, dtype=complex)
-        for i in range(K):
-            reg += effective.hbar[l, i].conj().T @ effective.hbar[l, i]
-        rho_bar = float(constraints.caps[l].min())
-        root_beta = np.sqrt(effective.beta[l])
-        shares = rho_bar * root_beta / root_beta.sum()
-        for k in range(K):
-            if stream_basis == "per-link":
-                q = np.linalg.svd(effective.hbar[l, k], full_matrices=True)[0][:, :S]
-            else:
-                q = bases[k]
-            raw = np.linalg.solve(reg, effective.hbar[l, k].conj().T @ q)
-            norm = np.linalg.norm(raw)
-            if norm < 1e-300:
-                raw = np.zeros((N, S), complex)
-                raw[:, 0] = effective.a[l, k].conj() / np.sqrt(N)
-                norm = 1.0
-            out[l, k] = np.sqrt(shares[k]) * raw / norm
+        if stream_basis == "per-link":
+            bases = link_bases(effective, l, S)
+        out[l] = share_rule_blocks(effective, l, float(constraints.caps[l].min()),
+                                   enumerate(bases), effective.noise_power_w)
     return out
 
 

@@ -73,6 +73,8 @@ class ScenarioConfig:
         _check(self.carrier_hz > 0, "carrier_hz", "must be positive")
         _check(self.bandwidth_hz > 0, "bandwidth_hz", "must be positive")
         _check(self.mc_trials >= 1, "mc_trials", "must be >= 1")
+        _check(self.rng_seed >= 0, "rng_seed", "must be >= 0")
+        _check(self.association_seeds >= 1, "association_seeds", "must be >= 1")
         _check(self.max_iters >= 1, "max_iters", "must be >= 1")
         _check(self.tol > 0, "tol", "must be positive")
         _check(self.ellipsoid_alpha > 1, "ellipsoid_alpha", "must be > 1")

@@ -7,11 +7,12 @@ of each transmit eigenmode lives on each satellite. Streams ride the
 strongest eigenmodes and are matched one-to-one to satellites by
 maximum-weight bipartite matching on those factors. Precoding then runs the
 joint weighted-MSE block-coordinate descent (`joint_wmmse.solve`) under
-per-satellite total power caps, started from the streamwise initialization
-embedded in joint form. That start is the support mask: a precoder column
-that is zero makes its combiner column zero and its MSE block the identity,
-so the closed-form precoder update keeps every entry off the assigned
-sparsity pattern exactly zero. `solve_streamwise` checks that it did.
+per-satellite total power caps, started from the streamwise
+initialization, which is built in joint form. That start is the support
+mask: a precoder column that is zero makes its combiner column zero and its
+MSE block the identity, so the closed-form precoder update keeps every
+entry off the assigned sparsity pattern exactly zero. `solve_streamwise`
+checks that it did.
 """
 
 from __future__ import annotations
@@ -140,36 +141,29 @@ def associate(eta: np.ndarray, num_streams: int,
 def init_streamwise(effective: EffectiveChannel, rho: np.ndarray,
                     assignment: StreamAssignment,
                     eig: EigenStructure) -> np.ndarray:
-    """Per-stream initialization: regularized-MMSE response to the user's
-    s-th aggregated eigen-direction, powered by the sqrt(beta) share rule.
+    """Per-stream initialization in joint form (L, K, N, S): column s of
+    W[l, k] is the regularized-MMSE response to user k's s-th aggregated
+    eigen-direction when pi_k(s) = l, else zero.
 
-    eig is the eigenstructure of the aggregated channels (from
-    `participation_factors`). The share denominator counts assigned
-    (user, stream) pairs with multiplicity, so each satellite spends exactly
-    its cap at start.
+    Each satellite's assigned streams are `joint_wmmse.share_rule_blocks`
+    of one column each, so the sqrt(beta) share counts assigned (user,
+    stream) pairs with multiplicity and every satellite that carries a
+    stream spends exactly its cap. eig is the eigenstructure of the
+    aggregated channels (from `participation_factors`).
     """
     L, K, M, N = effective.shape
     S = assignment.pi.shape[1]
     agg = aggregate_all(effective)
-    w = np.zeros((L, K, S, N), complex)
-    for l in range(L):
-        streams = assignment.sat_streams[l]
+    W = np.zeros((L, K, N, S), complex)
+    for l, streams in enumerate(assignment.sat_streams):
         if not streams:
             continue
-        reg = effective.noise_power_w * np.eye(N, dtype=complex)
-        for i in range(K):
-            reg += effective.hbar[l, i].conj().T @ effective.hbar[l, i]
-        denom = sum(np.sqrt(effective.beta[l, k]) for k, _ in streams)
-        for (k, s) in streams:
-            share = rho[l] * np.sqrt(effective.beta[l, k]) / denom
-            direction = np.linalg.solve(reg, effective.hbar[l, k].conj().T
-                                        @ _left_vector(agg, eig, k, s))
-            norm = np.linalg.norm(direction)
-            if norm < 1e-300:  # mismatched pairing: eigenmode invisible here
-                direction = effective.a[l, k].conj()
-                norm = np.linalg.norm(direction)
-            w[l, k, s] = np.sqrt(share) * direction / norm
-    return w
+        blocks = [(k, _left_vector(agg, eig, k, s)[:, None]) for k, s in streams]
+        cols = joint_wmmse.share_rule_blocks(effective, l, rho[l], blocks,
+                                             effective.noise_power_w)
+        for (k, s), col in zip(streams, cols):
+            W[l, k, :, s] = col[:, 0]
+    return W
 
 
 def _left_vector(agg, eig, k, s):
@@ -191,9 +185,10 @@ def solve_streamwise(effective: EffectiveChannel, rho,
     given, streams are matched to satellites by participation factors
     (optionally after preselecting the `preselect` best-scoring satellites
     per user). The precoders come from `joint_wmmse.solve` started at the
-    embedded streamwise initialization, which keeps them on the assignment's
-    support. Returns (StreamwisePrecoderSet, StreamAssignment, SolveTrace);
-    raises NumericsError if a precoder entry off the support is not zero.
+    joint-form streamwise initialization, which keeps them on the
+    assignment's support. Returns (StreamwisePrecoderSet, StreamAssignment,
+    SolveTrace); raises NumericsError if a precoder entry off the support is
+    not zero.
     """
     L, K, M, N = effective.shape
     rho = np.broadcast_to(np.asarray(rho, float), (L,)).copy()
@@ -209,10 +204,9 @@ def solve_streamwise(effective: EffectiveChannel, rho,
             sets = select_serving_sats(eta, eig.singular_values, preselect)
         assignment = associate(eta, S, serving_sets=sets)
 
-    start = StreamwisePrecoderSet(
-        w=init_streamwise(effective, rho, assignment, eig), assignment=assignment)
+    start = init_streamwise(effective, rho, assignment, eig)
     W, trace = joint_wmmse.solve(effective, per_sat_total(rho, N), params,
-                                 initial=to_joint_form(start), num_streams=S)
+                                 initial=start, num_streams=S)
     w = W.transpose(0, 1, 3, 2).copy()          # (L, K, S, N)
     off_support = np.ones((L, K, S), bool)
     for k in range(K):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from satmimo import (approx_se, mmse_baseline, per_sat_total,
+from satmimo import (InfeasibleError, approx_se, mmse_baseline, per_sat_total,
                      random_association, solve_streamwise, tdma_mrt_baseline,
                      to_joint_form, zf_baseline)
 from satmimo.joint_wmmse import init_precoders, solve
@@ -62,6 +62,21 @@ class TestZfBaseline:
         corr = abs(np.vdot(W[0, 0, :, 0], a)) / (
             np.linalg.norm(W[0, 0, :, 0]) * np.linalg.norm(a))
         assert corr == pytest.approx(1.0, abs=1e-10)
+
+    def test_more_users_than_antennas_warns_and_spends_cap(self, rng):
+        # K > N: the user rows cannot be nulled, so the ridge path runs; the
+        # share rule still spends every cap exactly
+        eff = synthetic_effective(rng, L=2, K=3, M=3, N=2)
+        rho = np.array([1.5, 0.7])
+        with pytest.warns(UserWarning, match="ridge-regularized"):
+            W = zf_baseline(eff, rho, 2)
+        assert np.all(np.isfinite(W))
+        power = np.sum(np.abs(W) ** 2, axis=(2, 3))
+        np.testing.assert_allclose(power.sum(axis=1), rho, rtol=1e-12)
+        root = np.sqrt(eff.beta)
+        np.testing.assert_allclose(
+            power, rho[:, None] * root / root.sum(axis=1, keepdims=True),
+            rtol=1e-12)
 
 
 class TestTdmaMrt:
@@ -169,6 +184,11 @@ class TestRandomAssociation:
     def test_single_option(self):
         assoc = random_association(np.random.default_rng(0), 1, 1, 2)
         np.testing.assert_array_equal(assoc.pi, [[0], [0]])
+
+    def test_more_streams_than_satellites_infeasible(self):
+        # the same error as associate, so a sweep turns it into an error row
+        with pytest.raises(InfeasibleError):
+            random_association(np.random.default_rng(0), 3, 2, 1)
 
     def test_uniform_over_injections(self):
         # S = 2 of L = 3 satellites: 6 equally likely ordered injections

@@ -3,9 +3,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from satmimo.cli import COLUMNS, SCHEMA_LINE, main
+from satmimo.cli import COLUMNS, PRESETS, SCHEMA_LINE, main
 
 TINY = {
     "L": 4, "K": 2, "N": 8, "M": 4, "S": 2,
@@ -239,6 +240,45 @@ class TestRun:
         assert all(r["seed"] == "11" for r in rows)
 
 
+    def test_bad_seed_override_exits_1(self, tiny_config, tmp_path, capsys):
+        out = tmp_path / "res.csv"
+        code = main(["run", "--preset", "approx-gap", "--config", tiny_config,
+                     "--out", str(out), "--quiet", "--seed", "-3"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "rng_seed" in err
+        assert not out.exists()
+
+    def test_more_streams_than_satellites_gives_error_rows(self, tmp_path):
+        # S = 10 > L = 8: both association modes are infeasible at every
+        # point, and the sweep still writes one error row per job
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({
+            "M": 12, "S": 10, "N": 4, "K": 2, "mc_trials": 20,
+            "power_cap_dbw_grid": [0.0], "association_seeds": 1}))
+        out = str(tmp_path / "res.csv")
+        assert main(["run", "--preset", "association", "--config", str(path),
+                     "--out", out, "--quiet"]) == 0
+        rows = read_rows(out)
+        assert sorted(r["mode"] for r in rows) == [
+            "streamwise", "streamwise", "streamwise-random",
+            "streamwise-random"]
+        for r in rows:
+            assert r["sum_se"] == "nan"
+            assert r["per_user_se"].startswith("error=")
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_every_preset_runs(self, preset, tiny_config, tmp_path):
+        out = str(tmp_path / "res.csv")
+        assert main(["run", "--preset", preset, "--config", tiny_config,
+                     "--out", out, "--quiet", "--trials", "20"]) == 0
+        rows = read_rows(out)
+        assert rows
+        for r in rows:
+            assert not r["per_user_se"].startswith("error="), r
+            assert np.isfinite(float(r["sum_se"]))
+
+
 class TestCustomConstraints:
     def test_config_roundtrip_and_solve(self, tmp_path):
         # dense Hermitian weight matrices from the config drive the ellipsoid
@@ -279,6 +319,16 @@ class TestValidate:
 
     def test_missing_file(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 1
+
+    @pytest.mark.parametrize("key, value", [
+        ("rng_seed", -1), ("association_seeds", 0), ("association_seeds", -2)])
+    def test_unusable_value_named(self, key, value, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({key: value}))
+        assert main(["validate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "OK" not in captured.out
+        assert key in captured.err
 
 
 class TestEntryPoint:

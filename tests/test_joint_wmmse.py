@@ -3,6 +3,7 @@ import pytest
 
 from satmimo import NumericsError, approx_se, per_antenna, per_sat_total
 from satmimo import joint_wmmse
+from satmimo.channel import EffectiveChannel
 from satmimo.ellipsoid import bisect_multiplier
 from satmimo.joint_wmmse import (SolverParams, init_precoders, mse_at_optimum,
                                  mse_matrix, precoder_given_mu, solve,
@@ -227,6 +228,87 @@ class TestInitPrecoders:
         W = init_precoders(eff, cons, 2)
         from satmimo.power import max_violation
         assert max_violation(W, cons) <= 1e-12
+
+
+def _rank_one_channel(b, a, beta, noise=0.5):
+    """EffectiveChannel with one satellite and the given per-user rank-one
+    links: b (K, M), a (K, N), beta (K,)."""
+    b = np.asarray(b, complex)[None]
+    a = np.asarray(a, complex)[None]
+    beta = np.asarray(beta, float)[None]
+    hbar = np.sqrt(beta)[..., None, None] * np.einsum("lkm,lkn->lkmn", b, a)
+    return EffectiveChannel(hbar=hbar, b=b, a=a, beta=beta, noise_power_w=noise)
+
+
+class TestShareRuleBlocks:
+    def test_repeated_user_counts_per_block(self, rng):
+        # user 0 appears twice: the share denominator counts it twice, and
+        # each block spends exactly its share of the cap
+        eff = synthetic_effective(rng, L=2, K=2, M=3, N=4)
+        bases = joint_wmmse.link_bases(eff, 1, 2)
+        blocks = [(0, bases[0]), (1, bases[1]), (0, bases[0][:, :1])]
+        out = joint_wmmse.share_rule_blocks(eff, 1, 2.5, blocks, 0.5)
+        root = np.sqrt(eff.beta[1])
+        expect = 2.5 * root[[0, 1, 0]] / (2 * root[0] + root[1])
+        assert [w.shape for w in out] == [(4, 2), (4, 2), (4, 1)]
+        powers = [np.sum(np.abs(w) ** 2) for w in out]
+        np.testing.assert_allclose(powers, expect, rtol=1e-12)
+        assert sum(powers) == pytest.approx(2.5, rel=1e-12)
+
+    def test_direction_is_regularized_inverse(self, rng):
+        eff = synthetic_effective(rng, L=1, K=2, M=3, N=4)
+        q = joint_wmmse.link_bases(eff, 0, 1)[1]
+        w = joint_wmmse.share_rule_blocks(eff, 0, 1.0, [(1, q)], 0.7)[0]
+        hb = eff.hbar[0]
+        gram = 0.7 * np.eye(4) + sum(h.conj().T @ h for h in hb)
+        raw = np.linalg.solve(gram, hb[1].conj().T @ q)
+        np.testing.assert_allclose(w, raw / np.linalg.norm(raw), rtol=1e-12)
+
+    @pytest.mark.parametrize("b, q", [
+        ([1, 1], [[1], [-1]]),
+        ([1, 1, 0], [[1, 0], [-1, 0], [0, np.sqrt(2)]]),
+    ], ids=["M2-one-column", "M3-two-columns"])
+    def test_invisible_basis_falls_back_to_matched_filter(self, b, q):
+        # the basis is exactly orthogonal to b, so Hb^H Q = 0 (entries of
+        # a and sqrt(beta) are chosen so that every product is exact): the
+        # block is sqrt(share) conj(a)/||a|| in column 0 and zero elsewhere
+        a = np.array([1, 2j, -1])
+        other_b = np.eye(len(b))[0]
+        eff = _rank_one_channel([b, other_b], [a, a[::-1]], [1.0, 4.0])
+        q = np.asarray(q, complex) / np.sqrt(2)
+        np.testing.assert_array_equal(eff.hbar[0, 0].conj().T @ q, 0)
+        out = joint_wmmse.share_rule_blocks(eff, 0, 3.0, [(0, q), (1, q[:, :1])],
+                                            0.5)
+        share = 3.0 * 1.0 / (1.0 + 2.0)
+        np.testing.assert_allclose(
+            out[0][:, 0], np.sqrt(share) * a.conj() / np.linalg.norm(a),
+            rtol=1e-14)
+        assert np.all(out[0][:, 1:] == 0)
+        # the visible user keeps its own direction and its share
+        assert np.sum(np.abs(out[1]) ** 2) == pytest.approx(3.0 - share,
+                                                             rel=1e-12)
+
+    def test_inverse_replaces_the_solve(self, rng):
+        # K = N: the unregularized Gram is invertible, so an explicit
+        # inverse and the solve give the same blocks
+        eff = synthetic_effective(rng, L=1, K=2, M=3, N=2)
+        bases = joint_wmmse.link_bases(eff, 0, 2)
+        seen = []
+
+        def inverse(gram):
+            seen.append(gram.copy())
+            return np.linalg.inv(gram)
+
+        via_inv = joint_wmmse.share_rule_blocks(eff, 0, 1.0, enumerate(bases),
+                                                0.0, inverse=inverse)
+        via_solve = joint_wmmse.share_rule_blocks(eff, 0, 1.0, enumerate(bases),
+                                                  0.0)
+        assert len(seen) == 1
+        hb = eff.hbar[0]
+        np.testing.assert_allclose(seen[0], sum(h.conj().T @ h for h in hb),
+                                   rtol=1e-14)
+        for x, y in zip(via_inv, via_solve):
+            np.testing.assert_allclose(x, y, rtol=1e-9, atol=1e-12)
 
 
 class TestSolve:

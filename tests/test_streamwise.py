@@ -12,7 +12,7 @@ from satmimo.assignment import assignment_value
 from satmimo.ellipsoid import bisect_multiplier
 from satmimo.joint_wmmse import SolverParams, precoder_given_mu
 from satmimo.streamwise import (StreamAssignment, StreamwisePrecoderSet,
-                                select_serving_sats)
+                                init_streamwise, select_serving_sats)
 from tests.conftest import (assert_precoder_kkt, crandn, one_wmmse_iteration,
                             synthetic_effective)
 
@@ -407,6 +407,61 @@ class TestSolveStreamwise:
         sw, assoc, _ = solve_streamwise(default_effective, np.full(4, 10.0),
                                         num_streams=2, preselect=3)
         assert np.all(assoc.pi >= 0)
+
+
+class TestInitStreamwise:
+    def _start(self, rng):
+        eff = synthetic_effective(rng, L=4, K=3, M=3, N=5)
+        # satellite 0 carries three users' streams, satellite 3 none
+        assoc = StreamAssignment.from_pi(np.array([[0, 1], [0, 2], [1, 0]]), 4)
+        _, eig = participation_factors(aggregate_all(eff), 4)
+        rho = np.array([1.0, 2.0, 0.5, 3.0])
+        return eff, assoc, eig, rho, init_streamwise(eff, rho, assoc, eig)
+
+    def test_spends_each_cap_with_sqrt_beta_shares(self, rng):
+        eff, assoc, eig, rho, W = self._start(rng)
+        assert W.shape == (4, 3, 5, 2)
+        assert np.all(W[3] == 0)
+        assert np.all(W.transpose(0, 1, 3, 2)[_off_support(assoc, 4)] == 0)
+        power = np.sum(np.abs(W) ** 2, axis=2)                 # (L, K, S)
+        for l in range(3):
+            streams = assoc.sat_streams[l]
+            root = np.sqrt(eff.beta[l, [k for k, _ in streams]])
+            np.testing.assert_allclose([power[l, k, s] for k, s in streams],
+                                       rho[l] * root / root.sum(), rtol=1e-12)
+            assert power[l].sum() == pytest.approx(rho[l], rel=1e-12)
+
+    def test_columns_follow_regularized_inverse(self, rng):
+        eff, assoc, eig, rho, W = self._start(rng)
+        agg = aggregate_all(eff)
+        for l, streams in enumerate(assoc.sat_streams):
+            hb = eff.hbar[l]
+            gram = eff.noise_power_w * np.eye(5) + sum(h.conj().T @ h for h in hb)
+            for k, s in streams:
+                u = np.linalg.svd(agg[k])[0][:, s]
+                raw = np.linalg.solve(gram, hb[k].conj().T @ u)
+                col = W[l, k, :, s]
+                # equal up to the singular vector's phase
+                phase = np.vdot(raw, col) / abs(np.vdot(raw, col))
+                np.testing.assert_allclose(
+                    col, phase * np.linalg.norm(col) * raw / np.linalg.norm(raw),
+                    rtol=1e-9, atol=1e-12)
+
+    def test_solver_starts_from_it(self, rng, monkeypatch):
+        eff = synthetic_effective(rng, L=3, K=2, M=4, N=5)
+        rho = np.full(3, 1.0)
+        seen = {}
+        solve = joint_wmmse.solve
+
+        def spy(*args, **kwargs):
+            seen["initial"] = kwargs["initial"].copy()
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(joint_wmmse, "solve", spy)
+        _, assoc, _ = solve_streamwise(eff, rho, num_streams=2)
+        _, eig = participation_factors(aggregate_all(eff), 3)
+        np.testing.assert_array_equal(seen["initial"],
+                                      init_streamwise(eff, rho, assoc, eig))
 
 
 class TestToJointForm:
