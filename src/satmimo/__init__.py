@@ -13,13 +13,11 @@ from .power import (PowerConstraintSet, make_constraint_set, per_antenna,
                     per_sat_total, residuals)
 from .se_eval import SEReport, approx_se, approx_vs_exact_gap, exact_se_mc, mc_rng
 from .assignment import brute_force_assignment, max_weight_assignment
-from .ellipsoid import EllipsoidParams, solve_multipliers
 from .joint_wmmse import (SolverParams, SolveTrace, WmmseState,
-                          init_precoders, wmmse_state)
+                          dual_newton_multipliers, init_precoders, wmmse_state)
 from .joint_wmmse import solve as solve_joint
-from .streamwise import (StreamAssignment, StreamwisePrecoderSet, associate,
-                         participation_factors, sat_selection_score,
-                         solve_streamwise, to_joint_form)
+from .streamwise import (StreamAssignment, associate, participation_factors,
+                         sat_selection_score, solve_streamwise)
 from .baselines import (mmse_baseline, random_association, tdma_mrt_baseline,
                         zf_baseline)
 
@@ -35,11 +33,9 @@ __all__ = [
     "per_sat_total", "residuals",
     "SEReport", "approx_se", "approx_vs_exact_gap", "exact_se_mc", "mc_rng",
     "brute_force_assignment", "max_weight_assignment",
-    "EllipsoidParams", "solve_multipliers",
-    "SolverParams", "SolveTrace", "WmmseState", "init_precoders",
-    "wmmse_state", "solve_joint",
-    "StreamAssignment", "StreamwisePrecoderSet", "associate",
-    "participation_factors", "sat_selection_score", "solve_streamwise",
-    "to_joint_form",
+    "SolverParams", "SolveTrace", "WmmseState", "dual_newton_multipliers",
+    "init_precoders", "wmmse_state", "solve_joint",
+    "StreamAssignment", "associate", "participation_factors",
+    "sat_selection_score", "solve_streamwise",
     "mmse_baseline", "random_association", "tdma_mrt_baseline", "zf_baseline",
 ]

@@ -151,17 +151,15 @@ def run_job(job: Job) -> dict:
             W, trace = joint_wmmse.solve(effective, _constraints_for(cfg, rho_w),
                                          params, num_streams=cfg.S)
         elif job.mode == "streamwise":
-            sw, _, trace = streamwise.solve_streamwise(effective, rho_vec, params,
-                                                       num_streams=cfg.S)
-            W = streamwise.to_joint_form(sw)
+            W, _, trace = streamwise.solve_streamwise(
+                effective, _constraints_for(cfg, rho_w), params, num_streams=cfg.S)
         elif job.mode == "streamwise-random":
             assoc = baselines.random_association(
                 np.random.default_rng(np.random.SeedSequence([cfg.rng_seed, 1])),
                 cfg.S, cfg.L, cfg.K)
-            sw, _, trace = streamwise.solve_streamwise(effective, rho_vec, params,
-                                                       num_streams=cfg.S,
-                                                       assignment=assoc)
-            W = streamwise.to_joint_form(sw)
+            W, _, trace = streamwise.solve_streamwise(
+                effective, _constraints_for(cfg, rho_w), params, num_streams=cfg.S,
+                assignment=assoc)
         elif job.mode == "tdma-mrt":
             report = baselines.tdma_mrt_baseline(effective, geometry, rho_vec,
                                                  estimator="exact-mc",

@@ -17,7 +17,10 @@ come from one helper, and for fixed combiners and weights the satellites'
 precoder subproblems are built together. Each per-satellite coupling matrix
 has rank at most K, which gives a closed-form (secular) power curve; the
 per-satellite-total multiplier is its root, found by a safeguarded Newton
-iteration.
+iteration. Every other constraint family (per-antenna, custom, a single
+weighted cap) takes its multipliers from a safeguarded Newton search on the
+concave dual of the subproblem, which returns only multipliers it has
+certified feasible and optimal (`dual_newton_multipliers`).
 """
 
 from __future__ import annotations
@@ -28,8 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import EffectiveChannel, aggregate_all
-from .ellipsoid import EllipsoidParams, solve_multipliers
-from .errors import NumericsError, ValidationError
+from .errors import InfeasibleError, NumericsError, ValidationError
 from .power import PowerConstraintSet, residuals as power_residuals
 from .scenario import ScenarioConfig
 
@@ -40,6 +42,15 @@ _DIRECTION_TOL = 1e-14
 # below this fraction of it, and gives up after this many curve evaluations
 _NEWTON_STOP = 1e-13
 _MAX_CURVE_EVALS = 100
+# the general search certifies |mu^T r| <= _GAP_REL |g| (a relative duality
+# gap) and gives up after this many dual evaluations
+_GAP_REL = 1e-6
+_MAX_DUAL_EVALS = 100
+# a Newton step moves each multiplier by at most a factor exp(_MAX_RATE),
+# and mu^T caps stays above _SCALE_FLOOR |g| (below _GAP_REL, so a feasible
+# point at the floor meets the gap certificate)
+_MAX_RATE = np.log(1e2)
+_SCALE_FLOOR = 1e-7
 
 
 @dataclass
@@ -47,16 +58,11 @@ class SolverParams:
     max_iters: int = 40
     tol: float = 1e-4                 # stop when the objective decrease <= tol
     power_tol_rel: float = 1e-5       # feasibility tolerance relative to the cap
-    ellipsoid_alpha: float = 2.0
-    ellipsoid_max_iters: int = 300
-    max_doublings: int = 60
 
     @classmethod
     def from_config(cls, config: ScenarioConfig) -> "SolverParams":
         return cls(max_iters=config.max_iters, tol=config.tol,
-                   power_tol_rel=config.ellipsoid_tol_rel,
-                   ellipsoid_alpha=config.ellipsoid_alpha,
-                   ellipsoid_max_iters=config.ellipsoid_max_iters)
+                   power_tol_rel=config.ellipsoid_tol_rel)
 
 
 @dataclass
@@ -270,6 +276,183 @@ def secular_multiplier(curve, rho: float):
     return mu, evals
 
 
+# -- general constraint families: Newton on the dual --------------------------
+
+def _pinv_solve(M: np.ndarray, rhs: np.ndarray):
+    """Range inverse M^+ of a Hermitian PSD matrix (eigenvalues below
+    _RANK_TOL of the largest dropped), M^+ rhs, the share of ||rhs||^2
+    outside the kept range, and the condition number of the kept part."""
+    if not np.all(np.isfinite(M)):
+        raise NumericsError("dual matrix T + sum_x mu_x A_x is not finite")
+    lam, Q = np.linalg.eigh(M)
+    keep = lam > _RANK_TOL * max(lam[-1], 1e-300)
+    inv = (Q[:, keep] / lam[keep]) @ Q[:, keep].conj().T
+    null = Q[:, ~keep].conj().T @ rhs
+    outside = np.vdot(null, null).real / max(np.vdot(rhs, rhs).real, 1e-300)
+    cond = lam[-1] / lam[keep][0] if keep.any() else 1.0
+    return inv, inv @ rhs, outside, cond
+
+
+def _dual_point(factor, rhs, weights, caps, mu):
+    """The dual of a satellite subproblem at multipliers mu >= 0.
+
+    With M = T + sum_x mu_x A_x and v = M^+ rhs: the powers
+    p_x = sum_k v_k^H A_x v_k (the dual gradient is p - caps), the dual value
+    g = -Re Tr(rhs^H v) - mu^T caps, its Hessian
+    -2 Re sum_k (A_x v_k)^H M^+ (A_y v_k), v, the share of rhs outside the
+    range of M, and the rounding error of g (1e-13 + eps cond(M)) |g|.
+    """
+    X, N, _ = weights.shape
+    K = rhs.shape[1]
+    inv, v, outside, cond = _pinv_solve(
+        factor @ factor.conj().T + np.tensordot(mu, weights, 1), rhs)
+    Av = (weights.reshape(X * N, N) @ v).reshape(X, N, K)
+    power = np.einsum("nk,xnk->x", v.conj(), Av).real
+    value = -np.vdot(rhs, v).real - mu @ caps
+    # M^+ A_y v for every y from one product
+    inv_Av = (inv @ Av.transpose(1, 0, 2).reshape(N, X * K)).reshape(N, X, K)
+    hess = -2.0 * (Av.reshape(X, N * K).conj()
+                   @ inv_Av.transpose(1, 0, 2).reshape(X, N * K).T).real
+    rounding = (1e-13 + np.finfo(float).eps * cond) * abs(value)
+    return power, value, hess, v, outside, rounding
+
+
+def _log_newton_step(mu, resid, hess, caps, floor):
+    """Newton step of the dual in z = log mu, each entry clipped to
+    +-_MAX_RATE.
+
+    The gradient is mu * r and the Hessian diag(mu) H diag(mu) +
+    diag(mu * r), less the positive part of its diagonal term so that it
+    stays negative definite. Where the dual is flat along mu (its supremum
+    approached as mu -> 0 along a direction that meets the caps) the step
+    shrinks the scale of mu and not its direction; a step that would take
+    mu^T caps below floor is replaced by the Newton step on the slice where
+    mu^T caps = floor, which corrects the direction.
+    """
+    grad = mu * resid
+    hess_z = mu[:, None] * hess * mu + np.diag(np.minimum(grad, 0.0))
+    try:
+        step = np.linalg.solve(-hess_z, grad)
+        scale = caps @ mu
+        if caps @ (mu * np.exp(np.clip(step, -_MAX_RATE, _MAX_RATE))) < floor:
+            weight = caps * mu
+            border = np.block([[-hess_z, weight[:, None]], [weight, 0.0]])
+            step = np.linalg.solve(border, np.append(
+                grad, scale * np.log(min(floor / scale, 1.0))))[:-1]
+    except np.linalg.LinAlgError:
+        raise NumericsError("dual Hessian of the power subproblem is "
+                            "singular") from None
+    return np.clip(step, -_MAX_RATE, _MAX_RATE)
+
+
+def dual_newton_multipliers(factor, rhs, weights, caps, tol_rel: float,
+                            start=None):
+    """Certified multipliers of one satellite's general power constraints.
+
+    The subproblem min_W Tr(W^H T W) - 2 Re Tr(rhs^H W) subject to
+    Tr(W^H A_x W) <= caps_x, with T = factor factor^H (N, K factor), rhs
+    (N, K) and weights the (X, N, N) stack of the A_x, has the concave dual
+    g(mu) = -Tr(rhs^H M(mu)^+ rhs) - mu^T caps over mu >= 0, where
+    M(mu) = T + sum_x mu_x A_x; its gradient is the residual vector
+    r = p(mu) - caps (Yu & Lan, IEEE TSP 2007). The search
+    - returns mu = 0 when rhs lies in the range of T and the pseudoinverse
+      solution meets every cap;
+    - otherwise starts at `start` if every entry is positive, or else on the
+      cap-scaled ray mu = t / caps, at the first Newton step from t = 0 on
+      the secular form of the mean of p_x / caps_x (as `secular_multiplier`
+      takes it), aimed at the mean at 0 over the worst ratio there; M is
+      nonsingular from then on;
+    - then takes safeguarded Newton steps in log mu (`_log_newton_step`),
+      which keep every multiplier positive without a projection and reach
+      the cap where the powers fall as 1/mu^2 in one step; the step length
+      halves from 1 until g does not fall by more than its rounding error.
+    It stops on the certificate r_x <= tol_rel caps_x for every x and
+    |mu^T r| <= 1e-6 |g|: v = M^+ rhs minimises the Lagrangian at mu, so its
+    objective exceeds the optimum by at most that gap. Full Newton steps
+    then go on while each certifies a gap at least ten times smaller, which
+    makes the multiplier of a single cap its root to rounding. Returns (mu,
+    v, dual evaluations). Raises NumericsError for a dual that is not finite
+    or when the certificate is not met within _MAX_DUAL_EVALS evaluations,
+    and InfeasibleError when rhs excites a direction that neither T nor any
+    A_x penalises (the subproblem is unbounded).
+    """
+    caps = np.asarray(caps, float)
+    evals = 0
+
+    def point(mu):
+        nonlocal evals
+        if evals >= _MAX_DUAL_EVALS:
+            raise NumericsError(
+                f"general multiplier search used {evals} dual evaluations "
+                f"without meeting its certificate (max residual "
+                f"{np.max((power - caps) / caps):.3e} of the cap)")
+        evals += 1
+        out = _dual_point(factor, rhs, weights, caps, mu)
+        if not all(np.all(np.isfinite(x)) for x in out[:3]):
+            raise NumericsError(f"dual of the power subproblem is not finite "
+                                f"at multipliers {mu}")
+        return out
+
+    def certified(mu, power, value):
+        resid = power - caps
+        return (np.all(resid <= tol_rel * caps)
+                and abs(mu @ resid) <= _GAP_REL * abs(value))
+
+    cold = start is None or not np.all(np.asarray(start) > 0)
+    mu = np.zeros(caps.size) if cold else np.array(start, float)
+    power, value, hess, v, outside, rounding = point(mu)
+    if cold:
+        if outside <= _DIRECTION_TOL and np.all(power <= caps * (1 + tol_rel)):
+            return mu, v, evals
+        u = 1.0 / caps
+        if outside > _DIRECTION_TOL:
+            t = 1.0          # g(0) = -inf: start inside, at the caps' scale
+        else:
+            # the first Newton step from 0 on the secular form of the
+            # cap-weighted mean power, towards the mean at 0 over the worst
+            # ratio p_x / caps_x there
+            mean = u @ power
+            t = mean * (np.sqrt(np.max(power * u)) - 1.0) / (-0.5 * u @ hess @ u)
+        power, value, hess, v, outside, rounding = point(t * u)
+        if outside > _DIRECTION_TOL:
+            raise InfeasibleError(
+                "the power constraints leave a direction of the right-hand "
+                "side unpenalised; the precoder subproblem is unbounded")
+        mu = t * u
+
+    def advance(mu, step, floor):
+        trial = mu * np.exp(step)
+        trial *= max(1.0, floor / (caps @ trial))
+        return trial, point(trial)
+
+    while not certified(mu, power, value):
+        floor = _SCALE_FLOOR * abs(value)
+        step = _log_newton_step(mu, power - caps, hess, caps, floor)
+        alpha = 1.0
+        while True:
+            trial, new = advance(mu, alpha * step, floor)
+            if new[1] >= value - rounding or certified(trial, *new[:2]):
+                break
+            alpha *= 0.5
+        mu = trial
+        power, value, hess, v, outside, rounding = new
+    # further full steps square the error where Newton converges; each is
+    # kept while it certifies a gap at least ten times smaller
+    while True:
+        floor = _SCALE_FLOOR * abs(value)
+        try:
+            trial, new = advance(mu, _log_newton_step(
+                mu, power - caps, hess, caps, floor), floor)
+        except NumericsError:
+            break
+        if not (certified(trial, *new[:2])
+                and 10.0 * abs(trial @ (new[0] - caps)) < abs(mu @ (power - caps))):
+            break
+        mu = trial
+        power, value, hess, v, outside, rounding = new
+    return mu, v, evals
+
+
 # -- precoder subproblems -----------------------------------------------------
 
 class _PrecoderStep:
@@ -401,19 +584,18 @@ class _SatSubproblem:
         return bool(self._eigen().pinv[0])
 
     # -- general-constraint path ----------------------------------------------
-    def precoders_general(self, mu: np.ndarray,
-                          constraints: PowerConstraintSet) -> np.ndarray:
-        mat = self.coupling_matrix()
-        for mx, A in zip(np.atleast_1d(mu), constraints.weights[self.l]):
-            mat = mat + mx * A
-        K, N, S = self.shape
-        rhs = np.stack([self.rhs_matrix(k) for k in range(K)], axis=0)
-        flat = rhs.transpose(1, 0, 2).reshape(N, K * S)
-        try:
-            sol = np.linalg.solve(mat, flat)
-        except np.linalg.LinAlgError:
-            sol = np.linalg.lstsq(mat, flat, rcond=None)[0]
-        return sol.reshape(N, K, S).transpose(1, 0, 2)
+    def precoders_general(self, constraints: PowerConstraintSet, tol_rel: float,
+                          start=None):
+        """Certified precoders (K, N, S), multipliers and dual evaluations of
+        `dual_newton_multipliers` under satellite l's constraint family."""
+        row = self.rhs_row
+        norms = np.linalg.norm(row, axis=1)
+        mu, v, evals = dual_newton_multipliers(
+            self.factor, self.rhs_dir.T * norms, constraints.weights[self.l],
+            constraints.caps[self.l], tol_rel, start)
+        unit = np.divide(row, norms[:, None], out=np.zeros_like(row),
+                         where=norms[:, None] > 0)
+        return np.einsum("nk,ks->kns", v, unit), mu, evals
 
 
 def precoder_given_mu(mu, combiners: np.ndarray, weights: np.ndarray,
@@ -432,7 +614,8 @@ def precoder_given_mu(mu, combiners: np.ndarray, weights: np.ndarray,
     mu = np.atleast_1d(np.asarray(mu, float))
     if constraints.identity[l] and mu.size == 1:
         return sub.precoders_identity(float(mu[0]))
-    return sub.precoders_general(mu, constraints)
+    M = sub.coupling_matrix() + np.tensordot(mu, constraints.weights[l], 1)
+    return np.einsum("nk,ks->kns", _pinv_solve(M, sub.rhs_dir.T)[1], sub.rhs_row)
 
 
 def link_bases(effective: EffectiveChannel, l: int, num_streams: int) -> list:
@@ -520,8 +703,9 @@ def solve(effective: EffectiveChannel, constraints: PowerConstraintSet,
     closed-form precoders. Satellites with a single total-power cap are
     updated together: one stacked eigendecomposition, a safeguarded Newton
     root of each secular power curve (`secular_multiplier`, certified) and
-    one batched precoder expression. Satellites with general constraint
-    families take their multipliers from the central-cut ellipsoid method.
+    one batched precoder expression. Satellites with any other constraint
+    family take their multipliers from `dual_newton_multipliers` (certified
+    feasible and optimal), warm-started at the previous iteration's.
     A precoder column W[l, k, :, s] that is zero at the start stays exactly
     zero (its combiner column is zero and its MSE block the identity),
     which is how the streamwise mode restricts the design to its sparsity
@@ -569,17 +753,10 @@ def solve(effective: EffectiveChannel, constraints: PowerConstraintSet,
             W[single] = spectrum.precoders(mus)
         for l in np.flatnonzero(live & ~identity):
             sub = _SatSubproblem(effective, U, C, l, S, step=step)
-            tol_abs = params.power_tol_rel * float(constraints.caps[l].max())
-            ell = EllipsoidParams(alpha=params.ellipsoid_alpha, tol=tol_abs,
-                                  max_iters=params.ellipsoid_max_iters,
-                                  max_doublings=params.max_doublings)
-            oracle = lambda mu: power_residuals(
-                sub.precoders_general(mu, constraints), constraints, l)
-            mu = solve_multipliers(
-                lambda m: sub.precoders_general(m, constraints), oracle,
-                constraints.num_constraints(l), ell)
-            W[l] = sub.precoders_general(mu, constraints)
-            iter_mus[l] = mu
+            # warm start at the previous iteration's multipliers
+            W[l], iter_mus[l], _ = sub.precoders_general(
+                constraints, params.power_tol_rel,
+                start=trace.multipliers[-1][l] if trace.multipliers else None)
 
         # the grams at the new precoders serve this iteration's objective
         # and the next iteration's combiners

@@ -2,7 +2,10 @@
 
 Each satellite carries a list of (weight matrix A, cap rho) pairs bounding
 sum_k Tr(W^H A W) <= rho over its precoders. Per-satellite-total and
-per-antenna limits are the two standard special cases.
+per-antenna limits are the two standard special cases. The solver finds the
+multiplier of a single total-power cap (A = I) as the root of a secular
+curve and those of every other family by a certified Newton search on the
+dual (`joint_wmmse.dual_newton_multipliers`).
 """
 
 from __future__ import annotations
@@ -20,9 +23,10 @@ PSD_TOL = 1e-10  # relative floor on the smallest eigenvalue of a weight matrix
 class PowerConstraintSet:
     """Immutable family of convex power constraints.
 
-    weights[l][x] is a Hermitian PSD (N, N) matrix, caps[l][x] the positive
-    cap in watts. identity[l] is True when satellite l has the single
-    constraint A = I (enables the closed-form multiplier search).
+    weights[l] is the (X_l, N, N) stack of satellite l's Hermitian PSD
+    weight matrices, caps[l][x] the positive cap in watts. identity[l] is
+    True when satellite l has the single constraint A = I (enables the
+    closed-form multiplier search).
     """
 
     weights: tuple
@@ -53,6 +57,9 @@ def make_constraint_set(per_sat_pairs) -> PowerConstraintSet:
             A = np.asarray(A, complex)
             if A.ndim != 2 or A.shape[0] != A.shape[1]:
                 raise ValidationError(f"satellite {l} constraint {x}: A must be square")
+            if mats and A.shape != mats[0].shape:
+                raise ValidationError(
+                    f"satellite {l} constraint {x}: A must match the size of constraint 0")
             # the identity is Hermitian PSD: skipping its N x N eigensolve
             # keeps per_sat_total cheap enough to build for every solve
             if not np.array_equal(A, np.eye(A.shape[0])):
@@ -69,7 +76,7 @@ def make_constraint_set(per_sat_pairs) -> PowerConstraintSet:
                 raise ValidationError(f"satellite {l} constraint {x}: rho must be positive")
             mats.append(A)
             rhos.append(float(rho))
-        weights.append(tuple(mats))
+        weights.append(np.stack(mats))
         caps.append(np.asarray(rhos))
         n = mats[0].shape[0]
         ident.append(len(mats) == 1 and np.array_equal(mats[0], np.eye(n)))
@@ -109,16 +116,16 @@ def residuals(precoders_for_sat: np.ndarray, constraints: PowerConstraintSet,
     precoders_for_sat: (K, N, S) precoders of satellite l.
     """
     W = np.asarray(precoders_for_sat)
-    n = constraints.weights[l][0].shape[0]
+    A = constraints.weights[l]
+    n = A.shape[1]
     if W.ndim != 3 or W.shape[1] != n:
         raise ValidationError(
             f"satellite {l}: precoders must have shape (K, {n}, S), got {W.shape}")
     if constraints.identity[l]:
         return np.array([np.vdot(W, W).real]) - constraints.caps[l]
-    g = np.empty(constraints.num_constraints(l))
-    for x, (A, rho) in enumerate(zip(constraints.weights[l], constraints.caps[l])):
-        g[x] = sum(np.trace(Wk.conj().T @ A @ Wk).real for Wk in W) - rho
-    return g
+    cols = W.transpose(1, 0, 2).reshape(n, -1)            # (N, K*S)
+    weighted = (A.reshape(-1, n) @ cols).reshape(len(A), n, -1)
+    return np.einsum("nj,xnj->x", cols.conj(), weighted).real - constraints.caps[l]
 
 
 def max_violation(precoders: np.ndarray, constraints: PowerConstraintSet) -> float:

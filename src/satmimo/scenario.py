@@ -55,9 +55,7 @@ class ScenarioConfig:
     rng_seed: int = 0
     max_iters: int = 40
     tol: float = 1e-4
-    ellipsoid_alpha: float = 2.0
-    ellipsoid_tol_rel: float = 1e-5
-    ellipsoid_max_iters: int = 300
+    ellipsoid_tol_rel: float = 1e-5          # feasibility tolerance / cap
     custom_constraints: tuple | None = None  # per satellite: tuple of (A, rho) pairs
     association_seeds: int = 10
 
@@ -77,9 +75,7 @@ class ScenarioConfig:
         _check(self.association_seeds >= 1, "association_seeds", "must be >= 1")
         _check(self.max_iters >= 1, "max_iters", "must be >= 1")
         _check(self.tol > 0, "tol", "must be positive")
-        _check(self.ellipsoid_alpha > 1, "ellipsoid_alpha", "must be > 1")
         _check(self.ellipsoid_tol_rel > 0, "ellipsoid_tol_rel", "must be positive")
-        _check(self.ellipsoid_max_iters >= 1, "ellipsoid_max_iters", "must be >= 1")
         _check(len(self.power_cap_dbw_grid) >= 1, "power_cap_dbw_grid",
                "must contain at least one point")
         _check(self.constraint_kind in ("per-sat-total", "per-antenna", "custom"),
@@ -149,13 +145,16 @@ _FIELD_TYPES = {f.name: f for f in dataclasses.fields(ScenarioConfig)}
 _TUPLE_KEYS = {"power_cap_dbw_grid", "ue_sin_theta", "sat_sin_phi",
                "elevation_deg", "custom_constraints"}
 _INT_KEYS = {"L", "K", "N", "M", "S", "mc_trials", "rng_seed", "max_iters",
-             "ellipsoid_max_iters", "association_seeds"}
+             "association_seeds"}
+# keys of the retired ellipsoid multiplier search: accepted and ignored
+_RETIRED_KEYS = {"ellipsoid_alpha", "ellipsoid_max_iters"}
 
 
 def load_scenario(config_text: str) -> ScenarioConfig:
     """Parse JSON configuration text into a validated ScenarioConfig.
 
-    Absent keys take the reference-scenario defaults. Raises ConfigError for
+    Absent keys take the reference-scenario defaults; the retired keys
+    ellipsoid_alpha and ellipsoid_max_iters are ignored. Raises ConfigError for
     syntax/typing problems (naming the offending key) and ValidationError
     when an invariant is violated.
     """
@@ -168,6 +167,8 @@ def load_scenario(config_text: str) -> ScenarioConfig:
 
     kwargs = {}
     for key, value in raw.items():
+        if key in _RETIRED_KEYS:
+            continue
         if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key: {key!r}")
         if key in _TUPLE_KEYS:

@@ -6,13 +6,14 @@ of each right singular vector give participation factors that say how much
 of each transmit eigenmode lives on each satellite. Streams ride the
 strongest eigenmodes and are matched one-to-one to satellites by
 maximum-weight bipartite matching on those factors. Precoding then runs the
-joint weighted-MSE block-coordinate descent (`joint_wmmse.solve`) under
-per-satellite total power caps, started from the streamwise
-initialization, which is built in joint form. That start is the support
-mask: a precoder column that is zero makes its combiner column zero and its
-MSE block the identity, so the closed-form precoder update keeps every
-entry off the assigned sparsity pattern exactly zero. `solve_streamwise`
-checks that it did.
+joint weighted-MSE block-coordinate descent (`joint_wmmse.solve`) under the
+given power-constraint set (any family the joint mode accepts), started
+from the streamwise initialization, which is built in joint form. That
+start is the support mask: a precoder column that is zero makes its
+combiner column zero and its MSE block the identity, so the closed-form
+precoder update keeps every entry off the assigned sparsity pattern exactly
+zero. `solve_streamwise` checks that it did and returns the precoders in
+joint form.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .assignment import max_weight_assignment
 from .channel import EffectiveChannel, aggregate_all
 from .errors import InfeasibleError, NumericsError, ValidationError
 from .joint_wmmse import SolverParams
-from .power import per_sat_total
+from .power import PowerConstraintSet
 from . import joint_wmmse
 
 
@@ -65,15 +66,6 @@ class StreamAssignment:
         if eta is None:
             eta = np.zeros((num_sats, K, 0))
         return cls(pi=pi, sat_streams=tuple(tuple(t) for t in sets), eta=eta)
-
-
-@dataclass(frozen=True)
-class StreamwisePrecoderSet:
-    """Per-stream precoding vectors w (L, K, S, N); rows are zero unless
-    satellite l is assigned stream (k, s)."""
-
-    w: np.ndarray
-    assignment: StreamAssignment
 
 
 def participation_factors(aggregated: np.ndarray, num_sats: int):
@@ -138,9 +130,9 @@ def associate(eta: np.ndarray, num_streams: int,
     return StreamAssignment.from_pi(pi, L, eta)
 
 
-def init_streamwise(effective: EffectiveChannel, rho: np.ndarray,
-                    assignment: StreamAssignment,
-                    eig: EigenStructure) -> np.ndarray:
+def init_streamwise(effective: EffectiveChannel, constraints: PowerConstraintSet,
+                    assignment: StreamAssignment, eig: EigenStructure,
+                    aggregated: np.ndarray) -> np.ndarray:
     """Per-stream initialization in joint form (L, K, N, S): column s of
     W[l, k] is the regularized-MMSE response to user k's s-th aggregated
     eigen-direction when pi_k(s) = l, else zero.
@@ -148,19 +140,22 @@ def init_streamwise(effective: EffectiveChannel, rho: np.ndarray,
     Each satellite's assigned streams are `joint_wmmse.share_rule_blocks`
     of one column each, so the sqrt(beta) share counts assigned (user,
     stream) pairs with multiplicity and every satellite that carries a
-    stream spends exactly its cap. eig is the eigenstructure of the
-    aggregated channels (from `participation_factors`).
+    stream spends exactly its smallest cap min_x rho_{l,x}, as
+    `joint_wmmse.init_precoders` does. aggregated (K, M, L*N) and eig are
+    the aggregated channels and their eigenstructure (from
+    `participation_factors`).
     """
     L, K, M, N = effective.shape
     S = assignment.pi.shape[1]
-    agg = aggregate_all(effective)
     W = np.zeros((L, K, N, S), complex)
     for l, streams in enumerate(assignment.sat_streams):
         if not streams:
             continue
-        blocks = [(k, _left_vector(agg, eig, k, s)[:, None]) for k, s in streams]
-        cols = joint_wmmse.share_rule_blocks(effective, l, rho[l], blocks,
-                                             effective.noise_power_w)
+        blocks = [(k, _left_vector(aggregated, eig, k, s)[:, None])
+                  for k, s in streams]
+        cols = joint_wmmse.share_rule_blocks(
+            effective, l, float(constraints.caps[l].min()), blocks,
+            effective.noise_power_w)
         for (k, s), col in zip(streams, cols):
             W[l, k, :, s] = col[:, 0]
     return W
@@ -174,59 +169,42 @@ def _left_vector(agg, eig, k, s):
     return agg[k] @ eig.right_vectors[k][:, s] / sigma
 
 
-def solve_streamwise(effective: EffectiveChannel, rho,
+def solve_streamwise(effective: EffectiveChannel, constraints: PowerConstraintSet,
                      params: SolverParams | None = None,
                      num_streams: int | None = None,
                      assignment: StreamAssignment | None = None,
                      preselect: int | None = None):
-    """Streamwise association plus precoder design under per-satellite caps.
+    """Streamwise association plus precoder design under a constraint set.
 
-    rho: per-satellite total power caps (watts). When no assignment is
-    given, streams are matched to satellites by participation factors
-    (optionally after preselecting the `preselect` best-scoring satellites
-    per user). The precoders come from `joint_wmmse.solve` started at the
-    joint-form streamwise initialization, which keeps them on the
-    assignment's support. Returns (StreamwisePrecoderSet, StreamAssignment,
-    SolveTrace); raises NumericsError if a precoder entry off the support is
-    not zero.
+    When no assignment is given, streams are matched to satellites by
+    participation factors (optionally after preselecting the `preselect`
+    best-scoring satellites per user). The precoders come from
+    `joint_wmmse.solve` under `constraints`, started at the joint-form
+    streamwise initialization, which keeps them on the assignment's
+    support. Returns (W, StreamAssignment, SolveTrace) with W the joint-form
+    precoders (L, K, N, S); raises NumericsError if an entry off the
+    support is not zero.
     """
     L, K, M, N = effective.shape
-    rho = np.broadcast_to(np.asarray(rho, float), (L,)).copy()
     S = num_streams if num_streams is not None else min(M, L)
     if assignment is not None and assignment.pi.shape != (K, S):
         raise ValidationError(
             f"assignment shape {assignment.pi.shape} does not match (K, S)=({K}, {S})")
 
-    eta, eig = participation_factors(aggregate_all(effective), L)
+    aggregated = aggregate_all(effective)
+    eta, eig = participation_factors(aggregated, L)
     if assignment is None:
         sets = None
         if preselect is not None:
             sets = select_serving_sats(eta, eig.singular_values, preselect)
         assignment = associate(eta, S, serving_sets=sets)
 
-    start = init_streamwise(effective, rho, assignment, eig)
-    W, trace = joint_wmmse.solve(effective, per_sat_total(rho, N), params,
+    start = init_streamwise(effective, constraints, assignment, eig, aggregated)
+    W, trace = joint_wmmse.solve(effective, constraints, params,
                                  initial=start, num_streams=S)
-    w = W.transpose(0, 1, 3, 2).copy()          # (L, K, S, N)
     off_support = np.ones((L, K, S), bool)
     for k in range(K):
         off_support[assignment.pi[k], k, np.arange(S)] = False
-    if np.any(w[off_support]):
+    if np.any(W.transpose(0, 1, 3, 2)[off_support]):
         raise NumericsError("streamwise precoders left their assigned satellites")
-    return StreamwisePrecoderSet(w=w, assignment=assignment), assignment, trace
-
-
-def to_joint_form(streamwise_set: StreamwisePrecoderSet,
-                  assignment: StreamAssignment | None = None) -> np.ndarray:
-    """Embed a streamwise solution as joint-form precoders (L, K, N, S):
-    column s of W[l, k] is w_{l,k,s} when pi_k(s) = l, else zero."""
-    if assignment is None:
-        assignment = streamwise_set.assignment
-    w = streamwise_set.w
-    L, K, S, N = w.shape
-    out = np.zeros((L, K, N, S), complex)
-    for k in range(K):
-        for s in range(S):
-            l = assignment.pi[k, s]
-            out[l, k, :, s] = w[l, k, s]
-    return out
+    return W, assignment, trace

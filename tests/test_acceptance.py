@@ -13,15 +13,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from satmimo import (EllipsoidParams, ScenarioConfig, approx_se,
-                     brute_force_assignment, effective_channels, exact_se_mc,
+from satmimo import (ScenarioConfig, approx_se, brute_force_assignment,
+                     effective_channels, exact_se_mc, make_constraint_set,
                      max_weight_assignment, mc_rng, mmse_baseline, per_sat_total,
                      random_association, sample_geometry, slant_range,
-                     solve_multipliers, solve_streamwise, tdma_mrt_baseline,
-                     to_joint_form, ula_response, zf_baseline)
+                     solve_streamwise, tdma_mrt_baseline, ula_response,
+                     zf_baseline)
 from satmimo import joint_wmmse, streamwise
 from satmimo.assignment import assignment_value
-from satmimo.ellipsoid import bisect_multiplier
 from satmimo.joint_wmmse import SolverParams, init_precoders
 from tests.conftest import crandn, synthetic_effective
 
@@ -47,7 +46,7 @@ def _solve_joint(cfg, eff, rho_w, num_streams=None):
 
 def _solve_sw(cfg, eff, rho_w, num_streams=None, assignment=None):
     params = SolverParams.from_config(cfg)
-    return solve_streamwise(eff, np.full(cfg.L, rho_w), params,
+    return solve_streamwise(eff, per_sat_total(np.full(cfg.L, rho_w), cfg.N), params,
                             num_streams=num_streams or cfg.S,
                             assignment=assignment)
 
@@ -107,7 +106,7 @@ class TestCriterion2OrthogonalParity:
             Wj, _ = _solve_joint(cfg, eff, rho, num_streams=4)
             sw, _, _ = _solve_sw(cfg, eff, rho, num_streams=4)
             se_j = approx_se(Wj, eff, noise).sum_se
-            se_s = approx_se(to_joint_form(sw), eff, noise).sum_se
+            se_s = approx_se(sw, eff, noise).sum_se
             ratios.append(se_s / se_j)
         ok = all(r >= 0.95 for r in ratios)
         _report(2, ok, f"streamwise/joint approx-SE ratios "
@@ -125,7 +124,7 @@ class TestCriterion3NonOrthogonalGap:
             Wj, _ = _solve_joint(cfg, eff, rho)
             sw, _, _ = _solve_sw(cfg, eff, rho)
             gaps.append(approx_se(Wj, eff, noise).sum_se
-                        - approx_se(to_joint_form(sw), eff, noise).sum_se)
+                        - approx_se(sw, eff, noise).sum_se)
         dominates = all(g >= 0 for g in gaps)
         top = gaps[len(gaps) // 2:]
         growing = all(b >= a - 1e-9 for a, b in zip(top, top[1:]))
@@ -151,7 +150,7 @@ class TestCriterion4StreamCount:
             joint_se[S] = exact_se_mc(Wj, links, eff, noise, trials,
                                       mc_rng(seed, 0)).sum_se
             sw, _, _ = _solve_sw(cfg, eff, rho, num_streams=S)
-            sw_se[S] = exact_se_mc(to_joint_form(sw), links, eff, noise, trials,
+            sw_se[S] = exact_se_mc(sw, links, eff, noise, trials,
                                    mc_rng(seed, 0)).sum_se
         multiplex_gain = joint_se[2] > joint_se[1]
         sw_monotone = sw_se[1] <= sw_se[2] <= sw_se[3]
@@ -252,8 +251,8 @@ class TestCriterion7AssociationGain:
                     rho = 10 ** (dbw / 10)
                     swp, _, _ = _solve_sw(cfg0, eff, rho)
                     swr, _, _ = _solve_sw(cfg0, eff, rho, assignment=rand)
-                    mean_p[p] += approx_se(to_joint_form(swp), eff, noise).sum_se / seeds
-                    mean_r[p] += approx_se(to_joint_form(swr), eff, noise).sum_se / seeds
+                    mean_p[p] += approx_se(swp, eff, noise).sum_se / seeds
+                    mean_r[p] += approx_se(swr, eff, noise).sum_se / seeds
             gaps[N] = mean_p - mean_r
         dominance = all(np.all(g >= 0) for g in gaps.values())
         growing = all(np.all(np.diff(g) >= -1e-9) for g in gaps.values())
@@ -315,10 +314,11 @@ class TestCriterion8SolverProperties:
         _report(8, ok, f"(c) rate identity worst relative error {worst:.2e} <= 1e-8")
         assert worst <= 1e-8
 
-    def test_ellipsoid_matches_bisection_scalar(self):
-        # the ellipsoid's one-dimensional case is the scalar bisection; its
-        # multiplier is certified as the root of the power curve: p(mu) = rho
-        # to 1e-10 relative, and p(mu (1 - 1e-9)) > rho
+    def test_general_search_matches_secular(self):
+        # the general search on the single cap Tr(W^H (2I) W) <= 2 rho
+        # returns half the secular multiplier of ||W||^2 <= rho, and that is
+        # certified as the root of the power curve: p(mu) = rho to 1e-10
+        # relative, and p(mu (1 - 1e-9)) > rho
         rng = np.random.default_rng(55)
         checked = 0
         worst = 0.0
@@ -332,20 +332,20 @@ class TestCriterion8SolverProperties:
             rho = float(caps[0])
             if sub.power_identity(0.0) <= rho:
                 continue
-            mu_e = solve_multipliers(
-                lambda m: sub.precoders_identity(float(m[0])),
-                lambda m: np.array([sub.power_identity(float(m[0])) - rho]),
-                1, EllipsoidParams(tol=1e-10 * rho))
-            mu_b = bisect_multiplier(lambda m: sub.power_identity(m) - rho,
-                                     1e-10 * rho)
-            worst = max(worst, abs(mu_e[0] - mu_b) / mu_b,
-                        abs(sub.power_identity(mu_b) - rho) / rho)
-            certified &= sub.power_identity(mu_b * (1 - 1e-9)) > rho
+            N = eff.shape[3]
+            doubled = make_constraint_set([[(2.0 * np.eye(N), 2.0 * rho)]])
+            _, mu_g, _ = sub.precoders_general(doubled, 1e-10)
+            mu_s, _ = joint_wmmse.secular_multiplier(sub._eigen().curves[0], rho)
+            mu = 2.0 * mu_g[0]
+            worst = max(worst, abs(mu - mu_s) / mu_s,
+                        abs(sub.power_identity(mu) - rho) / rho)
+            certified &= sub.power_identity(mu * (1 - 1e-9)) > rho
             checked += 1
         ok = worst <= 1e-10 and certified
-        _report(8, ok, f"(d) ellipsoid scalar path = bisection, root certificate "
-                f"worst relative gap {worst:.2e} <= 1e-10, minimal: {certified}, "
-                f"on {checked} instances")
+        _report(8, ok, f"(d) general search on A = 2I, cap 2 rho = secular "
+                f"multiplier / 2, root certificate worst relative gap "
+                f"{worst:.2e} <= 1e-10, minimal: {certified}, on {checked} "
+                f"instances")
         assert worst <= 1e-10
         assert certified
 
@@ -395,11 +395,10 @@ class TestCriterion9OracleEquivalences:
         rng = np.random.default_rng(32)
         eff = synthetic_effective(rng, L=2, K=2, M=3, N=4)
         assoc = streamwise.StreamAssignment.from_pi(np.array([[0, 1], [1, 0]]), 2)
-        w0 = np.zeros((2, 2, 2, 4), complex)
+        W0 = np.zeros((2, 2, 4, 2), complex)
         for k in range(2):
             for s in range(2):
-                w0[assoc.pi[k, s], k, s] = crandn(rng, 4) * 0.4
-        W0 = to_joint_form(streamwise.StreamwisePrecoderSet(w=w0, assignment=assoc))
+                W0[assoc.pi[k, s], k, :, s] = crandn(rng, 4) * 0.4
         U = joint_wmmse.update_combiners(W0, eff, eff.noise_power_w)
         C = joint_wmmse.update_weights(joint_wmmse.mse_at_optimum(U, W0, eff))
         mu = 0.4

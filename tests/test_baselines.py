@@ -3,7 +3,7 @@ import pytest
 
 from satmimo import (InfeasibleError, approx_se, mmse_baseline, per_sat_total,
                      random_association, solve_streamwise, tdma_mrt_baseline,
-                     to_joint_form, zf_baseline)
+                     zf_baseline)
 from satmimo.joint_wmmse import init_precoders, solve
 from satmimo.power import max_violation
 from tests.conftest import (dense_exact_se, synthetic_effective,
@@ -215,14 +215,14 @@ class TestRandomAssociation:
         for seed in range(seeds):
             geo = sample_geometry(cfg, np.random.default_rng(seed))
             eff = effective_channels(geo, cfg)
-            rho = np.full(8, 100.0)
+            caps = per_sat_total(np.full(8, 100.0), cfg.N)
             assoc = random_association(
                 np.random.default_rng(np.random.SeedSequence([seed, 1])),
                 cfg.S, cfg.L, cfg.K)
-            sw_p, _, _ = solve_streamwise(eff, rho, num_streams=cfg.S)
-            sw_r, _, _ = solve_streamwise(eff, rho, num_streams=cfg.S,
+            sw_p, _, _ = solve_streamwise(eff, caps, num_streams=cfg.S)
+            sw_r, _, _ = solve_streamwise(eff, caps, num_streams=cfg.S,
                                           assignment=assoc)
             noise = geo.noise_power_w
-            wins += (approx_se(to_joint_form(sw_p), eff, noise).sum_se
-                     - approx_se(to_joint_form(sw_r), eff, noise).sum_se)
+            wins += (approx_se(sw_p, eff, noise).sum_se
+                     - approx_se(sw_r, eff, noise).sum_se)
         assert wins / seeds > 0

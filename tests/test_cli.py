@@ -92,10 +92,10 @@ class TestRun:
         from satmimo import NumericsError, cli, streamwise
         solve = streamwise.solve_streamwise
 
-        def flaky(effective, rho, *args, **kwargs):
-            if rho[0] > 5.0:
+        def flaky(effective, constraints, *args, **kwargs):
+            if constraints.caps[0][0] > 5.0:
                 raise NumericsError("MSE matrix of user 0 is not positive definite")
-            return solve(effective, rho, *args, **kwargs)
+            return solve(effective, constraints, *args, **kwargs)
 
         monkeypatch.setattr(cli.streamwise, "solve_streamwise", flaky)
         out = str(tmp_path / "flaky.csv")
@@ -205,10 +205,10 @@ class TestRun:
         from satmimo import NumericsError, cli, streamwise
         solve = streamwise.solve_streamwise
 
-        def flaky(effective, rho, *args, **kwargs):
-            if rho[0] > 5.0:
+        def flaky(effective, constraints, *args, **kwargs):
+            if constraints.caps[0][0] > 5.0:
                 raise NumericsError("forced failure")
-            return solve(effective, rho, *args, **kwargs)
+            return solve(effective, constraints, *args, **kwargs)
 
         monkeypatch.setattr(cli.streamwise, "solve_streamwise", flaky)
         out = str(tmp_path / "one.csv")
@@ -269,20 +269,25 @@ class TestRun:
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_every_preset_runs(self, preset, tiny_config, tmp_path):
-        out = str(tmp_path / "res.csv")
-        assert main(["run", "--preset", preset, "--config", tiny_config,
-                     "--out", out, "--quiet", "--trials", "20"]) == 0
-        rows = read_rows(out)
-        assert rows
-        for r in rows:
-            assert not r["per_user_se"].startswith("error="), r
-            assert np.isfinite(float(r["sum_se"]))
+        # under the default per-satellite totals and under per-antenna caps,
+        # which take the general multiplier search in every solving mode
+        per_antenna = tmp_path / "per-antenna.json"
+        per_antenna.write_text(json.dumps(dict(TINY, constraint_kind="per-antenna")))
+        for config in (tiny_config, str(per_antenna)):
+            out = str(tmp_path / "res.csv")
+            assert main(["run", "--preset", preset, "--config", config,
+                         "--out", out, "--quiet", "--trials", "20"]) == 0
+            rows = read_rows(out)
+            assert rows
+            for r in rows:
+                assert not r["per_user_se"].startswith("error="), r
+                assert np.isfinite(float(r["sum_se"]))
 
 
 class TestCustomConstraints:
     def test_config_roundtrip_and_solve(self, tmp_path):
-        # dense Hermitian weight matrices from the config drive the ellipsoid
-        # path end to end
+        # dense Hermitian weight matrices from the config drive the general
+        # multiplier search end to end
         config = dict(TINY, N=3, constraint_kind="custom", custom_constraints=[
             [{"A": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]], "rho": 0.6},
              {"A": {"re": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 2.0]],

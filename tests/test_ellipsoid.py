@@ -1,12 +1,19 @@
+"""The general-constraint multiplier search, `joint_wmmse.dual_newton_multipliers`
+(Newton on the concave dual of one satellite's precoder subproblem), against
+offline oracles. The file keeps the name of the central-cut ellipsoid search
+that the Newton search replaced, so that the ids of the carried-over tests
+stay stable."""
+
 import numpy as np
 import pytest
 
-from satmimo import (EllipsoidParams, InfeasibleError, NumericsError,
-                     solve_multipliers)
-from satmimo.ellipsoid import bisect_multiplier
-from satmimo import joint_wmmse, per_antenna, per_sat_total
+from satmimo import (InfeasibleError, NumericsError, ScenarioConfig,
+                     effective_channels, joint_wmmse, per_antenna,
+                     sample_geometry)
+from satmimo.joint_wmmse import dual_newton_multipliers, precoder_given_mu
 from satmimo.power import make_constraint_set, residuals
-from tests.conftest import crandn, synthetic_effective
+from tests.conftest import (bisect_multiplier, crandn, lbfgs_dual_optimum,
+                            synthetic_effective)
 
 
 def _subproblem(rng, L=1, K=2, M=2, N=4, S=2, noise=0.5, scale=0.3):
@@ -14,65 +21,101 @@ def _subproblem(rng, L=1, K=2, M=2, N=4, S=2, noise=0.5, scale=0.3):
     W0 = crandn(rng, L, K, N, S) * scale
     U = joint_wmmse.update_combiners(W0, eff, noise)
     C = joint_wmmse.update_weights(joint_wmmse.mse_at_optimum(U, W0, eff))
-    return joint_wmmse._SatSubproblem(eff, U, C, 0, S)
+    sub = joint_wmmse._SatSubproblem(eff, U, C, 0, S)
+    sub.inputs = (U, C, eff)       # for precoder_given_mu
+    return sub
 
 
-def _bisect_oracle(residual_fn, hi=None):
-    """Independent scalar bisection, written directly against the residual."""
-    if residual_fn(0.0) <= 0:
-        return 0.0
-    hi = hi if hi is not None else 1.0
-    while residual_fn(hi) > 0:
-        hi *= 2.0
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if residual_fn(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+def _scenario_subproblem(N, dbw, seed, l):
+    """Satellite l's first per-antenna subproblem of the reference drop:
+    caps rho/N, receivers at the solver's default start."""
+    cfg = ScenarioConfig(N=N, rng_seed=seed)
+    eff = effective_channels(sample_geometry(cfg, np.random.default_rng(seed)), cfg)
+    cons = per_antenna(np.full((cfg.L, N), 10 ** (dbw / 10) / N))
+    W0 = joint_wmmse.init_precoders(eff, cons, cfg.S, stream_basis="aggregated")
+    state = joint_wmmse.wmmse_state(W0, eff, eff.noise_power_w)
+    sub = joint_wmmse._SatSubproblem(eff, state.combiners, state.weights, l, cfg.S)
+    return sub, cons
+
+
+def _certify(sub, cons, W, mu, tol_rel):
+    """Every residual <= tol_rel * cap and |mu^T r| <= 1e-6 |g|, with g the
+    Lagrangian at its minimiser W; returns the objective at W."""
+    caps = cons.caps[sub.l]
+    r = residuals(W, cons, sub.l)
+    val = sub.objective(W)
+    assert np.all(r <= tol_rel * caps)
+    assert np.all(mu >= 0)
+    assert abs(mu @ r) <= 1e-6 * abs(val + mu @ r)
+    return val
 
 
 class TestEarlyExit:
     def test_feasible_at_zero_returns_zero(self):
-        params = EllipsoidParams(tol=1e-8)
-        mu = solve_multipliers(lambda m: None, lambda m: np.array([-1.0, -2.0]),
-                               2, params)
-        np.testing.assert_array_equal(mu, [0.0, 0.0])
+        sub = _subproblem(np.random.default_rng(4))
+        cons = per_antenna([np.full(4, 1e6)])
+        W, mu, evals = sub.precoders_general(cons, 1e-8)
+        np.testing.assert_array_equal(mu, np.zeros(4))
+        assert evals == 1
+        # the pseudoinverse solution of the unconstrained subproblem
+        np.testing.assert_allclose(
+            W, precoder_given_mu(np.zeros(4), *sub.inputs, 0, cons), atol=1e-12)
 
 
 class TestScalarAgainstOracle:
-    def test_matches_bisection_oracle(self, rng):
+    def test_matches_bisection_oracle(self):
+        # a single weighted cap Tr(W^H A W) <= rho goes through the general
+        # search; its multiplier is the root of the power curve. The cap is
+        # set below the power the curve tends to as mu -> 0+, so that the
+        # root is positive and unique
         for trial in range(10):
-            sub = _subproblem(np.random.default_rng(trial), N=5)
-            rho = 0.5
-            residual = lambda m: sub.power_identity(m) - rho
-            if residual(0.0) <= 0:
-                continue
-            params = EllipsoidParams(tol=1e-10 * rho)
-            mu = solve_multipliers(
-                lambda m: sub.precoders_identity(float(m[0])),
-                lambda m: np.array([residual(float(m[0]))]), 1, params)
-            oracle = _bisect_oracle(residual)
-            assert mu[0] == pytest.approx(oracle, rel=1e-4)
+            rng = np.random.default_rng(trial)
+            sub = _subproblem(rng, N=5)
+            G = crandn(rng, 5, 5)
+            A = G @ G.conj().T / 5 + 0.1 * np.eye(5)
+
+            def power(m):
+                unit = make_constraint_set([[(A, 1.0)]])
+                return residuals(precoder_given_mu([m], *sub.inputs, 0, unit),
+                                 unit, 0)[0] + 1.0
+
+            rho = 0.3 * power(1e-9)
+            cons = make_constraint_set([[(A, rho)]])
+            W, mu, _ = sub.precoders_general(cons, 1e-10)
+            _certify(sub, cons, W, mu, 1e-10)
+            oracle = bisect_multiplier(lambda m: power(m) - rho, 1e-10 * rho)
+            assert mu[0] == pytest.approx(oracle, rel=1e-6)
 
     @pytest.mark.parametrize("oracle", ["drifting", "nan-below-one"])
-    def test_residual_above_tolerance_raises(self, oracle):
-        # an oracle that does not reproduce its own values (the curve rises
-        # on every call) or turns NaN below the bracket leaves the returned
-        # multiplier above the tolerance; the search must say so, also
-        # under python -O
+    def test_residual_above_tolerance_raises(self, oracle, monkeypatch):
+        # a dual evaluation that does not reproduce its own values (the
+        # powers rise on every call) or turns NaN below mu = 1 leaves the
+        # search without a certificate; it must say so, also under python -O
+        sub = _subproblem(np.random.default_rng(5))
+        cons = per_antenna([np.full(4, 1e-3)])
+        evaluate = joint_wmmse._dual_point
         calls = []
 
-        def residual(mu):
+        def broken(factor, rhs, weights, caps, mu):
+            power, *rest = evaluate(factor, rhs, weights, caps, mu)
             calls.append(mu)
             if oracle == "drifting":
-                return 1.0 / (1.0 + mu) - 0.25 + 1e-3 * len(calls)
-            return 1.0 / (1.0 + mu) - 0.75 if mu >= 1.0 else np.nan
+                return (power + 1e-3 * len(calls) * caps, *rest)
+            return (power if np.all(mu >= 1.0) else np.full_like(power, np.nan),
+                    *rest)
 
+        monkeypatch.setattr(joint_wmmse, "_dual_point", broken)
         with pytest.raises(NumericsError):
-            bisect_multiplier(residual, 1e-8)
+            sub.precoders_general(cons, 1e-5)
+
+    def test_nan_subproblem_raises(self):
+        sub = _subproblem(np.random.default_rng(5))
+        cons = per_antenna([np.full(4, 1e-3)])
+        factor = sub.factor.copy()
+        factor[0, 0] = np.nan
+        with pytest.raises(NumericsError):
+            dual_newton_multipliers(factor, sub.rhs_dir.T, cons.weights[0],
+                                    cons.caps[0], 1e-5)
 
     def test_residual_monotone_in_multiplier(self, rng):
         sub = _subproblem(rng)
@@ -82,55 +125,46 @@ class TestScalarAgainstOracle:
 
 
 class TestGeneralConstraints:
-    def test_per_antenna_matches_convex_oracle(self):
-        cp = pytest.importorskip("cvxpy")
-        rng = np.random.default_rng(7)
-        N, S, K = 4, 2, 2
-        sub = _subproblem(rng, N=N, S=S, K=K)
-        caps = rng.uniform(0.3, 1.0, N)
-        cons = per_antenna([caps])
-        params = EllipsoidParams(tol=1e-7 * caps.max(), max_iters=3000)
-        mu = solve_multipliers(
-            lambda m: sub.precoders_general(m, cons),
-            lambda m: residuals(sub.precoders_general(m, cons), cons, 0),
-            N, params)
-        W = sub.precoders_general(mu, cons)
-        g = residuals(W, cons, 0)
-        assert g.max() <= params.tol
+    @pytest.mark.parametrize("N", [4, 16, 64])
+    @pytest.mark.parametrize("dbw", [20.0, 30.0])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_per_antenna_matches_lbfgs_dual_oracle(self, N, dbw, seed):
+        # offline oracle: L-BFGS-B on the concave dual; by strong duality the
+        # certified precoders' objective equals its optimum
+        for l in (0, 1):
+            sub, cons = _scenario_subproblem(N, dbw, seed, l)
+            W, mu, _ = sub.precoders_general(cons, 1e-5)
+            val = _certify(sub, cons, W, mu, 1e-5)
+            best = lbfgs_dual_optimum(sub, cons.weights[l], cons.caps[l])
+            assert val == pytest.approx(best, abs=1e-6 * (1 + abs(best)))
 
-        T = sub.coupling_matrix()
-        lam, V = np.linalg.eigh(T)
-        sqrtT = V @ np.diag(np.sqrt(np.clip(lam, 0, None))) @ V.conj().T
-        Ws = [cp.Variable((N, S), complex=True) for _ in range(K)]
-        obj = 0
-        for k in range(K):
-            B = sub.rhs_matrix(k)
-            obj += cp.sum_squares(sqrtT @ Ws[k]) - 2 * cp.real(
-                cp.trace(B.conj().T @ Ws[k]))
-        constraints = [sum(cp.sum_squares(Ws[k][n, :]) for k in range(K)) <= caps[n]
-                       for n in range(N)]
-        prob = cp.Problem(cp.Minimize(obj), constraints)
-        prob.solve()
-        assert sub.objective(W) == pytest.approx(prob.value, abs=1e-3 * (1 + abs(prob.value)))
+    def test_near_rank_one_matches_oracle(self):
+        # one user's coupling is 1e-10 of the other's: T is rank one to
+        # within 1e-10 and the multipliers are tiny
+        sub, cons = _scenario_subproblem(16, 30.0, 5, 1)
+        weak = np.argmin(np.linalg.norm(sub.factor, axis=0))
+        sub.factor = sub.factor.copy()
+        sub.factor[:, weak] *= 1e-5
+        lam = np.linalg.eigvalsh(sub.factor.conj().T @ sub.factor)
+        assert lam[0] <= 1e-10 * lam[-1]
+        W, mu, _ = sub.precoders_general(cons, 1e-5)
+        val = _certify(sub, cons, W, mu, 1e-5)
+        best = lbfgs_dual_optimum(sub, cons.weights[1], cons.caps[1])
+        assert val == pytest.approx(best, abs=1e-6 * (1 + abs(best)))
 
     @pytest.mark.parametrize("seed", [7, 8, 9, 10])
     def test_per_antenna_matches_dual_oracle(self, seed):
         # offline oracle: the concave dual of the per-antenna subproblem,
         # g(mu) = -Tr(B^H (T + diag mu)^{-1} B) - mu^T caps over mu >= 0,
-        # maximised by L-BFGS-B; its gradient is the residual vector
+        # maximised by L-BFGS-B with bounds; its gradient is the residual
         from scipy.optimize import minimize
         rng = np.random.default_rng(seed)
         N, S, K = 4, 2, 2
         sub = _subproblem(rng, N=N, S=S, K=K)
         caps = rng.uniform(0.3, 1.0, N)
         cons = per_antenna([caps])
-        params = EllipsoidParams(tol=1e-7 * caps.max(), max_iters=3000)
-        mu = solve_multipliers(
-            lambda m: sub.precoders_general(m, cons),
-            lambda m: residuals(sub.precoders_general(m, cons), cons, 0),
-            N, params)
-        W = sub.precoders_general(mu, cons)
-        assert residuals(W, cons, 0).max() <= params.tol
+        W, mu, _ = sub.precoders_general(cons, 1e-7)
+        val = _certify(sub, cons, W, mu, 1e-7)
 
         T = sub.coupling_matrix()
         B = np.concatenate([sub.rhs_matrix(k) for k in range(K)], axis=1)
@@ -144,9 +178,6 @@ class TestGeneralConstraints:
                        bounds=[(0.0, None)] * N,
                        options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 1000})
         assert res.success
-        # strong duality: the ellipsoid's objective equals the dual optimum,
-        # far below the 1e-3 of the cvxpy check
-        val = sub.objective(W)
         assert val == pytest.approx(-res.fun, abs=1e-6 * (1 + abs(val)))
 
     def test_mixed_subspace_constraints_feasible(self):
@@ -156,48 +187,20 @@ class TestGeneralConstraints:
         A1 = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
         A2 = np.diag([0.0, 0.0, 1.0, 1.0]).astype(complex)
         cons = make_constraint_set([[(A1, 0.4), (A2, 0.2)]])
-        params = EllipsoidParams(tol=1e-6 * 0.4, max_iters=2000)
-        mu = solve_multipliers(
-            lambda m: sub.precoders_general(m, cons),
-            lambda m: residuals(sub.precoders_general(m, cons), cons, 0),
-            2, params)
-        g = residuals(sub.precoders_general(mu, cons), cons, 0)
-        assert g.max() <= params.tol
+        W, mu, _ = sub.precoders_general(cons, 1e-6)
+        _certify(sub, cons, W, mu, 1e-6)
         assert np.all(mu >= 0)
 
 
-class TestEllipsoidGeometry:
-    def test_volume_shrinks_by_fixed_factor(self):
-        # one central cut multiplies det(P) by (d^2/(d^2-1))^d (d-1)/(d+1)
-        d = 3
-        shape = np.diag([2.0, 1.0, 0.5])
-        s = np.array([0.3, -1.0, 0.7])
-        step = shape @ s / np.sqrt(s @ shape @ s)
-        new = (d * d / (d * d - 1.0)) * (shape - (2.0 / (d + 1.0)) * np.outer(step, step))
-        expect = (d * d / (d * d - 1.0)) ** d * (d - 1.0) / (d + 1.0)
-        assert np.linalg.det(new) / np.linalg.det(shape) == pytest.approx(expect, rel=1e-12)
-        assert np.linalg.det(new) < np.linalg.det(shape)
-
-    def test_initial_ellipsoid_contains_box(self):
-        # corners of [0, mu_bar] lie on/inside the starting ellipsoid
-        mu_bar = np.array([1.0, 3.0, 0.2])
-        d = 3
-        center = mu_bar / 2
-        shape = (d / 4.0) * np.diag(mu_bar * mu_bar)
-        inv = np.linalg.inv(shape)
-        for bits in range(8):
-            corner = np.array([mu_bar[i] if (bits >> i) & 1 else 0.0 for i in range(3)])
-            val = (corner - center) @ inv @ (corner - center)
-            assert val <= 1.0 + 1e-12
-
-
 class TestExpansion:
-    def test_infeasible_oracle_raises(self):
-        params = EllipsoidParams(tol=1e-8, max_doublings=10)
+    def test_unpenalised_direction_raises(self):
+        # T acts on the first two antennas, the family caps only the first
+        # three, and the right-hand side excites the fourth: the subproblem
+        # is unbounded, and the search says so (within its budget)
+        rng = np.random.default_rng(6)
+        factor = np.zeros((4, 2), complex)
+        factor[:2] = crandn(rng, 2, 2)
+        rhs = crandn(rng, 4, 2)
+        cons = make_constraint_set([[(np.diag([1.0, 1.0, 1.0, 0.0]), 1.0)]])
         with pytest.raises(InfeasibleError):
-            solve_multipliers(lambda m: None, lambda m: np.array([1.0]), 1, params)
-
-    def test_alpha_must_exceed_one(self):
-        with pytest.raises(ValueError):
-            solve_multipliers(lambda m: None, lambda m: np.array([1.0]), 1,
-                              EllipsoidParams(alpha=1.0))
+            dual_newton_multipliers(factor, rhs, cons.weights[0], cons.caps[0], 1e-5)

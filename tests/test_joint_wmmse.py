@@ -4,13 +4,12 @@ import pytest
 from satmimo import NumericsError, approx_se, per_antenna, per_sat_total
 from satmimo import joint_wmmse
 from satmimo.channel import EffectiveChannel
-from satmimo.ellipsoid import bisect_multiplier
 from satmimo.joint_wmmse import (SolverParams, init_precoders, mse_at_optimum,
                                  mse_matrix, precoder_given_mu, solve,
                                  stacked_streams, update_combiners,
                                  update_weights, wmmse_objective)
-from tests.conftest import (assert_precoder_kkt, crandn, one_wmmse_iteration,
-                            synthetic_effective)
+from tests.conftest import (assert_precoder_kkt, bisect_multiplier, crandn,
+                            one_wmmse_iteration, synthetic_effective)
 
 LN2 = np.log(2.0)
 
@@ -493,8 +492,8 @@ def _random_curve(rng, with_d):
 
 
 class TestSecularMultiplier:
-    # safeguarded Newton on the secular equation against the bisection of
-    # ellipsoid.bisect_multiplier on the same closed-form curve
+    # safeguarded Newton on the secular equation against the independent
+    # bisection oracle of tests/conftest.py on the same closed-form curve
 
     @pytest.mark.parametrize("with_d", [False, True])
     def test_matches_bisection_with_certificate(self, with_d):

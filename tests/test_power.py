@@ -27,6 +27,11 @@ class TestConstruction:
         with pytest.raises(ValidationError, match="Hermitian"):
             make_constraint_set([[(A, 1.0)]])
 
+    def test_rejects_mixed_sizes(self):
+        # a satellite's weight matrices form one (X, N, N) stack
+        with pytest.raises(ValidationError, match="size"):
+            make_constraint_set([[(np.eye(2), 1.0), (np.eye(3), 1.0)]])
+
     def test_rejects_indefinite(self):
         A = np.diag([1.0, -0.5]).astype(complex)
         with pytest.raises(ValidationError, match="semidefinite"):

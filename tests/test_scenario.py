@@ -42,6 +42,14 @@ class TestLoadScenario:
         with pytest.raises(ConfigError, match="num_satellites"):
             load_scenario('{"num_satellites": 4}')
 
+    def test_retired_ellipsoid_keys_ignored(self):
+        # configs written for the retired ellipsoid search still load
+        cfg = load_scenario('{"ellipsoid_alpha": 3.0, "ellipsoid_max_iters": 50, '
+                            '"ellipsoid_tol_rel": 1e-6}')
+        assert cfg.ellipsoid_tol_rel == 1e-6
+        assert not hasattr(cfg, "ellipsoid_alpha")
+        assert not hasattr(cfg, "ellipsoid_max_iters")
+
     def test_bad_syntax(self):
         with pytest.raises(ConfigError):
             load_scenario("L = 4")

@@ -1,37 +1,35 @@
 import numpy as np
 import pytest
 
-from satmimo import (EllipsoidParams, InfeasibleError, NumericsError,
-                     ScenarioConfig, aggregate_all, approx_se, associate,
+from satmimo import (InfeasibleError, NumericsError, ScenarioConfig,
+                     aggregate_all, approx_se, associate,
                      brute_force_assignment, effective_channels,
-                     participation_factors, per_sat_total, sample_geometry,
-                     sat_selection_score, solve_multipliers, solve_streamwise,
-                     to_joint_form)
+                     participation_factors, per_antenna, per_sat_total,
+                     sample_geometry, sat_selection_score, solve_streamwise)
 from satmimo import joint_wmmse
 from satmimo.assignment import assignment_value
-from satmimo.ellipsoid import bisect_multiplier
 from satmimo.joint_wmmse import SolverParams, precoder_given_mu
-from satmimo.streamwise import (StreamAssignment, StreamwisePrecoderSet,
-                                init_streamwise, select_serving_sats)
-from tests.conftest import (assert_precoder_kkt, crandn, one_wmmse_iteration,
-                            synthetic_effective)
+from satmimo.power import residuals
+from satmimo.streamwise import (StreamAssignment, init_streamwise,
+                                select_serving_sats)
+from tests.conftest import (assert_precoder_kkt, bisect_multiplier, crandn,
+                            one_wmmse_iteration, synthetic_effective)
 
 ORTHOGONAL = (-0.9, -0.4, 0.1, 0.6)
 NON_ORTHOGONAL = (-0.340, -0.119, 0.119, 0.340)
 
 
 def _masked(rng, eff, pi, scale=0.4):
-    """A streamwise precoder set with random vectors on the support of pi,
-    embedded in joint form, and the joint receiver state at it:
-    (assignment, W, U, C)."""
+    """Joint-form precoders with random columns on the support of pi (column
+    s of W[l, k] live only when pi_k(s) = l), and the joint receiver state
+    at them: (assignment, W, U, C)."""
     L, K, M, N = eff.shape
     assoc = StreamAssignment.from_pi(np.array(pi), L)
     S = assoc.pi.shape[1]
-    w = np.zeros((L, K, S, N), complex)
+    W = np.zeros((L, K, N, S), complex)
     for k in range(K):
         for s in range(S):
-            w[assoc.pi[k, s], k, s] = crandn(rng, N) * scale
-    W = to_joint_form(StreamwisePrecoderSet(w=w, assignment=assoc))
+            W[assoc.pi[k, s], k, :, s] = crandn(rng, N) * scale
     U = joint_wmmse.update_combiners(W, eff, eff.noise_power_w)
     C = joint_wmmse.update_weights(joint_wmmse.mse_at_optimum(U, W, eff))
     return assoc, W, U, C
@@ -172,9 +170,7 @@ class TestCombinersAndWeights:
 
     def test_zero_precoders(self, rng):
         eff = synthetic_effective(rng, L=3, K=2, M=3, N=4, noise=0.5)
-        assoc = StreamAssignment.from_pi(np.array([[0, 1], [2, 0]]), 3)
-        w = np.zeros((3, 2, 2, 4), complex)
-        W = to_joint_form(StreamwisePrecoderSet(w=w, assignment=assoc))
+        W = np.zeros((3, 2, 4, 2), complex)
         U = joint_wmmse.update_combiners(W, eff, 0.5)
         assert np.all(U == 0)
         E = joint_wmmse.mse_matrix(U[0], W, eff, 0, 0.5)
@@ -283,18 +279,18 @@ class TestPrecoderAndBisection:
         mu = bisect_multiplier(lambda m: sub.power_identity(m) - rho, 1e-10 * rho)
         _root_certificate(sub.power_identity, mu, rho)
 
-    def test_bisection_agrees_with_ellipsoid_scalar_path(self, rng):
-        # solve_multipliers hands its one-dimensional case to the same search
+    def test_bisection_agrees_with_secular_search(self, rng):
+        # the bisection oracle and the solver's secular search find the
+        # same certified root on a masked subproblem
         eff = synthetic_effective(rng, L=2, K=2, M=3, N=4)
         assoc, W, U, C = _masked(rng, eff, [[0, 1], [1, 0]], scale=1.0)
         sub = joint_wmmse._SatSubproblem(eff, U, C, 0, 2)
         rho = 0.05
         mu_b = bisect_multiplier(lambda m: sub.power_identity(m) - rho, 1e-12 * rho)
-        mu_e = solve_multipliers(lambda m: None,
-                                 lambda m: np.array([sub.power_identity(float(m[0])) - rho]),
-                                 1, EllipsoidParams(tol=1e-12 * rho))
-        assert mu_e[0] == mu_b
+        mu_s, _ = joint_wmmse.secular_multiplier(sub._eigen().curves[0], rho)
+        assert mu_s == pytest.approx(mu_b, rel=1e-11)
         _root_certificate(sub.power_identity, mu_b, rho)
+        _root_certificate(sub.power_identity, mu_s, rho)
 
     def test_bracket_budget_exhausted(self):
         with pytest.raises(InfeasibleError):
@@ -319,28 +315,32 @@ class TestBatchedPrecoderStep:
         for l in (0, 1):
             assert_precoder_kkt(eff, cons, U, C, W1, mus, l)
 
+def _caps(rho, N):
+    return per_sat_total(np.asarray(rho, float), N)
+
+
 class TestSolveStreamwise:
     def test_monotone_feasible_deterministic(self, rng):
         eff = synthetic_effective(rng, L=3, K=2, M=4, N=5)
         rho = np.array([1.0, 2.0, 1.5])
-        sw1, assoc1, t1 = solve_streamwise(eff, rho, num_streams=2)
-        sw2, assoc2, t2 = solve_streamwise(eff, rho, num_streams=2)
-        np.testing.assert_array_equal(sw1.w, sw2.w)
+        W1, assoc1, t1 = solve_streamwise(eff, _caps(rho, 5), num_streams=2)
+        W2, assoc2, t2 = solve_streamwise(eff, _caps(rho, 5), num_streams=2)
+        assert W1.shape == (3, 2, 5, 2)
+        np.testing.assert_array_equal(W1, W2)
         np.testing.assert_array_equal(assoc1.pi, assoc2.pi)
         assert np.all(np.diff(t1.objective) <= 1e-9)
         for l in range(3):
-            assert np.sum(np.abs(sw1.w[l]) ** 2) <= rho[l] * (1 + 1e-5) + 1e-12
+            assert np.sum(np.abs(W1[l]) ** 2) <= rho[l] * (1 + 1e-5) + 1e-12
 
     def test_reference_scale_converges(self, default_effective, default_config):
-        sw, assoc, trace = solve_streamwise(
-            default_effective, np.full(4, 100.0),
+        W, assoc, trace = solve_streamwise(
+            default_effective, _caps(np.full(4, 100.0), 64),
             SolverParams.from_config(default_config), num_streams=2)
         assert trace.converged and trace.iterations <= 40
 
     def test_rate_identity_streamwise(self, rng):
         eff = synthetic_effective(rng, L=3, K=2, M=4, N=5)
-        sw, assoc, _ = solve_streamwise(eff, np.full(3, 1.0), num_streams=2)
-        W = to_joint_form(sw)
+        W, assoc, _ = solve_streamwise(eff, _caps(np.ones(3), 5), num_streams=2)
         U = joint_wmmse.update_combiners(W, eff, eff.noise_power_w)
         E = joint_wmmse.mse_at_optimum(U, W, eff)
         ident = -sum(np.linalg.slogdet(Ek)[1] for Ek in E) / np.log(2)
@@ -351,20 +351,18 @@ class TestSolveStreamwise:
         cfg, links, eff = _fixed_scenario(ORTHOGONAL, S=4)
         noise = links.noise_power_w
         for rho in (1.0, 100.0):
-            sw, _, _ = solve_streamwise(eff, np.full(4, rho), num_streams=4)
-            se_sw = approx_se(to_joint_form(sw), eff, noise).sum_se
             cons = per_sat_total(np.full(4, rho), cfg.N)
+            W, _, _ = solve_streamwise(eff, cons, num_streams=4)
+            se_sw = approx_se(W, eff, noise).sum_se
             Wj, _ = joint_wmmse.solve(eff, cons, num_streams=4)
             se_j = approx_se(Wj, eff, noise).sum_se
             assert se_sw >= 0.95 * se_j
 
     def test_joint_from_embedded_start_dominates(self, rng):
         eff = synthetic_effective(rng, L=3, K=2, M=4, N=5)
-        rho = np.full(3, 1.0)
-        sw, assoc, _ = solve_streamwise(eff, rho, num_streams=2)
-        W0 = to_joint_form(sw)
+        cons = _caps(np.ones(3), 5)
+        W0, assoc, _ = solve_streamwise(eff, cons, num_streams=2)
         se_sw = approx_se(W0, eff, eff.noise_power_w).sum_se
-        cons = per_sat_total(rho, 5)
         Wj, _ = joint_wmmse.solve(eff, cons, initial=W0, num_streams=2)
         se_j = approx_se(Wj, eff, eff.noise_power_w).sum_se
         assert se_j >= se_sw - 1e-6
@@ -372,24 +370,25 @@ class TestSolveStreamwise:
     def test_given_assignment_respected(self, rng):
         eff = synthetic_effective(rng, L=3, K=2, M=3, N=4)
         assoc = StreamAssignment.from_pi(np.array([[2, 0], [0, 1]]), 3)
-        sw, out_assoc, _ = solve_streamwise(eff, np.full(3, 1.0), num_streams=2,
-                                            assignment=assoc)
+        W, out_assoc, _ = solve_streamwise(eff, _caps(np.ones(3), 4),
+                                           num_streams=2, assignment=assoc)
         np.testing.assert_array_equal(out_assoc.pi, assoc.pi)
         for k in range(2):
             for s in range(2):
                 for l in range(3):
                     if l != assoc.pi[k, s]:
-                        assert np.all(sw.w[l, k, s] == 0)
+                        assert np.all(W[l, k, :, s] == 0)
 
     def test_support_certificate(self, rng, monkeypatch):
         # off-support entries come back exactly zero; one that is not makes
         # solve_streamwise raise instead of returning a leaked precoder
         eff = synthetic_effective(rng, L=3, K=2, M=4, N=5)
-        rho = np.full(3, 1.0)
-        sw, assoc, _ = solve_streamwise(eff, rho, num_streams=2)
+        cons = _caps(np.ones(3), 5)
+        W, assoc, _ = solve_streamwise(eff, cons, num_streams=2)
         off = _off_support(assoc, 3)
-        assert np.all(sw.w[off] == 0)
-        assert np.all(np.abs(sw.w[~off]).sum(axis=-1) > 0)
+        w = W.transpose(0, 1, 3, 2)
+        assert np.all(w[off] == 0)
+        assert np.all(np.abs(w[~off]).sum(axis=-1) > 0)
 
         solve = joint_wmmse.solve
 
@@ -401,12 +400,58 @@ class TestSolveStreamwise:
 
         monkeypatch.setattr(joint_wmmse, "solve", leaky)
         with pytest.raises(NumericsError):
-            solve_streamwise(eff, rho, num_streams=2)
+            solve_streamwise(eff, cons, num_streams=2)
 
     def test_preselection_runs(self, default_effective):
-        sw, assoc, _ = solve_streamwise(default_effective, np.full(4, 10.0),
-                                        num_streams=2, preselect=3)
+        W, assoc, _ = solve_streamwise(default_effective,
+                                       _caps(np.full(4, 10.0), 64),
+                                       num_streams=2, preselect=3)
         assert np.all(assoc.pi >= 0)
+
+    def test_per_antenna_caps_honoured(self, default_effective):
+        # the constraint set reaches the solver: every antenna meets its
+        # cap, the support certificate holds, and the design differs from
+        # the one under the per-satellite total of the same power
+        rho = 10.0
+        total = per_sat_total(np.full(4, rho), 64)
+        antennas = per_antenna(np.full((4, 64), rho / 64))
+        W_tot, assoc, _ = solve_streamwise(default_effective, total, num_streams=2)
+        W_ant, assoc_ant, _ = solve_streamwise(default_effective, antennas,
+                                               num_streams=2)
+        np.testing.assert_array_equal(assoc.pi, assoc_ant.pi)
+        for l in range(4):
+            r = residuals(W_ant[l], antennas, l)
+            assert np.all(r <= 1e-5 * antennas.caps[l])
+        assert np.all(W_ant.transpose(0, 1, 3, 2)[_off_support(assoc, 4)] == 0)
+        assert not np.allclose(W_ant, W_tot)
+        # the total-power design overloads some antenna, so it would not do
+        assert max(residuals(W_tot[l], antennas, l).max() for l in range(4)) > 0
+
+    def test_se_parity_with_direct_evaluator(self, rng):
+        # independent streamwise evaluator: build the received covariances
+        # stream by stream from the assignment table
+        eff = synthetic_effective(rng, L=3, K=2, M=4, N=5)
+        W, assoc, _ = solve_streamwise(eff, _caps(np.ones(3), 5), num_streams=2)
+        noise = eff.noise_power_w
+        via_joint = approx_se(W, eff, noise)
+
+        total = 0.0
+        for k in range(2):
+            sig = np.zeros((4, 4), complex)
+            interf = noise * np.eye(4, dtype=complex)
+            for i in range(2):
+                for s in range(2):
+                    l = assoc.pi[i, s]
+                    g = eff.hbar[l, k] @ W[l, i, :, s]
+                    mat = np.outer(g, g.conj())
+                    if i == k:
+                        sig += mat
+                    else:
+                        interf += mat
+            val = (np.linalg.slogdet(sig + interf)[1]
+                   - np.linalg.slogdet(interf)[1]) / np.log(2)
+            total += val
+        assert via_joint.sum_se == pytest.approx(total, rel=1e-10)
 
 
 class TestInitStreamwise:
@@ -414,9 +459,11 @@ class TestInitStreamwise:
         eff = synthetic_effective(rng, L=4, K=3, M=3, N=5)
         # satellite 0 carries three users' streams, satellite 3 none
         assoc = StreamAssignment.from_pi(np.array([[0, 1], [0, 2], [1, 0]]), 4)
-        _, eig = participation_factors(aggregate_all(eff), 4)
+        agg = aggregate_all(eff)
+        _, eig = participation_factors(agg, 4)
         rho = np.array([1.0, 2.0, 0.5, 3.0])
-        return eff, assoc, eig, rho, init_streamwise(eff, rho, assoc, eig)
+        return eff, assoc, eig, rho, init_streamwise(eff, _caps(rho, 5), assoc,
+                                                     eig, agg)
 
     def test_spends_each_cap_with_sqrt_beta_shares(self, rng):
         eff, assoc, eig, rho, W = self._start(rng)
@@ -430,6 +477,20 @@ class TestInitStreamwise:
             np.testing.assert_allclose([power[l, k, s] for k, s in streams],
                                        rho[l] * root / root.sum(), rtol=1e-12)
             assert power[l].sum() == pytest.approx(rho[l], rel=1e-12)
+
+    def test_spends_smallest_cap_of_a_family(self, rng):
+        # under per-antenna caps each satellite spends min_x rho_{l,x}, as
+        # init_precoders does, so the start is feasible
+        eff = synthetic_effective(rng, L=3, K=2, M=3, N=5)
+        agg = aggregate_all(eff)
+        eta, eig = participation_factors(agg, 3)
+        assoc = associate(eta, 2)
+        caps = rng.uniform(0.2, 1.0, (3, 5))
+        W = init_streamwise(eff, per_antenna(caps), assoc, eig, agg)
+        for l, streams in enumerate(assoc.sat_streams):
+            if streams:
+                assert np.sum(np.abs(W[l]) ** 2) == pytest.approx(caps[l].min(),
+                                                                  rel=1e-12)
 
     def test_columns_follow_regularized_inverse(self, rng):
         eff, assoc, eig, rho, W = self._start(rng)
@@ -449,7 +510,7 @@ class TestInitStreamwise:
 
     def test_solver_starts_from_it(self, rng, monkeypatch):
         eff = synthetic_effective(rng, L=3, K=2, M=4, N=5)
-        rho = np.full(3, 1.0)
+        cons = _caps(np.ones(3), 5)
         seen = {}
         solve = joint_wmmse.solve
 
@@ -458,53 +519,8 @@ class TestInitStreamwise:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(joint_wmmse, "solve", spy)
-        _, assoc, _ = solve_streamwise(eff, rho, num_streams=2)
-        _, eig = participation_factors(aggregate_all(eff), 3)
+        _, assoc, _ = solve_streamwise(eff, cons, num_streams=2)
+        agg = aggregate_all(eff)
+        _, eig = participation_factors(agg, 3)
         np.testing.assert_array_equal(seen["initial"],
-                                      init_streamwise(eff, rho, assoc, eig))
-
-
-class TestToJointForm:
-    def test_single_stream_single_sat(self, rng):
-        eff = synthetic_effective(rng, L=2, K=1, M=3, N=4)
-        assoc = StreamAssignment.from_pi(np.array([[1]]), 2)
-        w = np.zeros((2, 1, 1, 4), complex)
-        w[1, 0, 0] = crandn(rng, 4)
-        W = to_joint_form(StreamwisePrecoderSet(w=w, assignment=assoc))
-        assert W.shape == (2, 1, 4, 1)
-        np.testing.assert_array_equal(W[1, 0, :, 0], w[1, 0, 0])
-        assert np.all(W[0] == 0)
-
-    def test_power_preserved(self, rng):
-        eff = synthetic_effective(rng, L=3, K=2, M=3, N=4)
-        sw, assoc, _ = solve_streamwise(eff, np.full(3, 1.0), num_streams=2)
-        W = to_joint_form(sw)
-        for l in range(3):
-            assert np.sum(np.abs(W[l]) ** 2) == pytest.approx(
-                np.sum(np.abs(sw.w[l]) ** 2), rel=1e-12)
-
-    def test_se_parity_with_direct_evaluator(self, rng):
-        # independent streamwise evaluator: build the received covariances
-        # stream by stream from the assignment table
-        eff = synthetic_effective(rng, L=3, K=2, M=4, N=5)
-        sw, assoc, _ = solve_streamwise(eff, np.full(3, 1.0), num_streams=2)
-        noise = eff.noise_power_w
-        via_joint = approx_se(to_joint_form(sw), eff, noise)
-
-        total = 0.0
-        for k in range(2):
-            sig = np.zeros((4, 4), complex)
-            interf = noise * np.eye(4, dtype=complex)
-            for i in range(2):
-                for s in range(2):
-                    l = assoc.pi[i, s]
-                    g = eff.hbar[l, k] @ sw.w[l, i, s]
-                    mat = np.outer(g, g.conj())
-                    if i == k:
-                        sig += mat
-                    else:
-                        interf += mat
-            val = (np.linalg.slogdet(sig + interf)[1]
-                   - np.linalg.slogdet(interf)[1]) / np.log(2)
-            total += val
-        assert via_joint.sum_se == pytest.approx(total, rel=1e-10)
+                                      init_streamwise(eff, cons, assoc, eig, agg))
