@@ -165,31 +165,3 @@ def bisect_multiplier(residual_fn, tol: float, alpha: float = 2.0,
     if not residual <= tol:
         raise NumericsError(f"bisection ended at residual {residual:.3e}")
     return hi
-
-
-def lbfgs_dual_optimum(sub, weights, caps):
-    """Offline oracle for a general-constraint subproblem: the maximum of its
-    concave dual g(mu) = -Tr(B^H (T + sum_x mu_x A_x)^+ B) - mu^T caps found
-    by L-BFGS-B in mu = s y^2 (unconstrained in y), s scaling every
-    multiplier so that mu^T caps weighs like g(0). Returns the best dual
-    value reached, a lower bound on the subproblem's optimum whatever the
-    stopping status (where the supremum lies at mu -> 0 the line search may
-    end ABNORMAL on the flat dual); agreement with a feasible objective
-    therefore certifies that objective."""
-    from scipy.optimize import minimize
-    T = sub.coupling_matrix()
-    B = np.concatenate([sub.rhs_matrix(k) for k in range(sub.num_users)], axis=1)
-    g0 = np.real(np.vdot(B, np.linalg.pinv(T, hermitian=True) @ B))
-    s = g0 / caps / caps.size
-
-    def neg_dual(y):
-        mu = s * y * y
-        X = np.linalg.solve(T + np.tensordot(mu, weights, 1), B)
-        power = np.einsum("nj,xnm,mj->x", X.conj(), weights, X).real
-        return (float(np.real(np.vdot(B, X))) + mu @ caps,
-                (caps - power) * 2.0 * s * y)
-
-    res = minimize(neg_dual, np.ones(caps.size), jac=True, method="L-BFGS-B",
-                   options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 10000,
-                            "maxcor": 30, "maxls": 50})
-    return -res.fun
