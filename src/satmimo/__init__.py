@@ -6,15 +6,14 @@ stream-satellite assignment, evaluated by Monte-Carlo spectral efficiency."""
 from .errors import ConfigError, InfeasibleError, NumericsError, ValidationError
 from .scenario import (LinkStatistics, ScenarioConfig, load_scenario,
                        path_gain, sample_geometry, slant_range)
-from .channel import (ChannelRealization, EffectiveChannel, aggregate,
-                      aggregate_all, effective_channels, sample_realization,
-                      ula_response)
+from .channel import (EffectiveChannel, aggregate, aggregate_all,
+                      effective_channels, ula_response)
 from .power import (PowerConstraintSet, make_constraint_set, per_antenna,
                     per_sat_total, residuals)
-from .se_eval import SEReport, approx_se, approx_vs_exact_gap, exact_se_mc, mc_rng
+from .se_eval import SEReport, approx_se, exact_se_mc, mc_rng
 from .assignment import brute_force_assignment, max_weight_assignment
-from .joint_wmmse import (SolverParams, SolveTrace, WmmseState,
-                          dual_newton_multipliers, init_precoders, wmmse_state)
+from .joint_wmmse import (SolverParams, SolveTrace, dual_newton_multipliers,
+                          init_precoders)
 from .joint_wmmse import solve as solve_joint
 from .streamwise import (StreamAssignment, associate, participation_factors,
                          sat_selection_score, solve_streamwise)
@@ -27,14 +26,14 @@ __all__ = [
     "ConfigError", "InfeasibleError", "NumericsError", "ValidationError",
     "LinkStatistics", "ScenarioConfig", "load_scenario", "path_gain",
     "sample_geometry", "slant_range",
-    "ChannelRealization", "EffectiveChannel", "aggregate", "aggregate_all",
-    "effective_channels", "sample_realization", "ula_response",
+    "EffectiveChannel", "aggregate", "aggregate_all", "effective_channels",
+    "ula_response",
     "PowerConstraintSet", "make_constraint_set", "per_antenna",
     "per_sat_total", "residuals",
-    "SEReport", "approx_se", "approx_vs_exact_gap", "exact_se_mc", "mc_rng",
+    "SEReport", "approx_se", "exact_se_mc", "mc_rng",
     "brute_force_assignment", "max_weight_assignment",
-    "SolverParams", "SolveTrace", "WmmseState", "dual_newton_multipliers",
-    "init_precoders", "wmmse_state", "solve_joint",
+    "SolverParams", "SolveTrace", "dual_newton_multipliers", "init_precoders",
+    "solve_joint",
     "StreamAssignment", "associate", "participation_factors",
     "sat_selection_score", "solve_streamwise",
     "mmse_baseline", "random_association", "tdma_mrt_baseline", "zf_baseline",

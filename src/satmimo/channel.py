@@ -1,4 +1,4 @@
-"""Array responses, deterministic effective channels and Rician realizations.
+"""Array responses, deterministic effective channels and Rician gain draws.
 
 Every satellite-user link is a far-field LoS channel: a rank-one outer
 product of the user-side and satellite-side ULA responses, scaled by a
@@ -43,14 +43,6 @@ class EffectiveChannel:
     @property
     def shape(self):
         return self.hbar.shape  # (L, K, M, N)
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One fading draw: h[l,k] = gamma[l,k] * b a^T, shape (L, K, M, N)."""
-
-    h: np.ndarray
-    gamma: np.ndarray
 
 
 def ula_response(angle_rad: float, num_antennas: int) -> np.ndarray:
@@ -136,14 +128,6 @@ def sample_gamma(beta: np.ndarray, kappa: np.ndarray, rng: np.random.Generator,
                               1 if trials is None else trials,
                               np.arange(beta.size))
     return gains.reshape(shape)
-
-
-def sample_realization(effective: EffectiveChannel, link_stats: LinkStatistics,
-                       rng: np.random.Generator) -> ChannelRealization:
-    """Draw one channel realization; h is a complex scaling of hbar per link."""
-    gamma = sample_gamma(link_stats.beta, link_stats.kappa, rng)
-    scale = gamma / np.sqrt(link_stats.beta)
-    return ChannelRealization(h=scale[..., None, None] * effective.hbar, gamma=gamma)
 
 
 def aggregate(effective: EffectiveChannel, k: int) -> np.ndarray:

@@ -48,8 +48,7 @@ class Job:
 
 
 def _clear_fixed_angles(cfg: ScenarioConfig) -> ScenarioConfig:
-    return replace(cfg, angle_mode="random", ue_sin_theta=None,
-                   sat_sin_phi=None, elevation_deg=None)
+    return replace(cfg, ue_sin_theta=None, sat_sin_phi=None, elevation_deg=None)
 
 
 def _sweep(variants, modes) -> list:
@@ -66,9 +65,8 @@ def _preset_joint_vs_streamwise(cfg, orthogonal: bool):
         # one stream per eigenmode per satellite: the regime where the
         # streamwise mode matches joint transmission
         variant = ("orthogonal",
-                   replace(cfg, L=4, M=4, S=4, angle_mode="fixed-list",
-                           ue_sin_theta=ORTHOGONAL_SINES, sat_sin_phi=None,
-                           elevation_deg=None))
+                   replace(cfg, L=4, M=4, S=4, ue_sin_theta=ORTHOGONAL_SINES,
+                           sat_sin_phi=None, elevation_deg=None))
     else:
         variant = ("non-orthogonal", _clear_fixed_angles(cfg))
     return _sweep([variant], ("joint", "streamwise"))
@@ -122,8 +120,8 @@ def run_job(job: Job) -> dict:
     WMMSE loop stopped at max_iters before meeting its tolerance;
     "sum_se_stderr", the Monte-Carlo standard error of sum_se (0.0 for the
     approximation, nan for an error row or a single trial); and
-    "multiplier_evals", the secular-curve evaluations of the solver's
-    single-cap multiplier searches (0 for modes that run no solver)."""
+    "multiplier_evals", the evaluations made by every multiplier search of
+    the solver, secular or dual (0 for modes that run no solver)."""
     cfg = job.config
     t0 = time.perf_counter()
     rho_w = 10 ** (job.power_dbw / 10)

@@ -12,15 +12,19 @@ positive definite for any precoders, and the per-satellite precoder update
 keeps the familiar regularized closed form
     W_{l,k}(mu) = (sum_i Hb^H U_i C_i U_i^H Hb + sum_x mu_x A_x)^{-1} B_{l,k}.
 
-One iteration is batched array work: every user's J_k and desired blocks G_k
-come from one helper, and for fixed combiners and weights the satellites'
-precoder subproblems are built together. Each per-satellite coupling matrix
-has rank at most K, which gives a closed-form (secular) power curve; the
-per-satellite-total multiplier is its root, found by a safeguarded Newton
-iteration. Every other constraint family (per-antenna, custom, a single
-weighted cap) takes its multipliers from a safeguarded Newton search on the
-concave dual of the subproblem, which returns only multipliers it has
-certified feasible and optimal (`dual_newton_multipliers`).
+One iteration is batched array work on a few kernels, which are the whole
+design: every user's J_k and desired blocks G_k come from `_receiver_grams`,
+the MSE matrices from `_mse_at_optimum` (at the MMSE combiner) or
+`_mse_matrices` (any combiner), and for fixed combiners and weights all
+satellites' precoder subproblems from one `_PrecoderStep`. Each
+per-satellite coupling matrix has rank at most K, which gives a closed-form
+(secular) power curve (`_Spectrum`); the per-satellite-total multiplier is
+its root, found by a safeguarded Newton iteration. Every other constraint
+family (per-antenna, custom, a single weighted cap) takes its multipliers
+from a safeguarded Newton search on the concave dual of the subproblem,
+which returns only multipliers it has certified feasible and optimal
+(`dual_newton_multipliers`). There is no per-satellite or per-user view:
+`solve` runs these kernels directly, and the tests check them.
 """
 
 from __future__ import annotations
@@ -73,21 +77,8 @@ class SolveTrace:
     iterations: int = 0
     converged: bool = False
     pinv_fallbacks: int = 0
-    multiplier_searches: int = 0      # single-cap (secular) searches
-    multiplier_evals: int = 0         # secular-curve evaluations they made
-
-
-@dataclass
-class WmmseState:
-    """Combiners, weights and MSE matrices at one precoder point.
-
-    combiners: (K, M, L*S); weights and mse: (K, L*S, L*S).
-    """
-
-    combiners: np.ndarray
-    weights: np.ndarray
-    mse: np.ndarray
-    objective: float
+    multiplier_searches: int = 0      # multiplier searches, secular or dual
+    multiplier_evals: int = 0         # curve or dual evaluations they made
 
 
 def _hermitian(mats: np.ndarray) -> np.ndarray:
@@ -126,55 +117,6 @@ def _mse_matrices(combiners: np.ndarray, J: np.ndarray,
 def _mse_at_optimum(combiners: np.ndarray, G: np.ndarray) -> np.ndarray:
     """E_k = I - G_k^H U_k, valid only at the MMSE combiner (cheap and PD)."""
     return _hermitian(np.eye(G.shape[-1]) - G.conj().swapaxes(-1, -2) @ combiners)
-
-
-def wmmse_state(precoders: np.ndarray, effective: EffectiveChannel,
-                noise: float) -> WmmseState:
-    """Snapshot the receiver-side quantities for a given precoder set:
-    optimal combiners, the MSE matrices at them, the matched weights and the
-    weighted sum-MSE objective."""
-    J, G = _receiver_grams(precoders, effective, noise)
-    U = np.linalg.solve(J, G)
-    E = _mse_at_optimum(U, G)
-    C = update_weights(E)
-    return WmmseState(combiners=U, weights=C, mse=E,
-                      objective=wmmse_objective(E, C))
-
-
-def stacked_streams(precoders: np.ndarray, effective: EffectiveChannel,
-                    k: int) -> np.ndarray:
-    """Desired stream matrix of user k: the L per-satellite blocks
-    Hb_{l,k} W_{l,k} side by side, shape (M, L*S)."""
-    return _receiver_grams(precoders, effective, 0.0)[1][k]
-
-
-def mse_matrix(combiner_k: np.ndarray, precoders: np.ndarray,
-               effective: EffectiveChannel, k: int, noise: float) -> np.ndarray:
-    """MSE matrix of user k for an arbitrary combiner, shape (L*S, L*S).
-
-    Indexed by (satellite, stream) pairs in satellite-major order. Equals the
-    identity when the combiner is zero.
-    """
-    U = np.asarray(combiner_k)
-    J, G = _receiver_grams(precoders, effective, noise)
-    if U.shape != G.shape[1:]:
-        raise ValidationError(
-            f"combiner of user {k} must have shape {G.shape[1:]}, got {U.shape}")
-    return _mse_matrices(U, J[k], G[k])
-
-
-def update_combiners(precoders: np.ndarray, effective: EffectiveChannel,
-                     noise: float) -> np.ndarray:
-    """MMSE combiners (K, M, L*S); minimizes Tr(E_k) for every user."""
-    J, G = _receiver_grams(precoders, effective, noise)
-    return np.linalg.solve(J, G)
-
-
-def mse_at_optimum(combiners: np.ndarray, precoders: np.ndarray,
-                   effective: EffectiveChannel) -> np.ndarray:
-    """E_k = I - G_k^H U_k, valid only at the MMSE combiner (cheap and PD)."""
-    return _mse_at_optimum(combiners,
-                           _receiver_grams(precoders, effective, 0.0)[1])
 
 
 def update_weights(mse: np.ndarray) -> np.ndarray:
@@ -469,7 +411,6 @@ class _PrecoderStep:
                  weights: np.ndarray, num_streams: int):
         L, K, M, N = effective.shape
         S = num_streams
-        self.shape = (K, N, S)
         # u[l, i] = b_{l,i}^H U_i and uc[l, i] = u[l, i] C_i, both (L*S,)
         u = np.einsum("lim,imj->lij", effective.b.conj(), combiners)
         uc = np.einsum("lij,ijh->lih", u, weights)
@@ -527,95 +468,6 @@ class _Spectrum:
         v += np.divide(self.perp, mu[:, None, None], out=np.zeros_like(v),
                        where=(mu > 0)[:, None, None])
         return np.einsum("xnk,xks->xkns", v, self.row)
-
-
-class _SatSubproblem:
-    """Per-satellite view of a _PrecoderStep (built here when step is None).
-
-    factor (N, K), rhs_dir (K, N) and rhs_row (K, S) are satellite l's slices.
-    """
-
-    def __init__(self, effective: EffectiveChannel, combiners: np.ndarray,
-                 weights: np.ndarray, l: int, num_streams: int,
-                 step: _PrecoderStep | None = None):
-        if step is None:
-            step = _PrecoderStep(effective, combiners, weights, num_streams)
-        self.step = step
-        self.l = l
-        self.shape = step.shape
-        self.num_users = self.shape[0]
-        self.factor = step.factor[l]
-        self.rhs_dir = step.rhs_dir[l]
-        self.rhs_row = step.rhs_row[l]
-        self._spectrum = None
-
-    # -- shared --------------------------------------------------------------
-    def coupling_matrix(self) -> np.ndarray:
-        return self.factor @ self.factor.conj().T
-
-    def rhs_matrix(self, k: int) -> np.ndarray:
-        return np.outer(self.rhs_dir[k], self.rhs_row[k])
-
-    def objective(self, precoders_l: np.ndarray) -> float:
-        """Quadratic subproblem objective at the given (K, N, S) precoders."""
-        T = self.coupling_matrix()
-        val = 0.0
-        for k in range(self.num_users):
-            Wk = precoders_l[k]
-            val += float(np.trace(Wk.conj().T @ T @ Wk).real)
-            val -= 2.0 * float(np.trace(self.rhs_matrix(k).conj().T @ Wk).real)
-        return val
-
-    # -- identity-constraint path ---------------------------------------------
-    def _eigen(self) -> _Spectrum:
-        if self._spectrum is None:
-            self._spectrum = _Spectrum(self.step, [self.l])
-        return self._spectrum
-
-    def power_identity(self, mu: float) -> float:
-        """sum_k ||W_k(mu)||_F^2 for the single A = I constraint."""
-        return _secular(self._eigen().curves[0], mu)[0]
-
-    def precoders_identity(self, mu: float) -> np.ndarray:
-        return self._eigen().precoders(np.array([mu]))[0]
-
-    def pinv_used(self) -> bool:
-        """True when the mu = 0 solve had to drop a null-space component."""
-        return bool(self._eigen().pinv[0])
-
-    # -- general-constraint path ----------------------------------------------
-    def precoders_general(self, constraints: PowerConstraintSet, tol_rel: float,
-                          start=None):
-        """Certified precoders (K, N, S), multipliers and dual evaluations of
-        `dual_newton_multipliers` under satellite l's constraint family."""
-        row = self.rhs_row
-        norms = np.linalg.norm(row, axis=1)
-        mu, v, evals = dual_newton_multipliers(
-            self.factor, self.rhs_dir.T * norms, constraints.weights[self.l],
-            constraints.caps[self.l], tol_rel, start)
-        unit = np.divide(row, norms[:, None], out=np.zeros_like(row),
-                         where=norms[:, None] > 0)
-        return np.einsum("nk,ks->kns", v, unit), mu, evals
-
-
-def precoder_given_mu(mu, combiners: np.ndarray, weights: np.ndarray,
-                      effective: EffectiveChannel, l: int,
-                      constraints: PowerConstraintSet,
-                      num_streams: int | None = None) -> np.ndarray:
-    """Closed-form per-satellite precoders (K, N, S) for a given multiplier.
-
-    mu may be a scalar (identity constraint) or a length-X_l vector. At
-    mu = 0 a singular system falls back to the minimum-norm (pseudoinverse)
-    stationary solution.
-    """
-    if num_streams is None:
-        num_streams = combiners.shape[2] // effective.shape[0]
-    sub = _SatSubproblem(effective, combiners, weights, l, num_streams)
-    mu = np.atleast_1d(np.asarray(mu, float))
-    if constraints.identity[l] and mu.size == 1:
-        return sub.precoders_identity(float(mu[0]))
-    M = sub.coupling_matrix() + np.tensordot(mu, constraints.weights[l], 1)
-    return np.einsum("nk,ks->kns", _pinv_solve(M, sub.rhs_dir.T)[1], sub.rhs_row)
 
 
 def link_bases(effective: EffectiveChannel, l: int, num_streams: int) -> list:
@@ -710,8 +562,9 @@ def solve(effective: EffectiveChannel, constraints: PowerConstraintSet,
     zero (its combiner column is zero and its MSE block the identity),
     which is how the streamwise mode restricts the design to its sparsity
     pattern. Returns (precoders, SolveTrace); the objective trace is
-    non-increasing and the output satisfies every power constraint within
-    the feasibility tolerance.
+    non-increasing, the trace counts every multiplier search (secular or
+    dual) and its evaluations, and the output satisfies every power
+    constraint within the feasibility tolerance of its own cap.
     """
     if params is None:
         params = SolverParams()
@@ -752,11 +605,20 @@ def solve(effective: EffectiveChannel, constraints: PowerConstraintSet,
             trace.pinv_fallbacks += int(np.sum((mus == 0.0) & spectrum.pinv))
             W[single] = spectrum.precoders(mus)
         for l in np.flatnonzero(live & ~identity):
-            sub = _SatSubproblem(effective, U, C, l, S, step=step)
-            # warm start at the previous iteration's multipliers
-            W[l], iter_mus[l], _ = sub.precoders_general(
-                constraints, params.power_tol_rel,
+            # B_{l,k} is rank one: search on its directions scaled by the
+            # row norms, warm at the previous iteration's multipliers, then
+            # give every user's solution its unit row back
+            row = step.rhs_row[l]
+            norms = np.linalg.norm(row, axis=1)
+            iter_mus[l], v, evals = dual_newton_multipliers(
+                step.factor[l], step.rhs_dir[l].T * norms, constraints.weights[l],
+                constraints.caps[l], params.power_tol_rel,
                 start=trace.multipliers[-1][l] if trace.multipliers else None)
+            unit = np.divide(row, norms[:, None], out=np.zeros_like(row),
+                             where=norms[:, None] > 0)
+            W[l] = np.einsum("nk,ks->kns", v, unit)
+            trace.multiplier_searches += 1
+            trace.multiplier_evals += evals
 
         # the grams at the new precoders serve this iteration's objective
         # and the next iteration's combiners
@@ -778,10 +640,12 @@ def solve(effective: EffectiveChannel, constraints: PowerConstraintSet,
 
 
 def _assert_feasible(precoders, constraints, tol_rel):
+    """Every constraint within tol_rel of its own cap (plus 1e-12 W)."""
     for l in range(constraints.num_sats):
         g = power_residuals(precoders[l], constraints, l)
-        limit = tol_rel * float(constraints.caps[l].max())
-        if g.max() > limit + 1e-12:
+        limit = tol_rel * np.asarray(constraints.caps[l], float) + 1e-12
+        x = int(np.argmax(g - limit))
+        if g[x] > limit[x]:
             raise NumericsError(
-                f"satellite {l}: output violates a power constraint "
-                f"(residual {g.max():.3e} > {limit:.3e})")
+                f"satellite {l}: output violates power constraint {x} "
+                f"(residual {g[x]:.3e} > {limit[x]:.3e})")

@@ -45,10 +45,9 @@ class ScenarioConfig:
     rician_factor_db: float = 12.0
     power_cap_dbw_grid: tuple = (-10.0, 0.0, 10.0, 20.0, 30.0)
     constraint_kind: str = "per-sat-total"   # per-sat-total | per-antenna | custom
-    angle_mode: str = "random"               # random | fixed-list
-    ue_sin_theta: tuple | None = None        # fixed-list: per-satellite UE-side sin(azimuth)
-    sat_sin_phi: tuple | None = None         # fixed-list: per-satellite SAT-side sin(azimuth)
-    elevation_deg: tuple | None = None       # fixed-list: per-satellite elevation
+    ue_sin_theta: tuple | None = None        # if set: per-satellite UE-side sin(azimuth)
+    sat_sin_phi: tuple | None = None         # if set: per-satellite SAT-side sin(azimuth)
+    elevation_deg: tuple | None = None       # if set: per-satellite elevation
     azimuth_drift_deg: float = 1.0
     elevation_drift_deg: float = 0.5
     mc_trials: int = 10000
@@ -80,11 +79,6 @@ class ScenarioConfig:
                "must contain at least one point")
         _check(self.constraint_kind in ("per-sat-total", "per-antenna", "custom"),
                "constraint_kind", "must be per-sat-total, per-antenna or custom")
-        _check(self.angle_mode in ("random", "fixed-list"), "angle_mode",
-               "must be random or fixed-list")
-        if self.angle_mode == "fixed-list":
-            _check(self.ue_sin_theta is not None, "ue_sin_theta",
-                   "required when angle_mode is fixed-list")
         for name in ("ue_sin_theta", "sat_sin_phi", "elevation_deg"):
             val = getattr(self, name)
             if val is not None:
@@ -154,9 +148,11 @@ def load_scenario(config_text: str) -> ScenarioConfig:
     """Parse JSON configuration text into a validated ScenarioConfig.
 
     Absent keys take the reference-scenario defaults; the retired keys
-    ellipsoid_alpha and ellipsoid_max_iters are ignored. Raises ConfigError for
-    syntax/typing problems (naming the offending key) and ValidationError
-    when an invariant is violated.
+    ellipsoid_alpha and ellipsoid_max_iters are ignored. The retired key
+    angle_mode is accepted where it agrees with ue_sin_theta ("fixed-list"
+    with the list set, "random" without it) and dropped. Raises ConfigError
+    for syntax/typing problems (naming the offending key) and
+    ValidationError when an invariant is violated.
     """
     try:
         raw = json.loads(config_text)
@@ -168,6 +164,9 @@ def load_scenario(config_text: str) -> ScenarioConfig:
     kwargs = {}
     for key, value in raw.items():
         if key in _RETIRED_KEYS:
+            continue
+        if key == "angle_mode":
+            _check_angle_mode(value, raw.get("ue_sin_theta") is not None)
             continue
         if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key: {key!r}")
@@ -187,6 +186,17 @@ def load_scenario(config_text: str) -> ScenarioConfig:
                 raise ConfigError(f"{key}: expected a number")
         kwargs[key] = value
     return ScenarioConfig(**kwargs)
+
+
+def _check_angle_mode(value, pinned: bool) -> None:
+    if not isinstance(value, str):
+        raise ConfigError("angle_mode: expected a string")
+    _check(value in ("random", "fixed-list"), "angle_mode",
+           "must be random or fixed-list")
+    _check(value == "random" or pinned, "ue_sin_theta",
+           "required when angle_mode is fixed-list")
+    _check(value == "fixed-list" or not pinned, "angle_mode",
+           "random contradicts ue_sin_theta, which pins the UE angles")
 
 
 def _to_tuple(key, value):
@@ -254,9 +264,10 @@ def sample_geometry(config: ScenarioConfig, rng: np.random.Generator) -> LinkSta
     """Draw one geometry drop: angles, ranges and path gains for all links.
 
     User 1 provides the reference angles; the remaining users perturb them
-    with a small uniform drift, clipped back to the valid range. In
-    fixed-list mode the listed quantities are pinned for every user and the
-    rest follow the random procedure. Pure function of (config, rng state).
+    with a small uniform drift, clipped back to the valid range. Each of
+    ue_sin_theta, sat_sin_phi and elevation_deg that is set pins its angle
+    for every user; the rest follow the random procedure. Pure function of
+    (config, rng state).
     """
     L, K = config.L, config.K
     half = math.pi / 2
@@ -275,7 +286,7 @@ def sample_geometry(config: ScenarioConfig, rng: np.random.Generator) -> LinkSta
     def pinned(values_rad):
         return np.tile(np.asarray(values_rad, float)[:, None], (1, K))
 
-    if config.angle_mode == "fixed-list":
+    if config.ue_sin_theta is not None:
         theta = pinned(np.arcsin(np.asarray(config.ue_sin_theta, float)))
     else:
         theta = with_drift(rng.uniform(-half, half, size=L), az_drift, -half, half)

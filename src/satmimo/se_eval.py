@@ -232,15 +232,6 @@ def approx_se(precoders: np.ndarray, effective: EffectiveChannel,
                     trials_used=0, estimator_kind="approx")
 
 
-def approx_vs_exact_gap(precoders: np.ndarray, link_stats: LinkStatistics,
-                        effective: EffectiveChannel, noise: float, trials: int,
-                        rng: np.random.Generator):
-    """Evaluate both estimators on the same precoders; gap = approx - exact."""
-    approx = approx_se(precoders, effective, noise)
-    exact = exact_se_mc(precoders, link_stats, effective, noise, trials, rng)
-    return approx, exact, approx.sum_se - exact.sum_se
-
-
 def mc_rng(scenario_seed: int, point_index: int) -> np.random.Generator:
     """Generator for one sweep point; identical across precoder variants so
     Monte-Carlo comparisons use common random numbers."""

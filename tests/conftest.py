@@ -97,14 +97,33 @@ def _chol_logdet(mats):
 
 def one_wmmse_iteration(eff, cons, W0, S):
     """One iteration of joint_wmmse.solve from W0, and the receiver state at
-    W0 its precoder step saw: (W1, multipliers per satellite, trace, U, C)."""
+    W0 its precoder step saw: (W1, first multiplier per satellite, trace, U,
+    C)."""
     from satmimo import joint_wmmse
     W1, trace = joint_wmmse.solve(eff, cons, joint_wmmse.SolverParams(max_iters=1),
                                   initial=W0, num_streams=S)
-    U = joint_wmmse.update_combiners(W0, eff, eff.noise_power_w)
-    C = joint_wmmse.update_weights(joint_wmmse.mse_at_optimum(U, W0, eff))
+    J, G = joint_wmmse._receiver_grams(W0, eff, eff.noise_power_w)
+    U = np.linalg.solve(J, G)
+    C = joint_wmmse.update_weights(joint_wmmse._mse_at_optimum(U, G))
     mus = [float(m[0]) for m in trace.multipliers[0]]
     return W1, mus, trace, U, C
+
+
+def dense_subproblem(step, l):
+    """Dense reference of satellite l's precoder subproblem, built from the
+    arrays of a joint_wmmse._PrecoderStep: T = F F^H (N, N) with F =
+    step.factor[l], the right-hand sides B_k = rhs_dir_k rhs_row_k^T stacked
+    (K, N, S), and the objective sum_k Tr(W_k^H T W_k) - 2 Re Tr(B_k^H W_k)
+    of (K, N, S) precoders."""
+    F = step.factor[l]
+    T = F @ F.conj().T
+    B = np.einsum("kn,ks->kns", step.rhs_dir[l], step.rhs_row[l])
+
+    def objective(W):
+        quad = np.einsum("kns,nm,kms->", W.conj(), T, W).real
+        return float(quad - 2.0 * np.vdot(B, W).real)
+
+    return T, B, objective
 
 
 def assert_precoder_kkt(eff, cons, U, C, W1, mus, l, power_tol_rel=1e-5):

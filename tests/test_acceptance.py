@@ -21,8 +21,10 @@ from satmimo import (ScenarioConfig, approx_se, brute_force_assignment,
                      zf_baseline)
 from satmimo import joint_wmmse, streamwise
 from satmimo.assignment import assignment_value
-from satmimo.joint_wmmse import SolverParams, init_precoders
-from tests.conftest import crandn, synthetic_effective
+from satmimo.joint_wmmse import (SolverParams, _mse_at_optimum, _PrecoderStep,
+                                 _receiver_grams, _secular, _Spectrum,
+                                 init_precoders, update_weights)
+from tests.conftest import crandn, dense_subproblem, synthetic_effective
 
 GRID_DBW = (-10.0, 0.0, 10.0, 20.0, 30.0)
 ORTHOGONAL_SINES = (-0.9, -0.4, 0.1, 0.6)
@@ -97,7 +99,7 @@ class TestCriterion1ApproxGap:
 
 class TestCriterion2OrthogonalParity:
     def test_streamwise_within_5pct_of_joint(self):
-        cfg, links, eff = _scenario(3, L=4, M=4, S=4, angle_mode="fixed-list",
+        cfg, links, eff = _scenario(3, L=4, M=4, S=4,
                                     ue_sin_theta=ORTHOGONAL_SINES)
         noise = links.noise_power_w
         ratios = []
@@ -304,8 +306,8 @@ class TestCriterion8SolverProperties:
             eff, cons, S, _ = self._random_instance(rng)
             L, K, M, N = eff.shape
             W = crandn(rng, L, K, N, S) * 0.5
-            U = joint_wmmse.update_combiners(W, eff, eff.noise_power_w)
-            E = joint_wmmse.mse_at_optimum(U, W, eff)
+            J, G = _receiver_grams(W, eff, eff.noise_power_w)
+            E = _mse_at_optimum(np.linalg.solve(J, G), G)
             ident = -sum(np.linalg.slogdet(Ek)[1] for Ek in E) / np.log(2)
             se = approx_se(W, eff, eff.noise_power_w).sum_se
             if se > 1e-9:
@@ -326,20 +328,23 @@ class TestCriterion8SolverProperties:
         while checked < 20:
             eff, cons, S, caps = self._random_instance(rng)
             W0 = crandn(rng, *eff.shape[:2], eff.shape[3], S)
-            U = joint_wmmse.update_combiners(W0, eff, eff.noise_power_w)
-            C = joint_wmmse.update_weights(joint_wmmse.mse_at_optimum(U, W0, eff))
-            sub = joint_wmmse._SatSubproblem(eff, U, C, 0, S)
+            J, G = _receiver_grams(W0, eff, eff.noise_power_w)
+            U = np.linalg.solve(J, G)
+            step = _PrecoderStep(eff, U, update_weights(_mse_at_optimum(U, G)), S)
+            curve = _Spectrum(step, [0]).curves[0]
             rho = float(caps[0])
-            if sub.power_identity(0.0) <= rho:
+            if _secular(curve, 0.0)[0] <= rho:
                 continue
             N = eff.shape[3]
             doubled = make_constraint_set([[(2.0 * np.eye(N), 2.0 * rho)]])
-            _, mu_g, _ = sub.precoders_general(doubled, 1e-10)
-            mu_s, _ = joint_wmmse.secular_multiplier(sub._eigen().curves[0], rho)
+            rhs = step.rhs_dir[0].T * np.linalg.norm(step.rhs_row[0], axis=1)
+            mu_g, _, _ = joint_wmmse.dual_newton_multipliers(
+                step.factor[0], rhs, doubled.weights[0], doubled.caps[0], 1e-10)
+            mu_s, _ = joint_wmmse.secular_multiplier(curve, rho)
             mu = 2.0 * mu_g[0]
             worst = max(worst, abs(mu - mu_s) / mu_s,
-                        abs(sub.power_identity(mu) - rho) / rho)
-            certified &= sub.power_identity(mu * (1 - 1e-9)) > rho
+                        abs(_secular(curve, mu)[0] - rho) / rho)
+            certified &= _secular(curve, mu * (1 - 1e-9))[0] > rho
             checked += 1
         ok = worst <= 1e-10 and certified
         _report(8, ok, f"(d) general search on A = 2I, cap 2 rho = secular "
@@ -370,15 +375,15 @@ class TestCriterion9OracleEquivalences:
         rng = np.random.default_rng(31)
         eff = synthetic_effective(rng, L=2, K=2, M=3, N=4)
         W0 = crandn(rng, 2, 2, 4, 2) * 0.4
-        U = joint_wmmse.update_combiners(W0, eff, eff.noise_power_w)
-        C = joint_wmmse.update_weights(joint_wmmse.mse_at_optimum(U, W0, eff))
-        cons = per_sat_total([1.0, 1.0], 4)
+        J, G = _receiver_grams(W0, eff, eff.noise_power_w)
+        U = np.linalg.solve(J, G)
+        step = _PrecoderStep(eff, U, update_weights(_mse_at_optimum(U, G)), 2)
         mu = 0.6
-        W = joint_wmmse.precoder_given_mu(mu, U, C, eff, 0, cons)
-        sub = joint_wmmse._SatSubproblem(eff, U, C, 0, 2)
+        W = _Spectrum(step, [0]).precoders(np.array([mu]))[0]
+        objective = dense_subproblem(step, 0)[2]
 
         def lagr(Wl):
-            return sub.objective(Wl) + mu * float(np.sum(np.abs(Wl) ** 2))
+            return objective(Wl) + mu * float(np.sum(np.abs(Wl) ** 2))
 
         h, worst = 1e-6, 0.0
         for _ in range(40):
@@ -399,17 +404,17 @@ class TestCriterion9OracleEquivalences:
         for k in range(2):
             for s in range(2):
                 W0[assoc.pi[k, s], k, :, s] = crandn(rng, 4) * 0.4
-        U = joint_wmmse.update_combiners(W0, eff, eff.noise_power_w)
-        C = joint_wmmse.update_weights(joint_wmmse.mse_at_optimum(U, W0, eff))
+        J, G = _receiver_grams(W0, eff, eff.noise_power_w)
+        U = np.linalg.solve(J, G)
+        step = _PrecoderStep(eff, U, update_weights(_mse_at_optimum(U, G)), 2)
         mu = 0.4
-        cons = per_sat_total([1.0, 1.0], 4)
-        W = joint_wmmse.precoder_given_mu(mu, U, C, eff, 0, cons)
-        sub = joint_wmmse._SatSubproblem(eff, U, C, 0, 2)
+        W = _Spectrum(step, [0]).precoders(np.array([mu]))[0]
+        objective = dense_subproblem(step, 0)[2]
         on_support = np.zeros((2, 2), bool)       # (user, stream) on satellite 0
         on_support[assoc.pi == 0] = True
 
         def lagr(Wl):
-            return sub.objective(Wl) + mu * float(np.sum(np.abs(Wl) ** 2))
+            return objective(Wl) + mu * float(np.sum(np.abs(Wl) ** 2))
 
         h, worst = 1e-6, 0.0
         for _ in range(40):

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from satmimo import (ScenarioConfig, aggregate, aggregate_all,
-                     effective_channels, sample_geometry, sample_realization,
-                     ula_response)
+                     effective_channels, sample_geometry, ula_response)
 from satmimo.channel import sample_gamma
 
 
@@ -52,8 +51,7 @@ class TestEffectiveChannels:
                 assert np.all(s[1:] < 1e-12 * s[0])
 
     def test_scalar_degenerate_case(self):
-        cfg = ScenarioConfig(L=1, K=1, N=1, M=1, S=1,
-                             angle_mode="fixed-list", ue_sin_theta=(0.0,),
+        cfg = ScenarioConfig(L=1, K=1, N=1, M=1, S=1, ue_sin_theta=(0.0,),
                              sat_sin_phi=(0.0,), elevation_deg=(90.0,))
         links = sample_geometry(cfg, np.random.default_rng(0))
         eff = effective_channels(links, cfg)
@@ -67,15 +65,7 @@ class TestEffectiveChannels:
 
 
 class TestSampleRealization:
-    def test_realization_is_scaled_effective(self, default_effective, default_links):
-        real = sample_realization(default_effective, default_links,
-                                  np.random.default_rng(5))
-        L, K = default_links.beta.shape
-        for l in range(L):
-            for k in range(K):
-                scale = real.gamma[l, k] / np.sqrt(default_links.beta[l, k])
-                np.testing.assert_allclose(
-                    real.h[l, k], scale * default_effective.hbar[l, k], rtol=1e-12)
+    # the Rician gain draw, sample_gamma
 
     def test_pure_los_limit(self, default_links, default_effective):
         kappa = np.full_like(default_links.beta, 1e12)
@@ -104,11 +94,10 @@ class TestSampleRealization:
                                + np.sqrt(1 / (kappa + 1)) * z)
         np.testing.assert_allclose(gamma, ref, rtol=1e-14, atol=0)
 
-    def test_deterministic(self, default_effective, default_links):
-        g1 = sample_realization(default_effective, default_links,
-                                np.random.default_rng(9)).gamma
-        g2 = sample_realization(default_effective, default_links,
-                                np.random.default_rng(9)).gamma
+    def test_deterministic(self, default_links):
+        kappa = default_links.kappa
+        g1 = sample_gamma(default_links.beta, kappa, np.random.default_rng(9))
+        g2 = sample_gamma(default_links.beta, kappa, np.random.default_rng(9))
         np.testing.assert_array_equal(g1, g2)
 
 

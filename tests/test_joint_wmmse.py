@@ -1,31 +1,38 @@
 import numpy as np
 import pytest
 
-from satmimo import NumericsError, approx_se, per_antenna, per_sat_total
+from satmimo import (NumericsError, approx_se, make_constraint_set,
+                     per_antenna, per_sat_total)
 from satmimo import joint_wmmse
 from satmimo.channel import EffectiveChannel
-from satmimo.joint_wmmse import (SolverParams, init_precoders, mse_at_optimum,
-                                 mse_matrix, precoder_given_mu, solve,
-                                 stacked_streams, update_combiners,
-                                 update_weights, wmmse_objective)
+from satmimo.joint_wmmse import (SolverParams, _mse_at_optimum, _mse_matrices,
+                                 _PrecoderStep, _receiver_grams, _Spectrum,
+                                 init_precoders, solve, update_weights,
+                                 wmmse_objective)
+from satmimo.power import residuals
 from tests.conftest import (assert_precoder_kkt, bisect_multiplier, crandn,
-                            one_wmmse_iteration, synthetic_effective)
+                            dense_subproblem, one_wmmse_iteration,
+                            synthetic_effective)
 
 LN2 = np.log(2.0)
 
 
 class TestMseMatrix:
+    # _mse_matrices at arbitrary combiners, on the grams of _receiver_grams
+
     def test_zero_combiner_gives_identity(self, rng):
         eff = synthetic_effective(rng, L=3, K=2, M=4, N=5)
         W = crandn(rng, 3, 2, 5, 2)
-        E = mse_matrix(np.zeros((4, 6), complex), W, eff, 0, 0.7)
+        J, G = _receiver_grams(W, eff, 0.7)
+        E = _mse_matrices(np.zeros((4, 6), complex), J[0], G[0])
         np.testing.assert_allclose(E, np.eye(6), atol=1e-14)
 
     def test_zero_precoders_leave_noise_term(self, rng):
         eff = synthetic_effective(rng, L=2, K=2, M=3, N=4)
         W = np.zeros((2, 2, 4, 2), complex)
         U = crandn(rng, 3, 4)
-        E = mse_matrix(U, W, eff, 1, 0.9)
+        J, G = _receiver_grams(W, eff, 0.9)
+        E = _mse_matrices(U, J[1], G[1])
         np.testing.assert_allclose(E, 0.9 * U.conj().T @ U + np.eye(4), atol=1e-12)
 
     def test_matches_bruteforce_covariance_expansion(self, rng):
@@ -38,33 +45,38 @@ class TestMseMatrix:
         U = crandn(rng, M, L * S)
         noise = 0.6
         k = 0
-        E = np.zeros((L * S, L * S), complex)
-        G_all = [stacked_streams(W, eff, k)[:, :]]
         # quadratic term: every user's per-link stream columns contribute
         quad = noise * np.eye(M, dtype=complex)
         for i in range(K):
             for l in range(L):
                 G = eff.hbar[l, k] @ W[l, i]
                 quad += G @ G.conj().T
-        Gk = stacked_streams(W, eff, k)
+        # desired blocks Hb_{l,k} W_{l,k} side by side, satellite major
+        Gk = np.concatenate([eff.hbar[l, k] @ W[l, k] for l in range(L)], axis=1)
         E = U.conj().T @ quad @ U - U.conj().T @ Gk - Gk.conj().T @ U + np.eye(L * S)
-        np.testing.assert_allclose(mse_matrix(U, W, eff, k, noise), E, atol=1e-12)
+        J, G = _receiver_grams(W, eff, noise)
+        np.testing.assert_allclose(J[k], quad, atol=1e-12)
+        np.testing.assert_allclose(G[k], Gk, atol=1e-12)
+        np.testing.assert_allclose(_mse_matrices(U, J[k], G[k]), E, atol=1e-12)
 
 
 class TestCombiners:
+    # the MMSE combiners U = J^{-1} G that solve forms from _receiver_grams
+
     def test_zero_precoders_zero_combiners(self, rng):
         eff = synthetic_effective(rng, L=2, K=2, M=3, N=4)
-        U = update_combiners(np.zeros((2, 2, 4, 2), complex), eff, 1.0)
-        assert np.all(U == 0)
+        J, G = _receiver_grams(np.zeros((2, 2, 4, 2), complex), eff, 1.0)
+        assert np.all(np.linalg.solve(J, G) == 0)
 
     def test_minimizes_mse_trace(self, rng):
         eff = synthetic_effective(rng, L=2, K=2, M=4, N=5)
         W = crandn(rng, 2, 2, 5, 2)
-        U = update_combiners(W, eff, 0.8)
-        base = np.trace(mse_matrix(U[0], W, eff, 0, 0.8)).real
+        J, G = _receiver_grams(W, eff, 0.8)
+        U = np.linalg.solve(J, G)
+        base = np.trace(_mse_matrices(U[0], J[0], G[0])).real
         for _ in range(100):
             pert = U[0] + 0.01 * crandn(rng, 4, 4)
-            assert np.trace(mse_matrix(pert, W, eff, 0, 0.8)).real >= base - 1e-12
+            assert np.trace(_mse_matrices(pert, J[0], G[0])).real >= base - 1e-12
 
     def test_zero_forcing_limit_single_satellite(self, rng):
         # K = L = S = 1: as noise goes to zero the combined product
@@ -73,25 +85,24 @@ class TestCombiners:
         # the meaningful zero-forcing limit.)
         eff = synthetic_effective(rng, L=1, K=1, M=3, N=6)
         W = crandn(rng, 1, 1, 6, 1)
-        U = update_combiners(W, eff, 1e-12)
+        U = np.linalg.solve(*_receiver_grams(W, eff, 1e-12))
         prod = U[0].conj().T @ (eff.hbar[0, 0] @ W[0, 0])
         np.testing.assert_allclose(prod, np.eye(1), atol=1e-5)
         # with as many satellites as receive antennas the stacked signal has
         # full column rank and every virtual stream is recovered
         eff4 = synthetic_effective(rng, L=3, K=1, M=3, N=6)
         W4 = crandn(rng, 3, 1, 6, 1)
-        U4 = update_combiners(W4, eff4, 1e-12)
-        G = stacked_streams(W4, eff4, 0)
-        np.testing.assert_allclose(U4[0].conj().T @ G, np.eye(3), atol=1e-5)
+        J4, G4 = _receiver_grams(W4, eff4, 1e-12)
+        U4 = np.linalg.solve(J4, G4)
+        np.testing.assert_allclose(U4[0].conj().T @ G4[0], np.eye(3), atol=1e-5)
 
     def test_mse_at_optimum_matches_full_formula(self, rng):
         eff = synthetic_effective(rng, L=2, K=2, M=4, N=5)
         W = crandn(rng, 2, 2, 5, 2)
-        U = update_combiners(W, eff, 0.5)
-        fast = mse_at_optimum(U, W, eff)
-        for k in range(2):
-            full = mse_matrix(U[k], W, eff, k, 0.5)
-            np.testing.assert_allclose(fast[k], full, atol=1e-11)
+        J, G = _receiver_grams(W, eff, 0.5)
+        U = np.linalg.solve(J, G)
+        np.testing.assert_allclose(_mse_at_optimum(U, G), _mse_matrices(U, J, G),
+                                   atol=1e-11)
 
 
 class TestWeights:
@@ -118,26 +129,27 @@ class TestWeights:
 
 
 class TestPrecoderGivenMu:
+    # the closed form of one satellite's total-power subproblem at a given
+    # multiplier (_Spectrum.precoders) against the dense subproblem
+
     def test_zero_combiners_give_zero_precoders(self, rng):
         eff = synthetic_effective(rng, L=2, K=2, M=3, N=4)
         U = np.zeros((2, 3, 4), complex)
         C = np.stack([np.eye(4, dtype=complex)] * 2)
-        cons = per_sat_total([1.0, 1.0], 4)
-        W = precoder_given_mu(0.0, U, C, eff, 0, cons, num_streams=2)
+        W = _Spectrum(_PrecoderStep(eff, U, C, 2), [0]).precoders(np.zeros(1))
         assert np.all(W == 0)
 
     def test_identity_path_matches_dense_solve(self, rng):
         eff = synthetic_effective(rng, L=2, K=2, M=3, N=5)
         W0 = crandn(rng, 2, 2, 5, 2)
-        U = update_combiners(W0, eff, 0.5)
-        C = update_weights(mse_at_optimum(U, W0, eff))
-        cons = per_sat_total([1.0, 1.0], 5)
+        J, G = _receiver_grams(W0, eff, 0.5)
+        U = np.linalg.solve(J, G)
+        step = _PrecoderStep(eff, U, update_weights(_mse_at_optimum(U, G)), 2)
         mu = 0.37
-        fast = precoder_given_mu(mu, U, C, eff, 0, cons)
-        sub = joint_wmmse._SatSubproblem(eff, U, C, 0, 2)
-        dense = np.linalg.solve(sub.coupling_matrix() + mu * np.eye(5),
-                                np.stack([sub.rhs_matrix(k) for k in range(2)])
-                                .transpose(1, 0, 2).reshape(5, 4)).reshape(5, 2, 2)
+        fast = _Spectrum(step, [0]).precoders(np.array([mu]))[0]
+        T, B, _ = dense_subproblem(step, 0)
+        dense = np.linalg.solve(T + mu * np.eye(5),
+                                B.transpose(1, 0, 2).reshape(5, 4)).reshape(5, 2, 2)
         np.testing.assert_allclose(fast, dense.transpose(1, 0, 2), atol=1e-10)
 
     def test_rank_one_closed_form(self, rng):
@@ -145,32 +157,31 @@ class TestPrecoderGivenMu:
         # has the Sherman-Morrison solution w = z / (c ||a||^2 + mu)
         eff = synthetic_effective(rng, L=1, K=1, M=3, N=4)
         W0 = crandn(rng, 1, 1, 4, 1)
-        U = update_combiners(W0, eff, 0.5)
-        C = update_weights(mse_at_optimum(U, W0, eff))
-        cons = per_sat_total([1.0], 4)
+        J, G = _receiver_grams(W0, eff, 0.5)
+        U = np.linalg.solve(J, G)
+        step = _PrecoderStep(eff, U, update_weights(_mse_at_optimum(U, G)), 1)
         mu = 0.8
-        got = precoder_given_mu(mu, U, C, eff, 0, cons)[0]
-        sub = joint_wmmse._SatSubproblem(eff, U, C, 0, 1)
+        got = _Spectrum(step, [0]).precoders(np.array([mu]))[0, 0]
         a_conj = eff.a[0, 0].conj()
-        coef = sub.factor[:, 0] / a_conj  # sqrt(c) elementwise, constant vector
+        coef = step.factor[0][:, 0] / a_conj  # sqrt(c) elementwise, constant vector
         c = float(np.abs(coef[0]) ** 2)
-        z = sub.rhs_matrix(0)
+        z = dense_subproblem(step, 0)[1][0]
         expect = z / (c * np.linalg.norm(a_conj) ** 2 + mu)
         np.testing.assert_allclose(got, expect, rtol=1e-9)
 
     def test_lagrangian_stationarity_finite_difference(self, rng):
         eff = synthetic_effective(rng, L=2, K=2, M=3, N=4)
         W0 = crandn(rng, 2, 2, 4, 2)
-        U = update_combiners(W0, eff, 0.5)
-        C = update_weights(mse_at_optimum(U, W0, eff))
-        cons = per_sat_total([1.0, 1.0], 4)
+        J, G = _receiver_grams(W0, eff, 0.5)
+        U = np.linalg.solve(J, G)
+        step = _PrecoderStep(eff, U, update_weights(_mse_at_optimum(U, G)), 2)
         mu = 0.45
         l = 1
-        W = precoder_given_mu(mu, U, C, eff, l, cons)
-        sub = joint_wmmse._SatSubproblem(eff, U, C, l, 2)
+        W = _Spectrum(step, [l]).precoders(np.array([mu]))[0]
+        objective = dense_subproblem(step, l)[2]
 
         def lagrangian(Wl):
-            val = sub.objective(Wl)
+            val = objective(Wl)
             return val + mu * float(np.sum(np.abs(Wl) ** 2))
 
         base = lagrangian(W)
@@ -341,8 +352,8 @@ class TestSolve:
         cons = per_sat_total([1.0, 1.0, 1.0], 6)
         W, _ = solve(eff, cons, SolverParams(max_iters=10, tol=1e-12),
                      num_streams=2)
-        U = update_combiners(W, eff, eff.noise_power_w)
-        E = mse_at_optimum(U, W, eff)
+        J, G = _receiver_grams(W, eff, eff.noise_power_w)
+        E = _mse_at_optimum(np.linalg.solve(J, G), G)
         ident = -sum(np.linalg.slogdet(Ek)[1] for Ek in E) / LN2
         se = approx_se(W, eff, eff.noise_power_w).sum_se
         assert ident == pytest.approx(se, rel=1e-8)
@@ -385,27 +396,11 @@ class TestSolve:
         base = approx_se(init_precoders(eff, cons, 2), eff, eff.noise_power_w).sum_se
         assert approx_se(W, eff, eff.noise_power_w).sum_se >= base - 1e-9
 
-    def test_state_snapshot_consistent(self, rng):
-        from satmimo.joint_wmmse import wmmse_state
-        eff = synthetic_effective(rng, L=2, K=2, M=3, N=4)
-        W = crandn(rng, 2, 2, 4, 2) * 0.4
-        state = wmmse_state(W, eff, eff.noise_power_w)
-        np.testing.assert_allclose(
-            state.combiners, update_combiners(W, eff, eff.noise_power_w))
-        assert state.objective == pytest.approx(
-            wmmse_objective(state.mse, state.weights), rel=1e-12)
-        # at the matched weights the objective is an affine map of the
-        # achievable approximate SE
-        dim = state.mse.shape[1]
-        const = 2 * (dim / LN2 + dim * np.log2(LN2))
-        se = approx_se(W, eff, eff.noise_power_w).sum_se
-        assert state.objective == pytest.approx(const - se, rel=1e-9)
-
     def test_objective_value_matches_definition(self, rng):
         eff = synthetic_effective(rng, L=2, K=2, M=3, N=4)
         W = crandn(rng, 2, 2, 4, 2) * 0.4
-        U = update_combiners(W, eff, 0.5)
-        E = np.stack([mse_matrix(U[k], W, eff, k, 0.5) for k in range(2)])
+        J, G = _receiver_grams(W, eff, 0.5)
+        E = _mse_matrices(np.linalg.solve(J, G), J, G)
         C = update_weights(E)
         val = wmmse_objective(E, C)
         expect = sum(np.trace(C[k] @ E[k]).real
@@ -414,18 +409,18 @@ class TestSolve:
 
 
 
-def _pinv_rule(sub):
-    """The per-satellite pseudoinverse rule, computed on its own: QR of the
+def _pinv_rule(step, l):
+    """Satellite l's pseudoinverse rule, computed on its own: QR of the
     factor, the K x K eigenproblem, the range kept above 1e-12 of the
     largest eigenvalue, and a null-space part of an active user's direction
     above 1e-14 of its squared norm."""
-    q, r = np.linalg.qr(sub.factor)
+    q, r = np.linalg.qr(step.factor[l])
     lam, z = np.linalg.eigh(r @ r.conj().T)
     basis = q @ z[:, lam > 1e-12 * max(lam.max(), 1e-300)]
-    rhs = sub.rhs_dir.T
+    rhs = step.rhs_dir[l].T
     perp_sq = np.sum(np.abs(rhs - basis @ (basis.conj().T @ rhs)) ** 2, axis=0)
     dir_sq = np.sum(np.abs(rhs) ** 2, axis=0)
-    active = np.sum(np.abs(sub.rhs_row) ** 2, axis=1) > 0
+    active = np.sum(np.abs(step.rhs_row[l]) ** 2, axis=1) > 0
     return bool(np.any(perp_sq[active] > 1e-14 * np.maximum(dir_sq[active], 1e-300)))
 
 
@@ -452,10 +447,10 @@ class TestBatchedPrecoderStep:
         cons = per_sat_total([0.05, 0.1, 1e6], 5)
         W1, mus, _, U, C = one_wmmse_iteration(eff, cons, W0, 2)
         assert np.all(U[1] == 0)
+        step = _PrecoderStep(eff, U, C, 2)
         for l in range(3):
-            sub = joint_wmmse._SatSubproblem(eff, U, C, l, 2)
-            assert np.all(sub.factor[:, 1] == 0)
-            assert np.linalg.matrix_rank(sub.coupling_matrix()) == 1
+            assert np.all(step.factor[l][:, 1] == 0)
+            assert np.linalg.matrix_rank(dense_subproblem(step, l)[0]) == 1
             assert_precoder_kkt(eff, cons, U, C, W1, mus, l)
         assert np.all(W1[:, 1] == 0)
         assert mus[0] > 0 and mus[2] == 0.0
@@ -472,15 +467,37 @@ class TestBatchedPrecoderStep:
         cons = per_sat_total(caps, 4)
         W1, mus, trace, U, C = one_wmmse_iteration(eff, cons, W0, 2)
         expect = 0
+        step = _PrecoderStep(eff, U, C, 2)
         for l in range(2):
-            sub = joint_wmmse._SatSubproblem(eff, U, C, l, 2)
-            assert sub.pinv_used() == _pinv_rule(sub) == (tiny < 1)
-            expect += int(mus[l] == 0.0 and _pinv_rule(sub))
+            used = bool(_Spectrum(step, [l]).pinv[0])
+            assert used == _pinv_rule(step, l) == (tiny < 1)
+            expect += int(mus[l] == 0.0 and used)
             if mus[l] > 0:
                 # the null-space part of the right-hand side enters as
                 # perp / mu
                 assert_precoder_kkt(eff, cons, U, C, W1, mus, l)
         assert trace.pinv_fallbacks == expect == fallbacks
+
+    def test_general_family_kkt(self, rng):
+        # per-antenna caps go through dual_newton_multipliers: every
+        # satellite's precoders minimise its Lagrangian at the returned
+        # multipliers (T W_k + sum_x mu_x A_x W_k = B_k, built densely),
+        # meet every cap and certify the duality gap |mu^T r| <= 1e-6 |g|
+        eff = synthetic_effective(rng, L=2, K=2, M=3, N=4)
+        W0 = crandn(rng, 2, 2, 4, 2) * 0.5
+        cons = per_antenna([np.full(4, 0.01), np.full(4, 0.02)])
+        W1, _, trace, U, C = one_wmmse_iteration(eff, cons, W0, 2)
+        step = _PrecoderStep(eff, U, C, 2)
+        for l in range(2):
+            mu = trace.multipliers[0][l]
+            assert mu.shape == (4,) and np.all(mu > 0)
+            T, B, objective = dense_subproblem(step, l)
+            M = T + np.tensordot(mu, cons.weights[l], 1)
+            resid = np.einsum("nm,kms->kns", M, W1[l]) - B
+            assert np.linalg.norm(resid) <= 1e-9 * np.linalg.norm(B)
+            r = residuals(W1[l], cons, l)
+            assert np.all(r <= 1e-5 * cons.caps[l])
+            assert abs(mu @ r) <= 1e-6 * abs(objective(W1[l]) + mu @ r)
 
 def _random_curve(rng, with_d):
     """Secular curve (c, lam, d) with eigenvalues spread over 1e-10...1e6."""
@@ -550,3 +567,34 @@ class TestSecularMultiplier:
         assert trace.multiplier_searches == 3 * trace.iterations
         assert trace.multiplier_searches <= trace.multiplier_evals
         assert trace.multiplier_evals <= 12 * trace.multiplier_searches
+
+    def test_solve_counts_dual_searches(self, rng):
+        # per-antenna caps: one dual search per live satellite and iteration,
+        # each with at least one dual evaluation. Satellite 2 starts silent
+        # and stays so, unsearched
+        eff = synthetic_effective(rng, L=3, K=2, M=3, N=4)
+        W0 = crandn(rng, 3, 2, 4, 2) * 0.3
+        W0[2] = 0
+        cons = per_antenna(np.full((3, 4), 0.05))
+        W, trace = solve(eff, cons, SolverParams(max_iters=5, tol=1e-12),
+                         initial=W0, num_streams=2)
+        assert trace.iterations == 5
+        assert np.all(W[2] == 0)
+        assert trace.multiplier_searches == 2 * trace.iterations
+        assert trace.multiplier_evals >= trace.multiplier_searches
+
+
+class TestAssertFeasible:
+    def test_each_constraint_against_its_own_cap(self):
+        # caps (1, 100): 5e-4 over the cap of 1 is within 1e-5 of the
+        # largest cap but 50 times the tolerance of its own
+        A1 = np.diag([1.0, 0.0]).astype(complex)
+        A2 = np.diag([0.0, 1.0]).astype(complex)
+        cons = make_constraint_set([[(A1, 1.0), (A2, 100.0)]])
+        W = np.zeros((1, 1, 2, 1), complex)
+        W[0, 0, :, 0] = [np.sqrt(1.0 + 5e-4), 1.0]
+        np.testing.assert_allclose(residuals(W[0], cons, 0), [5e-4, -99.0])
+        with pytest.raises(NumericsError, match="constraint 0"):
+            joint_wmmse._assert_feasible(W, cons, 1e-5)
+        W[0, 0, 0, 0] = np.sqrt(1.0 + 5e-6)
+        joint_wmmse._assert_feasible(W, cons, 1e-5)

@@ -66,6 +66,27 @@ class TestLoadScenario:
         with pytest.raises(ValidationError, match="ue_sin_theta"):
             load_scenario('{"angle_mode": "fixed-list", "ue_sin_theta": [0.1, 0.2], "L": 4}')
 
+    def test_retired_angle_mode_loads_where_it_agrees(self):
+        # angle_mode is no longer a field: a list pins its angle when set
+        pinned = load_scenario('{"ue_sin_theta": [0.1, 0.2, 0.3, 0.4]}')
+        assert not hasattr(pinned, "angle_mode")
+        assert "angle_mode" not in pinned.as_dict()
+        assert load_scenario('{"angle_mode": "fixed-list", '
+                             '"ue_sin_theta": [0.1, 0.2, 0.3, 0.4]}') == pinned
+        assert load_scenario('{"angle_mode": "random"}') == ScenarioConfig()
+        assert load_scenario('{"angle_mode": "random", "ue_sin_theta": null}') \
+            == ScenarioConfig()
+
+    @pytest.mark.parametrize("text, error, key", [
+        ('{"angle_mode": "random", "ue_sin_theta": [0.1, 0.2, 0.3, 0.4]}',
+         ValidationError, "angle_mode"),
+        ('{"angle_mode": "fixed"}', ValidationError, "angle_mode"),
+        ('{"angle_mode": 1}', ConfigError, "angle_mode"),
+    ], ids=["random-with-list", "unknown-value", "not-a-string"])
+    def test_retired_angle_mode_disagreement_rejected(self, text, error, key):
+        with pytest.raises(error, match=key):
+            load_scenario(text)
+
     def test_linear_accessors(self):
         cfg = load_scenario("{}")
         assert cfg.rician_factor_linear() == pytest.approx(10 ** 1.2)
@@ -155,13 +176,13 @@ class TestSampleGeometry:
 
     def test_fixed_list_pins_ue_azimuths(self):
         sines = (-0.9, -0.4, 0.1, 0.6)
-        cfg = ScenarioConfig(angle_mode="fixed-list", ue_sin_theta=sines)
+        cfg = ScenarioConfig(ue_sin_theta=sines)
         links = sample_geometry(cfg, np.random.default_rng(1))
         for k in range(cfg.K):
             np.testing.assert_allclose(np.sin(links.theta[:, k]), sines, atol=1e-12)
 
     def test_fixed_list_can_pin_everything(self):
-        cfg = ScenarioConfig(L=2, angle_mode="fixed-list", ue_sin_theta=(0.1, -0.2),
+        cfg = ScenarioConfig(L=2, ue_sin_theta=(0.1, -0.2),
                              sat_sin_phi=(0.3, 0.4), elevation_deg=(45.0, 60.0))
         links = sample_geometry(cfg, np.random.default_rng(1))
         np.testing.assert_allclose(np.sin(links.phi[:, 0]), (0.3, 0.4), atol=1e-12)

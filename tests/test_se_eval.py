@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from satmimo import (NumericsError, ScenarioConfig, approx_se,
-                     approx_vs_exact_gap, effective_channels, exact_se_mc,
-                     mc_rng, sample_geometry, tdma_mrt_baseline)
+                     effective_channels, exact_se_mc, mc_rng, sample_geometry,
+                     tdma_mrt_baseline)
 from satmimo.baselines import mmse_baseline, tdma_mrt_precoders
 from satmimo.channel import sample_gamma, sample_pair_gains
 from satmimo import se_eval
@@ -537,19 +537,23 @@ class TestRepeatedUsers:
 
 
 class TestGap:
+    # the approximation gap: approx_se minus exact_se_mc on the same precoders
+
     def test_zero_precoders_zero_gap(self, default_config, default_links,
                                      default_effective):
         W = np.zeros((4, 2, 64, 2), complex)
-        _, _, gap = approx_vs_exact_gap(W, default_links, default_effective,
-                                        default_links.noise_power_w, 10,
-                                        np.random.default_rng(0))
-        assert gap == 0.0
+        noise = default_links.noise_power_w
+        approx = approx_se(W, default_effective, noise)
+        exact = exact_se_mc(W, default_links, default_effective, noise, 10,
+                            np.random.default_rng(0))
+        assert approx.sum_se == exact.sum_se == 0.0
 
     def test_low_power_small_relative_gap(self, default_config, default_links,
                                           default_effective):
         rho = np.full(default_config.L, 0.1)
         W = mmse_baseline(default_effective, rho, default_config.S)
-        approx, exact, gap = approx_vs_exact_gap(
-            W, default_links, default_effective, default_links.noise_power_w,
-            4000, mc_rng(0, 0))
-        assert abs(gap) / exact.sum_se < 0.05
+        noise = default_links.noise_power_w
+        approx = approx_se(W, default_effective, noise)
+        exact = exact_se_mc(W, default_links, default_effective, noise, 4000,
+                            mc_rng(0, 0))
+        assert abs(approx.sum_se - exact.sum_se) / exact.sum_se < 0.05

@@ -8,12 +8,15 @@ from satmimo import (InfeasibleError, NumericsError, ScenarioConfig,
                      sample_geometry, sat_selection_score, solve_streamwise)
 from satmimo import joint_wmmse
 from satmimo.assignment import assignment_value
-from satmimo.joint_wmmse import SolverParams, precoder_given_mu
+from satmimo.joint_wmmse import (SolverParams, _mse_at_optimum, _mse_matrices,
+                                 _PrecoderStep, _receiver_grams, _secular,
+                                 _Spectrum)
 from satmimo.power import residuals
 from satmimo.streamwise import (StreamAssignment, init_streamwise,
                                 select_serving_sats)
 from tests.conftest import (assert_precoder_kkt, bisect_multiplier, crandn,
-                            one_wmmse_iteration, synthetic_effective)
+                            dense_subproblem, one_wmmse_iteration,
+                            synthetic_effective)
 
 ORTHOGONAL = (-0.9, -0.4, 0.1, 0.6)
 NON_ORTHOGONAL = (-0.340, -0.119, 0.119, 0.340)
@@ -22,7 +25,7 @@ NON_ORTHOGONAL = (-0.340, -0.119, 0.119, 0.340)
 def _masked(rng, eff, pi, scale=0.4):
     """Joint-form precoders with random columns on the support of pi (column
     s of W[l, k] live only when pi_k(s) = l), and the joint receiver state
-    at them: (assignment, W, U, C)."""
+    at them: (assignment, W, U, C, J, G)."""
     L, K, M, N = eff.shape
     assoc = StreamAssignment.from_pi(np.array(pi), L)
     S = assoc.pi.shape[1]
@@ -30,9 +33,10 @@ def _masked(rng, eff, pi, scale=0.4):
     for k in range(K):
         for s in range(S):
             W[assoc.pi[k, s], k, :, s] = crandn(rng, N) * scale
-    U = joint_wmmse.update_combiners(W, eff, eff.noise_power_w)
-    C = joint_wmmse.update_weights(joint_wmmse.mse_at_optimum(U, W, eff))
-    return assoc, W, U, C
+    J, G = _receiver_grams(W, eff, eff.noise_power_w)
+    U = np.linalg.solve(J, G)
+    C = joint_wmmse.update_weights(_mse_at_optimum(U, G))
+    return assoc, W, U, C, J, G
 
 
 def _off_support(assoc, L):
@@ -53,8 +57,7 @@ def _root_certificate(power, mu, rho):
 
 
 def _fixed_scenario(sines, seed=3, S=2):
-    cfg = ScenarioConfig(L=4, M=4, S=S, angle_mode="fixed-list",
-                         ue_sin_theta=sines)
+    cfg = ScenarioConfig(L=4, M=4, S=S, ue_sin_theta=sines)
     links = sample_geometry(cfg, np.random.default_rng(seed))
     return cfg, links, effective_channels(links, cfg)
 
@@ -171,9 +174,10 @@ class TestCombinersAndWeights:
     def test_zero_precoders(self, rng):
         eff = synthetic_effective(rng, L=3, K=2, M=3, N=4, noise=0.5)
         W = np.zeros((3, 2, 4, 2), complex)
-        U = joint_wmmse.update_combiners(W, eff, 0.5)
+        J, G = _receiver_grams(W, eff, 0.5)
+        U = np.linalg.solve(J, G)
         assert np.all(U == 0)
-        E = joint_wmmse.mse_matrix(U[0], W, eff, 0, 0.5)
+        E = _mse_matrices(U[0], J[0], G[0])
         np.testing.assert_allclose(E, np.eye(6), atol=1e-14)
         C = joint_wmmse.update_weights(E[None])
         np.testing.assert_allclose(C[0], np.eye(6) / np.log(2), atol=1e-13)
@@ -183,10 +187,10 @@ class TestCombinersAndWeights:
         # U[:, (l, s)] = J_k^{-1} Hb_{l,k} w_{l,k,s}, J_k summed over the
         # active streams only; every column off the support is exactly zero
         eff = synthetic_effective(rng, L=3, K=2, M=4, N=5, noise=0.6)
-        assoc, W, U, C = _masked(rng, eff, [[0, 2], [1, 0]])
+        assoc, W, U, C, _, G = _masked(rng, eff, [[0, 2], [1, 0]])
         S = 2
         off = _off_support(assoc, 3)
-        E = joint_wmmse.mse_at_optimum(U, W, eff)
+        E = _mse_at_optimum(U, G)
         for k in range(2):
             J = 0.6 * np.eye(4, dtype=complex)
             for i in range(2):
@@ -208,11 +212,11 @@ class TestCombinersAndWeights:
 
     def test_combiner_minimizes_mse(self, rng):
         eff = synthetic_effective(rng, L=3, K=2, M=4, N=5, noise=0.5)
-        assoc, W, U, C = _masked(rng, eff, [[0, 1], [1, 2]], scale=0.3)
-        base = np.trace(joint_wmmse.mse_matrix(U[1], W, eff, 1, 0.5)).real
+        assoc, W, U, C, J, G = _masked(rng, eff, [[0, 1], [1, 2]], scale=0.3)
+        base = np.trace(_mse_matrices(U[1], J[1], G[1])).real
         for _ in range(100):
             pert = U[1] + 0.01 * crandn(rng, 4, 6)
-            val = np.trace(joint_wmmse.mse_matrix(pert, W, eff, 1, 0.5)).real
+            val = np.trace(_mse_matrices(pert, J[1], G[1])).real
             assert val >= base - 1e-12
 
 
@@ -222,43 +226,43 @@ class TestPrecoderAndBisection:
 
     def test_zero_coupling_zero_vectors(self, rng):
         eff = synthetic_effective(rng, L=3, K=1, M=3, N=4)
-        cons = per_sat_total(np.ones(3), 4)
         U = np.zeros((1, 3, 6), complex)
         C = np.eye(6, dtype=complex)[None]
-        assert np.all(precoder_given_mu(0.0, U, C, eff, 0, cons) == 0)
+        step = _PrecoderStep(eff, U, C, 2)
+        assert np.all(_Spectrum(step, [0]).precoders(np.zeros(1)) == 0)
         # a real masked state: the satellite carrying no stream and every
         # off-support column get exactly zero, at any multiplier
-        assoc, W, U, C = _masked(rng, eff, [[0, 1]])
+        assoc, W, U, C, *_ = _masked(rng, eff, [[0, 1]])
         off = _off_support(assoc, 3)
+        spectrum = _Spectrum(_PrecoderStep(eff, U, C, 2), np.arange(3))
         for mu in (0.0, 0.3):
-            for l in range(3):
-                Wl = precoder_given_mu(mu, U, C, eff, l, cons)
-                assert np.all(Wl.transpose(0, 2, 1)[off[l]] == 0)
-            assert np.all(precoder_given_mu(mu, U, C, eff, 2, cons) == 0)
+            Wl = spectrum.precoders(np.full(3, mu))
+            assert np.all(Wl.transpose(0, 1, 3, 2)[off] == 0)
+            assert np.all(Wl[2] == 0)
 
     def test_norm_decreasing_in_mu(self, rng):
         eff = synthetic_effective(rng, L=2, K=2, M=3, N=4)
-        assoc, W, U, C = _masked(rng, eff, [[0, 1], [1, 0]])
-        cons = per_sat_total(np.ones(2), 4)
-        sub = joint_wmmse._SatSubproblem(eff, U, C, 0, 2)
+        assoc, W, U, C, *_ = _masked(rng, eff, [[0, 1], [1, 0]])
+        spectrum = _Spectrum(_PrecoderStep(eff, U, C, 2), [0])
         prev = np.inf
         for mu in (0.01, 0.1, 1.0, 10.0):
-            total = np.sum(np.abs(precoder_given_mu(mu, U, C, eff, 0, cons)) ** 2)
+            total = np.sum(np.abs(spectrum.precoders(np.array([mu]))) ** 2)
             assert total < prev
-            assert sub.power_identity(mu) == pytest.approx(total, rel=1e-12)
+            assert _secular(spectrum.curves[0], mu)[0] == pytest.approx(
+                total, rel=1e-12)
             prev = total
 
     def test_stationarity_finite_difference(self, rng):
         # every direction, off-support columns included
         eff = synthetic_effective(rng, L=2, K=2, M=3, N=4)
-        assoc, W, U, C = _masked(rng, eff, [[0, 1], [1, 0]])
+        assoc, W, U, C, *_ = _masked(rng, eff, [[0, 1], [1, 0]])
         l, mu = 0, 0.3
-        cons = per_sat_total(np.ones(2), 4)
-        Wl = precoder_given_mu(mu, U, C, eff, l, cons)
-        sub = joint_wmmse._SatSubproblem(eff, U, C, l, 2)
+        step = _PrecoderStep(eff, U, C, 2)
+        Wl = _Spectrum(step, [l]).precoders(np.array([mu]))[0]
+        objective = dense_subproblem(step, l)[2]
 
         def lagrangian(x):
-            return sub.objective(x) + mu * float(np.sum(np.abs(x) ** 2))
+            return objective(x) + mu * float(np.sum(np.abs(x) ** 2))
 
         base = lagrangian(Wl)
         h = 1e-6
@@ -273,24 +277,26 @@ class TestPrecoderAndBisection:
 
     def test_bisection_power_tolerance(self, rng):
         eff = synthetic_effective(rng, L=2, K=2, M=3, N=4)
-        assoc, W, U, C = _masked(rng, eff, [[0, 1], [1, 0]], scale=1.0)
-        sub = joint_wmmse._SatSubproblem(eff, U, C, 0, 2)
+        assoc, W, U, C, *_ = _masked(rng, eff, [[0, 1], [1, 0]], scale=1.0)
+        curve = _Spectrum(_PrecoderStep(eff, U, C, 2), [0]).curves[0]
+        power = lambda m: _secular(curve, m)[0]
         rho = 0.05
-        mu = bisect_multiplier(lambda m: sub.power_identity(m) - rho, 1e-10 * rho)
-        _root_certificate(sub.power_identity, mu, rho)
+        mu = bisect_multiplier(lambda m: power(m) - rho, 1e-10 * rho)
+        _root_certificate(power, mu, rho)
 
     def test_bisection_agrees_with_secular_search(self, rng):
         # the bisection oracle and the solver's secular search find the
         # same certified root on a masked subproblem
         eff = synthetic_effective(rng, L=2, K=2, M=3, N=4)
-        assoc, W, U, C = _masked(rng, eff, [[0, 1], [1, 0]], scale=1.0)
-        sub = joint_wmmse._SatSubproblem(eff, U, C, 0, 2)
+        assoc, W, U, C, *_ = _masked(rng, eff, [[0, 1], [1, 0]], scale=1.0)
+        curve = _Spectrum(_PrecoderStep(eff, U, C, 2), [0]).curves[0]
+        power = lambda m: _secular(curve, m)[0]
         rho = 0.05
-        mu_b = bisect_multiplier(lambda m: sub.power_identity(m) - rho, 1e-12 * rho)
-        mu_s, _ = joint_wmmse.secular_multiplier(sub._eigen().curves[0], rho)
+        mu_b = bisect_multiplier(lambda m: power(m) - rho, 1e-12 * rho)
+        mu_s, _ = joint_wmmse.secular_multiplier(curve, rho)
         assert mu_s == pytest.approx(mu_b, rel=1e-11)
-        _root_certificate(sub.power_identity, mu_b, rho)
-        _root_certificate(sub.power_identity, mu_s, rho)
+        _root_certificate(power, mu_b, rho)
+        _root_certificate(power, mu_s, rho)
 
     def test_bracket_budget_exhausted(self):
         with pytest.raises(InfeasibleError):
@@ -303,7 +309,7 @@ class TestBatchedPrecoderStep:
 
     def test_masked_state(self, rng):
         eff = synthetic_effective(rng, L=3, K=2, M=3, N=4)
-        assoc, W, _, _ = _masked(rng, eff, [[0, 1], [1, 0]], scale=1.0)
+        assoc, W, *_ = _masked(rng, eff, [[0, 1], [1, 0]], scale=1.0)
         cons = per_sat_total([0.05, 1e6, 1.0], 4)
         W1, mus, trace, U, C = one_wmmse_iteration(eff, cons, W, 2)
         off = _off_support(assoc, 3)
@@ -341,8 +347,8 @@ class TestSolveStreamwise:
     def test_rate_identity_streamwise(self, rng):
         eff = synthetic_effective(rng, L=3, K=2, M=4, N=5)
         W, assoc, _ = solve_streamwise(eff, _caps(np.ones(3), 5), num_streams=2)
-        U = joint_wmmse.update_combiners(W, eff, eff.noise_power_w)
-        E = joint_wmmse.mse_at_optimum(U, W, eff)
+        J, G = _receiver_grams(W, eff, eff.noise_power_w)
+        E = _mse_at_optimum(np.linalg.solve(J, G), G)
         ident = -sum(np.linalg.slogdet(Ek)[1] for Ek in E) / np.log(2)
         se = approx_se(W, eff, eff.noise_power_w).sum_se
         assert ident == pytest.approx(se, rel=1e-8)
