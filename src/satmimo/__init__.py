@@ -6,8 +6,8 @@ stream-satellite assignment, evaluated by Monte-Carlo spectral efficiency."""
 from .errors import ConfigError, InfeasibleError, NumericsError, ValidationError
 from .scenario import (LinkStatistics, ScenarioConfig, load_scenario,
                        path_gain, sample_geometry, slant_range)
-from .channel import (EffectiveChannel, aggregate, aggregate_all,
-                      effective_channels, ula_response)
+from .channel import (EffectiveChannel, aggregate_all, effective_channels,
+                      ula_response)
 from .power import (PowerConstraintSet, make_constraint_set, per_antenna,
                     per_sat_total, residuals)
 from .se_eval import SEReport, approx_se, exact_se_mc, mc_rng
@@ -26,8 +26,7 @@ __all__ = [
     "ConfigError", "InfeasibleError", "NumericsError", "ValidationError",
     "LinkStatistics", "ScenarioConfig", "load_scenario", "path_gain",
     "sample_geometry", "slant_range",
-    "EffectiveChannel", "aggregate", "aggregate_all", "effective_channels",
-    "ula_response",
+    "EffectiveChannel", "aggregate_all", "effective_channels", "ula_response",
     "PowerConstraintSet", "make_constraint_set", "per_antenna",
     "per_sat_total", "residuals",
     "SEReport", "approx_se", "exact_se_mc", "mc_rng",

@@ -5,7 +5,10 @@ the WMMSE initializer itself, and ZF is built by the initializer's own
 per-satellite builder (`joint_wmmse.share_rule_blocks`) with the
 regularizer set to zero, so both use literally the same
 sqrt(beta)-proportional per-user power sharing and comparisons isolate the
-precoding strategy rather than the power policy.
+precoding strategy rather than the power policy. Both spend per-satellite
+total caps; the CLI scales a satellite down to any other constraint family
+of its row (power.scale_to_caps). TDMA-MRT is evaluated by Monte Carlo
+only, on the same EffectiveChannel it is designed on.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from .channel import EffectiveChannel
 from .errors import InfeasibleError
 from .joint_wmmse import init_precoders, link_bases, share_rule_blocks
 from .power import per_sat_total
-from .se_eval import SEReport, approx_se, exact_se_trials
+from .se_eval import SEReport, exact_se_trials
 from .streamwise import StreamAssignment
 
 _RIDGE = 1e-8
@@ -61,14 +64,14 @@ def _zf_inverse(gram: np.ndarray, l: int, num_users: int) -> np.ndarray:
     return np.linalg.inv(gram + _RIDGE * (np.trace(gram).real / N) * np.eye(N))
 
 
-def tdma_mrt_precoders(effective: EffectiveChannel, link_stats, rho) -> list:
+def tdma_mrt_precoders(effective: EffectiveChannel, rho) -> list:
     """One single-user precoder set per user: only the strongest-gain
     satellite transmits, matched-filter direction, full power."""
     L, K, M, N = effective.shape
     rho = np.broadcast_to(np.asarray(rho, float), (L,))
     sets = []
     for k in range(K):
-        l = int(np.argmax(link_stats.beta[:, k]))
+        l = int(np.argmax(effective.beta[:, k]))
         W = np.zeros((L, K, N, 1), complex)
         # matched filter to the rank-one link: Hb^H (dominant left vector)
         # is proportional to the conjugate satellite-side response
@@ -78,38 +81,24 @@ def tdma_mrt_precoders(effective: EffectiveChannel, link_stats, rho) -> list:
     return sets
 
 
-def tdma_mrt_baseline(effective: EffectiveChannel, link_stats, rho,
-                      estimator: str = "approx", trials: int = 0,
-                      rng=None) -> SEReport:
+def tdma_mrt_baseline(effective: EffectiveChannel, rho, trials: int,
+                      rng: np.random.Generator) -> SEReport:
     """Orthogonal scheduling: each user is served alone by its nearest
     satellite with MRT, and the time sharing divides each SE by K.
 
-    With the Monte-Carlo estimator ("exact-mc", which needs rng and
-    trials >= 1) each user's slot takes its own full gain draw and evaluates
+    Each user's slot takes its own full Monte-Carlo gain draw and evaluates
     only the scheduled user; the slots' draws are independent, so their
     variances add in the standard error."""
-    if estimator not in ("approx", "exact-mc"):
-        raise ValueError(f"tdma_mrt_baseline: unknown estimator {estimator!r}"
-                         " (expected 'approx' or 'exact-mc')")
-    if estimator == "exact-mc" and (rng is None or trials < 1):
-        raise ValueError("tdma_mrt_baseline: 'exact-mc' needs a generator "
-                         "and at least one trial")
-    L, K, M, N = effective.shape
-    noise = effective.noise_power_w
+    K = effective.shape[1]
     per_user = np.empty(K)
     variance = 0.0
-    for k, (_, W) in enumerate(tdma_mrt_precoders(effective, link_stats, rho)):
-        if estimator == "approx":
-            per_user[k] = approx_se(W, effective, noise).per_user_se[k] / K
-        else:
-            se_t = exact_se_trials(W, link_stats, effective, noise, trials,
-                                   rng, [k])[0]
-            per_user[k] = se_t.mean() / K
-            variance += (np.var(se_t, ddof=1) / (trials * K * K)
-                         if trials > 1 else np.nan)
+    for k, (_, W) in enumerate(tdma_mrt_precoders(effective, rho)):
+        se_t = exact_se_trials(W, effective, trials, rng, [k])[0]
+        per_user[k] = se_t.mean() / K
+        variance += (np.var(se_t, ddof=1) / (trials * K * K)
+                     if trials > 1 else np.nan)
     return SEReport(per_user_se=per_user, sum_se=float(per_user.sum()),
-                    trials_used=trials if estimator != "approx" else 0,
-                    estimator_kind=estimator,
+                    trials_used=trials, estimator_kind="exact-mc",
                     sum_se_stderr=float(np.sqrt(variance)))
 
 

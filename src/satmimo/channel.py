@@ -4,7 +4,9 @@ Every satellite-user link is a far-field LoS channel: a rank-one outer
 product of the user-side and satellite-side ULA responses, scaled by a
 complex gain whose phase fluctuates much faster than the geometry. The
 transmitter designs precoders from the deterministic effective matrices;
-Monte-Carlo evaluation draws the random gains.
+Monte-Carlo evaluation draws the random gains. EffectiveChannel carries the
+whole statistical CSI of a drop that both need: the ULA factors, beta, the
+Rician factor kappa and the noise power.
 
 sample_pair_gains is the one Rician synthesis: it streams a full
 (trials, L, K) draw through a chunk buffer in a fixed order (phases, then
@@ -30,14 +32,16 @@ class EffectiveChannel:
     """Deterministic per-link rank-one channels hbar = sqrt(beta) * b a^T.
 
     hbar has shape (L, K, M, N); b and a are the unit-modulus ULA response
-    factors of shape (L, K, M) and (L, K, N). beta and the noise power are
-    carried along for the precoder designers.
+    factors of shape (L, K, M) and (L, K, N). beta, the linear Rician factor
+    kappa (both (L, K)) and the noise power are carried along for the
+    precoder designers and the SE estimators.
     """
 
     hbar: np.ndarray
     b: np.ndarray
     a: np.ndarray
     beta: np.ndarray
+    kappa: np.ndarray
     noise_power_w: float
 
     @property
@@ -63,6 +67,7 @@ def effective_channels(link_stats: LinkStatistics, config: ScenarioConfig) -> Ef
     hbar = np.sqrt(link_stats.beta)[..., None, None] * np.einsum(
         "lkm,lkn->lkmn", b, a)
     return EffectiveChannel(hbar=hbar, b=b, a=a, beta=link_stats.beta.copy(),
+                            kappa=link_stats.kappa.copy(),
                             noise_power_w=link_stats.noise_power_w)
 
 
@@ -130,14 +135,8 @@ def sample_gamma(beta: np.ndarray, kappa: np.ndarray, rng: np.random.Generator,
     return gains.reshape(shape)
 
 
-def aggregate(effective: EffectiveChannel, k: int) -> np.ndarray:
-    """Aggregated channel of user k: the L per-satellite blocks side by side,
-    shape (M, L*N)."""
-    L, K, M, N = effective.shape
-    return effective.hbar[:, k].transpose(1, 0, 2).reshape(M, L * N)
-
-
 def aggregate_all(effective: EffectiveChannel) -> np.ndarray:
-    """Aggregated channels for every user, shape (K, M, L*N)."""
-    K = effective.shape[1]
-    return np.stack([aggregate(effective, k) for k in range(K)])
+    """Aggregated channels for every user, shape (K, M, L*N): user k's L
+    per-satellite blocks side by side."""
+    L, K, M, N = effective.shape
+    return effective.hbar.transpose(1, 2, 0, 3).reshape(K, M, L * N)

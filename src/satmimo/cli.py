@@ -26,7 +26,8 @@ import numpy as np
 from . import baselines, joint_wmmse, streamwise
 from .channel import effective_channels
 from .errors import ConfigError, InfeasibleError, NumericsError, ValidationError
-from .power import per_antenna, per_sat_total, make_constraint_set
+from .power import (per_antenna, per_sat_total, make_constraint_set,
+                    scale_to_caps)
 from .scenario import ScenarioConfig, load_scenario, sample_geometry
 from .se_eval import approx_se, exact_se_mc, mc_rng
 
@@ -35,6 +36,8 @@ COLUMNS = ["scenario_id", "mode", "L", "K", "N", "M", "S", "power_cap_dbw",
            "sum_se", "per_user_se", "iterations", "wall_time_ms", "seed"]
 
 ORTHOGONAL_SINES = (-0.9, -0.4, 0.1, 0.6)
+# every preset sets these itself and discards any list from the config
+_ANGLE_KEYS = ("ue_sin_theta", "sat_sin_phi", "elevation_deg")
 
 
 @dataclass(frozen=True)
@@ -48,7 +51,7 @@ class Job:
 
 
 def _clear_fixed_angles(cfg: ScenarioConfig) -> ScenarioConfig:
-    return replace(cfg, ue_sin_theta=None, sat_sin_phi=None, elevation_deg=None)
+    return replace(cfg, **dict.fromkeys(_ANGLE_KEYS))
 
 
 def _sweep(variants, modes) -> list:
@@ -127,7 +130,6 @@ def run_job(job: Job) -> dict:
     rho_w = 10 ** (job.power_dbw / 10)
     geometry = sample_geometry(cfg, np.random.default_rng(cfg.rng_seed))
     effective = effective_channels(geometry, cfg)
-    noise = geometry.noise_power_w
     params = joint_wmmse.SolverParams.from_config(cfg)
     rng = mc_rng(cfg.rng_seed, job.point_index)
     rho_vec = np.full(cfg.L, rho_w)
@@ -141,10 +143,12 @@ def run_job(job: Job) -> dict:
             cons = per_sat_total(rho_vec, cfg.N)
             W = joint_wmmse.init_precoders(effective, cons, cfg.S,
                                            stream_basis="aggregated")
-        elif job.mode == "mmse":
-            W = baselines.mmse_baseline(effective, rho_vec, cfg.S)
-        elif job.mode == "zf":
-            W = baselines.zf_baseline(effective, rho_vec, cfg.S)
+        elif job.mode in ("mmse", "zf"):
+            # designed on per-satellite totals, then fitted to the row's caps
+            build = (baselines.mmse_baseline if job.mode == "mmse"
+                     else baselines.zf_baseline)
+            W = scale_to_caps(build(effective, rho_vec, cfg.S),
+                              _constraints_for(cfg, rho_w), params.power_tol_rel)
         elif job.mode == "joint":
             W, trace = joint_wmmse.solve(effective, _constraints_for(cfg, rho_w),
                                          params, num_streams=cfg.S)
@@ -159,17 +163,16 @@ def run_job(job: Job) -> dict:
                 effective, _constraints_for(cfg, rho_w), params, num_streams=cfg.S,
                 assignment=assoc)
         elif job.mode == "tdma-mrt":
-            report = baselines.tdma_mrt_baseline(effective, geometry, rho_vec,
-                                                 estimator="exact-mc",
-                                                 trials=cfg.mc_trials, rng=rng)
+            report = baselines.tdma_mrt_baseline(effective, rho_vec,
+                                                 cfg.mc_trials, rng)
             return _row(job, report, None, t0)
         else:
             raise ValueError(f"unhandled mode {job.mode}")
 
         if job.mode == "mmse-approx":
-            report = approx_se(W, effective, noise)
+            report = approx_se(W, effective)
         else:
-            report = exact_se_mc(W, geometry, effective, noise, cfg.mc_trials, rng)
+            report = exact_se_mc(W, effective, cfg.mc_trials, rng)
     except (InfeasibleError, NumericsError, ValidationError) as exc:
         error = str(exc)
         report = None
@@ -274,6 +277,10 @@ def cmd_run(args, parser) -> int:
     except (ConfigError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    pinned = [key for key in _ANGLE_KEYS if getattr(cfg, key) is not None]
+    if pinned:
+        print(f"warning: preset {args.preset} sets its own angles and ignores "
+              f"{', '.join(pinned)} from the config", file=sys.stderr)
     try:
         workers = int(os.environ.get("SATMIMO_WORKERS", "1"))
     except ValueError:

@@ -128,6 +128,20 @@ def residuals(precoders_for_sat: np.ndarray, constraints: PowerConstraintSet,
     return np.einsum("nj,xnj->x", cols.conj(), weighted).real - constraints.caps[l]
 
 
+def scale_to_caps(precoders: np.ndarray, constraints: PowerConstraintSet,
+                  tol_rel: float) -> np.ndarray:
+    """Scale down in place every satellite whose worst constraint ratio
+    r = max_x p_x / rho_x exceeds 1 + tol_rel, by 1/sqrt(r): powers are
+    quadratic in W, so that constraint lands on its cap and the others keep
+    their slack. Returns precoders."""
+    for l in range(constraints.num_sats):
+        ratio = 1.0 + np.max(residuals(precoders[l], constraints, l)
+                             / constraints.caps[l])
+        if ratio > 1.0 + tol_rel:
+            precoders[l] /= np.sqrt(ratio)
+    return precoders
+
+
 def max_violation(precoders: np.ndarray, constraints: PowerConstraintSet) -> float:
     """Largest residual across all satellites (negative when feasible)."""
     return max(residuals(precoders[l], constraints, l).max()

@@ -101,15 +101,6 @@ class ScenarioConfig:
     def rician_factor_linear(self) -> float:
         return 10 ** (self.rician_factor_db / 10)
 
-    def gain_user_linear(self) -> float:
-        return 10 ** (self.gain_user_dbi / 10)
-
-    def gain_sat_linear(self) -> float:
-        return 10 ** (self.gain_sat_dbi / 10)
-
-    def power_caps_w(self) -> np.ndarray:
-        return 10 ** (np.asarray(self.power_cap_dbw_grid, float) / 10)
-
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
 

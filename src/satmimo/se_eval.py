@@ -2,7 +2,9 @@
 
 Two estimators for a joint-form precoder set {W[l,k]}: the exact ergodic SE
 averaged over Monte-Carlo fading draws, and the deterministic approximation
-that replaces the signal and interference Grams by their expectations.
+that replaces the signal and interference Grams by their expectations. Both
+take the statistical CSI (beta, the Rician factor kappa and the noise
+power) from the EffectiveChannel the precoders were designed on.
 
 Both use the rank-one links. User k receives stream s of user i as
 D_i[:, s] = sum_l gamma_{l,k} b_{l,k} (a_{l,k}^T W_{l,i})_s, so every
@@ -20,9 +22,10 @@ log det(signal + interference + noise) - log det(interference + noise).
 When J <= M it factors the J x J stream-space Gram noise I + C^H C once
 (Sylvester's determinant identity; the leading pivots factor the
 interference); when J > M it factors the M x M interference-plus-noise and
-total Grams. Each factorization is an unpivoted LDL^H vectorised over
-trials, so no explicit inverse is formed; a pivot that is not positive and
-finite raises NumericsError.
+total Grams, built by the same Gram kernel on the transposed columns (the
+conjugate Grams, which have the same pivots). Each factorization is an
+unpivoted LDL^H vectorised over trials, so no explicit inverse is formed; a
+pivot that is not positive and finite raises NumericsError.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ import numpy as np
 
 from .channel import _TRIAL_CHUNK, EffectiveChannel, sample_pair_gains
 from .errors import NumericsError
-from .scenario import LinkStatistics
 
 _LN2 = np.log(2.0)
 
@@ -73,23 +75,11 @@ def _stream_columns(factors, k):
     return cols, int(np.count_nonzero(other))
 
 
-def _antenna_gram(cols):
-    """Lower triangle of sum_j c_j c_j^H for columns (M, J, T), per trial,
-    as (M, M, T); entries above the diagonal are left zero."""
-    M, _, T = cols.shape
-    gram = np.zeros((M, M, T), complex)
-    conj = cols.conj()
-    for m in range(M):
-        for n in range(m + 1):
-            np.sum(cols[m] * conj[n], axis=0, out=gram[m, n])
-    return gram
-
-
 def _stream_gram(cols, noise):
     """Lower triangle of noise I + C^H C for columns C (M, J, T), per trial,
-    as (J, J, T); entries above the diagonal are left unset."""
+    as (J, J, T); entries above the diagonal are zero."""
     _, J, T = cols.shape
-    gram = np.empty((J, J, T), complex)
+    gram = np.zeros((J, J, T), complex)
     for i in range(J):
         conj = cols[:, i].conj()
         for j in range(i + 1):
@@ -132,23 +122,24 @@ def _se_bits(cols, split, noise):
     (M - J) log(noise) + log det(noise I_J + C^H C) for any J columns, and
     the first `split` pivots factor the interference's Gram, so the SE is
     the sum of the own pivots' log(d_j / noise). With J > M, the log-dets
-    of the M x M interference-plus-noise and total Grams.
+    of the M x M interference-plus-noise and total Grams, from the stream
+    Gram kernel on the (J, M) transposed columns: conj(C C^H), whose LDL^H
+    pivots are those of C C^H.
     """
     M, J, _ = cols.shape
     if J <= M:
         d = _ldl_pivots(_stream_gram(cols, noise))
         return np.log(d[split:] / noise).sum(axis=0) / _LN2
-    interf = _antenna_gram(cols[:, :split])
-    idx = np.arange(M)
-    interf[idx, idx] += noise
-    total = interf + _antenna_gram(cols[:, split:])
+    rows = cols.swapaxes(0, 1)
+    interf = _stream_gram(rows[:split], noise)
+    total = interf + _stream_gram(rows[split:], 0.0)
     return (np.log(_ldl_pivots(total)).sum(axis=0)
             - np.log(_ldl_pivots(interf)).sum(axis=0)) / _LN2
 
 
-def exact_se_trials(precoders: np.ndarray, link_stats: LinkStatistics,
-                    effective: EffectiveChannel, noise: float, trials: int,
-                    rng: np.random.Generator, users) -> np.ndarray:
+def exact_se_trials(precoders: np.ndarray, effective: EffectiveChannel,
+                    trials: int, rng: np.random.Generator,
+                    users) -> np.ndarray:
     """Per-trial SE in bits/s/Hz of the listed users, shape (len(users), T).
 
     One streamed pass over a full (T, L, K) draw of Rician gains
@@ -160,6 +151,7 @@ def exact_se_trials(precoders: np.ndarray, link_stats: LinkStatistics,
     responses come from one GEMM on its columns of the kept gains, and its
     SE from _se_bits. A user listed twice gets the same row twice.
     """
+    noise = effective.noise_power_w
     if noise <= 0:
         raise ValueError("Monte-Carlo SE: noise power must be positive")
     if trials < 1:
@@ -175,7 +167,7 @@ def exact_se_trials(precoders: np.ndarray, link_stats: LinkStatistics,
         mat = cols[:, :, live].reshape(M * cols.shape[1], live.size)
         plans[k] = mat, split, slice(len(pairs), len(pairs) + live.size)
         pairs.extend(live * K + k)
-    gains = sample_pair_gains(link_stats.beta, link_stats.kappa, rng, trials,
+    gains = sample_pair_gains(effective.beta, effective.kappa, rng, trials,
                               pairs)
     out = np.empty((len(users), trials))
     for u, k in enumerate(users):
@@ -188,19 +180,18 @@ def exact_se_trials(precoders: np.ndarray, link_stats: LinkStatistics,
     return out
 
 
-def exact_se_mc(precoders: np.ndarray, link_stats: LinkStatistics,
-                effective: EffectiveChannel, noise: float, trials: int,
-                rng: np.random.Generator) -> SEReport:
+def exact_se_mc(precoders: np.ndarray, effective: EffectiveChannel,
+                trials: int, rng: np.random.Generator) -> SEReport:
     """Ergodic SE by Monte-Carlo averaging over Rician channel draws.
 
     Each trial draws the L*K complex gains; the per-trial rate is
     log2 det(I + D_k D_k^H (sum_{i!=k} D_i D_i^H + noise I)^{-1}) with
-    D_i = sum_l H_{l,k} W_{l,i}. Deterministic for a fixed generator state
+    D_i = sum_l H_{l,k} W_{l,i} and the noise power of `effective`.
+    Deterministic for a fixed generator state
     (ordered reduction over trials).
     """
     K = effective.shape[1]
-    se_t = exact_se_trials(precoders, link_stats, effective, noise, trials,
-                           rng, range(K))
+    se_t = exact_se_trials(precoders, effective, trials, rng, range(K))
     per_user = se_t.mean(axis=1)
     stderr = (float(np.std(se_t.sum(axis=0), ddof=1) / np.sqrt(trials))
               if trials > 1 else float("nan"))
@@ -209,8 +200,7 @@ def exact_se_mc(precoders: np.ndarray, link_stats: LinkStatistics,
                     sum_se_stderr=stderr)
 
 
-def approx_se(precoders: np.ndarray, effective: EffectiveChannel,
-              noise: float) -> SEReport:
+def approx_se(precoders: np.ndarray, effective: EffectiveChannel) -> SEReport:
     """Deterministic SE approximation built from per-link precoder Grams.
 
     The exact evaluator's Grams with E[gamma gamma^H] = diag(beta): every
@@ -218,6 +208,7 @@ def approx_se(precoders: np.ndarray, effective: EffectiveChannel,
     the precoders only through W W^H, hence invariant to any per-link
     unit-modulus phase rotation.
     """
+    noise = effective.noise_power_w
     if noise <= 0:
         raise ValueError("approx_se: noise power must be positive")
     L, K, M, N = effective.shape

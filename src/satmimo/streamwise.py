@@ -75,10 +75,7 @@ def participation_factors(aggregated: np.ndarray, num_sats: int):
     (L, K, M): the fraction of eigenmode m of user k carried by satellite l.
     Rows over satellites sum to one for every (user, mode).
     """
-    agg = np.asarray(aggregated)
-    if agg.ndim == 2:
-        agg = agg[None]
-    K, M, LN = agg.shape
+    K, M, LN = aggregated.shape
     if LN % num_sats:
         raise ValidationError("aggregated channel width must be L*N")
     if LN < M:
@@ -87,7 +84,7 @@ def participation_factors(aggregated: np.ndarray, num_sats: int):
     svals = np.empty((K, M))
     vecs = np.empty((K, LN, M), complex)
     for k in range(K):
-        _, s, vh = np.linalg.svd(agg[k], full_matrices=False)
+        _, s, vh = np.linalg.svd(aggregated[k], full_matrices=False)
         svals[k] = s
         vecs[k] = vh.conj().T
     blocks = vecs.reshape(K, num_sats, n, M)

@@ -8,13 +8,16 @@ def crandn(rng, *shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
 
 
-def synthetic_effective(rng, L=3, K=2, M=4, N=6, noise=0.5, beta_range=(0.5, 2.0)):
-    """Random rank-one effective channels at O(1) scales for solver tests."""
+def synthetic_effective(rng, L=3, K=2, M=4, N=6, noise=0.5, beta_range=(0.5, 2.0),
+                        kappa=15.8):
+    """Random rank-one effective channels at O(1) scales for solver tests,
+    with Rician factor kappa on every link."""
     b = crandn(rng, L, K, M)
     a = crandn(rng, L, K, N)
     beta = rng.uniform(*beta_range, size=(L, K))
     hbar = np.sqrt(beta)[..., None, None] * np.einsum("lkm,lkn->lkmn", b, a)
-    return EffectiveChannel(hbar=hbar, b=b, a=a, beta=beta, noise_power_w=noise)
+    return EffectiveChannel(hbar=hbar, b=b, a=a, beta=beta,
+                            kappa=np.full((L, K), kappa), noise_power_w=noise)
 
 
 @pytest.fixture
@@ -40,24 +43,15 @@ def default_effective(default_config, default_links):
     return effective_channels(default_links, default_config)
 
 
-def synthetic_links(eff, kappa=15.8):
-    """Link statistics matching a synthetic_effective channel."""
-    from satmimo.scenario import LinkStatistics
-    L, K = eff.beta.shape
-    return LinkStatistics(theta=np.zeros((L, K)), phi=np.zeros((L, K)),
-                          elevation=np.zeros((L, K)),
-                          distance_m=np.ones((L, K)), beta=eff.beta,
-                          kappa=np.full((L, K), kappa),
-                          noise_power_w=eff.noise_power_w)
-
-
-def dense_exact_se(precoders, link_stats, effective, noise, trials, rng):
+def dense_exact_se(precoders, effective, trials, rng):
     """Reference Monte-Carlo evaluator: per-trial dense stream matrices,
-    einsum Grams for every user and batched Cholesky log-dets. Returns the
-    per-trial SE in bits, shape (K, T)."""
+    einsum Grams for every user and batched Cholesky log-dets, with beta,
+    kappa and the noise power of the channel. Returns the per-trial SE in
+    bits, shape (K, T)."""
     from satmimo.channel import sample_gamma
     L, K, M, N = effective.shape
-    gamma = sample_gamma(link_stats.beta, link_stats.kappa, rng, trials=trials)
+    noise = effective.noise_power_w
+    gamma = sample_gamma(effective.beta, effective.kappa, rng, trials=trials)
     out = np.empty((K, trials))
     for k in range(K):
         mats = _dense_stream_mats(precoders, effective, k)      # (K, L, M, S)
@@ -69,9 +63,10 @@ def dense_exact_se(precoders, link_stats, effective, noise, trials, rng):
     return out
 
 
-def dense_approx_se(precoders, effective, noise):
+def dense_approx_se(precoders, effective):
     """Reference approximation: per-link Grams scaled by beta, (K,)."""
     L, K, M, N = effective.shape
+    noise = effective.noise_power_w
     out = np.empty(K)
     for k in range(K):
         mats = _dense_stream_mats(precoders, effective, k)

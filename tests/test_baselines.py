@@ -1,13 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from satmimo import (InfeasibleError, approx_se, mmse_baseline, per_sat_total,
-                     random_association, solve_streamwise, tdma_mrt_baseline,
-                     zf_baseline)
+from satmimo import (InfeasibleError, approx_se, exact_se_mc, mc_rng,
+                     mmse_baseline, per_sat_total, random_association,
+                     solve_streamwise, tdma_mrt_baseline, zf_baseline)
 from satmimo.joint_wmmse import init_precoders, solve
 from satmimo.power import max_violation
-from tests.conftest import (dense_exact_se, synthetic_effective,
-                            synthetic_links)
+from tests.conftest import dense_exact_se, synthetic_effective
 
 
 class TestMmseBaseline:
@@ -28,8 +29,7 @@ class TestMmseBaseline:
         rho = np.full(2, 2.0)
         W_b = mmse_baseline(eff, rho, 2)
         W_s, _ = solve(eff, per_sat_total(rho, 5), num_streams=2)
-        noise = eff.noise_power_w
-        assert approx_se(W_s, eff, noise).sum_se >= approx_se(W_b, eff, noise).sum_se
+        assert approx_se(W_s, eff).sum_se >= approx_se(W_b, eff).sum_se
 
 
 class TestZfBaseline:
@@ -81,27 +81,25 @@ class TestZfBaseline:
 
 class TestTdmaMrt:
     def test_single_user_no_penalty(self, rng):
+        # one user, one slot: the full-time evaluation on the same draw
         eff = synthetic_effective(rng, L=2, K=1, M=3, N=4)
-        from satmimo.scenario import LinkStatistics
-        links = LinkStatistics(theta=np.zeros((2, 1)), phi=np.zeros((2, 1)),
-                               elevation=np.zeros((2, 1)),
-                               distance_m=np.ones((2, 1)), beta=eff.beta,
-                               kappa=np.full((2, 1), 15.8),
-                               noise_power_w=eff.noise_power_w)
-        rep = tdma_mrt_baseline(eff, links, np.full(2, 1.0))
+        rep = tdma_mrt_baseline(eff, np.full(2, 1.0), 200,
+                                np.random.default_rng(3))
         from satmimo.baselines import tdma_mrt_precoders
-        _, W = tdma_mrt_precoders(eff, links, np.full(2, 1.0))[0]
-        solo = approx_se(W, eff, eff.noise_power_w).per_user_se[0]
+        _, W = tdma_mrt_precoders(eff, np.full(2, 1.0))[0]
+        solo = exact_se_mc(W, eff, 200, np.random.default_rng(3)).sum_se
         assert rep.sum_se == pytest.approx(solo, rel=1e-12)
 
-    def test_two_users_half_of_scheduled(self, default_effective, default_links):
+    def test_two_users_half_of_scheduled(self, default_effective):
+        # each slot's user alone, on the slot's own draw, times 1/K
         rho = np.full(4, 10.0)
-        rep = tdma_mrt_baseline(default_effective, default_links, rho)
+        rep = tdma_mrt_baseline(default_effective, rho, 200,
+                                np.random.default_rng(3))
         from satmimo.baselines import tdma_mrt_precoders
-        for k, (_, W) in enumerate(tdma_mrt_precoders(default_effective,
-                                                      default_links, rho)):
-            solo = approx_se(W, default_effective,
-                             default_links.noise_power_w).per_user_se[k]
+        ref_rng = np.random.default_rng(3)
+        for k, (_, W) in enumerate(tdma_mrt_precoders(default_effective, rho)):
+            solo = exact_se_mc(W, default_effective, 200,
+                               ref_rng).per_user_se[k]
             assert rep.per_user_se[k] == pytest.approx(solo / 2, rel=1e-12)
 
     @pytest.mark.parametrize("K", [1, 2, 6])
@@ -110,15 +108,12 @@ class TestTdmaMrt:
         # users on the same per-slot draw, keeping user k
         rng = np.random.default_rng(4)
         eff = synthetic_effective(rng, L=3, K=K, M=2, N=5)
-        links = synthetic_links(eff)
         from satmimo.baselines import tdma_mrt_precoders
         rho = np.full(3, 2.0)
-        rep = tdma_mrt_baseline(eff, links, rho, estimator="exact-mc",
-                                trials=50, rng=np.random.default_rng(8))
+        rep = tdma_mrt_baseline(eff, rho, 50, np.random.default_rng(8))
         ref_rng = np.random.default_rng(8)
-        ref = [dense_exact_se(W, links, eff, eff.noise_power_w, 50,
-                              ref_rng)[k].mean() / K
-               for k, (_, W) in enumerate(tdma_mrt_precoders(eff, links, rho))]
+        ref = [dense_exact_se(W, eff, 50, ref_rng)[k].mean() / K
+               for k, (_, W) in enumerate(tdma_mrt_precoders(eff, rho))]
         np.testing.assert_allclose(rep.per_user_se, ref, rtol=1e-12, atol=0)
         assert rep.trials_used == 50
 
@@ -130,7 +125,6 @@ class TestTdmaMrt:
         from satmimo.baselines import tdma_mrt_precoders
         L, K = 3, 4
         eff = synthetic_effective(np.random.default_rng(4), L=L, K=K, M=2, N=5)
-        links = synthetic_links(eff)
         rho = np.full(L, 2.0)
         trials = se_eval._TRIAL_CHUNK + 1
         seen = []
@@ -141,42 +135,37 @@ class TestTdmaMrt:
             return sample_pair_gains(beta, kappa, rng, num_trials, pairs)
 
         monkeypatch.setattr(se_eval, "sample_pair_gains", record)
-        rep = tdma_mrt_baseline(eff, links, rho, estimator="exact-mc",
-                                trials=trials, rng=np.random.default_rng(8))
-        sets = tdma_mrt_precoders(eff, links, rho)
+        rep = tdma_mrt_baseline(eff, rho, trials, np.random.default_rng(8))
+        sets = tdma_mrt_precoders(eff, rho)
         assert seen == [([(k, l)], trials) for k, (l, _) in enumerate(sets)]
         ref_rng = np.random.default_rng(8)
-        ref = [dense_exact_se(W, links, eff, eff.noise_power_w, trials,
-                              ref_rng)[k].mean() / K
+        ref = [dense_exact_se(W, eff, trials, ref_rng)[k].mean() / K
                for k, (_, W) in enumerate(sets)]
         np.testing.assert_allclose(rep.per_user_se, ref, rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("kwargs", [
-        {"estimator": "exact", "trials": 10, "rng": np.random.default_rng(0)},
-        {"estimator": "exact-mc", "trials": 10, "rng": None},
-        {"estimator": "exact-mc", "trials": 0, "rng": np.random.default_rng(0)},
-    ], ids=["unknown-estimator", "no-generator", "no-trials"])
-    def test_estimator_validated(self, default_effective, default_links,
-                                 kwargs):
+    @pytest.mark.parametrize("trials,noise_scale", [(0, 1.0), (10, 0.0)],
+                             ids=["no-trials", "no-noise"])
+    def test_estimator_validated(self, default_effective, trials, noise_scale):
+        eff = replace(default_effective,
+                      noise_power_w=noise_scale * default_effective.noise_power_w)
         with pytest.raises(ValueError):
-            tdma_mrt_baseline(default_effective, default_links,
-                              np.full(4, 1.0), **kwargs)
+            tdma_mrt_baseline(eff, np.full(4, 1.0), trials,
+                              np.random.default_rng(0))
 
     def test_serves_from_strongest_gain(self, default_effective, default_links):
         from satmimo.baselines import tdma_mrt_precoders
-        sets = tdma_mrt_precoders(default_effective, default_links, np.full(4, 1.0))
+        sets = tdma_mrt_precoders(default_effective, np.full(4, 1.0))
         for k, (l, W) in enumerate(sets):
             assert l == int(np.argmax(default_links.beta[:, k]))
             active = np.sum(np.abs(W) ** 2, axis=(1, 2, 3))
             assert active[l] > 0
             assert np.sum(active) == pytest.approx(active[l])
 
-    def test_well_below_solver(self, default_effective, default_links,
-                               default_config):
+    def test_well_below_solver(self, default_effective):
         rho = np.full(4, 100.0)
-        rep = tdma_mrt_baseline(default_effective, default_links, rho)
+        rep = tdma_mrt_baseline(default_effective, rho, 500, mc_rng(0, 0))
         W, _ = solve(default_effective, per_sat_total(rho, 64), num_streams=2)
-        se = approx_se(W, default_effective, default_links.noise_power_w).sum_se
+        se = approx_se(W, default_effective).sum_se
         assert rep.sum_se < 0.5 * se
 
 
@@ -207,7 +196,6 @@ class TestRandomAssociation:
     def test_proposed_beats_random_on_average(self):
         # users with distinct geometry: the matched association wins
         from satmimo import ScenarioConfig, effective_channels, sample_geometry
-        from dataclasses import replace
         cfg = replace(ScenarioConfig(), L=8, N=16, azimuth_drift_deg=60.0,
                       elevation_drift_deg=20.0)
         wins = 0.0
@@ -222,7 +210,6 @@ class TestRandomAssociation:
             sw_p, _, _ = solve_streamwise(eff, caps, num_streams=cfg.S)
             sw_r, _, _ = solve_streamwise(eff, caps, num_streams=cfg.S,
                                           assignment=assoc)
-            noise = geo.noise_power_w
-            wins += (approx_se(sw_p, eff, noise).sum_se
-                     - approx_se(sw_r, eff, noise).sum_se)
+            wins += (approx_se(sw_p, eff).sum_se
+                     - approx_se(sw_r, eff).sum_se)
         assert wins / seeds > 0

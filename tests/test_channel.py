@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from satmimo import (ScenarioConfig, aggregate, aggregate_all,
-                     effective_channels, sample_geometry, ula_response)
+from satmimo import (ScenarioConfig, aggregate_all, effective_channels,
+                     sample_geometry, ula_response)
 from satmimo.channel import sample_gamma
 
 
@@ -63,6 +63,14 @@ class TestEffectiveChannels:
         np.testing.assert_allclose(norms, np.sqrt(default_links.beta * M * N),
                                    rtol=1e-12)
 
+    def test_carries_link_statistics(self, default_effective, default_links):
+        # the estimators read beta, kappa and the noise power from here
+        for name in ("beta", "kappa"):
+            got = getattr(default_effective, name)
+            np.testing.assert_array_equal(got, getattr(default_links, name))
+            assert not np.shares_memory(got, getattr(default_links, name))
+        assert default_effective.noise_power_w == default_links.noise_power_w
+
 
 class TestSampleRealization:
     # the Rician gain draw, sample_gamma
@@ -105,11 +113,11 @@ class TestAggregate:
     def test_single_satellite_is_identity_embedding(self, rng):
         from tests.conftest import synthetic_effective
         eff = synthetic_effective(rng, L=1, K=2, M=3, N=5)
-        np.testing.assert_array_equal(aggregate(eff, 1), eff.hbar[0, 1])
+        np.testing.assert_array_equal(aggregate_all(eff)[1], eff.hbar[0, 1])
 
     def test_shape_and_blocks(self, default_effective):
         L, K, M, N = default_effective.shape
-        agg = aggregate(default_effective, 0)
+        agg = aggregate_all(default_effective)[0]
         assert agg.shape == (M, L * N)
         for l in range(L):
             np.testing.assert_array_equal(agg[:, l * N:(l + 1) * N],
@@ -117,6 +125,8 @@ class TestAggregate:
 
     def test_aggregate_all_stacks_users(self, default_effective):
         allagg = aggregate_all(default_effective)
-        K = default_effective.shape[1]
+        L, K, M, N = default_effective.shape
+        assert allagg.shape == (K, M, L * N)
         for k in range(K):
-            np.testing.assert_array_equal(allagg[k], aggregate(default_effective, k))
+            np.testing.assert_array_equal(
+                allagg[k], np.concatenate(default_effective.hbar[:, k], axis=1))

@@ -199,6 +199,58 @@ class TestRun:
         assert all(r["multiplier_evals"] == 0 for r in rows
                    if r["mode"] in ("mmse", "zf"))
 
+    def test_baseline_rows_meet_per_antenna_caps(self, monkeypatch):
+        # mmse and zf are designed on per-satellite totals; under per-antenna
+        # caps every antenna of the evaluated precoders must be within the
+        # solver's tolerance of its cap, as the joint row it is compared with
+        from satmimo import cli, load_scenario
+        from satmimo.power import residuals
+        cfg = load_scenario(json.dumps(dict(TINY, constraint_kind="per-antenna")))
+        evaluated = []
+        original = cli.exact_se_mc
+
+        def spy(W, *args):
+            evaluated.append(W)
+            return original(W, *args)
+
+        monkeypatch.setattr(cli, "exact_se_mc", spy)
+        jobs = [job for job in PRESETS["baselines"](cfg)
+                if job.mode in ("mmse", "zf")]
+        for job in jobs:
+            evaluated.clear()
+            row = cli.run_job(job)
+            assert np.isfinite(float(row["sum_se"]))
+            cons = cli._constraints_for(cfg, 10 ** (job.power_dbw / 10))
+            for l, caps in enumerate(cons.caps):
+                g = residuals(evaluated[0][l], cons, l)
+                assert np.all(g <= cfg.ellipsoid_tol_rel * caps + 1e-12), \
+                    (job.mode, job.power_dbw, l, (g / caps).max())
+
+    def test_pinned_angles_discarded_with_one_warning(self, tmp_path, capsys):
+        # every preset sets its own angles: a pinned list in the config
+        # leaves the rows as they are and is named once on stderr
+        def run(extra):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(dict(TINY, **extra)))
+            out = str(tmp_path / "res.csv")
+            assert main(["run", "--preset", "stream-count", "--config",
+                         str(path), "--out", out, "--quiet",
+                         "--trials", "20"]) == 0
+            rows = read_rows(out)
+            for r in rows:
+                r["wall_time_ms"] = "0"
+            return rows, capsys.readouterr().err
+
+        plain, err = run({})
+        assert "ignores" not in err
+        pinned, err = run({"ue_sin_theta": [0.5] * 4,
+                           "elevation_deg": [60.0] * 4})
+        assert pinned == plain
+        warnings = [line for line in err.splitlines() if "ignores" in line]
+        assert warnings == ["warning: preset stream-count sets its own angles "
+                            "and ignores ue_sin_theta, elevation_deg from the "
+                            "config"]
+
     def test_nan_stderr_written_as_null(self, tiny_config, tmp_path,
                                         monkeypatch):
         # one trial has no sample variance, and an error row no estimate

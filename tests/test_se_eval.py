@@ -12,7 +12,7 @@ from satmimo.channel import sample_gamma, sample_pair_gains
 from satmimo import se_eval
 from satmimo.se_eval import _TRIAL_CHUNK, _ldl_pivots, exact_se_trials
 from tests.conftest import (crandn, dense_approx_se, dense_exact_se,
-                            synthetic_effective, synthetic_links)
+                            synthetic_effective)
 
 
 def _links_for(config, seed=0):
@@ -24,29 +24,26 @@ _SHAPES = [(1, 1), (2, 1), (2, 2), (4, 1), (4, 2), (4, 4)]
 
 
 class TestZeroAndErrors:
-    def test_zero_precoders_zero_se(self, default_config, default_links, default_effective):
+    def test_zero_precoders_zero_se(self, default_config, default_effective):
         W = np.zeros((default_config.L, default_config.K, default_config.N,
                       default_config.S), complex)
-        noise = default_links.noise_power_w
-        assert approx_se(W, default_effective, noise).sum_se == 0.0
-        rep = exact_se_mc(W, default_links, default_effective, noise, 10,
-                          np.random.default_rng(0))
+        assert approx_se(W, default_effective).sum_se == 0.0
+        rep = exact_se_mc(W, default_effective, 10, np.random.default_rng(0))
         assert rep.sum_se == 0.0
         assert rep.trials_used == 10
 
-    def test_nonpositive_noise_rejected(self, default_effective, default_links):
+    def test_nonpositive_noise_rejected(self, default_effective):
         W = np.zeros((4, 2, 64, 2), complex)
         with pytest.raises(ValueError):
-            approx_se(W, default_effective, 0.0)
+            approx_se(W, replace(default_effective, noise_power_w=0.0))
         with pytest.raises(ValueError):
-            exact_se_mc(W, default_links, default_effective, -1.0, 5,
+            exact_se_mc(W, replace(default_effective, noise_power_w=-1.0), 5,
                         np.random.default_rng(0))
 
-    def test_trials_validated(self, default_effective, default_links):
+    def test_trials_validated(self, default_effective):
         W = np.zeros((4, 2, 64, 2), complex)
         with pytest.raises(ValueError):
-            exact_se_mc(W, default_links, default_effective, 1.0, 0,
-                        np.random.default_rng(0))
+            exact_se_mc(W, default_effective, 0, np.random.default_rng(0))
 
 
 class TestSingleLinkClosedForm:
@@ -61,28 +58,29 @@ class TestSingleLinkClosedForm:
         W = w[None, None, :, :]
         noise = links.noise_power_w
         expect = np.log2(1 + links.beta[0, 0] * cfg.N * cfg.M * rho / noise)
-        got = exact_se_mc(W, links, eff, noise, 200, np.random.default_rng(2))
+        got = exact_se_mc(W, eff, 200, np.random.default_rng(2))
         assert got.sum_se == pytest.approx(expect, rel=1e-6)
         # and the deterministic estimator agrees in this degenerate case
-        assert approx_se(W, eff, noise).sum_se == pytest.approx(expect, rel=1e-12)
+        assert approx_se(W, eff).sum_se == pytest.approx(expect, rel=1e-12)
 
 
 class TestApproxProperties:
     def test_per_link_phase_invariance(self, rng):
         eff = synthetic_effective(rng, L=3, K=2, M=4, N=5)
         W = crandn(rng, 3, 2, 5, 2)
-        base = approx_se(W, eff, 0.7)
+        eff = replace(eff, noise_power_w=0.7)
+        base = approx_se(W, eff)
         W2 = W.copy()
         W2[1, 0] *= np.exp(1j * 0.83)
         W2[2, 1] *= np.exp(-1j * 1.2)
-        rotated = approx_se(W2, eff, 0.7)
+        rotated = approx_se(W2, eff)
         assert rotated.sum_se == pytest.approx(base.sum_se, rel=1e-10)
         np.testing.assert_allclose(rotated.per_user_se, base.per_user_se, rtol=1e-10)
 
     def test_report_fields(self, rng):
-        eff = synthetic_effective(rng)
+        eff = synthetic_effective(rng, noise=1.0)
         W = crandn(rng, 3, 2, 6, 2)
-        rep = approx_se(W, eff, 1.0)
+        rep = approx_se(W, eff)
         assert rep.estimator_kind == "approx"
         assert rep.sum_se == pytest.approx(rep.per_user_se.sum())
         assert np.all(rep.per_user_se >= 0)
@@ -90,38 +88,30 @@ class TestApproxProperties:
 
 class TestExactMcProperties:
     def test_deterministic_given_generator(self, rng):
-        eff = synthetic_effective(rng, L=2, K=2, M=3, N=4)
-        links_beta = eff.beta
-        from satmimo.scenario import LinkStatistics
-        links = LinkStatistics(theta=np.zeros((2, 2)), phi=np.zeros((2, 2)),
-                               elevation=np.zeros((2, 2)), distance_m=np.ones((2, 2)),
-                               beta=links_beta, kappa=np.full((2, 2), 15.8),
-                               noise_power_w=1.0)
+        eff = synthetic_effective(rng, L=2, K=2, M=3, N=4, noise=1.0)
         W = crandn(rng, 2, 2, 4, 2)
-        a = exact_se_mc(W, links, eff, 1.0, 500, np.random.default_rng(3)).sum_se
-        b = exact_se_mc(W, links, eff, 1.0, 500, np.random.default_rng(3)).sum_se
+        a = exact_se_mc(W, eff, 500, np.random.default_rng(3)).sum_se
+        b = exact_se_mc(W, eff, 500, np.random.default_rng(3)).sum_se
         assert a == b
 
-    def test_monotone_in_snr(self, default_config, default_links, default_effective):
+    def test_monotone_in_snr(self, default_config, default_effective):
         W = mmse_baseline(default_effective, np.full(default_config.L, 10.0),
                           default_config.S)
-        noise = default_links.noise_power_w
+        quiet = replace(default_effective,
+                        noise_power_w=default_effective.noise_power_w / 4)
         # common random numbers: identical gamma draws for both noise levels
-        lo = exact_se_mc(W, default_links, default_effective, noise, 400,
-                         mc_rng(0, 0)).sum_se
-        hi = exact_se_mc(W, default_links, default_effective, noise / 4, 400,
-                         mc_rng(0, 0)).sum_se
+        lo = exact_se_mc(W, default_effective, 400, mc_rng(0, 0)).sum_se
+        hi = exact_se_mc(W, quiet, 400, mc_rng(0, 0)).sum_se
         assert hi > lo
 
     def test_standard_error_shrinks_with_trials(self, default_config,
-                                                default_links, default_effective):
+                                                default_effective):
         W = mmse_baseline(default_effective, np.full(default_config.L, 100.0),
                           default_config.S)
-        noise = default_links.noise_power_w
 
         def batch_std(trials, reps):
-            vals = [exact_se_mc(W, default_links, default_effective, noise,
-                                trials, np.random.default_rng(100 + r)).sum_se
+            vals = [exact_se_mc(W, default_effective, trials,
+                                np.random.default_rng(100 + r)).sum_se
                     for r in range(reps)]
             return np.std(vals)
 
@@ -144,15 +134,14 @@ class TestAgainstDenseOracle:
             W[:, 0] = 0.0               # a user with all-zero precoders
         if S > 1:
             W[:, K - 1, :, S - 1] = 0.0  # and a silent stream
-        return eff, synthetic_links(eff), W
+        return eff, W
 
     @pytest.mark.parametrize("K", [1, 2, 6])
     @pytest.mark.parametrize("M,S", _SHAPES)
     def test_exact_matches_dense(self, K, M, S):
-        eff, links, W = self._instance(K, M, S)
-        noise = eff.noise_power_w
-        rep = exact_se_mc(W, links, eff, noise, 64, np.random.default_rng(5))
-        ref = dense_exact_se(W, links, eff, noise, 64, np.random.default_rng(5))
+        eff, W = self._instance(K, M, S)
+        rep = exact_se_mc(W, eff, 64, np.random.default_rng(5))
+        ref = dense_exact_se(W, eff, 64, np.random.default_rng(5))
         np.testing.assert_allclose(rep.per_user_se, ref.mean(axis=1),
                                    rtol=1e-12, atol=0)
         assert rep.sum_se == pytest.approx(ref.mean(axis=1).sum(), rel=1e-12)
@@ -162,28 +151,27 @@ class TestAgainstDenseOracle:
     @pytest.mark.parametrize("K", [1, 2, 6])
     @pytest.mark.parametrize("M,S", _SHAPES)
     def test_approx_matches_dense(self, K, M, S):
-        eff, _, W = self._instance(K, M, S, seed=1)
-        rep = approx_se(W, eff, eff.noise_power_w)
+        eff, W = self._instance(K, M, S, seed=1)
+        rep = approx_se(W, eff)
         np.testing.assert_allclose(rep.per_user_se,
-                                   dense_approx_se(W, eff, eff.noise_power_w),
+                                   dense_approx_se(W, eff),
                                    rtol=1e-12, atol=0)
 
     def test_generator_advances_by_one_draw(self):
-        eff, links, W = self._instance(2, 4, 2)
+        eff, W = self._instance(2, 4, 2)
         rng = np.random.default_rng(9)
-        exact_se_mc(W, links, eff, eff.noise_power_w, 37, rng)
+        exact_se_mc(W, eff, 37, rng)
         ref = np.random.default_rng(9)
-        sample_gamma(links.beta, links.kappa, ref, trials=37)
+        sample_gamma(eff.beta, eff.kappa, ref, trials=37)
         assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_tdma_advances_by_one_draw_per_user(self):
-        eff, links, _ = self._instance(6, 2, 2)
+        eff, _ = self._instance(6, 2, 2)
         rng = np.random.default_rng(9)
-        tdma_mrt_baseline(eff, links, np.full(3, 2.0), estimator="exact-mc",
-                          trials=37, rng=rng)
+        tdma_mrt_baseline(eff, np.full(3, 2.0), 37, rng)
         ref = np.random.default_rng(9)
         for _ in range(6):
-            sample_gamma(links.beta, links.kappa, ref, trials=37)
+            sample_gamma(eff.beta, eff.kappa, ref, trials=37)
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
@@ -197,29 +185,26 @@ class TestLiveLinkSynthesis:
         # partial last chunk
         L, K, T = 5, 3, 2 * _TRIAL_CHUNK + 5
         eff = synthetic_effective(np.random.default_rng(0), L=L, K=K)
-        links = synthetic_links(eff)
         live = np.array([0, 2, 3])
-        gamma = sample_gamma(links.beta, links.kappa, np.random.default_rng(6),
+        gamma = sample_gamma(eff.beta, eff.kappa, np.random.default_rng(6),
                              trials=T)
         for k in range(K):
             assert np.array_equal(
-                sample_pair_gains(links.beta, links.kappa,
+                sample_pair_gains(eff.beta, eff.kappa,
                                   np.random.default_rng(6), T, live * K + k),
                 gamma[:, live, k])
         pairs = [7, 0, 14, 7]
         assert np.array_equal(
-            sample_pair_gains(links.beta, links.kappa,
+            sample_pair_gains(eff.beta, eff.kappa,
                               np.random.default_rng(6), T, pairs),
             gamma.reshape(T, L * K)[:, pairs])
 
     @staticmethod
-    def _check_against_dense(W, eff, links, trials, users=None):
+    def _check_against_dense(W, eff, trials, users=None):
         K = eff.shape[1]
         users = range(K) if users is None else users
-        got = exact_se_trials(W, links, eff, eff.noise_power_w, trials,
-                              np.random.default_rng(3), users)
-        ref = dense_exact_se(W, links, eff, eff.noise_power_w, trials,
-                             np.random.default_rng(3))[list(users)]
+        got = exact_se_trials(W, eff, trials, np.random.default_rng(3), users)
+        ref = dense_exact_se(W, eff, trials, np.random.default_rng(3))[list(users)]
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
         return got
 
@@ -228,7 +213,7 @@ class TestLiveLinkSynthesis:
         eff = synthetic_effective(rng, L=4, K=3, M=2, N=5)
         W = crandn(rng, 4, 3, 5, 2)
         W[2] = 0.0
-        self._check_against_dense(W, eff, synthetic_links(eff), 300)
+        self._check_against_dense(W, eff, 300)
 
     def test_user_with_every_link_dead(self):
         # user 1 sees antenna 0 only and no satellite radiates from it: no
@@ -243,16 +228,14 @@ class TestLiveLinkSynthesis:
         eff = replace(eff, a=a, hbar=hbar)
         W = crandn(rng, 3, 3, 4, 2)
         W[:, :, 0] = 0.0
-        got = self._check_against_dense(W, eff, synthetic_links(eff), 300)
+        got = self._check_against_dense(W, eff, 300)
         assert np.all(got[1] == 0.0)
         assert np.all(got[[0, 2]] > 0)
 
     def test_tdma_single_link_slot(self):
         eff = synthetic_effective(np.random.default_rng(3), L=3, K=4, M=2, N=5)
-        links = synthetic_links(eff)
-        for k, (_, W) in enumerate(tdma_mrt_precoders(eff, links,
-                                                      np.full(3, 2.0))):
-            self._check_against_dense(W, eff, links, 300, users=[k])
+        for k, (_, W) in enumerate(tdma_mrt_precoders(eff, np.full(3, 2.0))):
+            self._check_against_dense(W, eff, 300, users=[k])
 
     @pytest.mark.parametrize("trials", [1, _TRIAL_CHUNK - 1, _TRIAL_CHUNK,
                                         _TRIAL_CHUNK + 1, 2 * _TRIAL_CHUNK + 3])
@@ -260,16 +243,15 @@ class TestLiveLinkSynthesis:
         rng = np.random.default_rng(4)
         eff = synthetic_effective(rng, L=3, K=2, M=2, N=4)
         W = crandn(rng, 3, 2, 4, 2)
-        self._check_against_dense(W, eff, synthetic_links(eff), trials)
+        self._check_against_dense(W, eff, trials)
 
     @staticmethod
-    def _peak_growth(W, eff, links, users):
+    def _peak_growth(W, eff, users):
         """Growth of the traced peak memory from 20 000 to 40 000 trials,
         after one untraced call of each size has filled numpy's one-time
         caches."""
         def run(trials):
-            exact_se_trials(W, links, eff, eff.noise_power_w, trials,
-                            np.random.default_rng(0), users)
+            exact_se_trials(W, eff, trials, np.random.default_rng(0), users)
 
         def peak(trials):
             tracemalloc.start()
@@ -294,7 +276,7 @@ class TestLiveLinkSynthesis:
         rng = np.random.default_rng(5)
         eff = synthetic_effective(rng, L=L, K=K, M=M, N=N)
         W = crandn(rng, L, K, N, S)
-        growth = self._peak_growth(W, eff, synthetic_links(eff), range(K))
+        growth = self._peak_growth(W, eff, range(K))
         assert growth <= 18 * 20_000 * L * K
 
     def test_memory_bounded_by_live_pairs(self):
@@ -306,7 +288,7 @@ class TestLiveLinkSynthesis:
         eff = synthetic_effective(rng, L=L, K=K, M=M, N=N)
         W = crandn(rng, L, K, N, S)
         W[2:] = 0.0
-        growth = self._peak_growth(W, eff, synthetic_links(eff), range(K))
+        growth = self._peak_growth(W, eff, range(K))
         assert growth <= (16 * 2 * K + 8 * K) * 20_000
 
 
@@ -342,21 +324,21 @@ class TestStreamedDraw:
         gamma.imag = los * np.sin(psi) + nlos * y
         return gamma.reshape(trials, -1)
 
-    def _links(self):
+    def _channel(self):
         eff = synthetic_effective(np.random.default_rng(1), L=self.L,
                                   K=self.K, M=2, N=3)
-        return eff, synthetic_links(eff)
+        return eff
 
     @pytest.mark.parametrize("bit_generator", _BIT_GENERATORS)
     @pytest.mark.parametrize("trials", [1, _TRIAL_CHUNK - 1, _TRIAL_CHUNK,
                                         _TRIAL_CHUNK + 1, 2 * _TRIAL_CHUNK + 3])
     def test_matches_full_draw(self, bit_generator, trials):
-        _, links = self._links()
+        eff = self._channel()
         ref_rng = np.random.Generator(bit_generator(21))
-        ref = self._full_draw(links.beta, links.kappa, ref_rng, trials)
+        ref = self._full_draw(eff.beta, eff.kappa, ref_rng, trials)
         for pairs in (range(self.L * self.K), [5, 0, 11, 5], []):
             rng = np.random.Generator(bit_generator(21))
-            got = sample_pair_gains(links.beta, links.kappa, rng, trials, pairs)
+            got = sample_pair_gains(eff.beta, eff.kappa, rng, trials, pairs)
             want = ref[:, list(pairs)]
             assert got.shape == want.shape
             assert np.array_equal(got, want)
@@ -367,66 +349,55 @@ class TestStreamedDraw:
     def test_no_live_pair_advances_one_full_draw(self, bit_generator):
         # no user listed, or every precoder zero: nothing is kept, and the
         # generator still ends after one full (T, L, K) draw
-        eff, links = self._links()
+        eff = self._channel()
         trials = _TRIAL_CHUNK + 1
         ref_rng = np.random.Generator(bit_generator(3))
-        self._full_draw(links.beta, links.kappa, ref_rng, trials)
+        self._full_draw(eff.beta, eff.kappa, ref_rng, trials)
         W = np.zeros((self.L, self.K, 3, 2), complex)
         for users in ([], range(self.K)):
             rng = np.random.Generator(bit_generator(3))
-            got = exact_se_trials(W, links, eff, eff.noise_power_w, trials,
-                                  rng, users)
+            got = exact_se_trials(W, eff, trials, rng, users)
             assert got.shape == (len(users), trials)
             assert np.all(got == 0.0)
             assert _same_state(rng.bit_generator.state,
                                ref_rng.bit_generator.state)
 
     def test_pair_out_of_range(self):
-        _, links = self._links()
+        eff = self._channel()
         with pytest.raises(ValueError):
-            sample_pair_gains(links.beta, links.kappa,
+            sample_pair_gains(eff.beta, eff.kappa,
                               np.random.default_rng(0), 5, [self.L * self.K])
 
 
 class TestStandardError:
-    def test_tracks_spread_over_seeds(self, default_config, default_links,
-                                      default_effective):
+    def test_tracks_spread_over_seeds(self, default_config, default_effective):
         # the reported standard error against the spread of sum_se over
         # independent generators (40 seeds: about 11% sampling error)
         rho = np.full(default_config.L, 100.0)
         W = mmse_baseline(default_effective, rho, default_config.S)
-        noise = default_links.noise_power_w
         for evaluate in (
-                lambda rng: exact_se_mc(W, default_links, default_effective,
-                                        noise, 100, rng),
-                lambda rng: tdma_mrt_baseline(default_effective, default_links,
-                                              rho, estimator="exact-mc",
-                                              trials=100, rng=rng)):
+                lambda rng: exact_se_mc(W, default_effective, 100, rng),
+                lambda rng: tdma_mrt_baseline(default_effective, rho, 100, rng)):
             reps = [evaluate(np.random.default_rng(500 + s)) for s in range(40)]
             spread = np.std([r.sum_se for r in reps], ddof=1)
             stderr = np.mean([r.sum_se_stderr for r in reps])
             assert 0.6 < stderr / spread < 1.6
 
-    def test_deterministic_and_single_trial(self, default_links,
-                                            default_effective):
+    def test_deterministic_and_single_trial(self, default_effective):
         W = mmse_baseline(default_effective, np.full(4, 10.0), 2)
-        noise = default_links.noise_power_w
-        assert approx_se(W, default_effective, noise).sum_se_stderr == 0.0
-        one = exact_se_mc(W, default_links, default_effective, noise, 1,
-                          np.random.default_rng(0))
+        assert approx_se(W, default_effective).sum_se_stderr == 0.0
+        one = exact_se_mc(W, default_effective, 1, np.random.default_rng(0))
         assert np.isnan(one.sum_se_stderr)
 
 
 class TestLogDetChecks:
-    def test_nan_precoders_raise(self, default_links, default_effective):
+    def test_nan_precoders_raise(self, default_effective):
         W = mmse_baseline(default_effective, np.full(4, 10.0), 2)
         W[1, 0, 3, 0] = np.nan
-        noise = default_links.noise_power_w
         with pytest.raises(NumericsError):
-            exact_se_mc(W, default_links, default_effective, noise, 20,
-                        np.random.default_rng(0))
+            exact_se_mc(W, default_effective, 20, np.random.default_rng(0))
         with pytest.raises(NumericsError):
-            approx_se(W, default_effective, noise)
+            approx_se(W, default_effective)
 
     def test_indefinite_gram_raises(self):
         # [[1, 2], [2, 1]] has eigenvalues 3 and -1: the second pivot is -3
@@ -455,32 +426,35 @@ class TestKernelSpaces:
     def _instance(streams, seed=7):
         rng = np.random.default_rng(seed)
         eff = synthetic_effective(rng, L=3, K=2, M=TestKernelSpaces.M, N=5)
-        return eff, synthetic_links(eff), crandn(rng, 3, 2, 5, streams)
+        return eff, crandn(rng, 3, 2, 5, streams)
 
     @staticmethod
     def _spy(monkeypatch):
+        # _stream_gram builds both spaces' Grams: stream-space input is
+        # (M, J, T), the user's antennas first; antenna-space input is the
+        # transposed (J', M, T) part, here with J' < M columns
         spaces = []
-        for name, space in (("_stream_gram", "stream"),
-                            ("_antenna_gram", "antenna")):
-            def record(*args, _f=getattr(se_eval, name), _s=space):
-                spaces.append(_s)
-                return _f(*args)
-            monkeypatch.setattr(se_eval, name, record)
+        gram = se_eval._stream_gram
+
+        def record(cols, noise):
+            spaces.append("stream" if cols.shape[0] == TestKernelSpaces.M
+                          else "antenna")
+            return gram(cols, noise)
+
+        monkeypatch.setattr(se_eval, "_stream_gram", record)
         return spaces
 
     @pytest.mark.parametrize("J", [M - 1, M, M + 1])
     def test_columns_around_antenna_count(self, monkeypatch, J):
         # user 1 keeps 2 of its 3 streams and user 0 keeps J - 2: user 1
         # receives J live columns, J_other = J - 2 of them interference
-        eff, links, W = self._instance(3)
+        eff, W = self._instance(3)
         W[:, 1, :, 2] = 0.0
         W[:, 0, :, J - 2:] = 0.0
         spaces = self._spy(monkeypatch)
         trials = _TRIAL_CHUNK + 5
-        got = exact_se_trials(W, links, eff, eff.noise_power_w, trials,
-                              np.random.default_rng(3), [1])
-        ref = dense_exact_se(W, links, eff, eff.noise_power_w, trials,
-                             np.random.default_rng(3))[[1]]
+        got = exact_se_trials(W, eff, trials, np.random.default_rng(3), [1])
+        ref = dense_exact_se(W, eff, trials, np.random.default_rng(3))[[1]]
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
         assert set(spaces) == {"stream" if J <= self.M else "antenna"}
 
@@ -488,43 +462,38 @@ class TestKernelSpaces:
     def test_no_interference(self, monkeypatch, streams):
         # user 0 silent: user 1 hears only its own streams (J_other = 0) and
         # user 0 hears interference only, so its SE is exactly 0
-        eff, links, W = self._instance(streams)
+        eff, W = self._instance(streams)
         W[:, 0] = 0.0
         spaces = self._spy(monkeypatch)
-        got = exact_se_trials(W, links, eff, eff.noise_power_w, 300,
-                              np.random.default_rng(3), [0, 1])
-        ref = dense_exact_se(W, links, eff, eff.noise_power_w, 300,
-                             np.random.default_rng(3))
+        got = exact_se_trials(W, eff, 300, np.random.default_rng(3), [0, 1])
+        ref = dense_exact_se(W, eff, 300, np.random.default_rng(3))
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
         assert np.all(got[0] == 0.0)
         assert set(spaces) == {"stream"}
-        rep = approx_se(W, eff, eff.noise_power_w)
+        rep = approx_se(W, eff)
         np.testing.assert_allclose(
-            rep.per_user_se, dense_approx_se(W, eff, eff.noise_power_w),
+            rep.per_user_se, dense_approx_se(W, eff),
             rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("streams,space", [(2, "stream"), (3, "antenna")])
     def test_nan_raises_in_each_space(self, monkeypatch, streams, space):
         # M = 4 and two users: 4 live columns take the stream space, 6 the
         # antenna space; a NaN precoder entry reaches a pivot in either
-        eff, links, W = self._instance(streams)
+        eff, W = self._instance(streams)
         W[1, 0, 2, 0] = np.nan
         spaces = self._spy(monkeypatch)
         with pytest.raises(NumericsError, match="pivot"):
-            exact_se_trials(W, links, eff, eff.noise_power_w, 20,
-                            np.random.default_rng(0), [1])
+            exact_se_trials(W, eff, 20, np.random.default_rng(0), [1])
         assert set(spaces) == {space}
 
 
 class TestRepeatedUsers:
     def test_repeated_and_reversed_users_match_single_rows(self):
-        eff, links, W = TestKernelSpaces._instance(2, seed=8)
-        noise = eff.noise_power_w
+        eff, W = TestKernelSpaces._instance(2, seed=8)
         trials = _TRIAL_CHUNK + 7
 
         def rows(users):
-            return exact_se_trials(W, links, eff, noise, trials,
-                                   np.random.default_rng(11), users)
+            return exact_se_trials(W, eff, trials, np.random.default_rng(11), users)
 
         single = [rows([k])[0] for k in range(2)]
         for k in range(2):
@@ -539,21 +508,15 @@ class TestRepeatedUsers:
 class TestGap:
     # the approximation gap: approx_se minus exact_se_mc on the same precoders
 
-    def test_zero_precoders_zero_gap(self, default_config, default_links,
-                                     default_effective):
+    def test_zero_precoders_zero_gap(self, default_config, default_effective):
         W = np.zeros((4, 2, 64, 2), complex)
-        noise = default_links.noise_power_w
-        approx = approx_se(W, default_effective, noise)
-        exact = exact_se_mc(W, default_links, default_effective, noise, 10,
-                            np.random.default_rng(0))
+        approx = approx_se(W, default_effective)
+        exact = exact_se_mc(W, default_effective, 10, np.random.default_rng(0))
         assert approx.sum_se == exact.sum_se == 0.0
 
-    def test_low_power_small_relative_gap(self, default_config, default_links,
-                                          default_effective):
+    def test_low_power_small_relative_gap(self, default_config, default_effective):
         rho = np.full(default_config.L, 0.1)
         W = mmse_baseline(default_effective, rho, default_config.S)
-        noise = default_links.noise_power_w
-        approx = approx_se(W, default_effective, noise)
-        exact = exact_se_mc(W, default_links, default_effective, noise, 4000,
-                            mc_rng(0, 0))
+        approx = approx_se(W, default_effective)
+        exact = exact_se_mc(W, default_effective, 4000, mc_rng(0, 0))
         assert abs(approx.sum_se - exact.sum_se) / exact.sum_se < 0.05

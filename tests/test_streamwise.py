@@ -350,27 +350,26 @@ class TestSolveStreamwise:
         J, G = _receiver_grams(W, eff, eff.noise_power_w)
         E = _mse_at_optimum(np.linalg.solve(J, G), G)
         ident = -sum(np.linalg.slogdet(Ek)[1] for Ek in E) / np.log(2)
-        se = approx_se(W, eff, eff.noise_power_w).sum_se
+        se = approx_se(W, eff).sum_se
         assert ident == pytest.approx(se, rel=1e-8)
 
     def test_orthogonal_parity_with_joint(self):
         cfg, links, eff = _fixed_scenario(ORTHOGONAL, S=4)
-        noise = links.noise_power_w
         for rho in (1.0, 100.0):
             cons = per_sat_total(np.full(4, rho), cfg.N)
             W, _, _ = solve_streamwise(eff, cons, num_streams=4)
-            se_sw = approx_se(W, eff, noise).sum_se
+            se_sw = approx_se(W, eff).sum_se
             Wj, _ = joint_wmmse.solve(eff, cons, num_streams=4)
-            se_j = approx_se(Wj, eff, noise).sum_se
+            se_j = approx_se(Wj, eff).sum_se
             assert se_sw >= 0.95 * se_j
 
     def test_joint_from_embedded_start_dominates(self, rng):
         eff = synthetic_effective(rng, L=3, K=2, M=4, N=5)
         cons = _caps(np.ones(3), 5)
         W0, assoc, _ = solve_streamwise(eff, cons, num_streams=2)
-        se_sw = approx_se(W0, eff, eff.noise_power_w).sum_se
+        se_sw = approx_se(W0, eff).sum_se
         Wj, _ = joint_wmmse.solve(eff, cons, initial=W0, num_streams=2)
-        se_j = approx_se(Wj, eff, eff.noise_power_w).sum_se
+        se_j = approx_se(Wj, eff).sum_se
         assert se_j >= se_sw - 1e-6
 
     def test_given_assignment_respected(self, rng):
@@ -439,7 +438,7 @@ class TestSolveStreamwise:
         eff = synthetic_effective(rng, L=3, K=2, M=4, N=5)
         W, assoc, _ = solve_streamwise(eff, _caps(np.ones(3), 5), num_streams=2)
         noise = eff.noise_power_w
-        via_joint = approx_se(W, eff, noise)
+        via_joint = approx_se(W, eff)
 
         total = 0.0
         for k in range(2):
