@@ -6,8 +6,7 @@ stream-satellite assignment, evaluated by Monte-Carlo spectral efficiency."""
 from .errors import ConfigError, InfeasibleError, NumericsError, ValidationError
 from .scenario import (LinkStatistics, ScenarioConfig, load_scenario,
                        path_gain, sample_geometry, slant_range)
-from .channel import (EffectiveChannel, aggregate_all, effective_channels,
-                      ula_response)
+from .channel import EffectiveChannel, effective_channels, ula_response
 from .power import (PowerConstraintSet, make_constraint_set, per_antenna,
                     per_sat_total, residuals)
 from .se_eval import SEReport, approx_se, exact_se_mc, mc_rng
@@ -16,7 +15,7 @@ from .joint_wmmse import (SolverParams, SolveTrace, dual_newton_multipliers,
                           init_precoders)
 from .joint_wmmse import solve as solve_joint
 from .streamwise import (StreamAssignment, associate, participation_factors,
-                         sat_selection_score, solve_streamwise)
+                         solve_streamwise)
 from .baselines import (mmse_baseline, random_association, tdma_mrt_baseline,
                         zf_baseline)
 
@@ -26,7 +25,7 @@ __all__ = [
     "ConfigError", "InfeasibleError", "NumericsError", "ValidationError",
     "LinkStatistics", "ScenarioConfig", "load_scenario", "path_gain",
     "sample_geometry", "slant_range",
-    "EffectiveChannel", "aggregate_all", "effective_channels", "ula_response",
+    "EffectiveChannel", "effective_channels", "ula_response",
     "PowerConstraintSet", "make_constraint_set", "per_antenna",
     "per_sat_total", "residuals",
     "SEReport", "approx_se", "exact_se_mc", "mc_rng",
@@ -34,6 +33,6 @@ __all__ = [
     "SolverParams", "SolveTrace", "dual_newton_multipliers", "init_precoders",
     "solve_joint",
     "StreamAssignment", "associate", "participation_factors",
-    "sat_selection_score", "solve_streamwise",
+    "solve_streamwise",
     "mmse_baseline", "random_association", "tdma_mrt_baseline", "zf_baseline",
 ]

@@ -6,7 +6,15 @@ complex gain whose phase fluctuates much faster than the geometry. The
 transmitter designs precoders from the deterministic effective matrices;
 Monte-Carlo evaluation draws the random gains. EffectiveChannel carries the
 whole statistical CSI of a drop that both need: the ULA factors, beta, the
-Rician factor kappa and the noise power.
+Rician factor kappa and the noise power. Each link is stored once, as its
+factors; no dense M x N block is kept.
+
+User k's aggregated channel [Hb_{1,k} ... Hb_{L,k}] (M x L*N) is the M x L
+link matrix C_k, column l = sqrt(beta_{l,k}) ||a_{l,k}|| b_{l,k} (for a ULA
+||a||^2 = N), times a matrix with orthonormal rows (row l holds
+a_{l,k}^T / ||a_{l,k}|| in block l). So the two share their singular values
+and left singular vectors, and block l of the aggregated right vector m is
+V_k[l, m] conj(a_{l,k}) / ||a_{l,k}||.
 
 sample_pair_gains is the one Rician synthesis: it streams a full
 (trials, L, K) draw through a chunk buffer in a fixed order (phases, then
@@ -29,15 +37,15 @@ _TRIAL_CHUNK = 2048
 
 @dataclass(frozen=True)
 class EffectiveChannel:
-    """Deterministic per-link rank-one channels hbar = sqrt(beta) * b a^T.
+    """Deterministic per-link rank-one channels Hb_{l,k} = sqrt(beta) b a^T,
+    stored as their factors.
 
-    hbar has shape (L, K, M, N); b and a are the unit-modulus ULA response
-    factors of shape (L, K, M) and (L, K, N). beta, the linear Rician factor
-    kappa (both (L, K)) and the noise power are carried along for the
-    precoder designers and the SE estimators.
+    b and a are the unit-modulus ULA response factors of shape (L, K, M) and
+    (L, K, N). beta, the linear Rician factor kappa (both (L, K)) and the
+    noise power are carried along for the precoder designers and the SE
+    estimators.
     """
 
-    hbar: np.ndarray
     b: np.ndarray
     a: np.ndarray
     beta: np.ndarray
@@ -46,7 +54,7 @@ class EffectiveChannel:
 
     @property
     def shape(self):
-        return self.hbar.shape  # (L, K, M, N)
+        return self.b.shape + self.a.shape[-1:]  # (L, K, M, N)
 
 
 def ula_response(angle_rad: float, num_antennas: int) -> np.ndarray:
@@ -64,9 +72,7 @@ def effective_channels(link_stats: LinkStatistics, config: ScenarioConfig) -> Ef
     """Build all L*K deterministic effective channels from link statistics."""
     b = ula_response(link_stats.theta, config.M)            # (L, K, M)
     a = ula_response(link_stats.phi, config.N)              # (L, K, N)
-    hbar = np.sqrt(link_stats.beta)[..., None, None] * np.einsum(
-        "lkm,lkn->lkmn", b, a)
-    return EffectiveChannel(hbar=hbar, b=b, a=a, beta=link_stats.beta.copy(),
+    return EffectiveChannel(b=b, a=a, beta=link_stats.beta.copy(),
                             kappa=link_stats.kappa.copy(),
                             noise_power_w=link_stats.noise_power_w)
 
@@ -135,8 +141,9 @@ def sample_gamma(beta: np.ndarray, kappa: np.ndarray, rng: np.random.Generator,
     return gains.reshape(shape)
 
 
-def aggregate_all(effective: EffectiveChannel) -> np.ndarray:
-    """Aggregated channels for every user, shape (K, M, L*N): user k's L
-    per-satellite blocks side by side."""
-    L, K, M, N = effective.shape
-    return effective.hbar.transpose(1, 2, 0, 3).reshape(K, M, L * N)
+def link_matrix(effective: EffectiveChannel) -> np.ndarray:
+    """Every user's link matrix C_k, shape (K, M, L): column l is
+    sqrt(beta_{l,k}) ||a_{l,k}|| b_{l,k}. It has the singular values and
+    left singular vectors of the user's aggregated channel."""
+    scale = np.sqrt(effective.beta) * np.linalg.norm(effective.a, axis=-1)
+    return (scale[..., None] * effective.b).transpose(1, 2, 0)

@@ -116,6 +116,23 @@ def _constraints_for(cfg: ScenarioConfig, rho_w: float):
     return make_constraint_set(cfg.custom_constraints).scaled(rho_w)
 
 
+def _aggregated_mmse(effective, rho, num_streams):
+    # approximation study: aggregated stream basis so all S streams carry
+    # power (the per-link basis degenerates to one stream)
+    return joint_wmmse.init_precoders(
+        effective, per_sat_total(rho, effective.shape[3]), num_streams,
+        stream_basis="aggregated")
+
+
+# modes whose precoders come from a closed form on per-satellite totals
+_TOTAL_POWER_DESIGNS = {
+    "mmse-exact-mc": _aggregated_mmse,
+    "mmse-approx": _aggregated_mmse,
+    "mmse": baselines.mmse_baseline,
+    "zf": baselines.zf_baseline,
+}
+
+
 def run_job(job: Job) -> dict:
     """Evaluate one (scenario, mode, sweep point) row. Pure given the job.
 
@@ -137,17 +154,10 @@ def run_job(job: Job) -> dict:
     error = ""
 
     try:
-        if job.mode in ("mmse-exact-mc", "mmse-approx"):
-            # approximation study: aggregated stream basis so all S streams
-            # carry power (the per-link basis degenerates to one stream)
-            cons = per_sat_total(rho_vec, cfg.N)
-            W = joint_wmmse.init_precoders(effective, cons, cfg.S,
-                                           stream_basis="aggregated")
-        elif job.mode in ("mmse", "zf"):
+        if job.mode in _TOTAL_POWER_DESIGNS:
             # designed on per-satellite totals, then fitted to the row's caps
-            build = (baselines.mmse_baseline if job.mode == "mmse"
-                     else baselines.zf_baseline)
-            W = scale_to_caps(build(effective, rho_vec, cfg.S),
+            design = _TOTAL_POWER_DESIGNS[job.mode]
+            W = scale_to_caps(design(effective, rho_vec, cfg.S),
                               _constraints_for(cfg, rho_w), params.power_tol_rel)
         elif job.mode == "joint":
             W, trace = joint_wmmse.solve(effective, _constraints_for(cfg, rho_w),

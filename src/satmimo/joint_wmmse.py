@@ -25,6 +25,12 @@ from a safeguarded Newton search on the concave dual of the subproblem,
 which returns only multipliers it has certified feasible and optimal
 (`dual_newton_multipliers`). There is no per-satellite or per-user view:
 `solve` runs these kernels directly, and the tests check them.
+
+Every kernel and the regularized-MMSE start read the channel through its
+rank-one link factors b, a and beta only: `share_rule_blocks` forms its
+N x N Gram and right-hand sides from them, the aggregated stream basis is
+the left singular basis of each user's M x L link matrix, and `link_bases`
+rebuilds one M x N block at a time for its SVD.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import EffectiveChannel, aggregate_all
+from .channel import EffectiveChannel, link_matrix
 from .errors import InfeasibleError, NumericsError, ValidationError
 from .power import PowerConstraintSet, residuals as power_residuals
 from .scenario import ScenarioConfig
@@ -473,9 +479,12 @@ class _Spectrum:
 def link_bases(effective: EffectiveChannel, l: int, num_streams: int) -> list:
     """Per-link stream bases of satellite l: for every user k the S dominant
     left singular vectors of the rank-one Hb_{l,k} (first column
-    channel-determined, remainder an orthonormal completion), (M, S) each."""
-    return [np.linalg.svd(hb, full_matrices=True)[0][:, :num_streams]
-            for hb in effective.hbar[l]]
+    channel-determined, remainder an orthonormal completion), (M, S) each.
+    Each M x N block is rebuilt from its factors for its own SVD."""
+    links = zip(effective.beta[l], effective.b[l], effective.a[l])
+    return [np.linalg.svd(np.sqrt(beta) * np.einsum("m,n->mn", b, a),
+                          full_matrices=True)[0][:, :num_streams]
+            for beta, b, a in links]
 
 
 def share_rule_blocks(effective: EffectiveChannel, l: int, cap: float,
@@ -485,8 +494,11 @@ def share_rule_blocks(effective: EffectiveChannel, l: int, cap: float,
 
     blocks are (user k, stream basis Q (M, S_b)) pairs; a user may repeat.
     The block of (k, Q) points along G^{-1} Hb_{l,k}^H Q with the Gram
-    G = reg*I + sum_i Hb_{l,i}^H Hb_{l,i} (inverse(G) replaces G^{-1} when
-    given) and is scaled to squared Frobenius norm exactly
+    G = reg*I + sum_i Hb_{l,i}^H Hb_{l,i}
+      = reg*I + sum_i beta_{l,i} ||b_{l,i}||^2 conj(a_{l,i}) a_{l,i}^T
+    and Hb_{l,k}^H Q = sqrt(beta_{l,k}) conj(a_{l,k}) (b_{l,k}^H Q), both from
+    the link factors (inverse(G) replaces G^{-1} when given). It is scaled
+    to squared Frobenius norm exactly
     cap * sqrt(beta_{l,k}) / sum_j sqrt(beta_{l,k_j}), the sum running over
     all blocks j, so together they spend the cap. A direction below 1e-300
     in norm (the basis is invisible on this link) falls back to the matched
@@ -494,21 +506,21 @@ def share_rule_blocks(effective: EffectiveChannel, l: int, cap: float,
     order.
     """
     N = effective.shape[3]
-    gram = reg * np.eye(N, dtype=complex)
-    for hb in effective.hbar[l]:
-        gram += hb.conj().T @ hb
+    a, b, beta = effective.a[l], effective.b[l], effective.beta[l]
+    load = beta * np.einsum("km,km->k", b.conj(), b).real
+    gram = reg * np.eye(N, dtype=complex) + (a.conj().T * load) @ a
     inv = None if inverse is None else inverse(gram)
     blocks = list(blocks)
-    root_beta = np.sqrt(effective.beta[l, [k for k, _ in blocks]])
+    root_beta = np.sqrt(beta[[k for k, _ in blocks]])
     shares = cap * root_beta / root_beta.sum()
     out = []
     for (k, q), share in zip(blocks, shares):
-        rhs = effective.hbar[l, k].conj().T @ q
+        rhs = np.outer(np.sqrt(beta[k]) * a[k].conj(), b[k].conj() @ q)
         raw = np.linalg.solve(gram, rhs) if inv is None else inv @ rhs
         norm = np.linalg.norm(raw)
         if norm < 1e-300:
             raw = np.zeros_like(raw)
-            raw[:, 0] = effective.a[l, k].conj()
+            raw[:, 0] = a[k].conj()
             norm = np.linalg.norm(raw)
         out.append(np.sqrt(share) * raw / norm)
     return out
@@ -525,18 +537,19 @@ def init_precoders(effective: EffectiveChannel, constraints: PowerConstraintSet,
     With the default stream basis, Q holds the S dominant left singular
     vectors of the rank-one Hb_{l,k} itself (`link_bases`), which leaves
     every stream beyond the first with zero power. stream_basis="aggregated"
-    takes Q from the user's aggregated channel instead, seeding S distinct
-    stream directions per link; the two variants have identical approximate
-    SE (all columns share one transmit direction) but only the aggregated
-    one lets the solver develop genuine multi-stream structure.
+    takes Q from the user's aggregated channel instead: the S leading left
+    singular vectors of its link matrix (`channel.link_matrix`), completed
+    to an orthonormal basis of C^M when S exceeds its rank. That seeds S
+    distinct stream directions per link; the two variants have identical
+    approximate SE (all columns share one transmit direction) but only the
+    aggregated one lets the solver develop genuine multi-stream structure.
     """
     L, K, M, N = effective.shape
     S = M if num_streams is None else num_streams
     if stream_basis not in ("per-link", "aggregated"):
         raise ValidationError(f"unknown stream basis {stream_basis!r}")
     if stream_basis == "aggregated":
-        bases = [np.linalg.svd(agg, full_matrices=False)[0][:, :S]
-                 for agg in aggregate_all(effective)]
+        bases = np.linalg.svd(link_matrix(effective))[0][..., :S]
     out = np.empty((L, K, N, S), complex)
     for l in range(L):
         if stream_basis == "per-link":

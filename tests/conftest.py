@@ -15,9 +15,34 @@ def synthetic_effective(rng, L=3, K=2, M=4, N=6, noise=0.5, beta_range=(0.5, 2.0
     b = crandn(rng, L, K, M)
     a = crandn(rng, L, K, N)
     beta = rng.uniform(*beta_range, size=(L, K))
-    hbar = np.sqrt(beta)[..., None, None] * np.einsum("lkm,lkn->lkmn", b, a)
-    return EffectiveChannel(hbar=hbar, b=b, a=a, beta=beta,
-                            kappa=np.full((L, K), kappa), noise_power_w=noise)
+    return EffectiveChannel(b=b, a=a, beta=beta, kappa=np.full((L, K), kappa),
+                            noise_power_w=noise)
+
+
+def dense_links(effective):
+    """Reference dense links Hb_{l,k} = sqrt(beta_{l,k}) b_{l,k} a_{l,k}^T,
+    shape (L, K, M, N)."""
+    return np.sqrt(effective.beta)[..., None, None] * np.einsum(
+        "lkm,lkn->lkmn", effective.b, effective.a)
+
+
+def dense_aggregate(effective):
+    """Reference aggregated channels (K, M, L*N): user k's L dense link
+    blocks side by side."""
+    L, K, M, N = effective.shape
+    return dense_links(effective).transpose(1, 2, 0, 3).reshape(K, M, L * N)
+
+
+def dense_eigenmodes(effective):
+    """Reference participation factors from the economy SVD of every dense
+    aggregate: (eta, left) with eta (L, K, r) the squared norm of block l of
+    right singular vector m, and left (K, M, r) the left singular vectors,
+    r = min(M, L*N)."""
+    L, K, M, N = effective.shape
+    left, _, vh = np.linalg.svd(dense_aggregate(effective), full_matrices=False)
+    blocks = vh.reshape(K, -1, L, N)
+    eta = np.einsum("kmln,kmln->lkm", blocks.conj(), blocks).real
+    return eta, left
 
 
 @pytest.fixture
@@ -129,7 +154,7 @@ def assert_precoder_kkt(eff, cons, U, C, W1, mus, l, power_tol_rel=1e-5):
     slackness mu (p - rho) = 0 and feasibility p <= rho (1 + tol)."""
     S = W1.shape[-1]
     K = W1.shape[1]
-    hb = eff.hbar[l]
+    hb = dense_links(eff)[l]
     T = sum(hb[i].conj().T @ U[i] @ C[i] @ U[i].conj().T @ hb[i] for i in range(K))
     mu, rho = mus[l], float(cons.caps[l][0])
     for k in range(K):

@@ -8,7 +8,7 @@ from satmimo import (InfeasibleError, approx_se, exact_se_mc, mc_rng,
                      solve_streamwise, tdma_mrt_baseline, zf_baseline)
 from satmimo.joint_wmmse import init_precoders, solve
 from satmimo.power import max_violation
-from tests.conftest import dense_exact_se, synthetic_effective
+from tests.conftest import dense_exact_se, dense_links, synthetic_effective
 
 
 class TestMmseBaseline:
@@ -43,10 +43,11 @@ class TestZfBaseline:
         L, K, M, N = default_effective.shape
         sig = 0.0
         leak = 0.0
+        hbar = dense_links(default_effective)
         for l in range(L):
             for k in range(K):
                 for i in range(K):
-                    g = np.linalg.norm(default_effective.hbar[l, k] @ W[l, i])
+                    g = np.linalg.norm(hbar[l, k] @ W[l, i])
                     if i == k:
                         sig += g
                     else:

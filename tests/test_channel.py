@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from satmimo import (ScenarioConfig, aggregate_all, effective_channels,
-                     sample_geometry, ula_response)
-from satmimo.channel import sample_gamma
+from satmimo import (ScenarioConfig, effective_channels, sample_geometry,
+                     ula_response)
+from satmimo.channel import link_matrix, sample_gamma
+from tests.conftest import dense_aggregate, dense_links, synthetic_effective
 
 
 class TestUlaResponse:
@@ -45,7 +46,8 @@ class TestEffectiveChannels:
         L, K, M, N = default_effective.shape
         for l in range(L):
             for k in range(K):
-                s = np.linalg.svd(default_effective.hbar[l, k], compute_uv=False)
+                s = np.linalg.svd(dense_links(default_effective)[l, k],
+                                  compute_uv=False)
                 expect = np.sqrt(default_links.beta[l, k] * M * N)
                 assert s[0] == pytest.approx(expect, rel=1e-12)
                 assert np.all(s[1:] < 1e-12 * s[0])
@@ -55,11 +57,11 @@ class TestEffectiveChannels:
                              sat_sin_phi=(0.0,), elevation_deg=(90.0,))
         links = sample_geometry(cfg, np.random.default_rng(0))
         eff = effective_channels(links, cfg)
-        assert eff.hbar[0, 0, 0, 0] == pytest.approx(np.sqrt(links.beta[0, 0]))
+        assert dense_links(eff)[0, 0, 0, 0] == pytest.approx(np.sqrt(links.beta[0, 0]))
 
     def test_frobenius_norm(self, default_effective, default_links):
         L, K, M, N = default_effective.shape
-        norms = np.linalg.norm(default_effective.hbar, axis=(2, 3))
+        norms = np.linalg.norm(dense_links(default_effective), axis=(2, 3))
         np.testing.assert_allclose(norms, np.sqrt(default_links.beta * M * N),
                                    rtol=1e-12)
 
@@ -109,24 +111,46 @@ class TestSampleRealization:
         np.testing.assert_array_equal(g1, g2)
 
 
+def _row_space(effective, k):
+    """(L, L*N) with row l = a_{l,k}^T / ||a_{l,k}|| in block l: orthonormal
+    rows, and dense_aggregate(effective)[k] = C_k @ this."""
+    L, K, M, N = effective.shape
+    rows = np.zeros((L, L * N), complex)
+    for l in range(L):
+        a = effective.a[l, k]
+        rows[l, l * N:(l + 1) * N] = a / np.linalg.norm(a)
+    return rows
+
+
 class TestAggregate:
+    # the M x L link matrix carries the aggregated channel: the dense
+    # aggregate is C_k times a matrix with orthonormal rows
+
     def test_single_satellite_is_identity_embedding(self, rng):
-        from tests.conftest import synthetic_effective
         eff = synthetic_effective(rng, L=1, K=2, M=3, N=5)
-        np.testing.assert_array_equal(aggregate_all(eff)[1], eff.hbar[0, 1])
+        np.testing.assert_array_equal(dense_aggregate(eff)[1], dense_links(eff)[0, 1])
+        np.testing.assert_allclose(link_matrix(eff)[1] @ _row_space(eff, 1),
+                                   dense_links(eff)[0, 1], rtol=1e-13, atol=1e-14)
 
     def test_shape_and_blocks(self, default_effective):
         L, K, M, N = default_effective.shape
-        agg = aggregate_all(default_effective)[0]
+        assert link_matrix(default_effective).shape == (K, M, L)
+        agg = dense_aggregate(default_effective)[0]
         assert agg.shape == (M, L * N)
+        rebuilt = link_matrix(default_effective)[0] @ _row_space(default_effective, 0)
+        scale = np.abs(agg).max()
         for l in range(L):
             np.testing.assert_array_equal(agg[:, l * N:(l + 1) * N],
-                                          default_effective.hbar[l, 0])
+                                          dense_links(default_effective)[l, 0])
+            np.testing.assert_allclose(rebuilt[:, l * N:(l + 1) * N],
+                                       agg[:, l * N:(l + 1) * N],
+                                       rtol=0, atol=1e-12 * scale)
 
     def test_aggregate_all_stacks_users(self, default_effective):
-        allagg = aggregate_all(default_effective)
+        # every user's link matrix has the dense aggregate's singular values
+        allagg = dense_aggregate(default_effective)
         L, K, M, N = default_effective.shape
         assert allagg.shape == (K, M, L * N)
-        for k in range(K):
-            np.testing.assert_array_equal(
-                allagg[k], np.concatenate(default_effective.hbar[:, k], axis=1))
+        np.testing.assert_allclose(
+            np.linalg.svd(link_matrix(default_effective), compute_uv=False),
+            np.linalg.svd(allagg, compute_uv=False)[:, :min(M, L)], rtol=1e-12)

@@ -226,6 +226,33 @@ class TestRun:
                 assert np.all(g <= cfg.ellipsoid_tol_rel * caps + 1e-12), \
                     (job.mode, job.power_dbw, l, (g / caps).max())
 
+    def test_approx_gap_rows_meet_per_antenna_caps(self, monkeypatch):
+        # both approximation-study designs, the Monte-Carlo and the
+        # approximate row, are fitted to per-antenna caps like mmse and zf
+        from satmimo import cli, load_scenario
+        from satmimo.power import residuals
+        cfg = load_scenario(json.dumps(dict(TINY, constraint_kind="per-antenna")))
+        evaluated = []
+        for name in ("exact_se_mc", "approx_se"):
+            original = getattr(cli, name)
+
+            def spy(W, *args, original=original):
+                evaluated.append(W)
+                return original(W, *args)
+
+            monkeypatch.setattr(cli, name, spy)
+        jobs = PRESETS["approx-gap"](cfg)
+        assert {job.mode for job in jobs} == {"mmse-exact-mc", "mmse-approx"}
+        for job in jobs:
+            evaluated.clear()
+            row = cli.run_job(job)
+            assert np.isfinite(float(row["sum_se"]))
+            cons = cli._constraints_for(cfg, 10 ** (job.power_dbw / 10))
+            for l, caps in enumerate(cons.caps):
+                g = residuals(evaluated[0][l], cons, l)
+                assert np.all(g <= cfg.ellipsoid_tol_rel * caps + 1e-12), \
+                    (job.mode, job.power_dbw, l, (g / caps).max())
+
     def test_pinned_angles_discarded_with_one_warning(self, tmp_path, capsys):
         # every preset sets its own angles: a pinned list in the config
         # leaves the rows as they are and is named once on stderr

@@ -13,7 +13,7 @@ from satmimo.joint_wmmse import (SolverParams, _mse_at_optimum, _mse_matrices,
                                  wmmse_objective)
 from satmimo.power import residuals
 from tests.conftest import (assert_precoder_kkt, bisect_multiplier, crandn,
-                            dense_subproblem, one_wmmse_iteration,
+                            dense_links, dense_subproblem, one_wmmse_iteration,
                             synthetic_effective)
 
 LN2 = np.log(2.0)
@@ -47,14 +47,15 @@ class TestMseMatrix:
         U = crandn(rng, M, L * S)
         noise = 0.6
         k = 0
+        hbar = dense_links(eff)
         # quadratic term: every user's per-link stream columns contribute
         quad = noise * np.eye(M, dtype=complex)
         for i in range(K):
             for l in range(L):
-                G = eff.hbar[l, k] @ W[l, i]
+                G = hbar[l, k] @ W[l, i]
                 quad += G @ G.conj().T
         # desired blocks Hb_{l,k} W_{l,k} side by side, satellite major
-        Gk = np.concatenate([eff.hbar[l, k] @ W[l, k] for l in range(L)], axis=1)
+        Gk = np.concatenate([hbar[l, k] @ W[l, k] for l in range(L)], axis=1)
         E = U.conj().T @ quad @ U - U.conj().T @ Gk - Gk.conj().T @ U + np.eye(L * S)
         J, G = _receiver_grams(W, eff, noise)
         np.testing.assert_allclose(J[k], quad, atol=1e-12)
@@ -88,7 +89,7 @@ class TestCombiners:
         eff = synthetic_effective(rng, L=1, K=1, M=3, N=6)
         W = crandn(rng, 1, 1, 6, 1)
         U = np.linalg.solve(*_receiver_grams(W, eff, 1e-12))
-        prod = U[0].conj().T @ (eff.hbar[0, 0] @ W[0, 0])
+        prod = U[0].conj().T @ (dense_links(eff)[0, 0] @ W[0, 0])
         np.testing.assert_allclose(prod, np.eye(1), atol=1e-5)
         # with as many satellites as receive antennas the stacked signal has
         # full column rank and every virtual stream is recovered
@@ -248,9 +249,8 @@ def _rank_one_channel(b, a, beta, noise=0.5):
     b = np.asarray(b, complex)[None]
     a = np.asarray(a, complex)[None]
     beta = np.asarray(beta, float)[None]
-    hbar = np.sqrt(beta)[..., None, None] * np.einsum("lkm,lkn->lkmn", b, a)
-    return EffectiveChannel(hbar=hbar, b=b, a=a, beta=beta,
-                            kappa=np.full(beta.shape, 15.8), noise_power_w=noise)
+    return EffectiveChannel(b=b, a=a, beta=beta, kappa=np.full(beta.shape, 15.8),
+                            noise_power_w=noise)
 
 
 class TestShareRuleBlocks:
@@ -272,7 +272,7 @@ class TestShareRuleBlocks:
         eff = synthetic_effective(rng, L=1, K=2, M=3, N=4)
         q = joint_wmmse.link_bases(eff, 0, 1)[1]
         w = joint_wmmse.share_rule_blocks(eff, 0, 1.0, [(1, q)], 0.7)[0]
-        hb = eff.hbar[0]
+        hb = dense_links(eff)[0]
         gram = 0.7 * np.eye(4) + sum(h.conj().T @ h for h in hb)
         raw = np.linalg.solve(gram, hb[1].conj().T @ q)
         np.testing.assert_allclose(w, raw / np.linalg.norm(raw), rtol=1e-12)
@@ -289,7 +289,7 @@ class TestShareRuleBlocks:
         other_b = np.eye(len(b))[0]
         eff = _rank_one_channel([b, other_b], [a, a[::-1]], [1.0, 4.0])
         q = np.asarray(q, complex) / np.sqrt(2)
-        np.testing.assert_array_equal(eff.hbar[0, 0].conj().T @ q, 0)
+        np.testing.assert_array_equal(dense_links(eff)[0, 0].conj().T @ q, 0)
         out = joint_wmmse.share_rule_blocks(eff, 0, 3.0, [(0, q), (1, q[:, :1])],
                                             0.5)
         share = 3.0 * 1.0 / (1.0 + 2.0)
@@ -317,7 +317,7 @@ class TestShareRuleBlocks:
         via_solve = joint_wmmse.share_rule_blocks(eff, 0, 1.0, enumerate(bases),
                                                   0.0)
         assert len(seen) == 1
-        hb = eff.hbar[0]
+        hb = dense_links(eff)[0]
         np.testing.assert_allclose(seen[0], sum(h.conj().T @ h for h in hb),
                                    rtol=1e-14)
         for x, y in zip(via_inv, via_solve):
@@ -376,9 +376,7 @@ class TestSolve:
         W1, _ = solve(eff, cons, num_streams=2)
         b2 = eff.b.copy()
         b2[1, 0] *= np.exp(1j * 0.71)
-        hbar2 = np.sqrt(eff.beta)[..., None, None] * np.einsum(
-            "lkm,lkn->lkmn", b2, eff.a)
-        eff2 = replace(eff, hbar=hbar2, b=b2)
+        eff2 = replace(eff, b=b2)
         W2, _ = solve(eff2, cons, num_streams=2)
         se1 = approx_se(W1, eff).sum_se
         se2 = approx_se(W2, eff2).sum_se

@@ -223,9 +223,7 @@ class TestLiveLinkSynthesis:
         a = eff.a.copy()
         a[:, 1] = 0.0
         a[:, 1, 0] = 1.0
-        hbar = np.sqrt(eff.beta)[..., None, None] * np.einsum(
-            "lkm,lkn->lkmn", eff.b, a)
-        eff = replace(eff, a=a, hbar=hbar)
+        eff = replace(eff, a=a)
         W = crandn(rng, 3, 3, 4, 2)
         W[:, :, 0] = 0.0
         got = self._check_against_dense(W, eff, 300)

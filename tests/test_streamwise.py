@@ -2,19 +2,19 @@ import numpy as np
 import pytest
 
 from satmimo import (InfeasibleError, NumericsError, ScenarioConfig,
-                     aggregate_all, approx_se, associate,
+                     ValidationError, approx_se, associate,
                      brute_force_assignment, effective_channels,
                      participation_factors, per_antenna, per_sat_total,
-                     sample_geometry, sat_selection_score, solve_streamwise)
-from satmimo import joint_wmmse
+                     sample_geometry, solve_streamwise)
+from satmimo import cli, joint_wmmse
 from satmimo.assignment import assignment_value
 from satmimo.joint_wmmse import (SolverParams, _mse_at_optimum, _mse_matrices,
                                  _PrecoderStep, _receiver_grams, _secular,
                                  _Spectrum)
 from satmimo.power import residuals
-from satmimo.streamwise import (StreamAssignment, init_streamwise,
-                                select_serving_sats)
+from satmimo.streamwise import StreamAssignment, init_streamwise
 from tests.conftest import (assert_precoder_kkt, bisect_multiplier, crandn,
+                            dense_aggregate, dense_eigenmodes, dense_links,
                             dense_subproblem, one_wmmse_iteration,
                             synthetic_effective)
 
@@ -64,26 +64,28 @@ def _fixed_scenario(sines, seed=3, S=2):
 
 class TestParticipationFactors:
     def test_rows_sum_to_one(self, default_effective):
-        eta, eig = participation_factors(aggregate_all(default_effective), 4)
+        eta, directions = participation_factors(default_effective)
         np.testing.assert_allclose(eta.sum(axis=0), 1.0, atol=1e-12)
-        assert np.all(np.diff(eig.singular_values, axis=1) <= 1e-12)
+        gram = directions.conj().swapaxes(1, 2) @ directions
+        np.testing.assert_allclose(gram, np.broadcast_to(np.eye(4), gram.shape),
+                                   atol=1e-12)
 
     def test_single_satellite_all_energy(self, rng):
         eff = synthetic_effective(rng, L=1, K=2, M=3, N=5)
-        eta, _ = participation_factors(aggregate_all(eff), 1)
+        eta, _ = participation_factors(eff)
         np.testing.assert_allclose(eta, 1.0, atol=1e-12)
 
     def test_orthogonal_toy_concentrates(self):
         # orthogonal UE-side responses: each eigenmode is carried almost
         # entirely by a single satellite
         _, _, eff = _fixed_scenario(ORTHOGONAL)
-        eta, _ = participation_factors(aggregate_all(eff), 4)
+        eta, _ = participation_factors(eff)
         for k in range(eff.shape[1]):
             assert np.all(eta[:, k, :].max(axis=0) > 0.99)
 
     def test_non_orthogonal_toy_spreads(self):
         _, _, eff = _fixed_scenario(NON_ORTHOGONAL)
-        eta, _ = participation_factors(aggregate_all(eff), 4)
+        eta, _ = participation_factors(eff)
         for k in range(eff.shape[1]):
             shared = np.sum(eta[:, k, :] > 0.05, axis=0)
             assert np.all(shared >= 2)
@@ -92,7 +94,7 @@ class TestParticipationFactors:
 class TestAssociate:
     def test_orthogonal_matches_brute_force(self):
         _, _, eff = _fixed_scenario(ORTHOGONAL)
-        eta, _ = participation_factors(aggregate_all(eff), 4)
+        eta, _ = participation_factors(eff)
         assoc = associate(eta, 2)
         for k in range(eff.shape[1]):
             w = eta[:, k, :2].T
@@ -103,7 +105,7 @@ class TestAssociate:
 
     def test_single_stream_takes_argmax(self, rng):
         eff = synthetic_effective(rng, L=5, K=2, M=3, N=4)
-        eta, _ = participation_factors(aggregate_all(eff), 5)
+        eta, _ = participation_factors(eff)
         assoc = associate(eta, 1)
         for k in range(2):
             assert assoc.pi[k, 0] == int(np.argmax(eta[:, k, 0]))
@@ -121,7 +123,7 @@ class TestAssociate:
             assignment_value(w, brute_force_assignment(w)), rel=1e-12)
 
     def test_injective_and_covering(self, default_effective):
-        eta, _ = participation_factors(aggregate_all(default_effective), 4)
+        eta, _ = participation_factors(default_effective)
         assoc = associate(eta, 2)
         K, S = assoc.pi.shape
         for k in range(K):
@@ -131,41 +133,57 @@ class TestAssociate:
 
     def test_too_many_streams_rejected(self, rng):
         eff = synthetic_effective(rng, L=2, K=1, M=4, N=4)
-        eta, _ = participation_factors(aggregate_all(eff), 2)
+        eta, _ = participation_factors(eff)
         with pytest.raises(InfeasibleError):
             associate(eta, 3)
 
 
-class TestSelectionScore:
-    def test_weighted_sum_matches_direct(self, default_effective):
-        eta, eig = participation_factors(aggregate_all(default_effective), 4)
-        score = sat_selection_score(eta, eig.singular_values)
-        L, K, M = eta.shape
-        for l in range(L):
-            for k in range(K):
-                direct = sum(eig.singular_values[k, m] ** 2 * eta[l, k, m]
-                             for m in range(M))
-                assert score[l, k] == pytest.approx(direct, rel=1e-12)
+class TestStreamAssignment:
+    @pytest.mark.parametrize("pi", [[[-1, 0], [1, 0]], [[0, 4], [1, 0]],
+                                    [[0, 1], [7, 2]]],
+                             ids=["negative", "equal-to-L", "above-L"])
+    def test_rejects_satellite_out_of_range(self, pi):
+        # a negative entry would wrap to the last satellite, and one >= L
+        # would index past the satellite list
+        with pytest.raises(ValidationError, match="satellites in"):
+            StreamAssignment.from_pi(np.array(pi), 4)
 
-    def test_equal_singular_values_proportional_to_eta_sum(self, rng):
-        # eta (L=3, K=2, M=4) with columns over satellites summing to one
-        eta = np.random.default_rng(0).dirichlet(np.ones(3), size=(2, 4))
-        eta = np.moveaxis(eta, -1, 0)
-        svals = np.full((2, 4), 1.7)
-        score = sat_selection_score(eta, svals)
-        np.testing.assert_allclose(score, 1.7 ** 2 * eta.sum(axis=2), rtol=1e-12)
 
-    def test_preselection_keeps_strong_sats(self, default_effective):
-        eta, eig = participation_factors(aggregate_all(default_effective), 4)
-        sets = select_serving_sats(eta, eig.singular_values, 2)
-        score = sat_selection_score(eta, eig.singular_values)
-        for k, sel in enumerate(sets):
-            kept = set(sel)
-            assert len(kept) == 2
-            worst_kept = min(score[l, k] for l in kept)
-            best_dropped = max((score[l, k] for l in range(4) if l not in kept),
-                               default=-np.inf)
-            assert worst_kept >= best_dropped - 1e-12
+class TestDenseReference:
+    # participation factors and stream directions from the M x L link
+    # matrices against the economy SVD of the dense (M, L*N) aggregates
+
+    @pytest.mark.parametrize("shape", [(3, 2, 4, 5), (5, 2, 3, 4), (2, 3, 4, 3)],
+                             ids=["L3-M4", "L5-M3", "L2-M4"])
+    def test_eta_and_directions_match_dense_svd(self, rng, shape):
+        L, K, M, N = shape
+        eff = synthetic_effective(rng, L=L, K=K, M=M, N=N)
+        eta, directions = participation_factors(eff)
+        ref_eta, ref_left = dense_eigenmodes(eff)
+        r = min(M, L)
+        assert eta.shape == (L, K, r) and directions.shape == (K, M, r)
+        np.testing.assert_allclose(eta, ref_eta[:, :, :r], rtol=0, atol=1e-12)
+        for k in range(K):
+            for m in range(r):
+                phase = np.vdot(ref_left[k, :, m], directions[k, :, m])
+                assert abs(phase) == pytest.approx(1.0, abs=1e-12)
+                np.testing.assert_allclose(directions[k, :, m],
+                                           phase * ref_left[k, :, m], atol=1e-12)
+
+    def test_association_geometries_same_maps(self):
+        # every geometry of the association preset at its default seed:
+        # the factored eta matches the dense one and gives the same map
+        jobs = cli.PRESETS["association"](ScenarioConfig())
+        configs = {(j.scenario_id, j.config.rng_seed): j.config for j in jobs}
+        assert len(configs) == 20
+        for cfg in configs.values():
+            links = sample_geometry(cfg, np.random.default_rng(cfg.rng_seed))
+            eff = effective_channels(links, cfg)
+            eta, _ = participation_factors(eff)
+            ref_eta, _ = dense_eigenmodes(eff)
+            np.testing.assert_allclose(eta, ref_eta, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(associate(eta, cfg.S).pi,
+                                          associate(ref_eta, cfg.S).pi)
 
 
 class TestCombinersAndWeights:
@@ -191,11 +209,12 @@ class TestCombinersAndWeights:
         S = 2
         off = _off_support(assoc, 3)
         E = _mse_at_optimum(U, G)
+        hbar = dense_links(eff)
         for k in range(2):
             J = 0.6 * np.eye(4, dtype=complex)
             for i in range(2):
                 for s in range(S):
-                    g = eff.hbar[assoc.pi[i, s], k] @ W[assoc.pi[i, s], i, :, s]
+                    g = hbar[assoc.pi[i, s], k] @ W[assoc.pi[i, s], i, :, s]
                     J += np.outer(g, g.conj())
             for l in range(3):
                 for s in range(S):
@@ -206,7 +225,7 @@ class TestCombinersAndWeights:
                         assert row[l * S + s] == 1.0
                         assert np.count_nonzero(row) == 1
                     else:
-                        g = eff.hbar[l, k] @ W[l, k, :, s]
+                        g = hbar[l, k] @ W[l, k, :, s]
                         np.testing.assert_allclose(col, np.linalg.solve(J, g),
                                                    atol=1e-10)
 
@@ -407,12 +426,6 @@ class TestSolveStreamwise:
         with pytest.raises(NumericsError):
             solve_streamwise(eff, cons, num_streams=2)
 
-    def test_preselection_runs(self, default_effective):
-        W, assoc, _ = solve_streamwise(default_effective,
-                                       _caps(np.full(4, 10.0), 64),
-                                       num_streams=2, preselect=3)
-        assert np.all(assoc.pi >= 0)
-
     def test_per_antenna_caps_honoured(self, default_effective):
         # the constraint set reaches the solver: every antenna meets its
         # cap, the support certificate holds, and the design differs from
@@ -439,6 +452,7 @@ class TestSolveStreamwise:
         W, assoc, _ = solve_streamwise(eff, _caps(np.ones(3), 5), num_streams=2)
         noise = eff.noise_power_w
         via_joint = approx_se(W, eff)
+        hbar = dense_links(eff)
 
         total = 0.0
         for k in range(2):
@@ -447,7 +461,7 @@ class TestSolveStreamwise:
             for i in range(2):
                 for s in range(2):
                     l = assoc.pi[i, s]
-                    g = eff.hbar[l, k] @ W[l, i, :, s]
+                    g = hbar[l, k] @ W[l, i, :, s]
                     mat = np.outer(g, g.conj())
                     if i == k:
                         sig += mat
@@ -464,14 +478,13 @@ class TestInitStreamwise:
         eff = synthetic_effective(rng, L=4, K=3, M=3, N=5)
         # satellite 0 carries three users' streams, satellite 3 none
         assoc = StreamAssignment.from_pi(np.array([[0, 1], [0, 2], [1, 0]]), 4)
-        agg = aggregate_all(eff)
-        _, eig = participation_factors(agg, 4)
+        _, directions = participation_factors(eff)
         rho = np.array([1.0, 2.0, 0.5, 3.0])
-        return eff, assoc, eig, rho, init_streamwise(eff, _caps(rho, 5), assoc,
-                                                     eig, agg)
+        return eff, assoc, rho, init_streamwise(eff, _caps(rho, 5), assoc,
+                                                directions)
 
     def test_spends_each_cap_with_sqrt_beta_shares(self, rng):
-        eff, assoc, eig, rho, W = self._start(rng)
+        eff, assoc, rho, W = self._start(rng)
         assert W.shape == (4, 3, 5, 2)
         assert np.all(W[3] == 0)
         assert np.all(W.transpose(0, 1, 3, 2)[_off_support(assoc, 4)] == 0)
@@ -487,21 +500,21 @@ class TestInitStreamwise:
         # under per-antenna caps each satellite spends min_x rho_{l,x}, as
         # init_precoders does, so the start is feasible
         eff = synthetic_effective(rng, L=3, K=2, M=3, N=5)
-        agg = aggregate_all(eff)
-        eta, eig = participation_factors(agg, 3)
+        eta, directions = participation_factors(eff)
         assoc = associate(eta, 2)
         caps = rng.uniform(0.2, 1.0, (3, 5))
-        W = init_streamwise(eff, per_antenna(caps), assoc, eig, agg)
+        W = init_streamwise(eff, per_antenna(caps), assoc, directions)
         for l, streams in enumerate(assoc.sat_streams):
             if streams:
                 assert np.sum(np.abs(W[l]) ** 2) == pytest.approx(caps[l].min(),
                                                                   rel=1e-12)
 
     def test_columns_follow_regularized_inverse(self, rng):
-        eff, assoc, eig, rho, W = self._start(rng)
-        agg = aggregate_all(eff)
+        eff, assoc, rho, W = self._start(rng)
+        # the stream directions are the dense aggregate's left vectors
+        agg = dense_aggregate(eff)
         for l, streams in enumerate(assoc.sat_streams):
-            hb = eff.hbar[l]
+            hb = dense_links(eff)[l]
             gram = eff.noise_power_w * np.eye(5) + sum(h.conj().T @ h for h in hb)
             for k, s in streams:
                 u = np.linalg.svd(agg[k])[0][:, s]
@@ -525,7 +538,6 @@ class TestInitStreamwise:
 
         monkeypatch.setattr(joint_wmmse, "solve", spy)
         _, assoc, _ = solve_streamwise(eff, cons, num_streams=2)
-        agg = aggregate_all(eff)
-        _, eig = participation_factors(agg, 3)
+        _, directions = participation_factors(eff)
         np.testing.assert_array_equal(seen["initial"],
-                                      init_streamwise(eff, cons, assoc, eig, agg))
+                                      init_streamwise(eff, cons, assoc, directions))
