@@ -7,8 +7,9 @@ regularizer set to zero, so both use literally the same
 sqrt(beta)-proportional per-user power sharing and comparisons isolate the
 precoding strategy rather than the power policy. Both spend per-satellite
 total caps; the CLI scales a satellite down to any other constraint family
-of its row (power.scale_to_caps). TDMA-MRT is evaluated by Monte Carlo
-only, on the same EffectiveChannel it is designed on.
+of its row (power.scale_to_caps). TDMA-MRT fits each of its slots to the
+row's constraint set the same way, and is evaluated by Monte Carlo only,
+on the same EffectiveChannel it is designed on.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .channel import EffectiveChannel
 from .errors import InfeasibleError
 from .joint_wmmse import init_precoders, link_bases, share_rule_blocks
-from .power import per_sat_total
+from .power import PowerConstraintSet, per_sat_total, scale_to_caps
 from .se_eval import SEReport, exact_se_trials
 from .streamwise import StreamAssignment
 
@@ -81,18 +82,23 @@ def tdma_mrt_precoders(effective: EffectiveChannel, rho) -> list:
     return sets
 
 
-def tdma_mrt_baseline(effective: EffectiveChannel, rho, trials: int,
-                      rng: np.random.Generator) -> SEReport:
+def tdma_mrt_baseline(effective: EffectiveChannel, rho,
+                      constraints: PowerConstraintSet, tol_rel: float,
+                      trials: int, rng: np.random.Generator) -> SEReport:
     """Orthogonal scheduling: each user is served alone by its nearest
     satellite with MRT, and the time sharing divides each SE by K.
 
-    Each user's slot takes its own full Monte-Carlo gain draw and evaluates
-    only the scheduled user; the slots' draws are independent, so their
-    variances add in the standard error."""
+    Each slot spends the per-satellite total rho and is then fitted to the
+    constraint set (power.scale_to_caps with tolerance tol_rel); MRT's
+    constant modulus meets a total cap rho and per-antenna caps rho/N to
+    rounding, so neither is scaled. Each user's slot takes its own full
+    Monte-Carlo gain draw and evaluates only the scheduled user; the slots'
+    draws are independent, so their variances add in the standard error."""
     K = effective.shape[1]
     per_user = np.empty(K)
     variance = 0.0
     for k, (_, W) in enumerate(tdma_mrt_precoders(effective, rho)):
+        scale_to_caps(W, constraints, tol_rel)
         se_t = exact_se_trials(W, effective, trials, rng, [k])[0]
         per_user[k] = se_t.mean() / K
         variance += (np.var(se_t, ddof=1) / (trials * K * K)

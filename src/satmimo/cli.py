@@ -116,25 +116,52 @@ def _constraints_for(cfg: ScenarioConfig, rho_w: float):
     return make_constraint_set(cfg.custom_constraints).scaled(rho_w)
 
 
-def _aggregated_mmse(effective, rho, num_streams):
+def _aggregated_mmse(eff, cons, rho, cfg, params):
     # approximation study: aggregated stream basis so all S streams carry
     # power (the per-link basis degenerates to one stream)
-    return joint_wmmse.init_precoders(
-        effective, per_sat_total(rho, effective.shape[3]), num_streams,
-        stream_basis="aggregated")
+    return joint_wmmse.init_precoders(eff, per_sat_total(rho, cfg.N), cfg.S,
+                                      stream_basis="aggregated"), None
 
 
-# modes whose precoders come from a closed form on per-satellite totals
-_TOTAL_POWER_DESIGNS = {
+def _streamwise(eff, cons, cfg, params, assignment):
+    W, _, trace = streamwise.solve_streamwise(
+        eff, cons, params, num_streams=cfg.S, assignment=assignment)
+    return W, trace
+
+
+# mode -> design(effective, constraints, rho per satellite, cfg, params).
+# A solver returns (W, SolveTrace) with W within the constraints; a closed
+# form returns (W, None) spending the per-satellite totals rho, and run_job
+# fits it to the constraints. Entries look their functions up on the modules
+# when the row runs, so a wrapper set on a module attribute sees the call.
+_DESIGNS = {
+    "joint": lambda eff, cons, rho, cfg, params: joint_wmmse.solve(
+        eff, cons, params, num_streams=cfg.S),
+    "streamwise": lambda eff, cons, rho, cfg, params: _streamwise(
+        eff, cons, cfg, params, None),
+    # the random map has its own generator, disjoint from the Monte-Carlo one
+    "streamwise-random": lambda eff, cons, rho, cfg, params: _streamwise(
+        eff, cons, cfg, params, baselines.random_association(
+            np.random.default_rng(np.random.SeedSequence([cfg.rng_seed, 1])),
+            cfg.S, cfg.L, cfg.K)),
+    "mmse": lambda eff, cons, rho, cfg, params: (
+        baselines.mmse_baseline(eff, rho, cfg.S), None),
+    "zf": lambda eff, cons, rho, cfg, params: (
+        baselines.zf_baseline(eff, rho, cfg.S), None),
     "mmse-exact-mc": _aggregated_mmse,
     "mmse-approx": _aggregated_mmse,
-    "mmse": baselines.mmse_baseline,
-    "zf": baselines.zf_baseline,
 }
 
 
 def run_job(job: Job) -> dict:
     """Evaluate one (scenario, mode, sweep point) row. Pure given the job.
+
+    One pipeline: geometry and channels, the row's constraint set, the
+    mode's design from `_DESIGNS`, the fit of a closed-form design to the
+    constraints (`power.scale_to_caps`), and the estimate: `approx_se` for
+    mmse-approx, `exact_se_mc` for every other mode. tdma-mrt fits and
+    evaluates its K single-user slots itself (`tdma_mrt_baseline`). A
+    solver or estimator error gives an error row.
 
     Besides the CSV columns the row carries "converged", False when the
     WMMSE loop stopped at max_iters before meeting its tolerance;
@@ -142,58 +169,34 @@ def run_job(job: Job) -> dict:
     approximation, nan for an error row or a single trial); and
     "multiplier_evals", the evaluations made by every multiplier search of
     the solver, secular or dual (0 for modes that run no solver)."""
+    if job.mode not in (*_DESIGNS, "tdma-mrt"):
+        raise ValueError(f"unhandled mode {job.mode}")
     cfg = job.config
     t0 = time.perf_counter()
     rho_w = 10 ** (job.power_dbw / 10)
+    rho = np.full(cfg.L, rho_w)
     geometry = sample_geometry(cfg, np.random.default_rng(cfg.rng_seed))
     effective = effective_channels(geometry, cfg)
     params = joint_wmmse.SolverParams.from_config(cfg)
     rng = mc_rng(cfg.rng_seed, job.point_index)
-    rho_vec = np.full(cfg.L, rho_w)
-    trace = None
-    error = ""
-
+    report = trace = error = None
     try:
-        if job.mode in _TOTAL_POWER_DESIGNS:
-            # designed on per-satellite totals, then fitted to the row's caps
-            design = _TOTAL_POWER_DESIGNS[job.mode]
-            W = scale_to_caps(design(effective, rho_vec, cfg.S),
-                              _constraints_for(cfg, rho_w), params.power_tol_rel)
-        elif job.mode == "joint":
-            W, trace = joint_wmmse.solve(effective, _constraints_for(cfg, rho_w),
-                                         params, num_streams=cfg.S)
-        elif job.mode == "streamwise":
-            W, _, trace = streamwise.solve_streamwise(
-                effective, _constraints_for(cfg, rho_w), params, num_streams=cfg.S)
-        elif job.mode == "streamwise-random":
-            assoc = baselines.random_association(
-                np.random.default_rng(np.random.SeedSequence([cfg.rng_seed, 1])),
-                cfg.S, cfg.L, cfg.K)
-            W, _, trace = streamwise.solve_streamwise(
-                effective, _constraints_for(cfg, rho_w), params, num_streams=cfg.S,
-                assignment=assoc)
-        elif job.mode == "tdma-mrt":
-            report = baselines.tdma_mrt_baseline(effective, rho_vec,
-                                                 cfg.mc_trials, rng)
-            return _row(job, report, None, t0)
+        constraints = _constraints_for(cfg, rho_w)
+        if job.mode == "tdma-mrt":
+            report = baselines.tdma_mrt_baseline(
+                effective, rho, constraints, params.power_tol_rel, cfg.mc_trials, rng)
         else:
-            raise ValueError(f"unhandled mode {job.mode}")
-
-        if job.mode == "mmse-approx":
-            report = approx_se(W, effective)
-        else:
-            report = exact_se_mc(W, effective, cfg.mc_trials, rng)
+            W, trace = _DESIGNS[job.mode](effective, constraints, rho, cfg, params)
+            if trace is None:
+                scale_to_caps(W, constraints, params.power_tol_rel)
+            report = (approx_se(W, effective) if job.mode == "mmse-approx"
+                      else exact_se_mc(W, effective, cfg.mc_trials, rng))
     except (InfeasibleError, NumericsError, ValidationError) as exc:
         error = str(exc)
-        report = None
-    if report is None:
-        row = _row(job, None, trace, t0)
-        row["per_user_se"] = f"error={error}"
-        return row
-    return _row(job, report, trace, t0)
+    return _row(job, report, trace, t0, error)
 
 
-def _row(job, report, trace, t0):
+def _row(job, report, trace, t0, error):
     cfg = job.config
     return {
         "scenario_id": job.scenario_id,
@@ -202,7 +205,7 @@ def _row(job, report, trace, t0):
         "power_cap_dbw": repr(float(job.power_dbw)),
         "sum_se": repr(float(report.sum_se)) if report else "nan",
         "per_user_se": ";".join(repr(float(v)) for v in report.per_user_se)
-                       if report else "",
+                       if report else f"error={error}",
         "iterations": trace.iterations if trace else 0,
         "wall_time_ms": int(round(1000 * (time.perf_counter() - t0))),
         "seed": job.seed,

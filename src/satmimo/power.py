@@ -60,9 +60,10 @@ def make_constraint_set(per_sat_pairs) -> PowerConstraintSet:
             if mats and A.shape != mats[0].shape:
                 raise ValidationError(
                     f"satellite {l} constraint {x}: A must match the size of constraint 0")
-            # the identity is Hermitian PSD: skipping its N x N eigensolve
-            # keeps per_sat_total cheap enough to build for every solve
-            if not np.array_equal(A, np.eye(A.shape[0])):
+            # a real diagonal with non-negative entries (the identity, an
+            # antenna selector) is Hermitian PSD exactly: skipping its N x N
+            # eigensolve keeps per_sat_total and per_antenna cheap to build
+            if not np.array_equal(A, np.diag(np.diag(A).real.clip(min=0))):
                 if not np.allclose(A, A.conj().T,
                                    atol=1e-12 * max(1.0, np.abs(A).max())):
                     raise ValidationError(

@@ -64,8 +64,6 @@ class ScenarioConfig:
         _check(self.N >= 1, "N", "must be >= 1")
         _check(self.M >= 1, "M", "must be >= 1")
         _check(1 <= self.S <= self.M, "S", "must satisfy 1 <= S <= M")
-        _check(self.L * self.N >= self.M, "N",
-               "must satisfy L*N >= M for the aggregated-channel SVD")
         _check(self.altitude_m > 0, "altitude_m", "must be positive")
         _check(self.carrier_hz > 0, "carrier_hz", "must be positive")
         _check(self.bandwidth_hz > 0, "bandwidth_hz", "must be positive")
@@ -79,6 +77,12 @@ class ScenarioConfig:
                "must contain at least one point")
         _check(self.constraint_kind in ("per-sat-total", "per-antenna", "custom"),
                "constraint_kind", "must be per-sat-total, per-antenna or custom")
+        if self.constraint_kind == "custom":
+            sats = self.custom_constraints
+            _check(sats is not None and len(sats) == self.L, "custom_constraints",
+                   f"must list the constraints of all L={self.L} satellites")
+            _check(all(np.shape(A) == (self.N, self.N) for sat in sats for A, _ in sat),
+                   "custom_constraints", f"every A must be N x N with N={self.N}")
         for name in ("ue_sin_theta", "sat_sin_phi", "elevation_deg"):
             val = getattr(self, name)
             if val is not None:

@@ -205,7 +205,8 @@ class TestCriterion6UserLoading:
                 rho = np.full(8, 10 ** (dbw / 10))
                 Wj, _ = _solve_joint(cfg, eff, rho[0])
                 se_j = exact_se_mc(Wj, eff, trials, mc_rng(seed, p)).sum_se
-                se_t = tdma_mrt_baseline(eff, rho, trials, mc_rng(seed, p)).sum_se
+                se_t = tdma_mrt_baseline(eff, rho, per_sat_total(rho, cfg.N), 1e-5,
+                                         trials, mc_rng(seed, p)).sum_se
                 joint_curve.append(se_j)
                 if se_t >= se_j:
                     tdma_lowest = False

@@ -84,7 +84,8 @@ class TestTdmaMrt:
     def test_single_user_no_penalty(self, rng):
         # one user, one slot: the full-time evaluation on the same draw
         eff = synthetic_effective(rng, L=2, K=1, M=3, N=4)
-        rep = tdma_mrt_baseline(eff, np.full(2, 1.0), 200,
+        rho = np.full(2, 1.0)
+        rep = tdma_mrt_baseline(eff, rho, per_sat_total(rho, 4), 1e-5, 200,
                                 np.random.default_rng(3))
         from satmimo.baselines import tdma_mrt_precoders
         _, W = tdma_mrt_precoders(eff, np.full(2, 1.0))[0]
@@ -94,8 +95,8 @@ class TestTdmaMrt:
     def test_two_users_half_of_scheduled(self, default_effective):
         # each slot's user alone, on the slot's own draw, times 1/K
         rho = np.full(4, 10.0)
-        rep = tdma_mrt_baseline(default_effective, rho, 200,
-                                np.random.default_rng(3))
+        rep = tdma_mrt_baseline(default_effective, rho, per_sat_total(rho, 64),
+                                1e-5, 200, np.random.default_rng(3))
         from satmimo.baselines import tdma_mrt_precoders
         ref_rng = np.random.default_rng(3)
         for k, (_, W) in enumerate(tdma_mrt_precoders(default_effective, rho)):
@@ -111,7 +112,8 @@ class TestTdmaMrt:
         eff = synthetic_effective(rng, L=3, K=K, M=2, N=5)
         from satmimo.baselines import tdma_mrt_precoders
         rho = np.full(3, 2.0)
-        rep = tdma_mrt_baseline(eff, rho, 50, np.random.default_rng(8))
+        rep = tdma_mrt_baseline(eff, rho, per_sat_total(rho, 5), 1e-5, 50,
+                                np.random.default_rng(8))
         ref_rng = np.random.default_rng(8)
         ref = [dense_exact_se(W, eff, 50, ref_rng)[k].mean() / K
                for k, (_, W) in enumerate(tdma_mrt_precoders(eff, rho))]
@@ -136,7 +138,8 @@ class TestTdmaMrt:
             return sample_pair_gains(beta, kappa, rng, num_trials, pairs)
 
         monkeypatch.setattr(se_eval, "sample_pair_gains", record)
-        rep = tdma_mrt_baseline(eff, rho, trials, np.random.default_rng(8))
+        rep = tdma_mrt_baseline(eff, rho, per_sat_total(rho, 5), 1e-5, trials,
+                                np.random.default_rng(8))
         sets = tdma_mrt_precoders(eff, rho)
         assert seen == [([(k, l)], trials) for k, (l, _) in enumerate(sets)]
         ref_rng = np.random.default_rng(8)
@@ -149,8 +152,9 @@ class TestTdmaMrt:
     def test_estimator_validated(self, default_effective, trials, noise_scale):
         eff = replace(default_effective,
                       noise_power_w=noise_scale * default_effective.noise_power_w)
+        rho = np.full(4, 1.0)
         with pytest.raises(ValueError):
-            tdma_mrt_baseline(eff, np.full(4, 1.0), trials,
+            tdma_mrt_baseline(eff, rho, per_sat_total(rho, 64), 1e-5, trials,
                               np.random.default_rng(0))
 
     def test_serves_from_strongest_gain(self, default_effective, default_links):
@@ -164,7 +168,8 @@ class TestTdmaMrt:
 
     def test_well_below_solver(self, default_effective):
         rho = np.full(4, 100.0)
-        rep = tdma_mrt_baseline(default_effective, rho, 500, mc_rng(0, 0))
+        rep = tdma_mrt_baseline(default_effective, rho, per_sat_total(rho, 64),
+                                1e-5, 500, mc_rng(0, 0))
         W, _ = solve(default_effective, per_sat_total(rho, 64), num_streams=2)
         se = approx_se(W, default_effective).sum_se
         assert rep.sum_se < 0.5 * se

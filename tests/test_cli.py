@@ -387,6 +387,51 @@ class TestCustomConstraints:
         from satmimo.power import max_violation
         assert max_violation(W, cons) <= 1e-5 * 1.2 + 1e-12
 
+    @pytest.mark.parametrize("family, preset", [
+        ({}, "baselines"),
+        ({"custom_constraints": [[{"A": np.eye(8).tolist(), "rho": 1.0}]] * 4},
+         "user-loading"),
+        ({"custom_constraints": [[{"A": np.eye(4).tolist(), "rho": 1.0}]] * 4},
+         "joint-vs-streamwise-nonorthogonal")],
+        ids=["no-list", "list-for-4-of-8-satellites", "matrices-not-N-by-N"])
+    def test_unusable_family_rejected_before_any_row(self, family, preset,
+                                                     tmp_path, capsys):
+        # the config (or the preset's L = 8 variant) is refused as a whole,
+        # instead of a crash or an error row per point when the rows run
+        path = tmp_path / "custom.json"
+        path.write_text(json.dumps(dict(TINY, constraint_kind="custom", **family)))
+        out = tmp_path / "res.csv"
+        assert main(["run", "--preset", preset, "--config", str(path),
+                     "--out", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith("error: custom_constraints:")
+        assert not out.exists()
+
+    def test_tdma_slots_meet_custom_caps(self, monkeypatch):
+        # A_l = 2I at a 1 W reference allows half the sweep point's power:
+        # each full-power MRT slot is scaled onto that cap, as the joint row
+        # it is compared with meets it
+        from satmimo import baselines, cli, load_scenario
+        from satmimo.power import residuals
+        cfg = load_scenario(json.dumps(dict(
+            TINY, constraint_kind="custom",
+            custom_constraints=[[{"A": (2 * np.eye(8)).tolist(), "rho": 1.0}]] * 4)))
+        evaluated = []
+        original = baselines.exact_se_trials
+
+        def spy(W, *args):
+            evaluated.append(W.copy())
+            return original(W, *args)
+
+        monkeypatch.setattr(baselines, "exact_se_trials", spy)
+        row = cli.run_job(cli.Job("custom", "tdma-mrt", cfg, 10.0, 0, 3))
+        assert np.isfinite(float(row["sum_se"]))
+        assert len(evaluated) == cfg.K
+        cons = cli._constraints_for(cfg, 10.0)
+        for W in evaluated:
+            ratios = [residuals(W[l], cons, l) / caps
+                      for l, caps in enumerate(cons.caps)]
+            assert max(r.max() for r in ratios) == pytest.approx(0.0, abs=1e-12)
+
 
 class TestValidate:
     def test_ok(self, tiny_config, capsys):

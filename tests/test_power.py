@@ -37,6 +37,30 @@ class TestConstruction:
         with pytest.raises(ValidationError, match="semidefinite"):
             make_constraint_set([[(A, 1.0)]])
 
+    @pytest.mark.parametrize("diagonal, message", [
+        ([1.0, -0.5], "semidefinite"), ([1.0, 0.5j], "Hermitian")],
+        ids=["negative-entry", "non-real-entry"])
+    def test_diagonal_outside_shortcut_rejected(self, diagonal, message):
+        # only a real non-negative diagonal skips the eigensolve
+        with pytest.raises(ValidationError, match=message):
+            make_constraint_set([[(np.diag(diagonal).astype(complex), 1.0)]])
+
+    def test_diagonal_families_skip_eigensolve(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(A):
+            calls.append(A.shape)
+            return eigvalsh(A)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        per_antenna(np.full((2, 4), 0.25))
+        per_sat_total([1.0, 2.0], 4)
+        make_constraint_set([[(np.diag([2.0, 0.0, 1.0]), 1.0)]])
+        assert calls == []
+        make_constraint_set([[(np.ones((3, 3)), 1.0)]])
+        assert calls == [(3, 3)]
+
     def test_accepts_near_psd(self):
         # eigenvalue floor is relative: tiny negative rounding is tolerated
         A = np.eye(3, dtype=complex)

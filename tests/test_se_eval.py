@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from satmimo import (NumericsError, ScenarioConfig, approx_se,
-                     effective_channels, exact_se_mc, mc_rng, sample_geometry,
-                     tdma_mrt_baseline)
+                     effective_channels, exact_se_mc, mc_rng, per_sat_total,
+                     sample_geometry, tdma_mrt_baseline)
 from satmimo.baselines import mmse_baseline, tdma_mrt_precoders
 from satmimo.channel import sample_gamma, sample_pair_gains
 from satmimo import se_eval
@@ -168,7 +168,8 @@ class TestAgainstDenseOracle:
     def test_tdma_advances_by_one_draw_per_user(self):
         eff, _ = self._instance(6, 2, 2)
         rng = np.random.default_rng(9)
-        tdma_mrt_baseline(eff, np.full(3, 2.0), 37, rng)
+        rho = np.full(3, 2.0)
+        tdma_mrt_baseline(eff, rho, per_sat_total(rho, 5), 1e-5, 37, rng)
         ref = np.random.default_rng(9)
         for _ in range(6):
             sample_gamma(eff.beta, eff.kappa, ref, trials=37)
@@ -375,7 +376,9 @@ class TestStandardError:
         W = mmse_baseline(default_effective, rho, default_config.S)
         for evaluate in (
                 lambda rng: exact_se_mc(W, default_effective, 100, rng),
-                lambda rng: tdma_mrt_baseline(default_effective, rho, 100, rng)):
+                lambda rng: tdma_mrt_baseline(
+                    default_effective, rho, per_sat_total(rho, default_config.N),
+                    1e-5, 100, rng)):
             reps = [evaluate(np.random.default_rng(500 + s)) for s in range(40)]
             spread = np.std([r.sum_se for r in reps], ddof=1)
             stderr = np.mean([r.sum_se_stderr for r in reps])

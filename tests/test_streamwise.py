@@ -357,6 +357,20 @@ class TestSolveStreamwise:
         for l in range(3):
             assert np.sum(np.abs(W1[l]) ** 2) <= rho[l] * (1 + 1e-5) + 1e-12
 
+    def test_single_satellite_with_fewer_antennas_than_the_user(self):
+        # L*N < M is a valid scenario: the association SVD is of the M x L
+        # link matrix, and with one satellite and one stream the streamwise
+        # map is the joint support, so both designs agree
+        cfg = ScenarioConfig(L=1, N=2, M=4, S=1)
+        eff = effective_channels(sample_geometry(cfg, np.random.default_rng(0)),
+                                 cfg)
+        cons = _caps(np.full(1, 10.0), cfg.N)
+        W, _ = joint_wmmse.solve(eff, cons, num_streams=1)
+        Ws, _, _ = solve_streamwise(eff, cons, num_streams=1)
+        se = approx_se(W, eff).sum_se
+        assert se > 0
+        assert approx_se(Ws, eff).sum_se == pytest.approx(se, rel=1e-12)
+
     def test_reference_scale_converges(self, default_effective, default_config):
         W, assoc, trace = solve_streamwise(
             default_effective, _caps(np.full(4, 100.0), 64),
