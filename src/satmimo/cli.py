@@ -18,7 +18,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -299,7 +298,17 @@ def cmd_run(args, parser) -> int:
     except ValueError:
         print("error: SATMIMO_WORKERS must be an integer", file=sys.stderr)
         return 1
+    # open both outputs before the sweep, so a bad path costs no rows; append
+    # mode leaves an existing file as it is until the rows are written
+    for path in (args.out, args.out + ".json"):
+        try:
+            open(path, "a").close()
+        except OSError as exc:
+            print(f"error: cannot write {path}: {exc.strerror}", file=sys.stderr)
+            return 1
     if workers > 1:
+        # imported here: it loads multiprocessing, which a serial run never uses
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(run_job, jobs))
     else:

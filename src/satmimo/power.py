@@ -141,9 +141,3 @@ def scale_to_caps(precoders: np.ndarray, constraints: PowerConstraintSet,
         if ratio > 1.0 + tol_rel:
             precoders[l] /= np.sqrt(ratio)
     return precoders
-
-
-def max_violation(precoders: np.ndarray, constraints: PowerConstraintSet) -> float:
-    """Largest residual across all satellites (negative when feasible)."""
-    return max(residuals(precoders[l], constraints, l).max()
-               for l in range(constraints.num_sats))

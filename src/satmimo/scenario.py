@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,11 @@ class ScenarioConfig:
     association_seeds: int = 10
 
     def __post_init__(self):
+        for name in _FLOAT_KEYS:
+            _check(_finite(getattr(self, name)), name, "must be finite")
+        for name in _FLOAT_LIST_KEYS:
+            val = getattr(self, name)
+            _check(val is None or all(map(_finite, val)), name, "must be finite")
         _check(self.L >= 1, "L", "must be >= 1")
         _check(self.K >= 1, "K", "must be >= 1")
         _check(self.N >= 1, "N", "must be >= 1")
@@ -83,6 +89,9 @@ class ScenarioConfig:
                    f"must list the constraints of all L={self.L} satellites")
             _check(all(np.shape(A) == (self.N, self.N) for sat in sats for A, _ in sat),
                    "custom_constraints", f"every A must be N x N with N={self.N}")
+            _check(all(_finite(rho) and np.isfinite(A).all()
+                       for sat in sats for A, rho in sat),
+                   "custom_constraints", "every A and rho must be finite")
         for name in ("ue_sin_theta", "sat_sin_phi", "elevation_deg"):
             val = getattr(self, name)
             if val is not None:
@@ -125,14 +134,21 @@ class LinkStatistics:
     noise_power_w: float
 
 
+def _finite(value) -> bool:
+    # unlike math.isfinite, False rather than OverflowError for a huge int
+    return abs(value) <= sys.float_info.max
+
+
 def _check(cond: bool, key: str, msg: str) -> None:
     if not cond:
         raise ValidationError(f"{key}: {msg}")
 
 
 _FIELD_TYPES = {f.name: f for f in dataclasses.fields(ScenarioConfig)}
-_TUPLE_KEYS = {"power_cap_dbw_grid", "ue_sin_theta", "sat_sin_phi",
-               "elevation_deg", "custom_constraints"}
+_FLOAT_KEYS = [f.name for f in _FIELD_TYPES.values() if isinstance(f.default, float)]
+_FLOAT_LIST_KEYS = ("power_cap_dbw_grid", "ue_sin_theta", "sat_sin_phi",
+                    "elevation_deg")
+_TUPLE_KEYS = {*_FLOAT_LIST_KEYS, "custom_constraints"}
 _INT_KEYS = {"L", "K", "N", "M", "S", "mc_trials", "rng_seed", "max_iters",
              "association_seeds"}
 # keys of the retired ellipsoid multiplier search: accepted and ignored
@@ -146,8 +162,9 @@ def load_scenario(config_text: str) -> ScenarioConfig:
     ellipsoid_alpha and ellipsoid_max_iters are ignored. The retired key
     angle_mode is accepted where it agrees with ue_sin_theta ("fixed-list"
     with the list set, "random" without it) and dropped. Raises ConfigError
-    for syntax/typing problems (naming the offending key) and
-    ValidationError when an invariant is violated.
+    for syntax/typing problems (naming the offending key; a boolean is not a
+    number) and ValidationError when an invariant is violated, a number that
+    is not finite included.
     """
     try:
         raw = json.loads(config_text)
@@ -177,8 +194,7 @@ def load_scenario(config_text: str) -> ScenarioConfig:
             if not isinstance(value, str):
                 raise ConfigError(f"{key}: expected a string")
         else:
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ConfigError(f"{key}: expected a number")
+            _number(key, value)
         kwargs[key] = value
     return ScenarioConfig(**kwargs)
 
@@ -206,10 +222,21 @@ def _to_tuple(key, value):
                 if not isinstance(ent, dict) or "A" not in ent or "rho" not in ent:
                     raise ConfigError(
                         f"{key}[{li}][{xi}]: expected an object with 'A' and 'rho'")
-                sat.append((_parse_matrix(key, ent["A"]), float(ent["rho"])))
+                sat.append((_parse_matrix(key, ent["A"]),
+                            float(_number(f"{key}[{li}][{xi}].rho", ent["rho"]))))
             out.append(tuple(sat))
         return tuple(out)
-    return tuple(float(v) for v in value)
+    return tuple(float(_number(key, v)) for v in value)
+
+
+def _number(key, value):
+    """value itself if it is a finite JSON number. ConfigError naming key
+    for anything else, booleans included; ValidationError for a number no
+    float holds (inf, nan or a larger integer)."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{key}: expected a number, got {value!r}")
+    _check(_finite(value), key, "must be finite")
+    return value
 
 
 def _parse_matrix(key, entry) -> np.ndarray:

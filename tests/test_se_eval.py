@@ -77,6 +77,25 @@ class TestApproxProperties:
         assert rotated.sum_se == pytest.approx(base.sum_se, rel=1e-10)
         np.testing.assert_allclose(rotated.per_user_se, base.per_user_se, rtol=1e-10)
 
+    @pytest.mark.parametrize("angle", [np.pi / 2, np.pi])
+    def test_exact_se_not_phase_invariant(self, angle, default_config,
+                                          default_effective):
+        # user k gets every user's streams from satellite l through one gain
+        # gamma_{l,k}, so the exact SE sees the phase of satellite l's
+        # precoder to one user relative to the others, which the
+        # approximation (W W^H per link) cannot: the mmse baseline's exact
+        # SE rests on the phase convention of its link bases
+        W = mmse_baseline(default_effective, np.full(default_config.L, 1000.0),
+                          default_config.S)
+        W2 = W.copy()
+        W2[0, 1] *= np.exp(1j * angle)
+        assert approx_se(W2, default_effective).sum_se == pytest.approx(
+            approx_se(W, default_effective).sum_se, rel=1e-10)
+        base = exact_se_mc(W, default_effective, 2000, mc_rng(0, 0))
+        rotated = exact_se_mc(W2, default_effective, 2000, mc_rng(0, 0))
+        stderr = np.hypot(base.sum_se_stderr, rotated.sum_se_stderr)
+        assert abs(rotated.sum_se - base.sum_se) > 10 * stderr
+
     def test_report_fields(self, rng):
         eff = synthetic_effective(rng, noise=1.0)
         W = crandn(rng, 3, 2, 6, 2)
