@@ -157,8 +157,3 @@ def brute_force_assignment(weights) -> np.ndarray:
             best = perm
     return np.asarray(best, dtype=int)
 
-
-def assignment_value(weights, mapping) -> float:
-    """Summed weight of a given stream -> satellite mapping."""
-    w = np.asarray(weights, float)
-    return float(sum(w[s, l] for s, l in enumerate(mapping)))

@@ -2,12 +2,15 @@
 
 Each baseline is defined per satellite on the effective channels. MMSE is
 the WMMSE initializer itself, and ZF is built by the initializer's own
-per-satellite builder (`joint_wmmse.share_rule_blocks`) with the
-regularizer set to zero, so both use literally the same
+per-satellite builder (`joint_wmmse.share_rule_blocks`, one K x K solve
+per satellite) with the regularizer set to zero, or to a small ridge for
+nearly collinear users, so both use literally the same
 sqrt(beta)-proportional per-user power sharing and comparisons isolate the
-precoding strategy rather than the power policy. Both spend per-satellite
-total caps; the CLI scales a satellite down to any other constraint family
-of its row (power.scale_to_caps). TDMA-MRT fits each of its slots to the
+precoding strategy rather than the power policy. Both put power on the
+first stream of each link only, with the explicit phase of the basis
+-b/||b|| (`joint_wmmse.link_bases`), and both spend per-satellite total
+caps; the CLI scales a satellite down to any other constraint family of
+its row (power.scale_to_caps). TDMA-MRT fits each of its slots to the
 row's constraint set the same way, and is evaluated by Monte Carlo only,
 on the same EffectiveChannel it is designed on.
 """
@@ -40,29 +43,31 @@ def zf_baseline(effective: EffectiveChannel, rho,
                 num_streams: int | None = None) -> np.ndarray:
     """Zero-forcing: per satellite, directions that null the other users'
     effective rows, mapped to the dominant user directions and power-shared
-    like the initializer (`share_rule_blocks` on the unregularized Gram,
-    inverted on its row space). Rank-deficient user geometries fall back to
-    a small ridge."""
+    like the initializer (`share_rule_blocks` without the noise term).
+
+    Its regularizer comes from the K x K Gram D^(1/2) A A^H D^(1/2) (A and
+    D as in `share_rule_blocks`), whose eigenvalues are the nonzero ones of
+    the N x N Gram G = A^H D A: it is 0, which makes the K x K solve exact
+    zero forcing, when K <= N and the smallest eigenvalue exceeds 1e-10 of
+    the largest; otherwise (rank-deficient or nearly collinear users) it is
+    the ridge 1e-8 tr(G)/N, with a warning."""
     L, K, M, N = effective.shape
     S = M if num_streams is None else num_streams
     rho = np.broadcast_to(np.asarray(rho, float), (L,))
     out = np.empty((L, K, N, S), complex)
     for l in range(L):
+        a = effective.a[l]
+        root = np.sqrt(effective.beta[l]) * np.linalg.norm(effective.b[l], axis=1)
+        gram = root[:, None] * (a @ a.conj().T) * root
+        eigval = np.linalg.eigvalsh(gram)
+        reg = 0.0
+        if not (K <= N and eigval[0] > 1e-10 * eigval[-1]):
+            warnings.warn(f"satellite {l}: user directions nearly collinear, "
+                          "using ridge-regularized zero forcing")
+            reg = _RIDGE * np.trace(gram).real / N
         out[l] = share_rule_blocks(effective, l, float(rho[l]),
-                                   enumerate(link_bases(effective, l, S)), 0.0,
-                                   inverse=lambda gram: _zf_inverse(gram, l, K))
+                                   enumerate(link_bases(effective, l, S)), reg)
     return out
-
-
-def _zf_inverse(gram: np.ndarray, l: int, num_users: int) -> np.ndarray:
-    # gram has rank K; invert it on its row space only
-    N = gram.shape[0]
-    eigval = np.linalg.eigvalsh(gram)
-    if num_users <= N and eigval[-num_users] > 1e-10 * eigval[-1]:
-        return np.linalg.pinv(gram, hermitian=True, rcond=1e-10)
-    warnings.warn(f"satellite {l}: user directions nearly collinear, "
-                  "using ridge-regularized zero forcing")
-    return np.linalg.inv(gram + _RIDGE * (np.trace(gram).real / N) * np.eye(N))
 
 
 def tdma_mrt_precoders(effective: EffectiveChannel, rho) -> list:

@@ -27,10 +27,12 @@ which returns only multipliers it has certified feasible and optimal
 `solve` runs these kernels directly, and the tests check them.
 
 Every kernel and the regularized-MMSE start read the channel through its
-rank-one link factors b, a and beta only: `share_rule_blocks` forms its
-N x N Gram and right-hand sides from them, the aggregated stream basis is
-the left singular basis of each user's M x L link matrix, and `link_bases`
-rebuilds one M x N block at a time for its SVD.
+rank-one link factors b, a and beta only, and no closed form touches an
+N x N matrix: `share_rule_blocks` takes every user's regularized inverse
+direction from one K x K solve per satellite (the push-through identity),
+the aggregated stream basis is the left singular basis of each user's
+M x L link matrix, and `link_bases` writes the rank-one left vector
+-b/||b|| directly.
 """
 
 from __future__ import annotations
@@ -477,46 +479,47 @@ class _Spectrum:
 
 
 def link_bases(effective: EffectiveChannel, l: int, num_streams: int) -> list:
-    """Per-link stream bases of satellite l: for every user k the S dominant
-    left singular vectors of the rank-one Hb_{l,k} (first column
-    channel-determined, remainder an orthonormal completion), (M, S) each.
-    Each M x N block is rebuilt from its factors for its own SVD."""
-    links = zip(effective.beta[l], effective.b[l], effective.a[l])
-    return [np.linalg.svd(np.sqrt(beta) * np.einsum("m,n->mn", b, a),
-                          full_matrices=True)[0][:, :num_streams]
-            for beta, b, a in links]
+    """Per-link stream bases of satellite l: for every user k the (M, S)
+    matrix with the left singular vector -b_{l,k}/||b_{l,k}|| of the
+    rank-one Hb_{l,k} in column 0 and exact zeros after it. The sign is the
+    one LAPACK's SVD gives for the ULA links of the presets, so the phase
+    of the closed forms built on it is explicit."""
+    b = effective.b[l]
+    bases = np.zeros(b.shape + (num_streams,), complex)
+    bases[:, :, 0] = -b / np.linalg.norm(b, axis=1, keepdims=True)
+    return list(bases)
 
 
 def share_rule_blocks(effective: EffectiveChannel, l: int, cap: float,
-                      blocks, reg: float, inverse=None) -> list:
+                      blocks, reg: float) -> list:
     """Satellite l's regularized channel-inversion blocks under the
     sqrt(beta) share rule.
 
     blocks are (user k, stream basis Q (M, S_b)) pairs; a user may repeat.
     The block of (k, Q) points along G^{-1} Hb_{l,k}^H Q with the Gram
-    G = reg*I + sum_i Hb_{l,i}^H Hb_{l,i}
-      = reg*I + sum_i beta_{l,i} ||b_{l,i}||^2 conj(a_{l,i}) a_{l,i}^T
-    and Hb_{l,k}^H Q = sqrt(beta_{l,k}) conj(a_{l,k}) (b_{l,k}^H Q), both from
-    the link factors (inverse(G) replaces G^{-1} when given). It is scaled
-    to squared Frobenius norm exactly
-    cap * sqrt(beta_{l,k}) / sum_j sqrt(beta_{l,k_j}), the sum running over
-    all blocks j, so together they spend the cap. A direction below 1e-300
-    in norm (the basis is invisible on this link) falls back to the matched
-    filter conj(a_{l,k}) in its first column. Returns the (N, S_b) blocks in
-    order.
+    G = reg*I_N + sum_i Hb_{l,i}^H Hb_{l,i} = reg*I_N + A^H D A,
+    where row i of A is a_{l,i}^T, D = diag(beta_{l,i} ||b_{l,i}||^2) and
+    Hb_{l,k}^H Q = sqrt(beta_{l,k}) conj(a_{l,k}) (b_{l,k}^H Q). Every
+    user's G^{-1} conj(a_{l,k}) comes from one K x K solve by the
+    push-through identity G^{-1} A^H = A^H (reg*I_K + D A A^H)^{-1}, so G is
+    never formed (Peel, Hochwald & Swindlehurst, IEEE Trans. Commun. 2005).
+    reg = 0 needs D A A^H nonsingular. The block is scaled to squared
+    Frobenius norm exactly cap * sqrt(beta_{l,k}) / sum_j sqrt(beta_{l,k_j}),
+    the sum running over all blocks j, so together they spend the cap. A
+    direction below 1e-300 in norm (the basis is invisible on this link)
+    falls back to the matched filter conj(a_{l,k}) in its first column.
+    Returns the (N, S_b) blocks in order.
     """
-    N = effective.shape[3]
     a, b, beta = effective.a[l], effective.b[l], effective.beta[l]
     load = beta * np.einsum("km,km->k", b.conj(), b).real
-    gram = reg * np.eye(N, dtype=complex) + (a.conj().T * load) @ a
-    inv = None if inverse is None else inverse(gram)
+    core = reg * np.eye(len(beta)) + (load[:, None] * a) @ a.conj().T
+    directions = a.conj().T @ np.linalg.inv(core)      # column k: G^{-1} conj(a_k)
     blocks = list(blocks)
     root_beta = np.sqrt(beta[[k for k, _ in blocks]])
     shares = cap * root_beta / root_beta.sum()
     out = []
     for (k, q), share in zip(blocks, shares):
-        rhs = np.outer(np.sqrt(beta[k]) * a[k].conj(), b[k].conj() @ q)
-        raw = np.linalg.solve(gram, rhs) if inv is None else inv @ rhs
+        raw = np.outer(np.sqrt(beta[k]) * directions[:, k], b[k].conj() @ q)
         norm = np.linalg.norm(raw)
         if norm < 1e-300:
             raw = np.zeros_like(raw)
@@ -534,9 +537,11 @@ def init_precoders(effective: EffectiveChannel, constraints: PowerConstraintSet,
     block per user, cap min_x rho_{l,x}); feasible for per-satellite-total
     constraints by construction.
 
-    With the default stream basis, Q holds the S dominant left singular
-    vectors of the rank-one Hb_{l,k} itself (`link_bases`), which leaves
-    every stream beyond the first with zero power. stream_basis="aggregated"
+    With the default stream basis, Q is the rank-one Hb_{l,k}'s own left
+    vector -b_{l,k}/||b_{l,k}|| in column 0 and zeros after it
+    (`link_bases`), so every stream beyond the first is exactly zero and
+    each precoder column is -sqrt(share) G^{-1} conj(a_{l,k}) / ||.||.
+    stream_basis="aggregated"
     takes Q from the user's aggregated channel instead: the S leading left
     singular vectors of its link matrix (`channel.link_matrix`), completed
     to an orthonormal basis of C^M when S exceeds its rank. That seeds S

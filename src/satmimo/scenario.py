@@ -105,14 +105,28 @@ class ScenarioConfig:
         if self.elevation_deg is not None:
             _check(all(0.0 < e <= 90.0 for e in self.elevation_deg),
                    "elevation_deg", "entries must lie in (0, 90]")
+        # dB values whose linear value no float holds (or that vanishes)
+        # would crash the sweep or give error rows
+        _check(math.isfinite(self.rician_factor_linear()), "rician_factor_db",
+               "its linear value 10^(x/10) must be finite")
+        _check(all(0.0 < _db_to_linear(p) < math.inf
+                   for p in self.power_cap_dbw_grid), "power_cap_dbw_grid",
+               "every point's power 10^(x/10) W must be finite and positive")
+        _check(0.0 < self.noise_power_w() < math.inf,
+               _largest(self, "noise_psd_dbm_hz", "noise_figure_db"),
+               "the noise power must be finite and positive")
+        _check(0.0 < _db_to_linear(self.gain_user_dbi + self.gain_sat_dbi) < math.inf,
+               _largest(self, "gain_user_dbi", "gain_sat_dbi"),
+               "the antenna gain 10^((gain_user_dbi + gain_sat_dbi)/10) must "
+               "be finite and positive")
 
     # dB fields converted to linear on demand
     def noise_power_w(self) -> float:
-        psd_w_hz = 10 ** ((self.noise_psd_dbm_hz + self.noise_figure_db) / 10) * 1e-3
+        psd_w_hz = _db_to_linear(self.noise_psd_dbm_hz + self.noise_figure_db) * 1e-3
         return psd_w_hz * self.bandwidth_hz
 
     def rician_factor_linear(self) -> float:
-        return 10 ** (self.rician_factor_db / 10)
+        return _db_to_linear(self.rician_factor_db)
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -137,6 +151,20 @@ class LinkStatistics:
 def _finite(value) -> bool:
     # unlike math.isfinite, False rather than OverflowError for a huge int
     return abs(value) <= sys.float_info.max
+
+
+def _db_to_linear(db: float) -> float:
+    """10^(db/10), inf where no float holds it."""
+    try:
+        return 10 ** (db / 10)
+    except OverflowError:
+        return math.inf
+
+
+def _largest(config, *keys) -> str:
+    """The key of the largest magnitude among keys that add up in dB: the
+    one that puts their linear value out of range."""
+    return max(keys, key=lambda key: abs(getattr(config, key)))
 
 
 def _check(cond: bool, key: str, msg: str) -> None:

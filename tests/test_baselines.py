@@ -8,6 +8,7 @@ from satmimo import (InfeasibleError, approx_se, exact_se_mc, mc_rng,
                      solve_streamwise, tdma_mrt_baseline, zf_baseline)
 from satmimo.joint_wmmse import init_precoders, solve
 from satmimo.power import residuals
+from satmimo.streamwise import associate, init_streamwise, participation_factors
 from tests.conftest import dense_exact_se, dense_links, synthetic_effective
 
 
@@ -23,6 +24,24 @@ class TestMmseBaseline:
         W = mmse_baseline(default_effective, np.full(4, 3.0), 2)
         for l in range(4):
             assert np.sum(np.abs(W[l]) ** 2) == pytest.approx(3.0, rel=1e-10)
+
+    def test_phase_is_minus_regularized_inverse(self, default_effective):
+        # the phase the exact SE rests on is explicit: user k's column 0 is
+        # -sqrt(share) G^{-1} conj(a_{l,k}) / ||.||, G from the dense links
+        eff = default_effective
+        rho = np.full(4, 7.0)
+        W = mmse_baseline(eff, rho, 2)
+        hb = dense_links(eff)
+        for l in range(4):
+            gram = eff.noise_power_w * np.eye(64) + sum(
+                h.conj().T @ h for h in hb[l])
+            root = np.sqrt(eff.beta[l])
+            for k in range(2):
+                d = np.linalg.solve(gram, eff.a[l, k].conj())
+                share = rho[l] * root[k] / root.sum()
+                np.testing.assert_allclose(
+                    W[l, k, :, 0], -np.sqrt(share) * d / np.linalg.norm(d),
+                    rtol=1e-12)
 
     def test_dominated_by_solver(self, rng):
         eff = synthetic_effective(rng, L=2, K=2, M=3, N=5)
@@ -78,6 +97,49 @@ class TestZfBaseline:
         np.testing.assert_allclose(
             power, rho[:, None] * root / root.sum(axis=1, keepdims=True),
             rtol=1e-12)
+
+    def test_shared_direction_warns_and_spends_cap(self, rng):
+        # K <= N, but both users see satellite 0 along one a: its K x K Gram
+        # is singular, so that satellite alone takes the ridge path, and the
+        # share rule still spends every cap exactly
+        eff = synthetic_effective(rng, L=2, K=2, M=3, N=4)
+        a = eff.a.copy()
+        a[0, 1] = a[0, 0]
+        eff = replace(eff, a=a)
+        rho = np.array([1.5, 0.7])
+        with pytest.warns(UserWarning, match="ridge-regularized") as caught:
+            W = zf_baseline(eff, rho, 2)
+        assert [str(w.message).split(":")[0] for w in caught] == ["satellite 0"]
+        assert np.all(np.isfinite(W))
+        power = np.sum(np.abs(W) ** 2, axis=(2, 3))
+        np.testing.assert_allclose(power.sum(axis=1), rho, rtol=1e-12)
+
+
+class TestClosedFormStructure:
+    def test_no_linalg_call_sees_an_antenna_dimension(self, monkeypatch):
+        # every closed form works on K x K or M x L matrices only: no dense
+        # factorization or solve is handed an array with an N = 64 axis
+        from satmimo import ScenarioConfig, effective_channels, sample_geometry
+        cfg = replace(ScenarioConfig(), L=8)
+        eff = effective_channels(
+            sample_geometry(cfg, np.random.default_rng(0)), cfg)
+        rho = np.full(8, 10.0)
+        cons = per_sat_total(rho, cfg.N)
+        eta, directions = participation_factors(eff)
+        assignment = associate(eta, cfg.S)
+        seen = []
+        for name in ("solve", "inv", "pinv", "svd", "eigvalsh", "eigh"):
+            def spy(*args, _name=name, _call=getattr(np.linalg, name), **kw):
+                seen.append((_name, max(max(np.shape(x), default=0)
+                                        for x in args + tuple(kw.values()))))
+                return _call(*args, **kw)
+            monkeypatch.setattr(np.linalg, name, spy)
+        mmse_baseline(eff, rho, cfg.S)
+        zf_baseline(eff, rho, cfg.S)
+        init_precoders(eff, cons, cfg.S, stream_basis="aggregated")
+        init_streamwise(eff, cons, assignment, directions)
+        assert {name for name, _ in seen} >= {"inv", "eigvalsh", "svd"}
+        assert max(dim for _, dim in seen) < cfg.N, seen
 
 
 class TestTdmaMrt:

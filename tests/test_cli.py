@@ -503,6 +503,23 @@ class TestValidate:
         assert "OK" not in captured.out
         assert captured.err.startswith(f"invalid: {message}")
 
+    @pytest.mark.parametrize("key, value", [
+        ("rician_factor_db", 1e300), ("power_cap_dbw_grid", [4000]),
+        ("noise_psd_dbm_hz", 1e300), ("gain_user_dbi", 1e300),
+        ("noise_psd_dbm_hz", -1e300), ("gain_sat_dbi", -1e300)],
+        ids=["huge-rician", "huge-cap", "huge-noise", "huge-user-gain",
+             "tiny-noise", "tiny-sat-gain"])
+    def test_db_value_without_a_linear_float_named(self, key, value, tmp_path,
+                                                   capsys):
+        # a finite dB value whose linear value overflows or vanishes would
+        # crash the sweep or turn every row into an error row
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({key: value}))
+        assert main(["validate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "OK" not in captured.out
+        assert captured.err.startswith(f"invalid: {key}: ")
+
 
 class TestEntryPoint:
     def test_module_invocation(self, tiny_config, tmp_path):
