@@ -12,7 +12,10 @@ first stream of each link only, with the explicit phase of the basis
 caps; the CLI scales a satellite down to any other constraint family of
 its row (power.scale_to_caps). TDMA-MRT fits each of its slots to the
 row's constraint set the same way, and is evaluated by Monte Carlo only,
-on the same EffectiveChannel it is designed on.
+on the same EffectiveChannel it is designed on: alone, one full gain draw
+per slot (tdma_mrt_baseline); in a sweep point, slot 0 rides the point's
+shared draw and the later slots walk on from where it left the generator
+(cli.run_point), which gives the same gains.
 """
 
 from __future__ import annotations
@@ -87,30 +90,42 @@ def tdma_mrt_precoders(effective: EffectiveChannel, rho) -> list:
     return sets
 
 
+def tdma_mrt_slots(effective: EffectiveChannel, rho,
+                   constraints: PowerConstraintSet, tol_rel: float) -> list:
+    """Slot k's precoders (tdma_mrt_precoders, serving user k), each fitted
+    to the constraint set (power.scale_to_caps with tolerance tol_rel).
+    MRT's constant modulus meets a total cap rho and per-antenna caps rho/N
+    to rounding, so neither is scaled."""
+    return [scale_to_caps(W, constraints, tol_rel)
+            for _, W in tdma_mrt_precoders(effective, rho)]
+
+
+def tdma_mrt_report(slot_trials) -> SEReport:
+    """Report of the K slots' per-trial SE of their scheduled users (K
+    arrays of T trials): the time sharing divides each SE by K. The slots'
+    draws are independent, so their variances add in the standard error."""
+    K = len(slot_trials)
+    trials = len(slot_trials[0])
+    per_user = np.array([se_t.mean() / K for se_t in slot_trials])
+    variance = sum(np.var(se_t, ddof=1) / (trials * K * K) if trials > 1
+                   else np.nan for se_t in slot_trials)
+    return SEReport(per_user_se=per_user, sum_se=float(per_user.sum()),
+                    trials_used=trials, estimator_kind="exact-mc",
+                    sum_se_stderr=float(np.sqrt(variance)))
+
+
 def tdma_mrt_baseline(effective: EffectiveChannel, rho,
                       constraints: PowerConstraintSet, tol_rel: float,
                       trials: int, rng: np.random.Generator) -> SEReport:
     """Orthogonal scheduling: each user is served alone by its nearest
-    satellite with MRT, and the time sharing divides each SE by K.
-
-    Each slot spends the per-satellite total rho and is then fitted to the
-    constraint set (power.scale_to_caps with tolerance tol_rel); MRT's
-    constant modulus meets a total cap rho and per-antenna caps rho/N to
-    rounding, so neither is scaled. Each user's slot takes its own full
-    Monte-Carlo gain draw and evaluates only the scheduled user; the slots'
-    draws are independent, so their variances add in the standard error."""
-    K = effective.shape[1]
-    per_user = np.empty(K)
-    variance = 0.0
-    for k, (_, W) in enumerate(tdma_mrt_precoders(effective, rho)):
-        scale_to_caps(W, constraints, tol_rel)
-        se_t = exact_se_trials(W, effective, trials, rng, [k])[0]
-        per_user[k] = se_t.mean() / K
-        variance += (np.var(se_t, ddof=1) / (trials * K * K)
-                     if trials > 1 else np.nan)
-    return SEReport(per_user_se=per_user, sum_se=float(per_user.sum()),
-                    trials_used=trials, estimator_kind="exact-mc",
-                    sum_se_stderr=float(np.sqrt(variance)))
+    satellite with MRT (tdma_mrt_slots), and the time sharing divides each
+    SE by K (tdma_mrt_report). Each user's slot takes its own full
+    Monte-Carlo gain draw from rng, in user order, and evaluates only the
+    scheduled user."""
+    return tdma_mrt_report([
+        exact_se_trials(W, effective, trials, rng, [k])[0]
+        for k, W in enumerate(tdma_mrt_slots(effective, rho, constraints,
+                                             tol_rel))])
 
 
 def random_association(rng: np.random.Generator, num_streams: int,

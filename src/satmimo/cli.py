@@ -6,14 +6,17 @@ Subcommands:
   validate  check a config file against the schema and invariants
 
 The CSV is deterministic for a fixed seed apart from the wall_time_ms
-column. Sweep points can be evaluated by worker processes (environment
-variable SATMIMO_WORKERS); row order never depends on scheduling.
+column. Each sweep point runs as one pipeline (run_point) that gives the
+rows of all its modes; points can be evaluated by worker processes
+(environment variable SATMIMO_WORKERS), and row order never depends on
+scheduling.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
@@ -28,7 +31,8 @@ from .errors import ConfigError, InfeasibleError, NumericsError, ValidationError
 from .power import (per_antenna, per_sat_total, make_constraint_set,
                     scale_to_caps)
 from .scenario import ScenarioConfig, load_scenario, sample_geometry
-from .se_eval import approx_se, exact_se_mc, mc_rng
+from .se_eval import (approx_se, evaluate_users, exact_se_trials, mc_report,
+                      mc_rng, plan_users, sample_plan_gains)
 
 SCHEMA_LINE = "# satmimo-results schema=1"
 COLUMNS = ["scenario_id", "mode", "L", "K", "N", "M", "S", "power_cap_dbw",
@@ -37,6 +41,8 @@ COLUMNS = ["scenario_id", "mode", "L", "K", "N", "M", "S", "power_cap_dbw",
 ORTHOGONAL_SINES = (-0.9, -0.4, 0.1, 0.6)
 # every preset sets these itself and discards any list from the config
 _ANGLE_KEYS = ("ue_sin_theta", "sat_sin_phi", "elevation_deg")
+# errors that make an error row for the mode they hit
+_ROW_ERRORS = (InfeasibleError, NumericsError, ValidationError)
 
 
 @dataclass(frozen=True)
@@ -47,6 +53,9 @@ class Job:
     power_dbw: float
     point_index: int
     seed: int
+    # the point's modes in preset order, computed together by run_job;
+    # empty for a one-mode point
+    modes: tuple = ()
 
 
 def _clear_fixed_angles(cfg: ScenarioConfig) -> ScenarioConfig:
@@ -55,8 +64,9 @@ def _clear_fixed_angles(cfg: ScenarioConfig) -> ScenarioConfig:
 
 def _sweep(variants, modes) -> list:
     """Jobs for (scenario id, config) variants: per variant, every power
-    point in grid order, and per point every mode in the given order."""
-    return [Job(sid, mode, sub, dbw, p, sub.rng_seed)
+    point in grid order, and per point every mode in the given order. The
+    jobs of one point share its config object."""
+    return [Job(sid, mode, sub, dbw, p, sub.rng_seed, tuple(modes))
             for sid, sub in variants
             for p, dbw in enumerate(sub.power_cap_dbw_grid)
             for mode in modes]
@@ -152,24 +162,50 @@ _DESIGNS = {
 }
 
 
-def run_job(job: Job) -> dict:
-    """Evaluate one (scenario, mode, sweep point) row. Pure given the job.
+def _point_key(job: Job):
+    """Jobs of one sweep point share this key; the config is compared by
+    identity, as the jobs of a point share one config object."""
+    return (id(job.config), job.scenario_id, job.power_dbw, job.point_index,
+            job.seed)
 
-    One pipeline: geometry and channels, the row's constraint set, the
-    mode's design from `_DESIGNS`, the fit of a closed-form design to the
-    constraints (`power.scale_to_caps`), and the estimate: `approx_se` for
-    mmse-approx, `exact_se_mc` for every other mode. tdma-mrt fits and
-    evaluates its K single-user slots itself (`tdma_mrt_baseline`). A
-    solver or estimator error gives an error row.
 
-    Besides the CSV columns the row carries "converged", False when the
+def run_point(jobs) -> list:
+    """Evaluate the rows of one sweep point, one per job (each a mode of the
+    point), in the given order. Pure given the jobs.
+
+    The shared work runs once: geometry and channels, the solver
+    parameters and the constraint set. Then each mode's design from
+    `_DESIGNS`, a closed form fitted to the constraints
+    (`power.scale_to_caps`); mmse-approx is estimated by `approx_se`, every
+    other mode is planned for Monte Carlo (`se_eval.plan_users`; tdma-mrt
+    plans its slot 0, `baselines.tdma_mrt_slots`). One walk from
+    `mc_rng(seed, point)` over the union of the plans' pairs
+    (`se_eval.sample_plan_gains`) serves every plan (`evaluate_users`) and
+    is released; tdma-mrt's slots 1..K-1 then walk on from where it left
+    the generator. Each gain is bitwise the one a separate walk per mode
+    gives, so the modes compare on common random numbers. A design or
+    estimator error gives an error row for that mode only.
+
+    Besides the CSV columns each row carries "converged", False when the
     WMMSE loop stopped at max_iters before meeting its tolerance;
     "sum_se_stderr", the Monte-Carlo standard error of sum_se (0.0 for the
-    approximation, nan for an error row or a single trial); and
+    approximation, nan for an error row or a single trial);
     "multiplier_evals", the evaluations made by every multiplier search of
-    the solver, secular or dual (0 for modes that run no solver)."""
-    if job.mode not in (*_DESIGNS, "tdma-mrt"):
-        raise ValueError(f"unhandled mode {job.mode}")
+    the solver, secular or dual (0 for modes that run no solver); and
+    "paired_stderr", one entry per later mode of the point evaluated
+    wholly on the shared walk, as this one is (neither tdma-mrt nor
+    mmse-approx): {"mode", "mean_diff" (this row's mean per-trial sum SE
+    minus that mode's), "stderr" (the standard error of that difference,
+    nan from a single trial)}. wall_time_ms is the mode's own design and
+    estimate plus an equal share of the point's shared stages."""
+    job = jobs[0]
+    modes = [j.mode for j in jobs]
+    for mode in modes:
+        if mode not in (*_DESIGNS, "tdma-mrt"):
+            raise ValueError(f"unhandled mode {mode}")
+    if len(set(modes)) < len(modes) or any(
+            _point_key(j) != _point_key(job) for j in jobs):
+        raise ValueError("run_point takes distinct modes of one sweep point")
     cfg = job.config
     t0 = time.perf_counter()
     rho_w = 10 ** (job.power_dbw / 10)
@@ -177,25 +213,118 @@ def run_job(job: Job) -> dict:
     geometry = sample_geometry(cfg, np.random.default_rng(cfg.rng_seed))
     effective = effective_channels(geometry, cfg)
     params = joint_wmmse.SolverParams.from_config(cfg)
-    rng = mc_rng(cfg.rng_seed, job.point_index)
-    report = trace = error = None
+    errors, own = {}, dict.fromkeys(modes, 0.0)
     try:
         constraints = _constraints_for(cfg, rho_w)
-        if job.mode == "tdma-mrt":
-            report = baselines.tdma_mrt_baseline(
-                effective, rho, constraints, params.power_tol_rel, cfg.mc_trials, rng)
+    except _ROW_ERRORS as exc:
+        errors = dict.fromkeys(modes, str(exc))
+    shared = time.perf_counter() - t0
+
+    def each(stage, which):
+        """stage(mode) for every listed mode still without an error, timed
+        on the mode's own clock; an error a row reports ends the mode."""
+        for mode in which:
+            if mode not in errors:
+                t = time.perf_counter()
+                try:
+                    stage(mode)
+                except _ROW_ERRORS as exc:
+                    errors[mode] = str(exc)
+                own[mode] += time.perf_counter() - t
+
+    designs, plans, reports = {}, {}, {}
+
+    def design(mode):
+        # designs[mode]: (precoders, or TDMA's fitted slots; SolveTrace)
+        if mode == "tdma-mrt":
+            designs[mode] = baselines.tdma_mrt_slots(
+                effective, rho, constraints, params.power_tol_rel), None
+            plans[mode] = plan_users(designs[mode][0][0], effective, [0])
+            return
+        W, trace = designs[mode] = _DESIGNS[mode](effective, constraints, rho,
+                                                  cfg, params)
+        if trace is None:
+            scale_to_caps(W, constraints, params.power_tol_rel)
+        if mode == "mmse-approx":
+            reports[mode] = approx_se(W, effective)
         else:
-            W, trace = _DESIGNS[job.mode](effective, constraints, rho, cfg, params)
-            if trace is None:
-                scale_to_caps(W, constraints, params.power_tol_rel)
-            report = (approx_se(W, effective) if job.mode == "mmse-approx"
-                      else exact_se_mc(W, effective, cfg.mc_trials, rng))
-    except (InfeasibleError, NumericsError, ValidationError) as exc:
-        error = str(exc)
-    return _row(job, report, trace, t0, error)
+            plans[mode] = plan_users(W, effective, range(cfg.K))
+
+    each(design, modes)
+    t = time.perf_counter()
+    rng = mc_rng(cfg.rng_seed, job.point_index)
+    walk = (sample_plan_gains(effective, cfg.mc_trials, rng,
+                              [p for m in plans for p in plans[m]])
+            if plans else None)
+    shared += time.perf_counter() - t
+
+    per_trial = {}      # per mode, its sum SE per trial (tdma-mrt: slot 0's)
+
+    def evaluate(mode):
+        se_t = evaluate_users(plans[mode], *walk, effective.noise_power_w)
+        per_trial[mode] = se_t.sum(axis=0)
+        if mode != "tdma-mrt":
+            reports[mode] = mc_report(se_t)
+
+    each(evaluate, plans)
+    del walk
+
+    def later_slots(mode):
+        slots = designs[mode][0]
+        reports[mode] = baselines.tdma_mrt_report([per_trial[mode], *(
+            exact_se_trials(W, effective, cfg.mc_trials, rng, [k])[0]
+            for k, W in enumerate(slots[1:], 1))])
+
+    each(later_slots, [m for m in plans if m == "tdma-mrt"])
+    paired = [m for m in plans if m in reports and m != "tdma-mrt"]
+    rows = []
+    for j in jobs:
+        row = _row(j, reports.get(j.mode), designs.get(j.mode, (None, None))[1],
+                   own[j.mode] + shared / len(jobs), errors.get(j.mode))
+        later = paired[paired.index(j.mode) + 1:] if j.mode in paired else []
+        row["paired_stderr"] = []
+        for m in later:
+            # the mean and standard error of the per-trial difference
+            diff = mc_report((per_trial[j.mode] - per_trial[m])[None])
+            row["paired_stderr"].append({"mode": m, "mean_diff": diff.sum_se,
+                                         "stderr": diff.sum_se_stderr})
+        rows.append(row)
+    return rows
 
 
-def _row(job, report, trace, t0, error):
+# rows of the last point run_job computed that it has not handed out yet:
+# at most one (job of that point, {mode: row})
+_held = []
+
+
+def run_job(job: Job) -> dict:
+    """Evaluate one (scenario, mode, sweep point) row: the one-row view of
+    run_point. The first call for a point computes every mode in
+    job.modes (only job.mode when it is empty) and returns its own row; the
+    point's other rows are held, and each is handed out once, to the next
+    run_job call for that mode of the same point. Any other call drops
+    them. So a preset's jobs called in order compute each point once."""
+    held = _held.pop() if _held else None
+    if held is not None:
+        point, rows = held
+        if (_point_key(point) == _point_key(job) and point.modes == job.modes
+                and job.mode in rows):
+            row = rows.pop(job.mode)
+            if rows:
+                _held.append(held)
+            return row
+    modes = job.modes or (job.mode,)
+    if job.mode not in modes:
+        raise ValueError(f"mode {job.mode} is not among the point's modes "
+                         f"{modes}")
+    rows = run_point([replace(job, mode=m) for m in modes])
+    own = rows.pop(modes.index(job.mode))
+    if rows:
+        _held.append((job, {r["mode"]: r for r in rows}))
+    return own
+
+
+def _row(job, report, trace, seconds, error):
     cfg = job.config
     return {
         "scenario_id": job.scenario_id,
@@ -206,7 +335,7 @@ def _row(job, report, trace, t0, error):
         "per_user_se": ";".join(repr(float(v)) for v in report.per_user_se)
                        if report else f"error={error}",
         "iterations": trace.iterations if trace else 0,
-        "wall_time_ms": int(round(1000 * (time.perf_counter() - t0))),
+        "wall_time_ms": int(round(1000 * seconds)),
         "seed": job.seed,
         "converged": trace.converged if trace else True,
         "sum_se_stderr": float(report.sum_se_stderr) if report else float("nan"),
@@ -214,7 +343,12 @@ def _row(job, report, trace, t0, error):
     }
 
 
-def _write_outputs(rows, unconverged, out_path, cfg, args):
+def _points(jobs) -> list:
+    """The preset's jobs as one list per sweep point, in order."""
+    return [list(point) for _, point in itertools.groupby(jobs, _point_key)]
+
+
+def _write_outputs(rows, unconverged, paired, out_path, cfg, args):
     with open(out_path, "w", newline="") as fh:
         fh.write(SCHEMA_LINE + "\n")
         writer = csv.DictWriter(fh, fieldnames=COLUMNS, extrasaction="ignore")
@@ -226,6 +360,7 @@ def _write_outputs(rows, unconverged, out_path, cfg, args):
         "config": _jsonable(cfg.as_dict()),
         "unconverged": unconverged,
         "sum_se_stderr": _stderrs(rows),
+        "paired_stderr": paired,
     }
     with open(out_path + ".json", "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
@@ -247,6 +382,27 @@ def _stderrs(rows):
              "stderr": (r["sum_se_stderr"] if np.isfinite(r["sum_se_stderr"])
                         else None)}
             for i, r in enumerate(rows)]
+
+
+def _paired(points):
+    """For the sidecar: per point and pair of modes evaluated on its shared
+    walk, both row indices, the mean per-trial sum-SE difference (first
+    row minus second) and its standard error; null where it is nan."""
+    out, start = [], 0
+    for rows in points:
+        modes = [r["mode"] for r in rows]
+        for i, r in enumerate(rows):
+            for pair in r["paired_stderr"]:
+                out.append({
+                    "rows": [start + i, start + modes.index(pair["mode"])],
+                    "scenario_id": r["scenario_id"],
+                    "modes": [r["mode"], pair["mode"]],
+                    "power_cap_dbw": float(r["power_cap_dbw"]),
+                    "mean_diff": pair["mean_diff"],
+                    "stderr": (pair["stderr"] if np.isfinite(pair["stderr"])
+                               else None)})
+        start += len(rows)
+    return out
 
 
 def _jsonable(obj):
@@ -310,11 +466,12 @@ def cmd_run(args, parser) -> int:
         # imported here: it loads multiprocessing, which a serial run never uses
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_job, jobs))
+            points = list(pool.map(run_point, _points(jobs)))
     else:
-        rows = [run_job(job) for job in jobs]
+        points = [run_point(point) for point in _points(jobs)]
+    rows = [row for point in points for row in point]
     unconverged = _unconverged(rows)
-    _write_outputs(rows, unconverged, args.out, cfg, args)
+    _write_outputs(rows, unconverged, _paired(points), args.out, cfg, args)
     failures = [r for r in rows if r["sum_se"] == "nan"]
     if not args.quiet:
         print(f"wrote {len(rows)} rows to {args.out}"

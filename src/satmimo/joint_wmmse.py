@@ -81,6 +81,8 @@ class SolverParams:
 class SolveTrace:
     objective: list = field(default_factory=list)
     multipliers: list = field(default_factory=list)   # per iteration: per-sat mu
+    # per iteration: largest constraint residual relative to its cap,
+    # max over satellites and constraints of g_x / cap_x
     max_residual: list = field(default_factory=list)
     iterations: int = 0
     converged: bool = False
@@ -599,6 +601,8 @@ def solve(effective: EffectiveChannel, constraints: PowerConstraintSet,
     trace = SolveTrace()
     prev_obj = np.inf
     identity = np.array(constraints.identity, bool)
+    single_caps = np.array([constraints.caps[l][0]
+                            for l in np.flatnonzero(identity)])
     J, G = _receiver_grams(W, effective, noise)
 
     for it in range(1, params.max_iters + 1):
@@ -644,8 +648,8 @@ def solve(effective: EffectiveChannel, constraints: PowerConstraintSet,
         obj = wmmse_objective(_mse_matrices(U, J, G), C)
         trace.objective.append(obj)
         trace.multipliers.append(iter_mus)
-        trace.max_residual.append(max(
-            power_residuals(W[l], constraints, l).max() for l in range(L)))
+        trace.max_residual.append(_max_relative_residual(
+            W, constraints, identity, single_caps))
         trace.iterations = it
         delta = prev_obj - obj
         prev_obj = obj
@@ -655,6 +659,19 @@ def solve(effective: EffectiveChannel, constraints: PowerConstraintSet,
 
     _assert_feasible(W, constraints, params.power_tol_rel)
     return W, trace
+
+
+def _max_relative_residual(W, constraints, identity, single_caps):
+    """max over satellites l and constraints x of g_{l,x} / cap_{l,x}: the
+    total-power satellites (identity, caps single_caps) in one vectorised
+    pass, every other satellite by power.residuals."""
+    ratios = [power_residuals(W[l], constraints, l) / constraints.caps[l]
+              for l in np.flatnonzero(~identity)]
+    if single_caps.size:
+        flat = W[identity].reshape(single_caps.size, -1)
+        power = np.einsum("ij,ij->i", flat.conj(), flat).real
+        ratios.append((power - single_caps) / single_caps)
+    return float(max(r.max() for r in ratios))
 
 
 def _assert_feasible(precoders, constraints, tol_rel):

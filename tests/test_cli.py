@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from satmimo.cli import COLUMNS, PRESETS, SCHEMA_LINE, main
+from satmimo.cli import COLUMNS, PRESETS, SCHEMA_LINE, _points, main
 
 TINY = {
     "L": 4, "K": 2, "N": 8, "M": 4, "S": 2,
@@ -94,8 +94,9 @@ class TestRun:
         # reported before the sweep, instead of a traceback after every row ran
         from satmimo import cli
         ran = []
-        run_job = cli.run_job
-        monkeypatch.setattr(cli, "run_job", lambda job: ran.append(job) or run_job(job))
+        run_point = cli.run_point
+        monkeypatch.setattr(cli, "run_point",
+                            lambda jobs: ran.append(jobs) or run_point(jobs))
         (tmp_path / "x.csv.json").mkdir()
         assert main(["run", "--preset", "approx-gap", "--config", tiny_config,
                      "--out", str(tmp_path / out), "--quiet"]) == 1
@@ -220,22 +221,25 @@ class TestRun:
         # mmse and zf are designed on per-satellite totals; under per-antenna
         # caps every antenna of the evaluated precoders must be within the
         # solver's tolerance of its cap, as the joint row it is compared with
+        from dataclasses import replace
         from satmimo import cli, load_scenario
         from satmimo.power import residuals
         cfg = load_scenario(json.dumps(dict(TINY, constraint_kind="per-antenna")))
         evaluated = []
-        original = cli.exact_se_mc
+        original = cli.plan_users
 
         def spy(W, *args):
             evaluated.append(W)
             return original(W, *args)
 
-        monkeypatch.setattr(cli, "exact_se_mc", spy)
-        jobs = [job for job in PRESETS["baselines"](cfg)
+        monkeypatch.setattr(cli, "plan_users", spy)
+        # one-mode points: the only precoders planned are the job's own
+        jobs = [replace(job, modes=()) for job in PRESETS["baselines"](cfg)
                 if job.mode in ("mmse", "zf")]
         for job in jobs:
             evaluated.clear()
             row = cli.run_job(job)
+            assert len(evaluated) == 1
             assert np.isfinite(float(row["sum_se"]))
             cons = cli._constraints_for(cfg, 10 ** (job.power_dbw / 10))
             for l, caps in enumerate(cons.caps):
@@ -246,11 +250,12 @@ class TestRun:
     def test_approx_gap_rows_meet_per_antenna_caps(self, monkeypatch):
         # both approximation-study designs, the Monte-Carlo and the
         # approximate row, are fitted to per-antenna caps like mmse and zf
+        from dataclasses import replace
         from satmimo import cli, load_scenario
         from satmimo.power import residuals
         cfg = load_scenario(json.dumps(dict(TINY, constraint_kind="per-antenna")))
         evaluated = []
-        for name in ("exact_se_mc", "approx_se"):
+        for name in ("plan_users", "approx_se"):
             original = getattr(cli, name)
 
             def spy(W, *args, original=original):
@@ -258,11 +263,12 @@ class TestRun:
                 return original(W, *args)
 
             monkeypatch.setattr(cli, name, spy)
-        jobs = PRESETS["approx-gap"](cfg)
+        jobs = [replace(job, modes=()) for job in PRESETS["approx-gap"](cfg)]
         assert {job.mode for job in jobs} == {"mmse-exact-mc", "mmse-approx"}
         for job in jobs:
             evaluated.clear()
             row = cli.run_job(job)
+            assert len(evaluated) == 1
             assert np.isfinite(float(row["sum_se"]))
             cons = cli._constraints_for(cfg, 10 ** (job.power_dbw / 10))
             for l, caps in enumerate(cons.caps):
@@ -380,6 +386,248 @@ class TestRun:
                 assert np.isfinite(float(r["sum_se"]))
 
 
+def _reference_row(job):
+    """The row of one mode evaluated alone, as one job per row did: its own
+    geometry, constraint set and design, and exact_se_mc (tdma-mrt: its K
+    slot walks; mmse-approx: approx_se) on a fresh mc_rng. Returns
+    (report, trace, precoders or None)."""
+    from satmimo import baselines, joint_wmmse
+    from satmimo.channel import effective_channels
+    from satmimo.power import scale_to_caps
+    from satmimo.scenario import sample_geometry
+    from satmimo.se_eval import approx_se, exact_se_mc, mc_rng
+    from satmimo.cli import _DESIGNS, _constraints_for
+    cfg = job.config
+    rho_w = 10 ** (job.power_dbw / 10)
+    rho = np.full(cfg.L, rho_w)
+    eff = effective_channels(
+        sample_geometry(cfg, np.random.default_rng(cfg.rng_seed)), cfg)
+    params = joint_wmmse.SolverParams.from_config(cfg)
+    cons = _constraints_for(cfg, rho_w)
+    rng = mc_rng(cfg.rng_seed, job.point_index)
+    if job.mode == "tdma-mrt":
+        return (baselines.tdma_mrt_baseline(eff, rho, cons, params.power_tol_rel,
+                                            cfg.mc_trials, rng), None, None)
+    W, trace = _DESIGNS[job.mode](eff, cons, rho, cfg, params)
+    if trace is None:
+        scale_to_caps(W, cons, params.power_tol_rel)
+    if job.mode == "mmse-approx":
+        return approx_se(W, eff), trace, W
+    return exact_se_mc(W, eff, cfg.mc_trials, rng), trace, W
+
+
+class TestPointPipeline:
+    """run_point: one geometry, constraint set and Monte-Carlo walk for
+    every mode of a sweep point, against each mode evaluated alone."""
+
+    @staticmethod
+    def _config(kind="per-sat-total", **extra):
+        from satmimo import load_scenario
+        return load_scenario(json.dumps(dict(TINY, constraint_kind=kind, **extra)))
+
+    @pytest.mark.parametrize("kind", ["per-sat-total", "per-antenna"])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_rows_match_modes_evaluated_alone(self, preset, kind):
+        from satmimo.cli import run_point
+        for point in _points(PRESETS[preset](self._config(kind))):
+            rows = run_point(point)
+            assert [r["mode"] for r in rows] == [j.mode for j in point]
+            for row, job in zip(rows, point):
+                ref, trace, _ = _reference_row(job)
+                got = [float(v) for v in row["per_user_se"].split(";")]
+                assert float(row["sum_se"]) == pytest.approx(ref.sum_se,
+                                                             rel=1e-12)
+                # a user's SE near 0 carries the rounding of log(d / noise)
+                np.testing.assert_allclose(got, ref.per_user_se, rtol=1e-12,
+                                           atol=1e-12 * ref.sum_se)
+                assert row["sum_se_stderr"] == pytest.approx(
+                    ref.sum_se_stderr, rel=1e-12)
+                assert row["iterations"] == (trace.iterations if trace else 0)
+                assert row["converged"] == (trace.converged if trace else True)
+                assert row["multiplier_evals"] == (
+                    trace.multiplier_evals if trace else 0)
+
+    @staticmethod
+    def _count_walks(monkeypatch):
+        from satmimo import se_eval
+        walks = []
+        original = se_eval.sample_pair_gains
+
+        def spy(beta, kappa, rng, trials, pairs):
+            walks.append(len(pairs))
+            return original(beta, kappa, rng, trials, pairs)
+
+        monkeypatch.setattr(se_eval, "sample_pair_gains", spy)
+        return walks
+
+    @pytest.mark.parametrize("preset, walks_per_point", [
+        ("association", lambda cfg: 1), ("user-loading", lambda cfg: cfg.K),
+        ("baselines", lambda cfg: 1), ("approx-gap", lambda cfg: 1)])
+    def test_walks_per_point(self, preset, walks_per_point, monkeypatch):
+        # every Monte-Carlo mode of a point rides one walk; tdma-mrt's slot
+        # 0 rides it too and its K - 1 later slots walk on
+        from satmimo.cli import run_point
+        walks = self._count_walks(monkeypatch)
+        for point in _points(PRESETS[preset](self._config())):
+            walks.clear()
+            run_point(point)
+            assert len(walks) == walks_per_point(point[0].config)
+
+    def test_tdma_alone_walks_once_per_slot(self, monkeypatch):
+        from satmimo import baselines, effective_channels, sample_geometry
+        from satmimo.power import per_sat_total
+        cfg = self._config(K=3)
+        eff = effective_channels(sample_geometry(cfg, np.random.default_rng(0)), cfg)
+        rho = np.full(cfg.L, 2.0)
+        walks = self._count_walks(monkeypatch)
+        baselines.tdma_mrt_baseline(eff, rho, per_sat_total(rho, cfg.N), 1e-5,
+                                    20, np.random.default_rng(0))
+        assert walks == [1, 1, 1]
+
+    @pytest.mark.parametrize("preset, draws", [
+        ("association", lambda cfg: 1), ("user-loading", lambda cfg: cfg.K)])
+    def test_generator_ends_where_modes_alone_leave_it(self, preset, draws,
+                                                       monkeypatch):
+        # one full draw for the shared walk, K - 1 more for TDMA's later
+        # slots: as many as the mode with the most walks took alone
+        from satmimo import cli
+        from satmimo.channel import sample_gamma
+        from satmimo.se_eval import mc_rng
+        made = []
+        monkeypatch.setattr(cli, "mc_rng", lambda *a: made.append(mc_rng(*a))
+                            or made[-1])
+        point = _points(PRESETS[preset](self._config()))[1]
+        cli.run_point(point)
+        cfg = point[0].config
+        ref = mc_rng(cfg.rng_seed, point[0].point_index)
+        beta = np.ones((cfg.L, cfg.K))
+        for _ in range(draws(cfg)):
+            sample_gamma(beta, beta, ref, trials=cfg.mc_trials)
+        assert len(made) == 1
+        assert made[0].bit_generator.state == ref.bit_generator.state
+
+    def test_run_job_hands_each_row_out_once(self, monkeypatch):
+        from satmimo import cli
+        calls = []
+        run_point = cli.run_point
+        monkeypatch.setattr(cli, "run_point",
+                            lambda jobs: calls.append(jobs) or run_point(jobs))
+        first, second = PRESETS["association"](self._config())[:2]
+        assert first.modes == second.modes == ("streamwise", "streamwise-random")
+        row_a = cli.run_job(first)
+        row_b = cli.run_job(second)
+        assert len(calls) == 1
+        assert [r["mode"] for r in (row_a, row_b)] == list(first.modes)
+        # the held row is gone: asking again computes the point again
+        again = cli.run_job(second)
+        assert len(calls) == 2
+        for row in (row_b, again):
+            row.pop("wall_time_ms")
+        assert again == row_b
+        # that computation held first's row, handed out once
+        cli.run_job(first)
+        assert len(calls) == 2
+        # calling run_job twice on one job computes the point twice
+        cli.run_job(first)
+        cli.run_job(first)
+        assert len(calls) == 4
+
+    def test_run_job_drops_held_rows_on_another_point(self, monkeypatch):
+        from satmimo import cli
+        calls = []
+        run_point = cli.run_point
+        monkeypatch.setattr(cli, "run_point",
+                            lambda jobs: calls.append(jobs) or run_point(jobs))
+        jobs = PRESETS["association"](self._config())
+        cli.run_job(jobs[0])           # holds jobs[1]'s row
+        cli.run_job(jobs[2])           # another point: computed, drops it
+        cli.run_job(jobs[1])
+        assert len(calls) == 3
+
+    def test_failing_design_leaves_other_rows(self, monkeypatch):
+        from satmimo import InfeasibleError, baselines, cli
+        point = _points(PRESETS["association"](self._config()))[0]
+        clean = cli.run_point(point)
+
+        def refuse(*args):
+            raise InfeasibleError("no random map today")
+
+        monkeypatch.setattr(baselines, "random_association", refuse)
+        rows = cli.run_point(point)
+        assert rows[1]["per_user_se"] == "error=no random map today"
+        assert rows[1]["sum_se"] == "nan"
+        for row in (rows[0], clean[0]):
+            row.pop("wall_time_ms")
+            row.pop("paired_stderr")
+        assert rows[0] == clean[0]
+
+    def test_rejects_jobs_of_different_points(self):
+        from dataclasses import replace
+        from satmimo.cli import run_point
+        jobs = PRESETS["association"](self._config())
+        with pytest.raises(ValueError):
+            run_point([jobs[0], jobs[2]])
+        with pytest.raises(ValueError):
+            run_point([jobs[0], jobs[0]])
+        with pytest.raises(ValueError):
+            run_point([replace(jobs[0], mode="no-such-mode")])
+
+    def test_paired_stderr_in_sidecar(self, tiny_config, tmp_path):
+        # each entry against the two modes' per-trial sum SE, recomputed
+        # from their designs on fresh generators
+        from satmimo.se_eval import exact_se_trials, mc_rng
+        from satmimo import effective_channels, sample_geometry
+        out = str(tmp_path / "assoc.csv")
+        assert main(["run", "--preset", "association", "--config", tiny_config,
+                     "--out", out, "--quiet"]) == 0
+        rows = read_rows(out)
+        with open(out + ".json") as fh:
+            paired = json.load(fh)["paired_stderr"]
+        assert [p["rows"] for p in paired] == [[i, i + 1]
+                                               for i in range(0, len(rows), 2)]
+        jobs = PRESETS["association"](self._config())
+        for entry in paired:
+            a, b = entry["rows"]
+            assert entry["modes"] == [rows[a]["mode"], rows[b]["mode"]]
+            assert entry["scenario_id"] == rows[a]["scenario_id"]
+            assert entry["power_cap_dbw"] == float(rows[a]["power_cap_dbw"])
+            sums = []
+            for job in (jobs[a], jobs[b]):
+                cfg = job.config
+                eff = effective_channels(
+                    sample_geometry(cfg, np.random.default_rng(cfg.rng_seed)), cfg)
+                W = _reference_row(job)[2]
+                sums.append(exact_se_trials(
+                    W, eff, cfg.mc_trials, mc_rng(cfg.rng_seed, job.point_index),
+                    range(cfg.K)).sum(axis=0))
+            diff = sums[0] - sums[1]
+            scale = abs(sums[0].mean()) + abs(sums[1].mean())
+            assert abs(entry["mean_diff"] - diff.mean()) <= 1e-12 * scale
+            assert entry["stderr"] == pytest.approx(
+                np.std(diff, ddof=1) / np.sqrt(diff.size), rel=1e-12)
+            # common random numbers: the pair's spread is below the
+            # unpaired one
+            unpaired = np.hypot(np.std(sums[0], ddof=1), np.std(sums[1], ddof=1))
+            assert entry["stderr"] < unpaired / np.sqrt(diff.size)
+
+    def test_paired_only_for_modes_wholly_on_the_walk(self, tmp_path,
+                                                      tiny_config):
+        # tdma-mrt evaluates K - 1 slots off the shared walk, mmse-approx
+        # none: neither is paired; the three baselines pairs are
+        for preset, expect in (("user-loading", []), ("approx-gap", []),
+                               ("baselines", [["joint", "mmse"],
+                                              ["joint", "zf"],
+                                              ["mmse", "zf"]])):
+            out = str(tmp_path / f"{preset}.csv")
+            assert main(["run", "--preset", preset, "--config", tiny_config,
+                         "--out", out, "--quiet", "--trials", "20"]) == 0
+            with open(out + ".json") as fh:
+                paired = json.load(fh)["paired_stderr"]
+            points = len(read_rows(out)) // len(PRESETS[preset](
+                self._config())[0].modes)
+            assert [p["modes"] for p in paired] == expect * points
+
+
 class TestCustomConstraints:
     def test_config_roundtrip_and_solve(self, tmp_path):
         # dense Hermitian weight matrices from the config drive the general
@@ -428,19 +676,22 @@ class TestCustomConstraints:
         # A_l = 2I at a 1 W reference allows half the sweep point's power:
         # each full-power MRT slot is scaled onto that cap, as the joint row
         # it is compared with meets it
-        from satmimo import baselines, cli, load_scenario
+        from satmimo import cli, load_scenario
         from satmimo.power import residuals
         cfg = load_scenario(json.dumps(dict(
             TINY, constraint_kind="custom",
             custom_constraints=[[{"A": (2 * np.eye(8)).tolist(), "rho": 1.0}]] * 4)))
         evaluated = []
-        original = baselines.exact_se_trials
+        # slot 0 is planned for the point's shared walk, the later slots
+        # are evaluated on walks of their own
+        for name in ("plan_users", "exact_se_trials"):
+            original = getattr(cli, name)
 
-        def spy(W, *args):
-            evaluated.append(W.copy())
-            return original(W, *args)
+            def spy(W, *args, original=original):
+                evaluated.append(W.copy())
+                return original(W, *args)
 
-        monkeypatch.setattr(baselines, "exact_se_trials", spy)
+            monkeypatch.setattr(cli, name, spy)
         row = cli.run_job(cli.Job("custom", "tdma-mrt", cfg, 10.0, 0, 3))
         assert np.isfinite(float(row["sum_se"]))
         assert len(evaluated) == cfg.K
@@ -533,23 +784,28 @@ class TestEntryPoint:
         assert out.exists()
 
     def test_worker_pool_matches_serial(self, tiny_config, tmp_path):
+        # the pool maps run_point over whole points: association's points
+        # have two modes, approx-gap's one Monte-Carlo and one approximate
         import os
         env = dict(os.environ, SATMIMO_WORKERS="2")
-        out_par = tmp_path / "par.csv"
-        proc = subprocess.run(
-            [sys.executable, "-m", "satmimo.cli", "run", "--preset",
-             "approx-gap", "--config", tiny_config, "--out", str(out_par),
-             "--quiet", "--trials", "30"],
-            capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        out_ser = str(tmp_path / "ser.csv")
-        assert main(["run", "--preset", "approx-gap", "--config", tiny_config,
-                     "--out", out_ser, "--quiet", "--trials", "30"]) == 0
-        rows_p = read_rows(str(out_par))
-        rows_s = read_rows(out_ser)
-        for r in rows_p + rows_s:
-            r["wall_time_ms"] = "0"
-        assert rows_p == rows_s
+        for preset in ("approx-gap", "association"):
+            out_par = tmp_path / f"par-{preset}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-m", "satmimo.cli", "run", "--preset",
+                 preset, "--config", tiny_config, "--out", str(out_par),
+                 "--quiet", "--trials", "30"],
+                capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            out_ser = str(tmp_path / f"ser-{preset}.csv")
+            assert main(["run", "--preset", preset, "--config", tiny_config,
+                         "--out", out_ser, "--quiet", "--trials", "30"]) == 0
+            rows_p = read_rows(str(out_par))
+            rows_s = read_rows(out_ser)
+            for r in rows_p + rows_s:
+                r["wall_time_ms"] = "0"
+            assert rows_p == rows_s
+            with open(str(out_par) + ".json") as fp, open(out_ser + ".json") as fs:
+                assert json.load(fp) == json.load(fs)
 
 
 class TestImportCost:

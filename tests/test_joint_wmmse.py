@@ -310,7 +310,7 @@ class TestSolve:
                          num_streams=2)
         diffs = np.diff(trace.objective)
         assert np.all(diffs <= 1e-9)
-        assert trace.max_residual[-1] <= 1e-5 * 2.0
+        assert trace.max_residual[-1] <= 1e-5
 
     def test_deterministic(self, rng):
         eff = synthetic_effective(rng, L=2, K=2, M=3, N=5)

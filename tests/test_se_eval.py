@@ -507,6 +507,99 @@ class TestKernelSpaces:
         assert set(spaces) == {space}
 
 
+class TestSingleLinkGram:
+    """Users whose every column rides one link (each stream sent by one
+    satellite) are evaluated from the J x J Gram noise I + diag(h)^H Gamma
+    diag(h) in stream space for any J; any other user by the GEMM path."""
+
+    M = 4
+
+    @staticmethod
+    def _streamwise(sats, L=4, N=5, seed=7):
+        """Precoders sending user k's stream s from satellite sats[k][s]
+        only, on a synthetic channel."""
+        K, S = len(sats), len(sats[0])
+        rng = np.random.default_rng(seed)
+        eff = synthetic_effective(rng, L=L, K=K, M=TestSingleLinkGram.M, N=N)
+        W = np.zeros((L, K, N, S), complex)
+        for k, row in enumerate(sats):
+            for s, l in enumerate(row):
+                W[l, k, :, s] = crandn(rng, N)
+        return eff, W
+
+    @staticmethod
+    def _check(W, eff, users, single):
+        plans = se_eval.plan_users(W, eff, users)
+        assert [p.gram is not None for p in plans] == [single] * len(users)
+        trials = _TRIAL_CHUNK + 5
+        got = exact_se_trials(W, eff, trials, np.random.default_rng(3), users)
+        ref = dense_exact_se(W, eff, trials, np.random.default_rng(3))[list(users)]
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+        return got
+
+    @pytest.mark.parametrize("sats", [
+        [[0, 1], [1, 2]],            # S = 2: J = 4 <= M, satellite 1 shared
+        [[0, 1, 2], [3, 0, 1]],      # S = 3: J = 6 > M, still stream space
+        [[0, 1], [1, 0]]],           # satellites 2 and 3 silent
+        ids=["S2", "S3-more-columns-than-antennas", "silent-satellites"])
+    def test_matches_dense(self, sats, monkeypatch):
+        eff, W = self._streamwise(sats)
+        grams = []
+        stream_gram = se_eval._stream_gram
+        monkeypatch.setattr(se_eval, "_stream_gram",
+                            lambda *a: grams.append(1) or stream_gram(*a))
+        got = self._check(W, eff, [0, 1], single=True)
+        assert np.all(got > 0)
+        assert grams == []           # no GEMM-path Gram was built
+
+    def test_tdma_slot_single_column(self):
+        eff = synthetic_effective(np.random.default_rng(3), L=3, K=4, M=2, N=5)
+        for k, (_, W) in enumerate(tdma_mrt_precoders(eff, np.full(3, 2.0))):
+            plan, = se_eval.plan_users(W, eff, [k])
+            assert plan.J == 1
+            self._check(W, eff, [k], single=True)
+
+    def test_one_multi_link_column_takes_the_gemm_path(self):
+        # user 0's stream 0 also sent from satellite 3: every user receives
+        # that column over two links
+        eff, W = self._streamwise([[0, 1], [1, 2]])
+        W[3, 0, :, 0] = crandn(np.random.default_rng(9), W.shape[2])
+        self._check(W, eff, [0, 1], single=False)
+
+    def test_nan_precoder_raises(self):
+        eff, W = self._streamwise([[0, 1], [1, 2]])
+        W[1, 1, 2, 0] = np.nan
+        assert se_eval.plan_users(W, eff, [1])[0].gram is not None
+        with pytest.raises(NumericsError, match="pivot"):
+            exact_se_trials(W, eff, 20, np.random.default_rng(0), [1])
+
+    @pytest.mark.parametrize("preset, single", [
+        ("association", {"streamwise": True, "streamwise-random": True}),
+        ("baselines", {"joint": False, "mmse": False, "zf": False}),
+        ("user-loading", {"joint": False, "tdma-mrt": True})])
+    def test_modes_that_take_it(self, preset, single, monkeypatch):
+        import json
+        from satmimo import cli, load_scenario
+        cfg = load_scenario(json.dumps({
+            "L": 4, "K": 2, "N": 8, "M": 4, "S": 2, "mc_trials": 20,
+            "power_cap_dbw_grid": [10.0], "max_iters": 5,
+            "association_seeds": 1}))
+        seen = {}
+        plan_users = cli.plan_users
+
+        def spy(W, effective, users):
+            plans = plan_users(W, effective, users)
+            seen.setdefault(len(seen), []).extend(p.gram is not None
+                                                  for p in plans)
+            return plans
+
+        monkeypatch.setattr(cli, "plan_users", spy)
+        jobs = cli.PRESETS[preset](cfg)
+        cli.run_point(jobs[:len(jobs[0].modes)])
+        assert {mode: set(seen[i]) for i, mode in enumerate(jobs[0].modes)} \
+            == {mode: {flag} for mode, flag in single.items()}
+
+
 class TestRepeatedUsers:
     def test_repeated_and_reversed_users_match_single_rows(self):
         eff, W = TestKernelSpaces._instance(2, seed=8)
