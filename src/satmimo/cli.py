@@ -261,7 +261,7 @@ def run_point(jobs) -> list:
     per_trial = {}      # per mode, its sum SE per trial (tdma-mrt: slot 0's)
 
     def evaluate(mode):
-        se_t = evaluate_users(plans[mode], *walk, effective.noise_power_w)
+        se_t = evaluate_users(plans[mode], *walk)
         per_trial[mode] = se_t.sum(axis=0)
         if mode != "tdma-mrt":
             reports[mode] = mc_report(se_t)

@@ -15,27 +15,41 @@ their gains are never stored.
 
 The Monte-Carlo estimator is one evaluator in three steps, which a caller
 comparing several precoder sets on common random numbers can share:
-plan_users fixes each user's columns once per precoder set;
+plan_users fixes each user's columns once per precoder set and channel;
 sample_plan_gains streams one full draw through channel.sample_pair_gains
 and keeps the gains of the union of the plans' live (link, user) pairs, 16
 bytes per trial and pair; evaluate_users runs every plan on that walk in
-chunks of trials. A user whose every column rides exactly one link (each
-stream sent by one satellite: the streamwise modes and every TDMA slot)
-needs no GEMM: its stream-space Gram is noise I + diag(h)^H Gamma diag(h)
-with Gamma = V^H V fixed per precoder set and h the gains of its columns'
-links. Any other user gets its received responses per chunk from one GEMM
-on its columns of the kept gains.
+chunks of trials.
 
-The SE is log det(signal + interference + noise) - log det(interference +
-noise), from the J live columns, the other users' first. The J x J
-stream-space Gram noise I + C^H C gives it for any J (Sylvester's
-determinant identity; the leading pivots factor the interference, and the
-noise keeps the Gram positive definite). _se_bits uses it when J <= M;
-when J > M it factors the M x M interference-plus-noise and total Grams,
-built by the same Gram kernel on the transposed columns (the conjugate
-Grams, which have the same pivots). Each factorization is an unpivoted
-LDL^H vectorised over trials, so no explicit inverse is formed; a pivot
-that is not positive and finite raises NumericsError.
+A user whose every column rides exactly one link (each stream sent by one
+satellite: the streamwise modes and every TDMA slot) receives C = V diag(h),
+V (M x J) fixed per precoder set and h the gains of its columns' links, so
+C C^H = sum_j |h_j|^2 v_j v_j^H: its per-trial SE depends on the link
+powers w_j = |h_j|^2 only, never on the gains' phases (nor on a phase
+per precoder W[l, k]). By the principal-minor expansion,
+det(I + diag(h)^H (Gamma / noise) diag(h)) with Gamma = V^H V is the
+polynomial sum_S det(Gamma_S / noise) prod_{j in S} w_j, whose
+coefficients are >= 0. The plan keeps those 2^J minors (_principal_minors:
+one batched det; a minor over more columns than min(M, distinct links) is
+exactly 0, as the columns on one link are parallel) and each chunk
+evaluates the polynomial in w (_contract), with no Gram and no
+factorization; the interference's polynomial is the part without the
+user's own columns. This costs about 2^J multiply-adds per trial, so only
+users with J <= _MAX_MINOR_COLUMNS take it; any other user gets its
+received responses per chunk from one GEMM on its columns of the kept
+gains, and _se_bits.
+
+_se_bits takes the SE as log det(signal + interference + noise) -
+log det(interference + noise), from the J live columns, the other users'
+first. The J x J stream-space Gram noise I + C^H C gives it for any J
+(Sylvester's determinant identity; the leading pivots factor the
+interference, and the noise keeps the Gram positive definite); _se_bits
+uses it when J <= M; when J > M it factors the M x M
+interference-plus-noise and total Grams, built by the same Gram kernel on
+the transposed columns (the conjugate Grams, which have the same pivots).
+Each factorization is an unpivoted LDL^H vectorised over trials, so no
+explicit inverse is formed; a pivot that is not positive and finite, or a
+single-link Gram that is not finite, raises NumericsError.
 """
 
 from __future__ import annotations
@@ -48,6 +62,11 @@ from .channel import _TRIAL_CHUNK, EffectiveChannel, sample_pair_gains
 from .errors import NumericsError
 
 _LN2 = np.log(2.0)
+# single-link users with more columns take the GEMM path: the minor
+# polynomial's cost doubles with each column, the product's hardly grows.
+# At M = 4, one BLAS thread, per user-trial: J = 7 about 0.35 us against
+# 0.53-0.66 us on the GEMM path, J = 8 0.57 us against 0.53-0.56 us
+_MAX_MINOR_COLUMNS = 7
 
 
 @dataclass(frozen=True)
@@ -122,30 +141,24 @@ def _ldl_pivots(gram):
     return d
 
 
-def _own_bits(pivots, split, noise):
-    """SE in bits from the LDL^H pivots (J, T) of a stream-space Gram
-    noise I + C^H C whose first `split` columns are the interference: by
-    Sylvester's identity log det(noise I_M + C C^H) is
-    (M - J) log(noise) + log det(noise I_J + C^H C) for any J columns, and
-    the leading pivots factor the interference's Gram, so the SE is the sum
-    of the own pivots' log(d_j / noise)."""
-    return np.log(pivots[split:] / noise).sum(axis=0) / _LN2
-
-
 def _se_bits(cols, split, noise):
     """Per-trial SE in bits from received responses (M, J, T): the first
     `split` columns (other users' streams) are the interference, the rest
     user k's own streams the signal.
 
-    With J <= M columns, one LDL^H of the J x J Gram noise I + C^H C
-    (_own_bits). With J > M, the log-dets
-    of the M x M interference-plus-noise and total Grams, from the stream
-    Gram kernel on the (J, M) transposed columns: conj(C C^H), whose LDL^H
+    With J <= M columns, one LDL^H of the J x J Gram noise I + C^H C: by
+    Sylvester's identity log det(noise I_M + C C^H) is
+    (M - J) log(noise) + log det(noise I_J + C^H C) for any J columns, and
+    the leading pivots factor the interference's Gram, so the SE is the sum
+    of the own pivots' log(d_j / noise). With J > M, the log-dets of the
+    M x M interference-plus-noise and total Grams, from the stream Gram
+    kernel on the (J, M) transposed columns: conj(C C^H), whose LDL^H
     pivots are those of C C^H.
     """
     M, J, _ = cols.shape
     if J <= M:
-        return _own_bits(_ldl_pivots(_stream_gram(cols, noise)), split, noise)
+        pivots = _ldl_pivots(_stream_gram(cols, noise))
+        return np.log(pivots[split:] / noise).sum(axis=0) / _LN2
     rows = cols.swapaxes(0, 1)
     interf = _stream_gram(rows[:split], noise)
     total = interf + _stream_gram(rows[split:], 0.0)
@@ -153,32 +166,71 @@ def _se_bits(cols, split, noise):
             - np.log(_ldl_pivots(interf)).sum(axis=0)) / _LN2
 
 
-class _UserPlan:
-    """One user's received columns, fixed per precoder set: the pairs
-    (l K + k) its evaluation reads from a gain walk, the number `split` of
-    other users' columns (first) and either
+def _principal_minors(v, live, noise):
+    """The 2^J principal minors det(Gamma_S) of Gamma = V^H V / noise for
+    single-link columns V (M, J), column j riding the one link l with
+    live[j, l] (J, L), flattened from a (2,)*J tensor whose axis j is 1
+    when column j is in S (the empty minor is 1). One batched det, of Gamma
+    with the rows and columns outside S replaced by the identity's. The
+    columns on one link are all parallel to its b, so a minor of more
+    columns than min(M, links in S) is exactly 0 and is set so; the others
+    are >= 0, and the clamp absorbs rounding. A Gram that is not finite
+    raises NumericsError."""
+    M, J = v.shape
+    gamma = v.conj().T @ v / noise
+    if not np.all(np.isfinite(gamma)):
+        raise NumericsError("SE: single-link stream Gram is not finite")
+    inside = (np.arange(2 ** J)[:, None] >> np.arange(J - 1, -1, -1)) & 1 == 1
+    mats = np.where(inside[:, :, None] & inside[:, None, :], gamma, np.eye(J))
+    minors = np.maximum(np.linalg.det(mats).real, 0.0)
+    links = (inside @ live).sum(axis=1)
+    minors[inside.sum(axis=1) > np.minimum(links, M)] = 0.0
+    return minors
 
-    - gram: the J x J Gram V^H V of the columns' single-link factors, when
-      every live column rides exactly one live link (column j reads pair
-      j), so that its trial Gram is noise I + diag(h)^H V^H V diag(h); or
+
+def _contract(coef, w):
+    """Sum a multilinear polynomial over its first j variables, set to the
+    rows of w (j, n), one trial per column. coef (2^m, x) is the flattened
+    (2,)*m coefficient tensor (x = 1) or a partial sum of one (x = n);
+    returns the (2^(m-j), n) coefficients left on the other m - j
+    variables, sum_T coef[T, S] prod_{i in T} w_i for each subset S of them.
+    Two numpy calls per variable, about 2^m n multiply-adds in all."""
+    for wj in w:
+        lo, hi = coef.reshape(2, -1, coef.shape[-1])
+        coef = hi * wj
+        coef += lo
+    return coef
+
+
+class _UserPlan:
+    """One user's received columns, fixed per precoder set and channel:
+    the pairs (l K + k) its evaluation reads from a gain walk, the number
+    `split` of other users' columns (first), the noise power and either
+
+    - minors: the principal minors (_principal_minors) of
+      Gamma = V^H V / noise, V the columns' single-link factors, when every
+      live column rides exactly one live link (column j reads pair j) and
+      J <= _MAX_MINOR_COLUMNS; or
     - mat: the (M J, P) factor matrix of its P live links (column p reads
       pair p), whose product with the gains gives the received columns.
     """
 
     def __init__(self, precoders, effective, k):
         L, K, M, N = effective.shape
+        self.noise = effective.noise_power_w
         cols, self.split = _stream_columns(
             _stream_factors(precoders, effective, k), k)      # (M, J, L)
         live = np.any(cols != 0, axis=0)                      # (J, L)
         self.J = cols.shape[1]
-        if np.all(live.sum(axis=1) == 1):
+        if self.J <= _MAX_MINOR_COLUMNS and np.all(live.sum(axis=1) == 1):
             link = live.argmax(axis=1)
-            v = cols[:, np.arange(self.J), link]              # (M, J)
-            self.gram, self.mat = v.conj().T @ v, None
+            self.minors = _principal_minors(
+                cols[:, np.arange(self.J), link], live, self.noise)
+            self.mat = None
             self.pairs = link * K + k
         else:
             links = np.flatnonzero(live.any(axis=0))
-            self.gram = None
+            self.minors = None
             self.mat = cols[:, :, links].reshape(M * self.J, links.size)
             self.pairs = links * K + k
 
@@ -186,7 +238,10 @@ class _UserPlan:
 def plan_users(precoders: np.ndarray, effective: EffectiveChannel,
                users) -> list:
     """One plan per listed user (a repeated user shares its plan) for
-    sample_plan_gains and evaluate_users."""
+    sample_plan_gains and evaluate_users. The plans carry the noise power
+    of `effective`, which must be positive."""
+    if effective.noise_power_w <= 0:
+        raise ValueError("Monte-Carlo SE: noise power must be positive")
     plans = {k: _UserPlan(precoders, effective, k) for k in dict.fromkeys(users)}
     return [plans[k] for k in users]
 
@@ -209,37 +264,39 @@ def sample_plan_gains(effective: EffectiveChannel, trials: int,
     return gains, column
 
 
-def evaluate_users(plans, gains: np.ndarray, column: np.ndarray,
-                   noise: float) -> np.ndarray:
+def evaluate_users(plans, gains: np.ndarray, column: np.ndarray) -> np.ndarray:
     """Per-trial SE in bits/s/Hz of every plan on a walk from
     sample_plan_gains, shape (len(plans), T), in chunks of _TRIAL_CHUNK
-    trials so the temporaries do not grow with T. A single-link plan fills
-    its stream-space Gram noise delta_ij + conj(h_i) h_j Gamma_ij from the
-    gains h of its columns' pairs, for any J (_own_bits); a multi-link plan
-    gets its received columns from one GEMM on its pairs' gains and its SE
-    from _se_bits."""
-    if noise <= 0:
-        raise ValueError("Monte-Carlo SE: noise power must be positive")
+    trials so the temporaries do not grow with T.
+
+    A minor plan reads only the link powers w_j = |h_j|^2 of its columns'
+    gains h: by the principal-minor expansion,
+    det(I + diag(h)^H (Gamma / noise) diag(h)) is the polynomial
+    P(w) = sum_S det(Gamma_S / noise) prod_{j in S} w_j, and the SE is
+    log2 P(w) / P_int(w), P_int the same sum over subsets of the other
+    users' columns. Summing over those (leading) columns first leaves a
+    partial sum whose entry for no own column is P_int; summing over the
+    own columns then gives P. A GEMM plan gets its received columns from
+    one product on its pairs' gains and its SE from _se_bits."""
     trials = gains.shape[0]
     out = np.empty((len(plans), trials))
     for u, plan in enumerate(plans):
         idx = column[plan.pairs]
-        if plan.gram is None and np.array_equal(
+        if plan.minors is None and np.array_equal(
                 idx, np.arange(idx[0], idx[0] + idx.size)):
             idx = slice(idx[0], idx[0] + idx.size)   # side by side: a view
         for start in range(0, trials, _TRIAL_CHUNK):
             rows = slice(start, min(start + _TRIAL_CHUNK, trials))
-            if plan.gram is None:
+            if plan.minors is None:
                 chunk = gains[rows, idx]                      # (n, P)
                 resp = (plan.mat @ chunk.T).reshape(-1, plan.J, chunk.shape[0])
-                out[u, rows] = _se_bits(resp, plan.split, noise)
+                out[u, rows] = _se_bits(resp, plan.split, plan.noise)
                 continue
-            # every entry is filled, the lower triangle the one read
             h = gains[rows].T[idx]                            # (J, n)
-            gram = h.conj()[:, None] * h[None]
-            gram *= plan.gram[:, :, None]
-            gram.reshape(plan.J ** 2, h.shape[1])[::plan.J + 1] += noise
-            out[u, rows] = _own_bits(_ldl_pivots(gram), plan.split, noise)
+            w = h.real ** 2 + h.imag ** 2
+            part = _contract(plan.minors[:, None], w[:plan.split])
+            out[u, rows] = np.log2(_contract(part, w[plan.split:])[0]
+                                   / part[0])
     return out
 
 
@@ -253,7 +310,7 @@ def exact_se_trials(precoders: np.ndarray, effective: EffectiveChannel,
     twice gets the same row twice."""
     plans = plan_users(precoders, effective, users)
     gains, column = sample_plan_gains(effective, trials, rng, plans)
-    return evaluate_users(plans, gains, column, effective.noise_power_w)
+    return evaluate_users(plans, gains, column)
 
 
 def mc_report(se_trials: np.ndarray) -> SEReport:

@@ -6,11 +6,12 @@ import pytest
 
 from satmimo import (NumericsError, ScenarioConfig, approx_se,
                      effective_channels, exact_se_mc, mc_rng, per_sat_total,
-                     sample_geometry, tdma_mrt_baseline)
+                     sample_geometry, solve_streamwise, tdma_mrt_baseline)
 from satmimo.baselines import mmse_baseline, tdma_mrt_precoders
 from satmimo.channel import sample_gamma, sample_pair_gains
 from satmimo import se_eval
-from satmimo.se_eval import _TRIAL_CHUNK, _ldl_pivots, exact_se_trials
+from satmimo.se_eval import (_MAX_MINOR_COLUMNS, _TRIAL_CHUNK, _ldl_pivots,
+                             exact_se_trials)
 from tests.conftest import (crandn, dense_approx_se, dense_exact_se,
                             synthetic_effective)
 
@@ -509,28 +510,30 @@ class TestKernelSpaces:
 
 class TestSingleLinkGram:
     """Users whose every column rides one link (each stream sent by one
-    satellite) are evaluated from the J x J Gram noise I + diag(h)^H Gamma
-    diag(h) in stream space for any J; any other user by the GEMM path."""
+    satellite) and who receive J <= _MAX_MINOR_COLUMNS columns are evaluated
+    from the principal minors of Gamma = V^H V, a polynomial in the link
+    powers |h_j|^2 / noise; any other user by the GEMM path."""
 
     M = 4
 
     @staticmethod
     def _streamwise(sats, L=4, N=5, seed=7):
         """Precoders sending user k's stream s from satellite sats[k][s]
-        only, on a synthetic channel."""
+        only (None: a silent stream), on a synthetic channel."""
         K, S = len(sats), len(sats[0])
         rng = np.random.default_rng(seed)
         eff = synthetic_effective(rng, L=L, K=K, M=TestSingleLinkGram.M, N=N)
         W = np.zeros((L, K, N, S), complex)
         for k, row in enumerate(sats):
             for s, l in enumerate(row):
-                W[l, k, :, s] = crandn(rng, N)
+                if l is not None:
+                    W[l, k, :, s] = crandn(rng, N)
         return eff, W
 
     @staticmethod
     def _check(W, eff, users, single):
         plans = se_eval.plan_users(W, eff, users)
-        assert [p.gram is not None for p in plans] == [single] * len(users)
+        assert [p.minors is not None for p in plans] == [single] * len(users)
         trials = _TRIAL_CHUNK + 5
         got = exact_se_trials(W, eff, trials, np.random.default_rng(3), users)
         ref = dense_exact_se(W, eff, trials, np.random.default_rng(3))[list(users)]
@@ -539,18 +542,64 @@ class TestSingleLinkGram:
 
     @pytest.mark.parametrize("sats", [
         [[0, 1], [1, 2]],            # S = 2: J = 4 <= M, satellite 1 shared
-        [[0, 1, 2], [3, 0, 1]],      # S = 3: J = 6 > M, still stream space
-        [[0, 1], [1, 0]]],           # satellites 2 and 3 silent
-        ids=["S2", "S3-more-columns-than-antennas", "silent-satellites"])
+        [[0, 1, 2], [3, 0, 1]],      # S = 3: J = 6 > M
+        [[0, 1], [1, 0]],            # satellites 2 and 3 silent
+        [[0, None], [None, None]],   # J = 1: user 1 hears interference only
+        [[0, None], [1, None]],      # J = 2
+        [[0, 1, None], [2, None, None]],     # J = 3
+        [[0, 1, 2], [3, 0, None]],   # J = 5 > M
+        [[0, 0, None], [1, None, None]],     # two streams on one link
+        [[0, 1, 2, 3], [3, 2, 1, None]]],    # J = 7, the bound
+        ids=["S2", "S3-more-columns-than-antennas", "silent-satellites",
+             "J1", "J2", "J3", "J5", "two-streams-one-link", "J7"])
     def test_matches_dense(self, sats, monkeypatch):
         eff, W = self._streamwise(sats)
+        assert se_eval.plan_users(W, eff, [0])[0].J <= _MAX_MINOR_COLUMNS
         grams = []
         stream_gram = se_eval._stream_gram
         monkeypatch.setattr(se_eval, "_stream_gram",
                             lambda *a: grams.append(1) or stream_gram(*a))
         got = self._check(W, eff, [0, 1], single=True)
-        assert np.all(got > 0)
+        assert np.all(got[0] > 0)
         assert grams == []           # no GEMM-path Gram was built
+
+    @pytest.mark.parametrize("sats", [[[0, 1, 2], [3, 0, 1]],
+                                      [[0, 0, None], [1, None, None]]],
+                             ids=["J6", "two-streams-one-link"])
+    def test_minors_vanish_exactly_beyond_the_rank(self, sats):
+        # V_S has rank <= min(M, links in S): those minors are exact zeros,
+        # not rounding, and every other one is positive (generic factors)
+        eff, W = self._streamwise(sats)
+        plan, = se_eval.plan_users(W, eff, [0])
+        # column links of user 0: the other user's streams first
+        link = np.array([l for k in (1, 0) for l in sats[k] if l is not None])
+        for S, minor in enumerate(plan.minors):
+            cols = [j for j in range(plan.J) if S >> (plan.J - 1 - j) & 1]
+            rank = min(self.M, len(set(link[cols])))
+            assert (minor == 0.0) == (len(cols) > rank)
+            assert minor >= 0.0
+
+    def test_more_columns_than_the_bound_take_the_gemm_path(self):
+        # S = 4: every user receives J = 8 > _MAX_MINOR_COLUMNS columns
+        eff, W = self._streamwise([[0, 1, 2, 3], [3, 2, 1, 0]])
+        assert se_eval.plan_users(W, eff, [0])[0].J > se_eval._MAX_MINOR_COLUMNS
+        self._check(W, eff, [0, 1], single=False)
+
+    def test_zero_gain_link_and_trials(self):
+        # beta = 0 on link 1 of user 0: its gains are 0 in every trial
+        eff, W = self._streamwise([[0, 1], [1, 2]])
+        beta = eff.beta.copy()
+        beta[1, 0] = 0.0
+        eff = replace(eff, beta=beta)
+        self._check(W, eff, [0, 1], single=True)
+        # a trial whose gains are all 0 receives nothing: P_tot = P_int = 1
+        plans = se_eval.plan_users(W, eff, [0, 1])
+        gains, column = se_eval.sample_plan_gains(
+            eff, 50, np.random.default_rng(0), plans)
+        gains[::3] = 0.0
+        got = se_eval.evaluate_users(plans, gains, column)
+        assert np.all(got[:, ::3] == 0.0)
+        assert np.all(got[0, 1::3] > 0)
 
     def test_tdma_slot_single_column(self):
         eff = synthetic_effective(np.random.default_rng(3), L=3, K=4, M=2, N=5)
@@ -568,10 +617,45 @@ class TestSingleLinkGram:
 
     def test_nan_precoder_raises(self):
         eff, W = self._streamwise([[0, 1], [1, 2]])
+        assert se_eval.plan_users(W, eff, [1])[0].minors is not None
         W[1, 1, 2, 0] = np.nan
-        assert se_eval.plan_users(W, eff, [1])[0].gram is not None
-        with pytest.raises(NumericsError, match="pivot"):
+        with pytest.raises(NumericsError, match="finite"):
             exact_se_trials(W, eff, 20, np.random.default_rng(0), [1])
+
+    def test_nan_precoder_raises_above_the_bound(self):
+        eff, W = self._streamwise([[0, 1, 2, 3], [3, 2, 1, 0]])
+        assert se_eval.plan_users(W, eff, [1])[0].minors is None
+        W[1, 1, 2, 0] = np.nan
+        with pytest.raises(NumericsError, match="finite"):
+            exact_se_trials(W, eff, 20, np.random.default_rng(0), [1])
+
+    @pytest.mark.parametrize("bound", [_MAX_MINOR_COLUMNS, 0],
+                             ids=["minors", "gemm"])
+    def test_se_free_of_gain_and_precoder_phases(self, bound, monkeypatch,
+                                                 default_config,
+                                                 default_effective):
+        # each column rides one link, so C C^H = sum_j |h_j|^2 v_j v_j^H:
+        # unit phasors on the walk's gains, or a phase on each W[l, k] of a
+        # streamwise design, leave every per-trial SE unchanged on either
+        # path (the companion of test_exact_se_not_phase_invariant)
+        monkeypatch.setattr(se_eval, "_MAX_MINOR_COLUMNS", bound)
+        eff, K = default_effective, default_config.K
+        cons = per_sat_total(np.full(default_config.L, 1000.0), default_config.N)
+        W, _, _ = solve_streamwise(eff, cons, num_streams=default_config.S)
+        plans = se_eval.plan_users(W, eff, range(K))
+        assert all((p.minors is not None) == (bound > 0) for p in plans)
+        gains, column = se_eval.sample_plan_gains(eff, 500, mc_rng(0, 0), plans)
+        base = se_eval.evaluate_users(plans, gains, column)
+        assert np.all(base > 0)
+        phasors = np.exp(2j * np.pi * np.random.default_rng(1).random(gains.shape))
+        np.testing.assert_allclose(
+            se_eval.evaluate_users(plans, gains * phasors, column), base,
+            rtol=1e-12, atol=0)
+        W2 = W * np.exp(2j * np.pi * np.random.default_rng(2).random(
+            W.shape[:2]))[:, :, None, None]
+        np.testing.assert_allclose(
+            exact_se_trials(W2, eff, 500, mc_rng(0, 0), range(K)), base,
+            rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("preset, single", [
         ("association", {"streamwise": True, "streamwise-random": True}),
@@ -589,7 +673,7 @@ class TestSingleLinkGram:
 
         def spy(W, effective, users):
             plans = plan_users(W, effective, users)
-            seen.setdefault(len(seen), []).extend(p.gram is not None
+            seen.setdefault(len(seen), []).extend(p.minors is not None
                                                   for p in plans)
             return plans
 
