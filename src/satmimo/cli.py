@@ -452,7 +452,10 @@ def cmd_run(args, parser) -> int:
     try:
         workers = int(os.environ.get("SATMIMO_WORKERS", "1"))
     except ValueError:
-        print("error: SATMIMO_WORKERS must be an integer", file=sys.stderr)
+        workers = 0         # rejected with the counts below one
+    if workers < 1:
+        print("error: SATMIMO_WORKERS must be a positive integer",
+              file=sys.stderr)
         return 1
     # open both outputs before the sweep, so a bad path costs no rows; append
     # mode leaves an existing file as it is until the rows are written

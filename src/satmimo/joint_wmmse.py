@@ -13,10 +13,13 @@ keeps the familiar regularized closed form
     W_{l,k}(mu) = (sum_i Hb^H U_i C_i U_i^H Hb + sum_x mu_x A_x)^{-1} B_{l,k}.
 
 One iteration is batched array work on a few kernels, which are the whole
-design: every user's J_k and desired blocks G_k come from `_receiver_grams`,
-the MSE matrices from `_mse_at_optimum` (at the MMSE combiner) or
-`_mse_matrices` (any combiner), and for fixed combiners and weights all
-satellites' precoder subproblems from one `_PrecoderStep`. Each
+design: every user's mean received Gram J_k and desired blocks G_k come
+from `se_eval._receiver_grams`, whose Grams `se_eval.approx_se` also reads
+(log2 det(J_k / noise) - log2 det((J_k - G_k G_k^H) / noise)), so the
+design and the approximation share one formula; the MSE matrices come from
+`_mse_at_optimum` (at the MMSE combiner) or `_mse_matrices` (any
+combiner), and for fixed combiners and weights all satellites' precoder
+subproblems from one `_PrecoderStep`. Each
 per-satellite coupling matrix has rank at most K, which gives a closed-form
 (secular) power curve (`_Spectrum`); the per-satellite-total multiplier is
 its root, found by a safeguarded Newton iteration. Every other constraint
@@ -46,6 +49,7 @@ from .channel import EffectiveChannel, link_matrix
 from .errors import InfeasibleError, NumericsError, ValidationError
 from .power import PowerConstraintSet, residuals as power_residuals
 from .scenario import ScenarioConfig
+from .se_eval import _receiver_grams
 
 _LN2 = np.log(2.0)
 _RANK_TOL = 1e-12
@@ -93,26 +97,6 @@ class SolveTrace:
 
 def _hermitian(mats: np.ndarray) -> np.ndarray:
     return 0.5 * (mats + mats.conj().swapaxes(-1, -2))
-
-
-def _receiver_grams(precoders: np.ndarray, effective: EffectiveChannel,
-                    noise: float):
-    """J (K, M, M) and G (K, M, L*S) of every user at the given precoders.
-
-    G_k holds the desired blocks Hb_{l,k} W_{l,k} side by side (satellite
-    major) and J_k = noise*I + sum_{l,i} (Hb_{l,k} W_{l,i})(Hb_{l,k} W_{l,i})^H,
-    which for rank-one links is noise*I + sum_l beta_{l,k} ||a_{l,k}^T W_l||^2
-    b_{l,k} b_{l,k}^H.
-    """
-    L, K, M, N = effective.shape
-    S = precoders.shape[-1]
-    rows = np.einsum("lkn,lins->lkis", effective.a, precoders)    # (L, K, K, S)
-    load = effective.beta * np.einsum("lkis,lkis->lk", rows, rows.conj()).real
-    J = np.einsum("lk,lkm,lkn->kmn", load, effective.b, effective.b.conj())
-    J += noise * np.eye(M)
-    own = rows[:, np.arange(K), np.arange(K)]                    # (L, K, S)
-    G = np.einsum("lk,lkm,lks->kmls", np.sqrt(effective.beta), effective.b, own)
-    return J, G.reshape(K, M, L * S)
 
 
 def _mse_matrices(combiners: np.ndarray, J: np.ndarray,

@@ -7,11 +7,18 @@ take the statistical CSI (beta, the Rician factor kappa and the noise
 power) from the EffectiveChannel the precoders were designed on.
 
 Both use the rank-one links. User k receives stream s of user i as
-D_i[:, s] = sum_l gamma_{l,k} b_{l,k} (a_{l,k}^T W_{l,i})_s, so every
-received column is a fixed M x L factor matrix applied to the vector of
-user k's L link gains. All-zero columns are dropped, and so are links whose
-factors are all zero (a satellite that sends user k nothing it receives):
-their gains are never stored.
+D_i[:, s] = sum_l gamma_{l,k} b_{l,k} (a_{l,k}^T W_{l,i})_s. Its mean
+received Gram is J_k = noise I + sum_l beta_{l,k} ||a_{l,k}^T W_l||^2
+b_{l,k} b_{l,k}^H, and G_k, the desired blocks sqrt(beta_{l,k}) b_{l,k}
+a_{l,k}^T W_{l,k} side by side, gives its signal part G_k G_k^H
+(_receiver_grams, which the WMMSE solver reads as well). The approximation
+is log2 det(J_k / noise) - log2 det((J_k - G_k G_k^H) / noise): the one
+formula the design and the estimate share.
+
+For Monte Carlo every received column is a fixed M x L factor matrix
+applied to the vector of user k's L link gains. All-zero columns are
+dropped, and so are links whose factors are all zero (a satellite that
+sends user k nothing it receives): their gains are never stored.
 
 The Monte-Carlo estimator is one evaluator in three steps, which a caller
 comparing several precoder sets on common random numbers can share:
@@ -47,9 +54,12 @@ interference, and the noise keeps the Gram positive definite); _se_bits
 uses it when J <= M; when J > M it factors the M x M
 interference-plus-noise and total Grams, built by the same Gram kernel on
 the transposed columns (the conjugate Grams, which have the same pivots).
-Each factorization is an unpivoted LDL^H vectorised over trials, so no
-explicit inverse is formed; a pivot that is not positive and finite, or a
-single-link Gram that is not finite, raises NumericsError.
+Each factorization is an unpivoted LDL^H vectorised over trials (for the
+approximation, over users), so no explicit inverse is formed, and every
+log det is taken of the Gram over the noise power: sum_j log(d_j / noise),
+so no M log(noise) offset cancels between the two log-dets. A pivot that is
+not positive and finite, or a single-link Gram that is not finite, raises
+NumericsError.
 """
 
 from __future__ import annotations
@@ -81,21 +91,35 @@ class SEReport:
     sum_se_stderr: float = 0.0
 
 
-def _stream_factors(precoders, effective, k):
-    """Per-link factors of every stream as received by user k.
+def _receiver_grams(precoders: np.ndarray, effective: EffectiveChannel,
+                    noise: float):
+    """J (K, M, M) and G (K, M, L*S) of every user at the given precoders.
 
-    Returns (M, K, S, L) with entry [m, i, s, l] = b_{l,k}[m] (a_{l,k}^T
-    W_{l,i})_s; summing over l with weights gamma_{l,k} gives the received
-    response D_i[m, s].
+    G_k holds the desired blocks Hb_{l,k} W_{l,k} side by side (satellite
+    major) and J_k = noise*I + sum_{l,i} (Hb_{l,k} W_{l,i})(Hb_{l,k} W_{l,i})^H,
+    which for rank-one links is noise*I + sum_l beta_{l,k} ||a_{l,k}^T W_l||^2
+    b_{l,k} b_{l,k}^H: the mean received Gram, E[gamma gamma^H] = diag(beta).
     """
+    L, K, M, N = effective.shape
+    S = precoders.shape[-1]
+    rows = np.einsum("lkn,lins->lkis", effective.a, precoders)    # (L, K, K, S)
+    load = effective.beta * np.einsum("lkis,lkis->lk", rows, rows.conj()).real
+    J = np.einsum("lk,lkm,lkn->kmn", load, effective.b, effective.b.conj())
+    J += noise * np.eye(M)
+    own = rows[:, np.arange(K), np.arange(K)]                    # (L, K, S)
+    G = np.einsum("lk,lkm,lks->kmls", np.sqrt(effective.beta), effective.b, own)
+    return J, G.reshape(K, M, L * S)
+
+
+def _stream_columns(precoders, effective, k):
+    """User k's received columns as per-link factors (M, J, L), the other
+    users' streams first and user k's own last, with the number of other
+    users' columns. Entry [m, j, l] of the column of stream s of user i is
+    b_{l,k}[m] (a_{l,k}^T W_{l,i})_s, so summing over l with weights
+    gamma_{l,k} gives the received response D_i[m, s]. All-zero columns
+    carry nothing and are dropped."""
     rows = np.einsum("ln,lins->isl", effective.a[:, k], precoders)  # a^T W
-    return effective.b[:, k].T[:, None, None, :] * rows[None]
-
-
-def _stream_columns(factors, k):
-    """User k's received columns of (M, K, S, X) factors as (M, J, X), the
-    other users' streams first and user k's own last, with the number of
-    other users' columns. All-zero columns carry nothing and are dropped."""
+    factors = effective.b[:, k].T[:, None, None, :] * rows[None]   # (M, K, S, L)
     live = np.any(factors != 0, axis=(0, 3))                 # (K, S)
     own = np.zeros_like(live)
     own[k] = live[k]
@@ -150,10 +174,10 @@ def _se_bits(cols, split, noise):
     Sylvester's identity log det(noise I_M + C C^H) is
     (M - J) log(noise) + log det(noise I_J + C^H C) for any J columns, and
     the leading pivots factor the interference's Gram, so the SE is the sum
-    of the own pivots' log(d_j / noise). With J > M, the log-dets of the
-    M x M interference-plus-noise and total Grams, from the stream Gram
-    kernel on the (J, M) transposed columns: conj(C C^H), whose LDL^H
-    pivots are those of C C^H.
+    of the own pivots' log(d_j / noise). With J > M, the log-dets over the
+    noise power of the M x M interference-plus-noise and total Grams, from
+    the stream Gram kernel on the (J, M) transposed columns: conj(C C^H),
+    whose LDL^H pivots are those of C C^H.
     """
     M, J, _ = cols.shape
     if J <= M:
@@ -162,8 +186,8 @@ def _se_bits(cols, split, noise):
     rows = cols.swapaxes(0, 1)
     interf = _stream_gram(rows[:split], noise)
     total = interf + _stream_gram(rows[split:], 0.0)
-    return (np.log(_ldl_pivots(total)).sum(axis=0)
-            - np.log(_ldl_pivots(interf)).sum(axis=0)) / _LN2
+    return (np.log(_ldl_pivots(total) / noise).sum(axis=0)
+            - np.log(_ldl_pivots(interf) / noise).sum(axis=0)) / _LN2
 
 
 def _principal_minors(v, live, noise):
@@ -218,8 +242,7 @@ class _UserPlan:
     def __init__(self, precoders, effective, k):
         L, K, M, N = effective.shape
         self.noise = effective.noise_power_w
-        cols, self.split = _stream_columns(
-            _stream_factors(precoders, effective, k), k)      # (M, J, L)
+        cols, self.split = _stream_columns(precoders, effective, k)
         live = np.any(cols != 0, axis=0)                      # (J, L)
         self.J = cols.shape[1]
         if self.J <= _MAX_MINOR_COLUMNS and np.all(live.sum(axis=1) == 1):
@@ -341,24 +364,21 @@ def exact_se_mc(precoders: np.ndarray, effective: EffectiveChannel,
 
 
 def approx_se(precoders: np.ndarray, effective: EffectiveChannel) -> SEReport:
-    """Deterministic SE approximation built from per-link precoder Grams.
-
-    The exact evaluator's Grams with E[gamma gamma^H] = diag(beta): every
-    (stream, link) pair is one column scaled by sqrt(beta_{l,k}). Depends on
-    the precoders only through W W^H, hence invariant to any per-link
-    unit-modulus phase rotation.
+    """Deterministic SE approximation: the exact SE with each user's
+    received Grams replaced by their means (E[gamma gamma^H] = diag(beta)),
+    log2 det(J_k / noise) - log2 det((J_k - G_k G_k^H) / noise) with J_k and
+    G_k the solver's (_receiver_grams). Both are factored by one LDL^H with
+    the users on the trial axis. Depends on the precoders only through
+    W W^H, hence invariant to any per-link unit-modulus phase rotation.
     """
     noise = effective.noise_power_w
     if noise <= 0:
         raise ValueError("approx_se: noise power must be positive")
-    L, K, M, N = effective.shape
-    S = precoders.shape[3]
-    per_user = np.empty(K)
-    for k in range(K):
-        factors = _stream_factors(precoders, effective, k)
-        factors = factors * np.sqrt(effective.beta[:, k])
-        cols, split = _stream_columns(factors.reshape(M, K, S * L, 1), k)
-        per_user[k] = _se_bits(cols, split, noise)[0]
+    J, G = _receiver_grams(precoders, effective, noise)
+    total, interf = (
+        np.log(_ldl_pivots(gram.transpose(1, 2, 0) / noise)).sum(axis=0)
+        for gram in (J, J - G @ G.conj().swapaxes(-1, -2)))
+    per_user = (total - interf) / _LN2
     return SEReport(per_user_se=per_user, sum_se=float(per_user.sum()),
                     trials_used=0, estimator_kind="approx")
 

@@ -1,7 +1,9 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,17 @@ def tiny_config(tmp_path):
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps(TINY))
     return str(path)
+
+
+def child_env(**extra):
+    """The environment with `extra` set, and this checkout's src first on
+    PYTHONPATH, so a child interpreter imports the package under test
+    whether or not it is installed."""
+    env = dict(os.environ, **extra)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def read_rows(path):
@@ -325,13 +338,16 @@ class TestRun:
 
     def test_non_integer_workers_exit_1(self, tiny_config, tmp_path,
                                         monkeypatch, capsys):
-        monkeypatch.setenv("SATMIMO_WORKERS", "two")
+        # zero and negative counts are rejected like a non-integer, before
+        # any output file is opened
         out = tmp_path / "w.csv"
-        assert main(["run", "--preset", "approx-gap", "--config", tiny_config,
-                     "--out", str(out), "--quiet"]) == 1
-        assert ("error: SATMIMO_WORKERS must be an integer"
-                in capsys.readouterr().err)
-        assert not out.exists()
+        for value in ("two", "0", "-2"):
+            monkeypatch.setenv("SATMIMO_WORKERS", value)
+            assert main(["run", "--preset", "approx-gap", "--config",
+                         tiny_config, "--out", str(out), "--quiet"]) == 1
+            assert ("error: SATMIMO_WORKERS must be a positive integer"
+                    in capsys.readouterr().err)
+            assert not out.exists()
 
     def test_seed_override(self, tiny_config, tmp_path):
         out = str(tmp_path / "seeded.csv")
@@ -779,15 +795,14 @@ class TestEntryPoint:
             [sys.executable, "-m", "satmimo.cli", "run", "--preset",
              "joint-vs-streamwise-nonorthogonal", "--config", tiny_config,
              "--out", str(out), "--quiet", "--trials", "20"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
 
     def test_worker_pool_matches_serial(self, tiny_config, tmp_path):
         # the pool maps run_point over whole points: association's points
         # have two modes, approx-gap's one Monte-Carlo and one approximate
-        import os
-        env = dict(os.environ, SATMIMO_WORKERS="2")
+        env = child_env(SATMIMO_WORKERS="2")
         for preset in ("approx-gap", "association"):
             out_par = tmp_path / f"par-{preset}.csv"
             proc = subprocess.run(
@@ -816,7 +831,7 @@ class TestImportCost:
             [sys.executable, "-c",
              "import sys, satmimo; print(sorted(m for m in sys.modules "
              "if m.split('.')[0] == 'scipy'))"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
@@ -828,6 +843,6 @@ class TestImportCost:
              "import sys, satmimo.cli; print(sorted(m for m in sys.modules "
              "if m == 'concurrent.futures.process' "
              "or m.split('.')[0] == 'multiprocessing'))"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"

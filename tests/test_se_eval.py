@@ -9,11 +9,12 @@ from satmimo import (NumericsError, ScenarioConfig, approx_se,
                      sample_geometry, solve_streamwise, tdma_mrt_baseline)
 from satmimo.baselines import mmse_baseline, tdma_mrt_precoders
 from satmimo.channel import sample_gamma, sample_pair_gains
+from satmimo.joint_wmmse import init_precoders
 from satmimo import se_eval
 from satmimo.se_eval import (_MAX_MINOR_COLUMNS, _TRIAL_CHUNK, _ldl_pivots,
                              exact_se_trials)
 from tests.conftest import (crandn, dense_approx_se, dense_exact_se,
-                            synthetic_effective)
+                            mp_user_se, synthetic_effective)
 
 
 def _links_for(config, seed=0):
@@ -194,6 +195,41 @@ class TestAgainstDenseOracle:
         for _ in range(6):
             sample_gamma(eff.beta, eff.kappa, ref, trials=37)
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+class TestHighPrecisionOracle:
+    """Both estimators against a 50-digit log det (conftest.mp_user_se) on
+    the approximation study's designs: aggregated MMSE with S = M streams
+    per user on the default geometry, so every user receives J = K M > M
+    columns. The float oracles above lose accuracy with the SNR, so they
+    cannot check this."""
+
+    @staticmethod
+    def _design(config, effective, dbw):
+        rho = np.full(config.L, 10 ** (dbw / 10))
+        return init_precoders(effective, per_sat_total(rho, config.N),
+                              config.M, stream_basis="aggregated")
+
+    def test_approx(self, default_config, default_effective):
+        for dbw in default_config.power_cap_dbw_grid:
+            W = self._design(default_config, default_effective, dbw)
+            got = approx_se(W, default_effective).per_user_se
+            ref = [mp_user_se(W, default_effective, k)
+                   for k in range(default_config.K)]
+            np.testing.assert_allclose(got, ref, rtol=5e-14, atol=0)
+
+    def test_trials_of_antenna_space_users(self, default_config,
+                                           default_effective):
+        K, T = default_config.K, 6
+        gamma = sample_gamma(default_effective.beta, default_effective.kappa,
+                             np.random.default_rng(0), trials=T)
+        for dbw in (-10.0, 30.0):
+            W = self._design(default_config, default_effective, dbw)
+            got = exact_se_trials(W, default_effective, T,
+                                  np.random.default_rng(0), range(K))
+            ref = [[mp_user_se(W, default_effective, k, gamma[t, :, k])
+                    for t in range(T)] for k in range(K)]
+            np.testing.assert_allclose(got, ref, rtol=5e-14, atol=0)
 
 
 class TestLiveLinkSynthesis:
