@@ -19,13 +19,22 @@ from `se_eval._receiver_grams`, whose Grams `se_eval.approx_se` also reads
 design and the approximation share one formula; the MSE matrices come from
 `_mse_at_optimum` (at the MMSE combiner) or `_mse_matrices` (any
 combiner), and for fixed combiners and weights all satellites' precoder
-subproblems from one `_PrecoderStep`. Each
-per-satellite coupling matrix has rank at most K, which gives a closed-form
-(secular) power curve (`_Spectrum`); the per-satellite-total multiplier is
-its root, found by a safeguarded Newton iteration. Every other constraint
-family (per-antenna, custom, a single weighted cap) takes its multipliers
-from a safeguarded Newton search on the concave dual of the subproblem,
-which returns only multipliers it has certified feasible and optimal
+subproblems from one `_PrecoderStep`.
+
+The links are rank one, so satellite l's coupling matrix and right-hand
+sides lie in the span of its K array responses A_l = [conj(a_{l,k})]_k for
+the whole solve; an iteration changes only K coefficients. `solve`
+factors every A_l = Q_l R_l once (`_TransmitBasis`, one batched QR), and a
+satellite with a single total-power cap takes its step in K x K
+coordinates (`_Spectrum`): the eigenpairs of R_l diag(c_l) R_l^H, the
+right-hand-side coordinates, a closed-form (secular) power curve whose
+root, found by a safeguarded Newton iteration, is the multiplier, and the
+new precoders Q_l z diag(1/(lam + mu)) coords times their rows, the only
+N-dimensional product. The precoders stay in antenna space, so every other
+constraint family (per-antenna, custom, a single weighted cap) works on
+the same state: it takes its multipliers from a safeguarded Newton search
+on the concave dual of the dense subproblem, which returns only
+multipliers it has certified feasible and optimal
 (`dual_newton_multipliers`). There is no per-satellite or per-user view:
 `solve` runs these kernels directly, and the tests check them.
 
@@ -40,6 +49,7 @@ M x L link matrix, and `link_bases` writes the rank-one left vector
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -99,36 +109,49 @@ def _hermitian(mats: np.ndarray) -> np.ndarray:
     return 0.5 * (mats + mats.conj().swapaxes(-1, -2))
 
 
+@functools.lru_cache(maxsize=None)
+def _eye(n: int) -> np.ndarray:
+    """The read-only n x n identity, built once per size."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def _mse_matrices(combiners: np.ndarray, J: np.ndarray,
                   G: np.ndarray) -> np.ndarray:
     """E_k = U^H J U - U^H G - G^H U + I for arbitrary combiners, stacked."""
     UH = combiners.conj().swapaxes(-1, -2)
     cross = UH @ G
     E = UH @ J @ combiners - cross - cross.conj().swapaxes(-1, -2)
-    return _hermitian(E + np.eye(G.shape[-1]))
+    return _hermitian(E + _eye(G.shape[-1]))
 
 
 def _mse_at_optimum(combiners: np.ndarray, G: np.ndarray) -> np.ndarray:
     """E_k = I - G_k^H U_k, valid only at the MMSE combiner (cheap and PD)."""
-    return _hermitian(np.eye(G.shape[-1]) - G.conj().swapaxes(-1, -2) @ combiners)
+    return _hermitian(_eye(G.shape[-1]) - G.conj().swapaxes(-1, -2) @ combiners)
 
 
-def update_weights(mse: np.ndarray) -> np.ndarray:
-    """Optimal MSE weights C_k = E_k^{-1} / ln 2; requires E_k Hermitian PD."""
+def update_weights(mse: np.ndarray, logdet: bool = False):
+    """Optimal MSE weights C_k = E_k^{-1} / ln 2; requires E_k Hermitian PD.
+    With logdet=True, also log det C_k per user, read off the Cholesky
+    factor of E_k that the check computes."""
     try:
-        np.linalg.cholesky(mse)
+        chol = np.linalg.cholesky(mse)
     except np.linalg.LinAlgError:
         k = int(np.argmin(np.linalg.eigvalsh(mse)[:, 0]))
         raise NumericsError(
             f"MSE matrix of user {k} is not positive definite") from None
-    return _hermitian(np.linalg.inv(mse) / _LN2)
+    weights = _hermitian(np.linalg.inv(mse) / _LN2)
+    if not logdet:
+        return weights
+    pivots = np.diagonal(chol, axis1=-2, axis2=-1).real
+    return weights, -2.0 * np.log(pivots).sum(axis=-1) - mse.shape[-1] * np.log(_LN2)
 
 
-def wmmse_objective(mse: np.ndarray, weights: np.ndarray) -> float:
-    """sum_k Tr(C_k E_k) - log2 det(C_k)."""
-    sign, logdet = np.linalg.slogdet(weights)
-    if not np.all(sign.real > 0):
-        raise NumericsError("weight matrix lost positive definiteness")
+def wmmse_objective(mse: np.ndarray, weights: np.ndarray,
+                    logdet: np.ndarray) -> float:
+    """sum_k Tr(C_k E_k) - log2 det(C_k), with logdet the log det C_k per
+    user that `update_weights` returns."""
     traces = np.einsum("kij,kji->k", weights, mse).real
     return float(np.sum(traces - logdet / _LN2))
 
@@ -391,77 +414,119 @@ def dual_newton_multipliers(factor, rhs, weights, caps, tol_rel: float,
 
 # -- precoder subproblems -----------------------------------------------------
 
+class _TransmitBasis:
+    """The iteration-independent arrays of one solve's channel.
+
+    Satellite l's right-hand-side directions rhs_dir[l] (K, N), row k
+    sqrt(beta_{l,k}) conj(a_{l,k}), and its coupling T_l = A_l diag(c_l)
+    A_l^H both lie in the span of A_l = [conj(a_{l,1}) ... conj(a_{l,K})];
+    the iterations change only the K coefficients c_l. One batched QR per
+    solve, A_l = Q_l R_l with q (L, N, r) and r (L, r, K), r = min(N, K),
+    turns every total-power step into r x r work (`_Spectrum`): T_l =
+    Q_l R_l diag(c_l) R_l^H Q_l^H and rhs_dir[l]^T = Q_l rhs_coords[l].
+    dir_sq holds beta ||a||^2 per link, b_conj the conjugate receive factors.
+    """
+
+    def __init__(self, effective: EffectiveChannel):
+        self.a_conj = effective.a.conj()                          # (L, K, N)
+        root_beta = np.sqrt(effective.beta)
+        self.q, self.r = np.linalg.qr(self.a_conj.swapaxes(1, 2))
+        self.rhs_coords = self.r * root_beta[:, None, :]          # R diag(sqrt(beta))
+        self.rhs_dir = root_beta[:, :, None] * self.a_conj
+        self.dir_sq = np.einsum("lkn,lkn->lk", self.rhs_dir.conj(), self.rhs_dir).real
+        self.b_conj = effective.b.conj()
+
+
 class _PrecoderStep:
     """All satellites' precoder subproblems for fixed combiners and weights.
 
     Satellite l solves
         min_W sum_k Tr(W_k^H T_l W_k) - 2 Re Tr(B_{l,k}^H W_k)
     under its power constraints, where T_l = factor[l] factor[l]^H has rank
-    <= K and B_{l,k} = rhs_dir[l, k] rhs_row[l, k]^T is rank one. Arrays:
-    factor (L, N, K), rhs_dir (L, K, N), rhs_row (L, K, S).
+    <= K, factor[l] = A_l diag(sqrt(coeff[l])) (`_TransmitBasis`), and
+    B_{l,k} = rhs_dir[l, k] rhs_row[l, k]^T is rank one. Arrays: coeff
+    (L, K), rhs_dir (L, K, N), rhs_row (L, K, S); the (L, N, K) factor is
+    built on first use, by the dense dual path only. basis is the solve's
+    `_TransmitBasis`, factored here when not given.
     """
 
     def __init__(self, effective: EffectiveChannel, combiners: np.ndarray,
-                 weights: np.ndarray, num_streams: int):
+                 weights: np.ndarray, num_streams: int,
+                 basis: _TransmitBasis | None = None):
         L, K, M, N = effective.shape
         S = num_streams
+        self.basis = _TransmitBasis(effective) if basis is None else basis
         # u[l, i] = b_{l,i}^H U_i and uc[l, i] = u[l, i] C_i, both (L*S,)
-        u = np.einsum("lim,imj->lij", effective.b.conj(), combiners)
+        u = np.einsum("lim,imj->lij", self.basis.b_conj, combiners)
         uc = np.einsum("lij,ijh->lih", u, weights)
-        coeff = effective.beta * np.einsum("lih,lih->li", uc, u.conj()).real
-        self.factor = (np.sqrt(np.maximum(coeff, 0.0))[:, :, None]
-                       * effective.a.conj()).swapaxes(1, 2)
-        self.rhs_dir = np.sqrt(effective.beta)[:, :, None] * effective.a.conj()
+        self.coeff = np.maximum(
+            effective.beta * np.einsum("lih,lih->li", uc, u.conj()).real, 0.0)
+        self.rhs_dir = self.basis.rhs_dir
         sats = np.arange(L)
         self.rhs_row = uc.reshape(L, K, L, S)[sats, :, sats]       # block l
 
+    @functools.cached_property
+    def factor(self) -> np.ndarray:
+        """T's (L, N, K) factors A_l diag(sqrt(coeff[l]))."""
+        return (np.sqrt(self.coeff)[:, :, None] * self.basis.a_conj).swapaxes(1, 2)
+
 
 class _Spectrum:
-    """Range eigenpairs of the coupling matrices of some satellites, stacked.
+    """Range eigenpairs of the coupling matrices of some satellites, stacked,
+    in the coordinates of the solve's transmit basis.
 
-    One QR of the stacked factors, then the K x K projected eigenproblems:
-    the bases are orthonormal to machine precision even when the eigenvalue
-    spread is extreme, which the plain Gram route is not. Eigenvalues below
-    _RANK_TOL of a satellite's largest are masked out of its range; the part
-    of the right-hand side outside the range is `perp`.
+    With A_l = Q_l R_l (`_TransmitBasis`), T_l = Q_l (R_l diag(c_l) R_l^H)
+    Q_l^H: one batched r x r eigenproblem R_l diag(c_l) R_l^H = z lam z^H
+    gives T_l's eigenpairs (lam, Q_l z), orthonormal to machine precision
+    even when the eigenvalue spread is extreme. The right-hand sides lie in
+    range(Q_l), so their coordinates z^H rhs_coords are all of them.
+    Eigenvalues below _RANK_TOL of a satellite's largest are masked out of
+    its range; the right-hand side's part along the masked directions is
+    the part outside the range, the d/mu^2 term of the power curve.
+    Nothing here is N-dimensional until `precoders` writes them back.
     """
 
     def __init__(self, step: _PrecoderStep, sats: np.ndarray):
-        q, r = np.linalg.qr(step.factor[sats])
-        lam, z = np.linalg.eigh(_hermitian(r @ r.conj().swapaxes(1, 2)))
-        keep = lam > _RANK_TOL * np.maximum(lam.max(axis=1, keepdims=True), 1e-300)
-        basis = q @ z                                     # (n, N, r)
-        rdir = step.rhs_dir[sats]                         # (n, K, N)
-        rhs = rdir.swapaxes(1, 2)
-        coords = np.where(keep[:, :, None],
-                          basis.conj().swapaxes(1, 2) @ rhs, 0.0)
-        perp = rhs - basis @ coords
-        perp_sq = np.maximum(np.einsum("xnk,xnk->xk", perp.conj(), perp).real, 0.0)
-        row = step.rhs_row[sats]
-        row_sq = np.einsum("xks,xks->xk", row.conj(), row).real
-        dir_sq = np.einsum("xkn,xkn->xk", rdir.conj(), rdir).real
-        c = np.einsum("xjk,xk->xj", np.abs(coords) ** 2, row_sq)
-        d = np.einsum("xk,xk->x", perp_sq, row_sq)
-        self.lam, self.keep, self.basis = lam, keep, basis
-        self.coords, self.perp, self.row = coords, perp, row
+        basis = step.basis
+        self.q = basis.q[sats]
+        r = basis.r[sats]
+        # eigh reads the lower triangle only: no symmetrisation needed
+        self.lam, self.z = np.linalg.eigh(
+            (r * step.coeff[sats][:, None, :]) @ r.conj().swapaxes(1, 2))
+        self.keep = self.lam > _RANK_TOL * np.maximum(self.lam[:, -1:], 1e-300)
+        self.coords = self.z.conj().swapaxes(1, 2) @ basis.rhs_coords[sats]
+        self.row = step.rhs_row[sats]
+        row_sq = np.square(np.abs(self.row)).sum(axis=2)
+        energy = np.square(np.abs(self.coords))                   # (n, r, K)
+        c = (energy @ row_sq[:, :, None])[:, :, 0]
         # secular power curves p(mu) = sum_j c_j/(lam_j + mu)^2 + d/mu^2
-        self.curves = [(c[x][keep[x]].tolist(), lam[x][keep[x]].tolist(),
-                        float(d[x])) for x in range(len(sats))]
-        # the mu = 0 solve drops a null-space component of an active user
-        active = row_sq > 0
-        self.pinv = np.any(
-            active & (perp_sq > _DIRECTION_TOL * np.maximum(dir_sq, 1e-300)), axis=1)
+        c_kept, lam_kept, d = c.tolist(), self.lam.tolist(), np.zeros(len(c))
+        self.pinv = np.zeros(len(c), bool)
+        masked = ~self.keep
+        if masked.any():
+            # the pseudoinverse (mu = 0) solve drops the masked part of an
+            # active user's right-hand side
+            perp_sq = (masked[:, None, :] @ energy)[:, 0]
+            d = np.where(masked, c, 0.0).sum(axis=1)
+            self.pinv = np.any((row_sq > 0) & (perp_sq > _DIRECTION_TOL * np.maximum(
+                basis.dir_sq[sats], 1e-300)), axis=1)
+            keep = self.keep.tolist()
+            c_kept = [[v for v, k in zip(*x) if k] for x in zip(c_kept, keep)]
+            lam_kept = [[v for v, k in zip(*x) if k] for x in zip(lam_kept, keep)]
+        self.curves = list(zip(c_kept, lam_kept, d.tolist()))
 
     def precoders(self, mu: np.ndarray) -> np.ndarray:
-        """Closed-form precoders (n, K, N, S) at per-satellite multipliers."""
-        mu = np.asarray(mu, float)
-        scaled = np.divide(self.coords, (self.lam + mu[:, None])[:, :, None],
-                           out=np.zeros_like(self.coords),
-                           where=self.keep[:, :, None])
-        v = self.basis @ scaled                                   # (n, N, K)
-        v += np.divide(self.perp, mu[:, None, None], out=np.zeros_like(v),
-                       where=(mu > 0)[:, None, None])
-        return np.einsum("xnk,xks->xkns", v, self.row)
+        """Closed-form precoders (n, K, N, S) at per-satellite multipliers:
+        the coordinates scaled by 1/(lam + mu) on the range and by 1/mu
+        (0 at mu = 0) on the masked directions, then written back through
+        Q z."""
+        mu = np.asarray(mu, float)[:, None]
+        gain = np.divide(1.0, np.where(self.keep, self.lam + mu, mu),
+                         out=np.zeros_like(self.lam), where=self.keep | (mu > 0))
+        # user k's coordinates times its row, (n, K, r, S): one product per
+        # user writes its precoder
+        y = (self.z @ (gain[:, :, None] * self.coords)).swapaxes(1, 2)
+        return self.q[:, None] @ (y[..., None] * self.row[:, :, None, :])
 
 
 def link_bases(effective: EffectiveChannel, l: int, num_streams: int) -> list:
@@ -557,11 +622,13 @@ def solve(effective: EffectiveChannel, constraints: PowerConstraintSet,
 
     Alternates MMSE combiners, inverse-MSE weights and per-satellite
     closed-form precoders. Satellites with a single total-power cap are
-    updated together: one stacked eigendecomposition, a safeguarded Newton
-    root of each secular power curve (`secular_multiplier`, certified) and
-    one batched precoder expression. Satellites with any other constraint
-    family take their multipliers from `dual_newton_multipliers` (certified
-    feasible and optimal), warm-started at the previous iteration's.
+    updated together in the K x K coordinates of the solve's transmit basis
+    (`_TransmitBasis`, factored once): one stacked eigendecomposition, a
+    safeguarded Newton root of each secular power curve
+    (`secular_multiplier`, certified) and one batched precoder expression.
+    Satellites with any other constraint family take their multipliers from
+    `dual_newton_multipliers` (certified feasible and optimal), warm-started
+    at the previous iteration's.
     A precoder column W[l, k, :, s] that is zero at the start stays exactly
     zero (its combiner column is zero and its MSE block the identity),
     which is how the streamwise mode restricts the design to its sparsity
@@ -584,33 +651,35 @@ def solve(effective: EffectiveChannel, constraints: PowerConstraintSet,
         effective, constraints, S, stream_basis="aggregated")
     trace = SolveTrace()
     prev_obj = np.inf
+    basis = _TransmitBasis(effective)
     identity = np.array(constraints.identity, bool)
-    single_caps = np.array([constraints.caps[l][0]
-                            for l in np.flatnonzero(identity)])
+    # a silent satellite stays silent: its combiner columns, hence its
+    # right-hand sides, are exactly zero
+    live = W.reshape(L, -1).any(axis=1)
+    single = np.flatnonzero(live & identity)
+    general = np.flatnonzero(live & ~identity)
+    single_caps = [float(constraints.caps[l][0]) for l in single]
+    caps = np.concatenate(constraints.caps)
     J, G = _receiver_grams(W, effective, noise)
+    resid = None
 
     for it in range(1, params.max_iters + 1):
         U = np.linalg.solve(J, G)
-        C = update_weights(_mse_at_optimum(U, G))
+        C, logdet_c = update_weights(_mse_at_optimum(U, G), logdet=True)
 
-        # a silent satellite stays silent: its combiner columns, hence its
-        # right-hand sides, are exactly zero
-        live = W.reshape(L, -1).any(axis=1)
         iter_mus = [np.zeros(constraints.num_constraints(l)) for l in range(L)]
-        step = _PrecoderStep(effective, U, C, S)
-        single = np.flatnonzero(live & identity)
+        step = _PrecoderStep(effective, U, C, S, basis)
         if single.size:
             spectrum = _Spectrum(step, single)
             mus = np.empty(single.size)
             for x, l in enumerate(single):
-                mus[x], evals = secular_multiplier(
-                    spectrum.curves[x], float(constraints.caps[l][0]))
+                mus[x], evals = secular_multiplier(spectrum.curves[x], single_caps[x])
                 trace.multiplier_evals += evals
-                iter_mus[l] = mus[x:x + 1].copy()
+                iter_mus[l] = mus[x:x + 1]
             trace.multiplier_searches += single.size
             trace.pinv_fallbacks += int(np.sum((mus == 0.0) & spectrum.pinv))
             W[single] = spectrum.precoders(mus)
-        for l in np.flatnonzero(live & ~identity):
+        for l in general:
             # B_{l,k} is rank one: search on its directions scaled by the
             # row norms, warm at the previous iteration's multipliers, then
             # give every user's solution its unit row back
@@ -629,11 +698,11 @@ def solve(effective: EffectiveChannel, constraints: PowerConstraintSet,
         # the grams at the new precoders serve this iteration's objective
         # and the next iteration's combiners
         J, G = _receiver_grams(W, effective, noise)
-        obj = wmmse_objective(_mse_matrices(U, J, G), C)
+        obj = wmmse_objective(_mse_matrices(U, J, G), C, logdet_c)
+        resid = _residuals(W, constraints, caps)
         trace.objective.append(obj)
         trace.multipliers.append(iter_mus)
-        trace.max_residual.append(_max_relative_residual(
-            W, constraints, identity, single_caps))
+        trace.max_residual.append(float(np.max(resid / caps)))
         trace.iterations = it
         delta = prev_obj - obj
         prev_obj = obj
@@ -641,30 +710,35 @@ def solve(effective: EffectiveChannel, constraints: PowerConstraintSet,
             trace.converged = True
             break
 
-    _assert_feasible(W, constraints, params.power_tol_rel)
+    if resid is None:
+        resid = _residuals(W, constraints, caps)
+    _assert_feasible(resid, constraints, params.power_tol_rel)
     return W, trace
 
 
-def _max_relative_residual(W, constraints, identity, single_caps):
-    """max over satellites l and constraints x of g_{l,x} / cap_{l,x}: the
-    total-power satellites (identity, caps single_caps) in one vectorised
-    pass, every other satellite by power.residuals."""
-    ratios = [power_residuals(W[l], constraints, l) / constraints.caps[l]
-              for l in np.flatnonzero(~identity)]
-    if single_caps.size:
-        flat = W[identity].reshape(single_caps.size, -1)
-        power = np.einsum("ij,ij->i", flat.conj(), flat).real
-        ratios.append((power - single_caps) / single_caps)
-    return float(max(r.max() for r in ratios))
+def _residuals(W, constraints, caps) -> np.ndarray:
+    """Every constraint residual g_{l,x} = p_{l,x} - cap_{l,x}, satellite
+    by satellite in the order of caps = np.concatenate(constraints.caps):
+    one vectorised pass when every satellite has a single total-power cap,
+    power.residuals per satellite otherwise."""
+    if all(constraints.identity):
+        flat = W.reshape(len(W), -1)
+        return np.einsum("ij,ij->i", flat.conj(), flat).real - caps
+    return np.concatenate([power_residuals(W[l], constraints, l)
+                           for l in range(constraints.num_sats)])
 
 
-def _assert_feasible(precoders, constraints, tol_rel):
-    """Every constraint within tol_rel of its own cap (plus 1e-12 W)."""
-    for l in range(constraints.num_sats):
-        g = power_residuals(precoders[l], constraints, l)
-        limit = tol_rel * np.asarray(constraints.caps[l], float) + 1e-12
-        x = int(np.argmax(g - limit))
-        if g[x] > limit[x]:
-            raise NumericsError(
-                f"satellite {l}: output violates power constraint {x} "
-                f"(residual {g[x]:.3e} > {limit[x]:.3e})")
+def _assert_feasible(resid, constraints, tol_rel):
+    """Every constraint within tol_rel of its own cap (plus 1e-12 W), from
+    the residuals of `_residuals`; the error names the first satellite
+    with a violation and its worst constraint."""
+    limit = tol_rel * np.concatenate(constraints.caps) + 1e-12
+    bad = np.flatnonzero(resid > limit)
+    if bad.size:
+        sat = np.repeat(np.arange(constraints.num_sats),
+                        [len(c) for c in constraints.caps])
+        own = np.flatnonzero(sat == sat[bad[0]])
+        i = own[np.argmax(resid[own] - limit[own])]
+        raise NumericsError(
+            f"satellite {sat[i]}: output violates power constraint {i - own[0]} "
+            f"(residual {resid[i]:.3e} > {limit[i]:.3e})")

@@ -85,10 +85,16 @@ def make_constraint_set(per_sat_pairs) -> PowerConstraintSet:
 
 
 def per_sat_total(rho_per_sat, num_antennas: int) -> PowerConstraintSet:
-    """One total-power constraint per satellite: A = I_N, cap rho_l."""
-    rho_per_sat = np.atleast_1d(np.asarray(rho_per_sat, float))
-    eye = np.eye(num_antennas, dtype=complex)
-    return make_constraint_set([[(eye, rho)] for rho in rho_per_sat])
+    """One total-power constraint per satellite: A = I_N, cap rho_l. Every
+    satellite shares one read-only (1, N, N) identity stack."""
+    rho_per_sat = np.atleast_1d(np.array(rho_per_sat, float))
+    for l, rho in enumerate(rho_per_sat):
+        if not rho > 0:
+            raise ValidationError(f"satellite {l} constraint 0: rho must be positive")
+    eye = np.eye(num_antennas, dtype=complex)[None]
+    eye.flags.writeable = False
+    return PowerConstraintSet((eye,) * len(rho_per_sat),
+                              tuple(rho_per_sat[:, None]), (True,) * len(rho_per_sat))
 
 
 def per_antenna(rho_per_antenna) -> PowerConstraintSet:

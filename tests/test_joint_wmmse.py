@@ -381,8 +381,9 @@ class TestSolve:
         W = crandn(rng, 2, 2, 4, 2) * 0.4
         J, G = _receiver_grams(W, eff, 0.5)
         E = _mse_matrices(np.linalg.solve(J, G), J, G)
-        C = update_weights(E)
-        val = wmmse_objective(E, C)
+        C, logdet = update_weights(E, logdet=True)
+        np.testing.assert_allclose(logdet, np.linalg.slogdet(C)[1], rtol=1e-13)
+        val = wmmse_objective(E, C, logdet)
         expect = sum(np.trace(C[k] @ E[k]).real
                      - np.linalg.slogdet(C[k])[1] / LN2 for k in range(2))
         assert val == pytest.approx(expect, rel=1e-12)
@@ -478,6 +479,88 @@ class TestBatchedPrecoderStep:
             r = residuals(W1[l], cons, l)
             assert np.all(r <= 1e-5 * cons.caps[l])
             assert abs(mu @ r) <= 1e-6 * abs(objective(W1[l]) + mu @ r)
+
+
+class TestTransmitBasis:
+    # the total-power step in the coordinates of the solve's QR of each
+    # satellite's array responses, against the dense references of
+    # tests/conftest.py where that basis degenerates
+
+    @pytest.mark.parametrize("caps", [[1e6, 1e6], [1e-3, 1e-3]])
+    def test_same_angle_users(self, rng, caps):
+        # users 0 and 1 see satellite 0 at one angle: A_0 has rank one, so
+        # R_0 is singular and one eigenvalue of its coupling is masked
+        eff = synthetic_effective(rng, L=2, K=3, M=3, N=5)
+        eff.a[0, 1] = eff.a[0, 0]
+        W0 = crandn(rng, 2, 3, 5, 2) * 0.5
+        cons = per_sat_total(caps, 5)
+        W1, mus, trace, U, C = one_wmmse_iteration(eff, cons, W0, 2)
+        step = _PrecoderStep(eff, U, C, 2)
+        assert np.linalg.matrix_rank(dense_subproblem(step, 0)[0]) == 2
+        assert not _Spectrum(step, [0]).keep.all()
+        for l in range(2):
+            assert_precoder_kkt(eff, cons, U, C, W1, mus, l)
+        assert trace.pinv_fallbacks == sum(
+            mus[l] == 0.0 and _pinv_rule(step, l) for l in range(2))
+
+    @pytest.mark.parametrize("tiny", [0.0, 1e-9])
+    def test_silent_user_masks_an_eigenvalue(self, rng, tiny):
+        # user 2 silent (exactly, or to 1e-9): c_{l,2} vanishes on every
+        # satellite and its eigenvalue is masked; the fallback count follows
+        # the dense rule, and each satellite still meets its KKT conditions
+        eff = synthetic_effective(rng, L=2, K=3, M=3, N=5)
+        W0 = crandn(rng, 2, 3, 5, 2) * 0.5
+        W0[:, 2] *= tiny
+        cons = per_sat_total([1e6, 1e-2], 5)
+        W1, mus, trace, U, C = one_wmmse_iteration(eff, cons, W0, 2)
+        step = _PrecoderStep(eff, U, C, 2)
+        expect = 0
+        for l in range(2):
+            spectrum = _Spectrum(step, [l])
+            assert not spectrum.keep.all()
+            assert bool(spectrum.pinv[0]) == _pinv_rule(step, l) == (tiny > 0)
+            expect += int(mus[l] == 0.0 and _pinv_rule(step, l))
+            if mus[l] > 0 or tiny == 0:
+                assert_precoder_kkt(eff, cons, U, C, W1, mus, l)
+        assert mus[0] == 0.0 and mus[1] > 0
+        assert trace.pinv_fallbacks == expect == int(tiny > 0)
+
+    def test_fewer_antennas_than_users(self, rng):
+        # N = 2 < K = 4: Q_l is N x N and R_l is N x K
+        eff = synthetic_effective(rng, L=2, K=4, M=3, N=2)
+        W0 = crandn(rng, 2, 4, 2, 2) * 0.5
+        cons = per_sat_total([1e6, 0.05], 2)
+        W1, mus, _, U, C = one_wmmse_iteration(eff, cons, W0, 2)
+        step = _PrecoderStep(eff, U, C, 2)
+        assert step.basis.q.shape == (2, 2, 2) and step.basis.r.shape == (2, 2, 4)
+        for l in range(2):
+            assert_precoder_kkt(eff, cons, U, C, W1, mus, l)
+        T, B, _ = dense_subproblem(step, 1)
+        dense = np.linalg.solve(T + 0.3 * np.eye(2),
+                                B.transpose(1, 0, 2).reshape(2, 8)).reshape(2, 4, 2)
+        fast = _Spectrum(step, [1]).precoders(np.array([0.3]))[0]
+        np.testing.assert_allclose(fast, dense.transpose(1, 0, 2), atol=1e-12)
+
+    @pytest.mark.parametrize("family", ["total", "per-antenna"])
+    def test_one_qr_per_solve(self, rng, monkeypatch, family):
+        eff = synthetic_effective(rng, L=2, K=2, M=3, N=4)
+        cons = (per_sat_total([0.05, 0.1], 4) if family == "total"
+                else per_antenna(np.full((2, 4), 0.02)))
+        calls = []
+        qr = np.linalg.qr
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape)
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", spy)
+        for iters in (1, 6):
+            calls.clear()
+            _, trace = solve(eff, cons, SolverParams(max_iters=iters, tol=1e-12),
+                             num_streams=2)
+            assert trace.iterations == iters
+            assert calls == [(2, 4, 2)]
+
 
 def _random_curve(rng, with_d):
     """Secular curve (c, lam, d) with eigenvalues spread over 1e-10...1e6."""
@@ -575,6 +658,6 @@ class TestAssertFeasible:
         W[0, 0, :, 0] = [np.sqrt(1.0 + 5e-4), 1.0]
         np.testing.assert_allclose(residuals(W[0], cons, 0), [5e-4, -99.0])
         with pytest.raises(NumericsError, match="constraint 0"):
-            joint_wmmse._assert_feasible(W, cons, 1e-5)
+            joint_wmmse._assert_feasible(residuals(W[0], cons, 0), cons, 1e-5)
         W[0, 0, 0, 0] = np.sqrt(1.0 + 5e-6)
-        joint_wmmse._assert_feasible(W, cons, 1e-5)
+        joint_wmmse._assert_feasible(residuals(W[0], cons, 0), cons, 1e-5)

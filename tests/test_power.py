@@ -3,6 +3,7 @@ import pytest
 
 from satmimo import (ValidationError, make_constraint_set, per_antenna,
                      per_sat_total, residuals)
+from satmimo.power import scale_to_caps
 from tests.conftest import crandn
 
 
@@ -76,6 +77,34 @@ class TestConstruction:
         cons = per_sat_total([1.0, 2.0], 3).scaled(2.5)
         assert cons.caps[0][0] == 2.5
         assert cons.caps[1][0] == 5.0
+
+    @pytest.mark.parametrize("rho", [[0.0, 1.0], [1.0, np.nan], [-2.0]])
+    def test_rejects_nonpositive_cap_by_satellite(self, rho):
+        bad = next(l for l, r in enumerate(rho) if not r > 0)
+        with pytest.raises(ValidationError,
+                           match=f"satellite {bad} constraint 0: rho must be positive"):
+            per_sat_total(rho, 3)
+
+    def test_per_sat_total_matches_generic_set(self, rng):
+        # built directly, it equals the validated generic set of the same
+        # pairs, and residuals, scale_to_caps and scaled() read the same
+        rho = [0.7, 2.0, 1.3]
+        fast = per_sat_total(rho, 5)
+        generic = make_constraint_set([[(np.eye(5), r)] for r in rho])
+        assert fast.identity == generic.identity == (True,) * 3
+        for a, b in zip(fast.weights + fast.caps, generic.weights + generic.caps):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+        assert all(w is fast.weights[0] for w in fast.weights)
+        assert not fast.weights[0].flags.writeable
+        W = crandn(rng, 3, 2, 5, 2)
+        for l in range(3):
+            np.testing.assert_array_equal(residuals(W[l], fast, l),
+                                          residuals(W[l], generic, l))
+        np.testing.assert_array_equal(scale_to_caps(W.copy(), fast, 1e-5),
+                                      scale_to_caps(W.copy(), generic, 1e-5))
+        for a, b in zip(fast.scaled(2.5).caps, generic.scaled(2.5).caps):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestResiduals:
