@@ -12,10 +12,9 @@ first stream of each link only, with the explicit phase of the basis
 caps; the CLI scales a satellite down to any other constraint family of
 its row (power.scale_to_caps). TDMA-MRT fits each of its slots to the
 row's constraint set the same way, and is evaluated by Monte Carlo only,
-on the same EffectiveChannel it is designed on: alone, one full gain draw
-per slot (tdma_mrt_baseline); in a sweep point, slot 0 rides the point's
-shared draw and the later slots walk on from where it left the generator
-(cli.run_point), which gives the same gains.
+on the same EffectiveChannel it is designed on, one full gain draw per
+slot: alone (tdma_mrt_baseline), or in a sweep point, where slot k rides
+the point's walk k (cli.run_point), which gives the same gains.
 """
 
 from __future__ import annotations
@@ -74,8 +73,10 @@ def zf_baseline(effective: EffectiveChannel, rho,
 
 
 def tdma_mrt_precoders(effective: EffectiveChannel, rho) -> list:
-    """One single-user precoder set per user: only the strongest-gain
-    satellite transmits, matched-filter direction, full power."""
+    """One single-user precoder set per user, with its satellite: only the
+    strongest-gain satellite transmits, matched-filter direction, full
+    power. MRT's constant modulus meets a total cap rho and per-antenna
+    caps rho/N to rounding, so power.scale_to_caps scales neither."""
     L, K, M, N = effective.shape
     rho = np.broadcast_to(np.asarray(rho, float), (L,))
     sets = []
@@ -88,16 +89,6 @@ def tdma_mrt_precoders(effective: EffectiveChannel, rho) -> list:
         W[l, k, :, 0] = np.sqrt(rho[l]) * direction / np.linalg.norm(direction)
         sets.append((l, W))
     return sets
-
-
-def tdma_mrt_slots(effective: EffectiveChannel, rho,
-                   constraints: PowerConstraintSet, tol_rel: float) -> list:
-    """Slot k's precoders (tdma_mrt_precoders, serving user k), each fitted
-    to the constraint set (power.scale_to_caps with tolerance tol_rel).
-    MRT's constant modulus meets a total cap rho and per-antenna caps rho/N
-    to rounding, so neither is scaled."""
-    return [scale_to_caps(W, constraints, tol_rel)
-            for _, W in tdma_mrt_precoders(effective, rho)]
 
 
 def tdma_mrt_report(slot_trials) -> SEReport:
@@ -118,14 +109,15 @@ def tdma_mrt_baseline(effective: EffectiveChannel, rho,
                       constraints: PowerConstraintSet, tol_rel: float,
                       trials: int, rng: np.random.Generator) -> SEReport:
     """Orthogonal scheduling: each user is served alone by its nearest
-    satellite with MRT (tdma_mrt_slots), and the time sharing divides each
-    SE by K (tdma_mrt_report). Each user's slot takes its own full
-    Monte-Carlo gain draw from rng, in user order, and evaluates only the
-    scheduled user."""
+    satellite with MRT (tdma_mrt_precoders), in a slot fitted to the
+    constraint set (power.scale_to_caps with tolerance tol_rel), and the
+    time sharing divides each SE by K (tdma_mrt_report). Each user's slot
+    takes its own full Monte-Carlo gain draw from rng, in user order, and
+    evaluates only the scheduled user."""
     return tdma_mrt_report([
-        exact_se_trials(W, effective, trials, rng, [k])[0]
-        for k, W in enumerate(tdma_mrt_slots(effective, rho, constraints,
-                                             tol_rel))])
+        exact_se_trials(scale_to_caps(W, constraints, tol_rel), effective,
+                        trials, rng, [k])[0]
+        for k, (_, W) in enumerate(tdma_mrt_precoders(effective, rho))])
 
 
 def random_association(rng: np.random.Generator, num_streams: int,

@@ -31,8 +31,8 @@ from .errors import ConfigError, InfeasibleError, NumericsError, ValidationError
 from .power import (per_antenna, per_sat_total, make_constraint_set,
                     scale_to_caps)
 from .scenario import ScenarioConfig, load_scenario, sample_geometry
-from .se_eval import (approx_se, evaluate_users, exact_se_trials, mc_report,
-                      mc_rng, plan_users, sample_plan_gains)
+from .se_eval import (approx_se, evaluate_users, mc_report, mc_rng,
+                      plan_users, sample_plan_gains)
 
 SCHEMA_LINE = "# satmimo-results schema=1"
 COLUMNS = ["scenario_id", "mode", "L", "K", "N", "M", "S", "power_cap_dbw",
@@ -132,17 +132,28 @@ def _aggregated_mmse(eff, cons, rho, cfg, params):
                                       stream_basis="aggregated"), None
 
 
+def _approximated_mmse(eff, cons, rho, cfg, params):
+    return _aggregated_mmse(eff, cons, rho, cfg, params)
+
+
+_approximated_mmse.approximate = True
+
+
 def _streamwise(eff, cons, cfg, params, assignment):
     W, _, trace = streamwise.solve_streamwise(
         eff, cons, params, num_streams=cfg.S, assignment=assignment)
     return W, trace
 
 
-# mode -> design(effective, constraints, rho per satellite, cfg, params).
-# A solver returns (W, SolveTrace) with W within the constraints; a closed
-# form returns (W, None) spending the per-satellite totals rho, and run_job
-# fits it to the constraints. Entries look their functions up on the modules
-# when the row runs, so a wrapper set on a module attribute sees the call.
+# mode -> design(effective, constraints, rho per satellite, cfg, params),
+# returning (W, SolveTrace or None). W is one precoder set, which serves
+# every user, or a list of K sets that time-share the users, set k serving
+# user k alone. A solver returns W within the constraints with its trace; a
+# closed form returns trace None and sets spending the per-satellite totals
+# rho, and run_point fits each set to the constraints. A design marked
+# `approximate` is estimated by approx_se, every other one by Monte Carlo.
+# Entries look their functions up on the modules when the row runs, so a
+# wrapper set on a module attribute sees the call.
 _DESIGNS = {
     "joint": lambda eff, cons, rho, cfg, params: joint_wmmse.solve(
         eff, cons, params, num_streams=cfg.S),
@@ -157,8 +168,10 @@ _DESIGNS = {
         baselines.mmse_baseline(eff, rho, cfg.S), None),
     "zf": lambda eff, cons, rho, cfg, params: (
         baselines.zf_baseline(eff, rho, cfg.S), None),
+    "tdma-mrt": lambda eff, cons, rho, cfg, params: (
+        [W for _, W in baselines.tdma_mrt_precoders(eff, rho)], None),
     "mmse-exact-mc": _aggregated_mmse,
-    "mmse-approx": _aggregated_mmse,
+    "mmse-approx": _approximated_mmse,
 }
 
 
@@ -175,15 +188,19 @@ def run_point(jobs) -> list:
 
     The shared work runs once: geometry and channels, the solver
     parameters and the constraint set. Then each mode's design from
-    `_DESIGNS`, a closed form fitted to the constraints
-    (`power.scale_to_caps`); mmse-approx is estimated by `approx_se`, every
-    other mode is planned for Monte Carlo (`se_eval.plan_users`; tdma-mrt
-    plans its slot 0, `baselines.tdma_mrt_slots`). One walk from
-    `mc_rng(seed, point)` over the union of the plans' pairs
-    (`se_eval.sample_plan_gains`) serves every plan (`evaluate_users`) and
-    is released; tdma-mrt's slots 1..K-1 then walk on from where it left
-    the generator. Each gain is bitwise the one a separate walk per mode
-    gives, so the modes compare on common random numbers. A design or
+    `_DESIGNS`, a closed form's sets fitted to the constraints
+    (`power.scale_to_caps`); a design marked approximate is estimated by
+    `approx_se`, every other one has each of its sets planned for Monte
+    Carlo (`se_eval.plan_users`: every user, or user s alone for set s of
+    several). One walk rule serves every mode: walk s, the s-th full draw
+    from `mc_rng(seed, point)`, covers the union of the pairs of every
+    mode's set s (`se_eval.sample_plan_gains`), serves those plans
+    (`evaluate_users`) and is released before walk s + 1 is drawn. A mode
+    rides walks 0..len(sets) - 1 unless its design or an evaluation fails;
+    a walk without riders is not drawn. Each gain is bitwise the one a
+    separate walk per mode gives, so the modes compare on common random
+    numbers. Several sets give the time-shared report of
+    `baselines.tdma_mrt_report`, one set that of `mc_report`. A design or
     estimator error gives an error row for that mode only.
 
     Besides the CSV columns each row carries "converged", False when the
@@ -192,16 +209,17 @@ def run_point(jobs) -> list:
     approximation, nan for an error row or a single trial);
     "multiplier_evals", the evaluations made by every multiplier search of
     the solver, secular or dual (0 for modes that run no solver); and
-    "paired_stderr", one entry per later mode of the point evaluated
-    wholly on the shared walk, as this one is (neither tdma-mrt nor
-    mmse-approx): {"mode", "mean_diff" (this row's mean per-trial sum SE
-    minus that mode's), "stderr" (the standard error of that difference,
-    nan from a single trial)}. wall_time_ms is the mode's own design and
-    estimate plus an equal share of the point's shared stages."""
+    "paired_stderr", one entry per later mode of the point that, as this
+    one, has a single Monte-Carlo set: {"mode", "mean_diff" (this row's
+    mean per-trial sum SE minus that mode's), "stderr" (the standard error
+    of that difference, nan from a single trial)}. wall_time_ms is the
+    mode's own design and estimate, an equal share of each walk it rides
+    among that walk's riders, and an equal share of the point's shared
+    stages."""
     job = jobs[0]
     modes = [j.mode for j in jobs]
     for mode in modes:
-        if mode not in (*_DESIGNS, "tdma-mrt"):
+        if mode not in _DESIGNS:
             raise ValueError(f"unhandled mode {mode}")
     if len(set(modes)) < len(modes) or any(
             _point_key(j) != _point_key(job) for j in jobs):
@@ -232,51 +250,46 @@ def run_point(jobs) -> list:
                     errors[mode] = str(exc)
                 own[mode] += time.perf_counter() - t
 
-    designs, plans, reports = {}, {}, {}
+    # per mode: (design, SolveTrace); its plans and per-trial SE, per set
+    designs, plans, se, reports = {}, {}, {}, {}
 
     def design(mode):
-        # designs[mode]: (precoders, or TDMA's fitted slots; SolveTrace)
-        if mode == "tdma-mrt":
-            designs[mode] = baselines.tdma_mrt_slots(
-                effective, rho, constraints, params.power_tol_rel), None
-            plans[mode] = plan_users(designs[mode][0][0], effective, [0])
-            return
         W, trace = designs[mode] = _DESIGNS[mode](effective, constraints, rho,
                                                   cfg, params)
+        sets = W if isinstance(W, list) else [W]
         if trace is None:
-            scale_to_caps(W, constraints, params.power_tol_rel)
-        if mode == "mmse-approx":
+            for W_s in sets:
+                scale_to_caps(W_s, constraints, params.power_tol_rel)
+        if getattr(_DESIGNS[mode], "approximate", False):
             reports[mode] = approx_se(W, effective)
-        else:
-            plans[mode] = plan_users(W, effective, range(cfg.K))
-
-    each(design, modes)
-    t = time.perf_counter()
-    rng = mc_rng(cfg.rng_seed, job.point_index)
-    walk = (sample_plan_gains(effective, cfg.mc_trials, rng,
-                              [p for m in plans for p in plans[m]])
-            if plans else None)
-    shared += time.perf_counter() - t
-
-    per_trial = {}      # per mode, its sum SE per trial (tdma-mrt: slot 0's)
+            return
+        # several sets time-share the users, set s serving user s alone
+        plans[mode] = [plan_users(W_s, effective,
+                                  [s] if len(sets) > 1 else range(cfg.K))
+                       for s, W_s in enumerate(sets)]
+        se[mode] = []
 
     def evaluate(mode):
-        se_t = evaluate_users(plans[mode], *walk)
-        per_trial[mode] = se_t.sum(axis=0)
-        if mode != "tdma-mrt":
-            reports[mode] = mc_report(se_t)
+        # the mode's next set on the current walk
+        se[mode].append(evaluate_users(plans[mode][len(se[mode])], *walk))
+        if len(se[mode]) == len(plans[mode]):
+            reports[mode] = (mc_report(se[mode][0]) if len(se[mode]) == 1 else
+                             baselines.tdma_mrt_report([t[0] for t in se[mode]]))
 
-    each(evaluate, plans)
-    del walk
-
-    def later_slots(mode):
-        slots = designs[mode][0]
-        reports[mode] = baselines.tdma_mrt_report([per_trial[mode], *(
-            exact_se_trials(W, effective, cfg.mc_trials, rng, [k])[0]
-            for k, W in enumerate(slots[1:], 1))])
-
-    each(later_slots, [m for m in plans if m == "tdma-mrt"])
-    paired = [m for m in plans if m in reports and m != "tdma-mrt"]
+    each(design, modes)
+    rng = mc_rng(cfg.rng_seed, job.point_index)
+    for s in itertools.count():
+        riders = [m for m in plans if m not in errors and s < len(plans[m])]
+        if not riders:
+            break
+        t = time.perf_counter()
+        walk = sample_plan_gains(effective, cfg.mc_trials, rng,
+                                 [p for m in riders for p in plans[m][s]])
+        for m in riders:
+            own[m] += (time.perf_counter() - t) / len(riders)
+        each(evaluate, riders)
+        del walk
+    paired = [m for m in plans if m in reports and len(plans[m]) == 1]
     rows = []
     for j in jobs:
         row = _row(j, reports.get(j.mode), designs.get(j.mode, (None, None))[1],
@@ -285,7 +298,7 @@ def run_point(jobs) -> list:
         row["paired_stderr"] = []
         for m in later:
             # the mean and standard error of the per-trial difference
-            diff = mc_report((per_trial[j.mode] - per_trial[m])[None])
+            diff = mc_report((se[j.mode][0].sum(0) - se[m][0].sum(0))[None])
             row["paired_stderr"].append({"mode": m, "mean_diff": diff.sum_se,
                                          "stderr": diff.sum_se_stderr})
         rows.append(row)

@@ -499,21 +499,19 @@ class _Spectrum:
         row_sq = np.square(np.abs(self.row)).sum(axis=2)
         energy = np.square(np.abs(self.coords))                   # (n, r, K)
         c = (energy @ row_sq[:, :, None])[:, :, 0]
-        # secular power curves p(mu) = sum_j c_j/(lam_j + mu)^2 + d/mu^2
-        c_kept, lam_kept, d = c.tolist(), self.lam.tolist(), np.zeros(len(c))
-        self.pinv = np.zeros(len(c), bool)
+        # secular power curves p(mu) = sum_j c_j/(lam_j + mu)^2 + d/mu^2: a
+        # masked direction is the zero term 0/(1 + mu)^2, its energy in d
         masked = ~self.keep
+        self.curves = list(zip(np.where(masked, 0.0, c).tolist(),
+                               np.where(masked, 1.0, self.lam).tolist(),
+                               np.where(masked, c, 0.0).sum(axis=1).tolist()))
+        self.pinv = np.zeros(len(c), bool)
         if masked.any():
             # the pseudoinverse (mu = 0) solve drops the masked part of an
             # active user's right-hand side
             perp_sq = (masked[:, None, :] @ energy)[:, 0]
-            d = np.where(masked, c, 0.0).sum(axis=1)
             self.pinv = np.any((row_sq > 0) & (perp_sq > _DIRECTION_TOL * np.maximum(
                 basis.dir_sq[sats], 1e-300)), axis=1)
-            keep = self.keep.tolist()
-            c_kept = [[v for v, k in zip(*x) if k] for x in zip(c_kept, keep)]
-            lam_kept = [[v for v, k in zip(*x) if k] for x in zip(lam_kept, keep)]
-        self.curves = list(zip(c_kept, lam_kept, d.tolist()))
 
     def precoders(self, mu: np.ndarray) -> np.ndarray:
         """Closed-form precoders (n, K, N, S) at per-satellite multipliers:

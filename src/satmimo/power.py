@@ -60,19 +60,15 @@ def make_constraint_set(per_sat_pairs) -> PowerConstraintSet:
             if mats and A.shape != mats[0].shape:
                 raise ValidationError(
                     f"satellite {l} constraint {x}: A must match the size of constraint 0")
-            # a real diagonal with non-negative entries (the identity, an
-            # antenna selector) is Hermitian PSD exactly: skipping its N x N
-            # eigensolve keeps per_sat_total and per_antenna cheap to build
-            if not np.array_equal(A, np.diag(np.diag(A).real.clip(min=0))):
-                if not np.allclose(A, A.conj().T,
-                                   atol=1e-12 * max(1.0, np.abs(A).max())):
-                    raise ValidationError(
-                        f"satellite {l} constraint {x}: A must be Hermitian")
-                eigs = np.linalg.eigvalsh(A)
-                norm = max(eigs.max(), -eigs.min(), 1e-300)
-                if eigs.min() < -PSD_TOL * norm:
-                    raise ValidationError(
-                        f"satellite {l} constraint {x}: A must be positive semidefinite")
+            if not np.allclose(A, A.conj().T,
+                               atol=1e-12 * max(1.0, np.abs(A).max())):
+                raise ValidationError(
+                    f"satellite {l} constraint {x}: A must be Hermitian")
+            eigs = np.linalg.eigvalsh(A)
+            norm = max(eigs.max(), -eigs.min(), 1e-300)
+            if eigs.min() < -PSD_TOL * norm:
+                raise ValidationError(
+                    f"satellite {l} constraint {x}: A must be positive semidefinite")
             if not rho > 0:
                 raise ValidationError(f"satellite {l} constraint {x}: rho must be positive")
             mats.append(A)
@@ -98,21 +94,29 @@ def per_sat_total(rho_per_sat, num_antennas: int) -> PowerConstraintSet:
 
 
 def per_antenna(rho_per_antenna) -> PowerConstraintSet:
-    """N single-entry diagonal constraints per satellite.
+    """N single-entry diagonal constraints per satellite: A_i = e_i e_i^T,
+    cap rho_{l,i}. Every satellite shares one read-only (N, N, N) stack of
+    those selectors.
 
-    rho_per_antenna: array (L, N) or list of per-satellite cap vectors.
+    rho_per_antenna: array (L, N) or list of per-satellite cap vectors,
+    all of one length N >= 1.
     """
-    pairs = []
-    for caps in rho_per_antenna:
-        caps = np.asarray(caps, float)
-        n = caps.size
-        sat = []
-        for i, rho in enumerate(caps):
-            E = np.zeros((n, n), complex)
-            E[i, i] = 1.0
-            sat.append((E, rho))
-        pairs.append(sat)
-    return make_constraint_set(pairs)
+    caps = [np.array(c, float) for c in rho_per_antenna]
+    n = caps[0].size if caps else 0
+    for l, rhos in enumerate(caps):
+        if not rhos.size == n > 0:
+            raise ValidationError(
+                f"satellite {l}: {rhos.size} per-antenna caps, satellite 0 "
+                f"has {n}; every satellite needs the same N >= 1")
+        for i, rho in enumerate(rhos):
+            if not rho > 0:
+                raise ValidationError(
+                    f"satellite {l} constraint {i}: rho must be positive")
+    selectors = np.zeros((n, n, n), complex)
+    selectors[np.arange(n), np.arange(n), np.arange(n)] = 1.0
+    selectors.flags.writeable = False
+    return PowerConstraintSet((selectors,) * len(caps), tuple(caps),
+                              (n == 1,) * len(caps))
 
 
 def residuals(precoders_for_sat: np.ndarray, constraints: PowerConstraintSet,

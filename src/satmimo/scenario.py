@@ -177,8 +177,7 @@ _FLOAT_KEYS = [f.name for f in _FIELD_TYPES.values() if isinstance(f.default, fl
 _FLOAT_LIST_KEYS = ("power_cap_dbw_grid", "ue_sin_theta", "sat_sin_phi",
                     "elevation_deg")
 _TUPLE_KEYS = {*_FLOAT_LIST_KEYS, "custom_constraints"}
-_INT_KEYS = {"L", "K", "N", "M", "S", "mc_trials", "rng_seed", "max_iters",
-             "association_seeds"}
+_INT_KEYS = {f.name for f in _FIELD_TYPES.values() if type(f.default) is int}
 # keys of the retired ellipsoid multiplier search: accepted and ignored
 _RETIRED_KEYS = {"ellipsoid_alpha", "ellipsoid_max_iters"}
 

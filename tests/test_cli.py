@@ -522,6 +522,83 @@ class TestPointPipeline:
         assert len(made) == 1
         assert made[0].bit_generator.state == ref.bit_generator.state
 
+    def _user_loading_point(self, K=4):
+        return next(point for point in _points(PRESETS["user-loading"](
+            self._config())) if point[0].config.K == K)
+
+    def test_walk_s_carries_the_sets_s_of_every_mode(self, monkeypatch):
+        # walk 0: joint's pairs, then TDMA slot 0's; walk k >= 1: only slot
+        # k's; and the generator ends K full draws past mc_rng
+        from satmimo import baselines, cli, effective_channels, sample_geometry
+        from satmimo.channel import sample_gamma
+        from satmimo.power import scale_to_caps
+        from satmimo.se_eval import mc_rng, plan_users
+        point = self._user_loading_point()
+        job = point[0]
+        cfg = job.config
+        walks = []
+        original = cli.sample_plan_gains
+
+        def spy(effective, trials, rng, plans):
+            walks.append(([p for plan in plans for p in plan.pairs], rng))
+            return original(effective, trials, rng, plans)
+
+        monkeypatch.setattr(cli, "sample_plan_gains", spy)
+        cli.run_point(point)
+        eff = effective_channels(
+            sample_geometry(cfg, np.random.default_rng(cfg.rng_seed)), cfg)
+        rho_w = 10 ** (job.power_dbw / 10)
+        cons = cli._constraints_for(cfg, rho_w)
+        slots = [scale_to_caps(W, cons, cfg.ellipsoid_tol_rel) for _, W in
+                 baselines.tdma_mrt_precoders(eff, np.full(cfg.L, rho_w))]
+
+        def pairs(W, users):
+            return [p for plan in plan_users(W, eff, users) for p in plan.pairs]
+
+        joint = pairs(_reference_row(job)[2], range(cfg.K))
+        assert [w[0] for w in walks] == (
+            [joint + pairs(slots[0], [0])]
+            + [pairs(slots[k], [k]) for k in range(1, cfg.K)])
+        assert len(walks) == cfg.K == 4
+        rng = walks[0][1]
+        assert all(w[1] is rng for w in walks)
+        twin = mc_rng(cfg.rng_seed, job.point_index)
+        beta = np.ones((cfg.L, cfg.K))
+        for _ in range(cfg.K):
+            sample_gamma(beta, beta, twin, trials=cfg.mc_trials)
+        assert rng.random() == twin.random()
+
+    @pytest.mark.parametrize("where", ["design", "evaluation"])
+    def test_failing_tdma_rides_no_later_walk(self, where, monkeypatch):
+        # TDMA fails in its design, or on walk 0 (the second evaluation
+        # there): the joint row is unchanged and no later walk is drawn
+        from satmimo import NumericsError, baselines, cli
+        point = self._user_loading_point()
+        clean = cli.run_point(point)
+
+        def refuse(*args):
+            raise NumericsError("no slots today")
+
+        if where == "design":
+            monkeypatch.setattr(baselines, "tdma_mrt_precoders", refuse)
+        else:
+            evaluated = []
+            original = cli.evaluate_users
+
+            def second_refused(*args):
+                evaluated.append(args)
+                return (refuse if len(evaluated) == 2 else original)(*args)
+
+            monkeypatch.setattr(cli, "evaluate_users", second_refused)
+        walks = self._count_walks(monkeypatch)
+        rows = cli.run_point(point)
+        assert len(walks) == 1
+        assert rows[1]["per_user_se"] == "error=no slots today"
+        assert rows[1]["sum_se"] == "nan"
+        for row in (rows[0], clean[0]):
+            row.pop("wall_time_ms")
+        assert rows[0] == clean[0]
+
     def test_run_job_hands_each_row_out_once(self, monkeypatch):
         from satmimo import cli
         calls = []
@@ -628,8 +705,8 @@ class TestPointPipeline:
 
     def test_paired_only_for_modes_wholly_on_the_walk(self, tmp_path,
                                                       tiny_config):
-        # tdma-mrt evaluates K - 1 slots off the shared walk, mmse-approx
-        # none: neither is paired; the three baselines pairs are
+        # tdma-mrt has K Monte-Carlo sets, one per walk, mmse-approx none:
+        # neither is paired; the three baselines pairs are
         for preset, expect in (("user-loading", []), ("approx-gap", []),
                                ("baselines", [["joint", "mmse"],
                                               ["joint", "zf"],
@@ -698,16 +775,14 @@ class TestCustomConstraints:
             TINY, constraint_kind="custom",
             custom_constraints=[[{"A": (2 * np.eye(8)).tolist(), "rho": 1.0}]] * 4)))
         evaluated = []
-        # slot 0 is planned for the point's shared walk, the later slots
-        # are evaluated on walks of their own
-        for name in ("plan_users", "exact_se_trials"):
-            original = getattr(cli, name)
+        # every slot is planned for a walk of the point
+        original = cli.plan_users
 
-            def spy(W, *args, original=original):
-                evaluated.append(W.copy())
-                return original(W, *args)
+        def spy(W, *args):
+            evaluated.append(W.copy())
+            return original(W, *args)
 
-            monkeypatch.setattr(cli, name, spy)
+        monkeypatch.setattr(cli, "plan_users", spy)
         row = cli.run_job(cli.Job("custom", "tdma-mrt", cfg, 10.0, 0, 3))
         assert np.isfinite(float(row["sum_se"]))
         assert len(evaluated) == cfg.K

@@ -42,7 +42,7 @@ class TestConstruction:
         ([1.0, -0.5], "semidefinite"), ([1.0, 0.5j], "Hermitian")],
         ids=["negative-entry", "non-real-entry"])
     def test_diagonal_outside_shortcut_rejected(self, diagonal, message):
-        # only a real non-negative diagonal skips the eigensolve
+        # a diagonal is checked like any other weight matrix
         with pytest.raises(ValidationError, match=message):
             make_constraint_set([[(np.diag(diagonal).astype(complex), 1.0)]])
 
@@ -57,10 +57,11 @@ class TestConstruction:
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
         per_antenna(np.full((2, 4), 0.25))
         per_sat_total([1.0, 2.0], 4)
-        make_constraint_set([[(np.diag([2.0, 0.0, 1.0]), 1.0)]])
         assert calls == []
+        # a custom family is validated in full, a diagonal one included
+        make_constraint_set([[(np.diag([2.0, 0.0, 1.0]), 1.0)]])
         make_constraint_set([[(np.ones((3, 3)), 1.0)]])
-        assert calls == [(3, 3)]
+        assert calls == [(3, 3), (3, 3)]
 
     def test_accepts_near_psd(self):
         # eigenvalue floor is relative: tiny negative rounding is tolerated
@@ -105,6 +106,46 @@ class TestConstruction:
                                       scale_to_caps(W.copy(), generic, 1e-5))
         for a, b in zip(fast.scaled(2.5).caps, generic.scaled(2.5).caps):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("N", [1, 4])
+    def test_per_antenna_matches_generic_set(self, N, rng):
+        # built directly, it equals the validated generic set of the same
+        # single-entry pairs, and residuals, scale_to_caps and scaled() read
+        # the same
+        caps = rng.uniform(0.1, 2.0, (3, N))
+        fast = per_antenna(caps)
+        generic = make_constraint_set([[(np.diag(e), rho)
+                                        for e, rho in zip(np.eye(N), c)]
+                                       for c in caps])
+        assert fast.identity == generic.identity == (N == 1,) * 3
+        for a, b in zip(fast.weights + fast.caps, generic.weights + generic.caps):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+        assert all(w is fast.weights[0] for w in fast.weights)
+        assert not fast.weights[0].flags.writeable
+        W = crandn(rng, 3, 2, N, 2)
+        for l in range(3):
+            np.testing.assert_array_equal(residuals(W[l], fast, l),
+                                          residuals(W[l], generic, l))
+        np.testing.assert_array_equal(scale_to_caps(W.copy(), fast, 1e-5),
+                                      scale_to_caps(W.copy(), generic, 1e-5))
+        for a, b in zip(fast.scaled(2.5).caps, generic.scaled(2.5).caps):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+    def test_per_antenna_rejects_nonpositive_cap_by_antenna(self, bad):
+        caps = np.full((3, 4), 0.5)
+        caps[2, 1] = bad
+        with pytest.raises(ValidationError,
+                           match="satellite 2 constraint 1: rho must be positive"):
+            per_antenna(caps)
+
+    @pytest.mark.parametrize("caps, sat", [([[0.5, 0.5], [0.5]], 1),
+                                           ([[], []], 0)],
+                             ids=["lengths-differ", "no-antenna"])
+    def test_per_antenna_rejects_unequal_or_empty_cap_vectors(self, caps, sat):
+        with pytest.raises(ValidationError, match=f"satellite {sat}: "):
+            per_antenna(caps)
 
 
 class TestResiduals:

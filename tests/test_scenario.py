@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -57,6 +58,14 @@ class TestLoadScenario:
     def test_bad_type_named(self):
         with pytest.raises(ConfigError, match="L"):
             load_scenario('{"L": "four"}')
+
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(
+        ScenarioConfig) if f.type == "int"])
+    @pytest.mark.parametrize("value", [2.5, True], ids=["fraction", "boolean"])
+    def test_int_keys_reject_non_integers(self, key, value):
+        # every field annotated int, whatever its range checks would allow
+        with pytest.raises(ConfigError, match=f"^{key}: expected an integer"):
+            load_scenario(json.dumps({key: value}))
 
     def test_fixed_list_requires_sines(self):
         with pytest.raises(ValidationError, match="ue_sin_theta"):
