@@ -52,7 +52,6 @@ class Job:
     config: ScenarioConfig
     power_dbw: float
     point_index: int
-    seed: int
     # the point's modes in preset order, computed together by run_job;
     # empty for a one-mode point
     modes: tuple = ()
@@ -66,7 +65,7 @@ def _sweep(variants, modes) -> list:
     """Jobs for (scenario id, config) variants: per variant, every power
     point in grid order, and per point every mode in the given order. The
     jobs of one point share its config object."""
-    return [Job(sid, mode, sub, dbw, p, sub.rng_seed, tuple(modes))
+    return [Job(sid, mode, sub, dbw, p, tuple(modes))
             for sid, sub in variants
             for p, dbw in enumerate(sub.power_cap_dbw_grid)
             for mode in modes]
@@ -179,7 +178,7 @@ def _point_key(job: Job):
     """Jobs of one sweep point share this key; the config is compared by
     identity, as the jobs of a point share one config object."""
     return (id(job.config), job.scenario_id, job.power_dbw, job.point_index,
-            job.seed)
+            job.config.rng_seed)
 
 
 def run_point(jobs) -> list:
@@ -349,7 +348,7 @@ def _row(job, report, trace, seconds, error):
                        if report else f"error={error}",
         "iterations": trace.iterations if trace else 0,
         "wall_time_ms": int(round(1000 * seconds)),
-        "seed": job.seed,
+        "seed": cfg.rng_seed,
         "converged": trace.converged if trace else True,
         "sum_se_stderr": float(report.sum_se_stderr) if report else float("nan"),
         "multiplier_evals": trace.multiplier_evals if trace else 0,

@@ -57,7 +57,7 @@ import numpy as np
 
 from .channel import EffectiveChannel, link_matrix
 from .errors import InfeasibleError, NumericsError, ValidationError
-from .power import PowerConstraintSet, residuals as power_residuals
+from .power import PowerConstraintSet, assert_feasible, residuals as power_residuals
 from .scenario import ScenarioConfig
 from .se_eval import _receiver_grams
 
@@ -88,7 +88,7 @@ class SolverParams:
     @classmethod
     def from_config(cls, config: ScenarioConfig) -> "SolverParams":
         return cls(max_iters=config.max_iters, tol=config.tol,
-                   power_tol_rel=config.ellipsoid_tol_rel)
+                   power_tol_rel=config.power_tol_rel)
 
 
 @dataclass
@@ -131,10 +131,10 @@ def _mse_at_optimum(combiners: np.ndarray, G: np.ndarray) -> np.ndarray:
     return _hermitian(_eye(G.shape[-1]) - G.conj().swapaxes(-1, -2) @ combiners)
 
 
-def update_weights(mse: np.ndarray, logdet: bool = False):
-    """Optimal MSE weights C_k = E_k^{-1} / ln 2; requires E_k Hermitian PD.
-    With logdet=True, also log det C_k per user, read off the Cholesky
-    factor of E_k that the check computes."""
+def update_weights(mse: np.ndarray):
+    """Optimal MSE weights C_k = E_k^{-1} / ln 2 and log det C_k per user,
+    read off the Cholesky factor of E_k that the check computes; requires
+    E_k Hermitian PD."""
     try:
         chol = np.linalg.cholesky(mse)
     except np.linalg.LinAlgError:
@@ -142,8 +142,6 @@ def update_weights(mse: np.ndarray, logdet: bool = False):
         raise NumericsError(
             f"MSE matrix of user {k} is not positive definite") from None
     weights = _hermitian(np.linalg.inv(mse) / _LN2)
-    if not logdet:
-        return weights
     pivots = np.diagonal(chol, axis1=-2, axis2=-1).real
     return weights, -2.0 * np.log(pivots).sum(axis=-1) - mse.shape[-1] * np.log(_LN2)
 
@@ -447,15 +445,14 @@ class _PrecoderStep:
     B_{l,k} = rhs_dir[l, k] rhs_row[l, k]^T is rank one. Arrays: coeff
     (L, K), rhs_dir (L, K, N), rhs_row (L, K, S); the (L, N, K) factor is
     built on first use, by the dense dual path only. basis is the solve's
-    `_TransmitBasis`, factored here when not given.
+    `_TransmitBasis`.
     """
 
     def __init__(self, effective: EffectiveChannel, combiners: np.ndarray,
-                 weights: np.ndarray, num_streams: int,
-                 basis: _TransmitBasis | None = None):
+                 weights: np.ndarray, num_streams: int, basis: _TransmitBasis):
         L, K, M, N = effective.shape
         S = num_streams
-        self.basis = _TransmitBasis(effective) if basis is None else basis
+        self.basis = basis
         # u[l, i] = b_{l,i}^H U_i and uc[l, i] = u[l, i] C_i, both (L*S,)
         u = np.einsum("lim,imj->lij", self.basis.b_conj, combiners)
         uc = np.einsum("lij,ijh->lih", u, weights)
@@ -663,7 +660,7 @@ def solve(effective: EffectiveChannel, constraints: PowerConstraintSet,
 
     for it in range(1, params.max_iters + 1):
         U = np.linalg.solve(J, G)
-        C, logdet_c = update_weights(_mse_at_optimum(U, G), logdet=True)
+        C, logdet_c = update_weights(_mse_at_optimum(U, G))
 
         iter_mus = [np.zeros(constraints.num_constraints(l)) for l in range(L)]
         step = _PrecoderStep(effective, U, C, S, basis)
@@ -697,7 +694,7 @@ def solve(effective: EffectiveChannel, constraints: PowerConstraintSet,
         # and the next iteration's combiners
         J, G = _receiver_grams(W, effective, noise)
         obj = wmmse_objective(_mse_matrices(U, J, G), C, logdet_c)
-        resid = _residuals(W, constraints, caps)
+        resid = power_residuals(W, constraints)
         trace.objective.append(obj)
         trace.multipliers.append(iter_mus)
         trace.max_residual.append(float(np.max(resid / caps)))
@@ -709,34 +706,7 @@ def solve(effective: EffectiveChannel, constraints: PowerConstraintSet,
             break
 
     if resid is None:
-        resid = _residuals(W, constraints, caps)
-    _assert_feasible(resid, constraints, params.power_tol_rel)
+        resid = power_residuals(W, constraints)
+    assert_feasible(resid, constraints, params.power_tol_rel)
     return W, trace
 
-
-def _residuals(W, constraints, caps) -> np.ndarray:
-    """Every constraint residual g_{l,x} = p_{l,x} - cap_{l,x}, satellite
-    by satellite in the order of caps = np.concatenate(constraints.caps):
-    one vectorised pass when every satellite has a single total-power cap,
-    power.residuals per satellite otherwise."""
-    if all(constraints.identity):
-        flat = W.reshape(len(W), -1)
-        return np.einsum("ij,ij->i", flat.conj(), flat).real - caps
-    return np.concatenate([power_residuals(W[l], constraints, l)
-                           for l in range(constraints.num_sats)])
-
-
-def _assert_feasible(resid, constraints, tol_rel):
-    """Every constraint within tol_rel of its own cap (plus 1e-12 W), from
-    the residuals of `_residuals`; the error names the first satellite
-    with a violation and its worst constraint."""
-    limit = tol_rel * np.concatenate(constraints.caps) + 1e-12
-    bad = np.flatnonzero(resid > limit)
-    if bad.size:
-        sat = np.repeat(np.arange(constraints.num_sats),
-                        [len(c) for c in constraints.caps])
-        own = np.flatnonzero(sat == sat[bad[0]])
-        i = own[np.argmax(resid[own] - limit[own])]
-        raise NumericsError(
-            f"satellite {sat[i]}: output violates power constraint {i - own[0]} "
-            f"(residual {resid[i]:.3e} > {limit[i]:.3e})")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericsError, ValidationError
 
 PSD_TOL = 1e-10  # relative floor on the smallest eigenvalue of a weight matrix
 
@@ -24,14 +24,21 @@ class PowerConstraintSet:
     """Immutable family of convex power constraints.
 
     weights[l] is the (X_l, N, N) stack of satellite l's Hermitian PSD
-    weight matrices, caps[l][x] the positive cap in watts. identity[l] is
-    True when satellite l has the single constraint A = I (enables the
-    closed-form multiplier search).
+    weight matrices, caps[l][x] the cap in watts, which construction checks
+    to be positive. identity[l] is True when satellite l has the single
+    constraint A = I (enables the closed-form multiplier search).
     """
 
     weights: tuple
     caps: tuple
     identity: tuple
+
+    def __post_init__(self):
+        for l, caps in enumerate(self.caps):
+            bad = np.flatnonzero(~(caps > 0))
+            if bad.size:
+                raise ValidationError(
+                    f"satellite {l} constraint {bad[0]}: rho must be positive")
 
     @property
     def num_sats(self) -> int:
@@ -69,8 +76,6 @@ def make_constraint_set(per_sat_pairs) -> PowerConstraintSet:
             if eigs.min() < -PSD_TOL * norm:
                 raise ValidationError(
                     f"satellite {l} constraint {x}: A must be positive semidefinite")
-            if not rho > 0:
-                raise ValidationError(f"satellite {l} constraint {x}: rho must be positive")
             mats.append(A)
             rhos.append(float(rho))
         weights.append(np.stack(mats))
@@ -84,9 +89,6 @@ def per_sat_total(rho_per_sat, num_antennas: int) -> PowerConstraintSet:
     """One total-power constraint per satellite: A = I_N, cap rho_l. Every
     satellite shares one read-only (1, N, N) identity stack."""
     rho_per_sat = np.atleast_1d(np.array(rho_per_sat, float))
-    for l, rho in enumerate(rho_per_sat):
-        if not rho > 0:
-            raise ValidationError(f"satellite {l} constraint 0: rho must be positive")
     eye = np.eye(num_antennas, dtype=complex)[None]
     eye.flags.writeable = False
     return PowerConstraintSet((eye,) * len(rho_per_sat),
@@ -108,10 +110,6 @@ def per_antenna(rho_per_antenna) -> PowerConstraintSet:
             raise ValidationError(
                 f"satellite {l}: {rhos.size} per-antenna caps, satellite 0 "
                 f"has {n}; every satellite needs the same N >= 1")
-        for i, rho in enumerate(rhos):
-            if not rho > 0:
-                raise ValidationError(
-                    f"satellite {l} constraint {i}: rho must be positive")
     selectors = np.zeros((n, n, n), complex)
     selectors[np.arange(n), np.arange(n), np.arange(n)] = 1.0
     selectors.flags.writeable = False
@@ -119,35 +117,75 @@ def per_antenna(rho_per_antenna) -> PowerConstraintSet:
                               (n == 1,) * len(caps))
 
 
-def residuals(precoders_for_sat: np.ndarray, constraints: PowerConstraintSet,
-              l: int) -> np.ndarray:
-    """Constraint residuals g_{l,x} = sum_k Tr(W^H A_x W) - rho_x for one
-    satellite; feasible iff all entries <= 0.
+def residuals(precoders: np.ndarray, constraints: PowerConstraintSet) -> np.ndarray:
+    """Every constraint residual g_{l,x} = sum_k Tr(W_{l,k}^H A_x W_{l,k}) -
+    rho_{l,x}, flat in the order of np.concatenate(constraints.caps);
+    feasible iff all entries <= 0.
 
-    precoders_for_sat: (K, N, S) precoders of satellite l.
+    precoders: (L, K, N, S). The satellites with the identity family take
+    one batched sum of |W|^2 per satellite, every other satellite the dense
+    formula over its (X, N, N) weight stack.
     """
-    W = np.asarray(precoders_for_sat)
-    A = constraints.weights[l]
-    n = A.shape[1]
-    if W.ndim != 3 or W.shape[1] != n:
-        raise ValidationError(
-            f"satellite {l}: precoders must have shape (K, {n}, S), got {W.shape}")
-    if constraints.identity[l]:
-        return np.array([np.vdot(W, W).real]) - constraints.caps[l]
-    cols = W.transpose(1, 0, 2).reshape(n, -1)            # (N, K*S)
-    weighted = (A.reshape(-1, n) @ cols).reshape(len(A), n, -1)
-    return np.einsum("nj,xnj->x", cols.conj(), weighted).real - constraints.caps[l]
+    W = np.asarray(precoders)
+    L = constraints.num_sats
+    if W.ndim != 4 or W.shape[0] != L or any(
+            A.shape[1] != W.shape[2] for A in constraints.weights):
+        raise ValidationError(f"precoders must have shape ({L}, K, N, S) with "
+                              f"N the constraints' size, got {W.shape}")
+    flat = W.reshape(L, -1)
+    power = np.einsum("ij,ij->i", flat.conj(), flat).real
+    if not all(constraints.identity):
+        power = np.concatenate([power[l:l + 1] if constraints.identity[l]
+                                else _weighted_power(W[l], A)
+                                for l, A in enumerate(constraints.weights)])
+    return power - np.concatenate(constraints.caps)
+
+
+def _weighted_power(W: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_k Tr(W_k^H A_x W_k) for every A_x of an (X, N, N) stack, W (K, N, S)."""
+    n = weights.shape[1]
+    cols = W.transpose(1, 0, 2).reshape(n, -1)                # (N, K*S)
+    weighted = (weights.reshape(-1, n) @ cols).reshape(len(weights), n, -1)
+    return np.einsum("nj,xnj->x", cols.conj(), weighted).real
+
+
+def _over_caps(resid: np.ndarray, constraints: PowerConstraintSet,
+               tol_rel: float):
+    """The one over-cap rule, of `scale_to_caps` and `assert_feasible`: a
+    residual is over its cap where it exceeds tol_rel of that cap plus
+    1e-12 W. Returns those limits and the index of each satellite's first
+    residual, both in the flat order of `residuals`, and per satellite
+    whether any of its residuals is over."""
+    limit = tol_rel * np.concatenate(constraints.caps) + 1e-12
+    starts = np.cumsum([0] + [len(c) for c in constraints.caps[:-1]])
+    return limit, starts, np.logical_or.reduceat(resid > limit, starts)
 
 
 def scale_to_caps(precoders: np.ndarray, constraints: PowerConstraintSet,
                   tol_rel: float) -> np.ndarray:
-    """Scale down in place every satellite whose worst constraint ratio
-    r = max_x p_x / rho_x exceeds 1 + tol_rel, by 1/sqrt(r): powers are
-    quadratic in W, so that constraint lands on its cap and the others keep
-    their slack. Returns precoders."""
-    for l in range(constraints.num_sats):
-        ratio = 1.0 + np.max(residuals(precoders[l], constraints, l)
-                             / constraints.caps[l])
-        if ratio > 1.0 + tol_rel:
-            precoders[l] /= np.sqrt(ratio)
+    """Scale down in place every satellite with a residual over its cap
+    (`_over_caps`) by 1/sqrt(r), r = max_x p_x / rho_x its worst ratio:
+    powers are quadratic in W, so that constraint lands on its cap and the
+    others keep their slack. The other satellites are left as they are.
+    Returns precoders."""
+    resid = residuals(precoders, constraints)
+    _, starts, over = _over_caps(resid, constraints, tol_rel)
+    ratio = 1.0 + np.maximum.reduceat(resid / np.concatenate(constraints.caps), starts)
+    precoders[over] /= np.sqrt(ratio[over])[:, None, None, None]
     return precoders
+
+
+def assert_feasible(resid: np.ndarray, constraints: PowerConstraintSet,
+                    tol_rel: float) -> None:
+    """The feasibility certificate on the flat residuals of `residuals`:
+    raises NumericsError naming the first satellite with a residual over
+    its cap (`_over_caps`) and that satellite's worst constraint, the one
+    furthest above its limit."""
+    limit, starts, over = _over_caps(resid, constraints, tol_rel)
+    if over.any():
+        l = int(np.argmax(over))
+        own = slice(starts[l], starts[l] + len(constraints.caps[l]))
+        x = np.argmax(resid[own] - limit[own])
+        raise NumericsError(
+            f"satellite {l}: output violates power constraint {x} (residual "
+            f"{resid[own][x]:.3e} > {limit[own][x]:.3e})")

@@ -55,7 +55,7 @@ class ScenarioConfig:
     rng_seed: int = 0
     max_iters: int = 40
     tol: float = 1e-4
-    ellipsoid_tol_rel: float = 1e-5          # feasibility tolerance / cap
+    power_tol_rel: float = 1e-5              # feasibility tolerance / cap
     custom_constraints: tuple | None = None  # per satellite: tuple of (A, rho) pairs
     association_seeds: int = 10
 
@@ -78,7 +78,7 @@ class ScenarioConfig:
         _check(self.association_seeds >= 1, "association_seeds", "must be >= 1")
         _check(self.max_iters >= 1, "max_iters", "must be >= 1")
         _check(self.tol > 0, "tol", "must be positive")
-        _check(self.ellipsoid_tol_rel > 0, "ellipsoid_tol_rel", "must be positive")
+        _check(self.power_tol_rel > 0, "power_tol_rel", "must be positive")
         _check(len(self.power_cap_dbw_grid) >= 1, "power_cap_dbw_grid",
                "must contain at least one point")
         _check(self.constraint_kind in ("per-sat-total", "per-antenna", "custom"),
@@ -186,7 +186,9 @@ def load_scenario(config_text: str) -> ScenarioConfig:
     """Parse JSON configuration text into a validated ScenarioConfig.
 
     Absent keys take the reference-scenario defaults; the retired keys
-    ellipsoid_alpha and ellipsoid_max_iters are ignored. The retired key
+    ellipsoid_alpha and ellipsoid_max_iters are ignored, and
+    ellipsoid_tol_rel, the old name of power_tol_rel, loads as that key (a
+    config may not give both). The retired key
     angle_mode is accepted where it agrees with ue_sin_theta ("fixed-list"
     with the list set, "random" without it) and dropped. Raises ConfigError
     for syntax/typing problems (naming the offending key; a boolean is not a
@@ -199,11 +201,14 @@ def load_scenario(config_text: str) -> ScenarioConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object of key/value pairs")
+    if {"ellipsoid_tol_rel", "power_tol_rel"} <= raw.keys():
+        raise ConfigError("ellipsoid_tol_rel: old name of power_tol_rel, also given")
 
     kwargs = {}
     for key, value in raw.items():
         if key in _RETIRED_KEYS:
             continue
+        key = "power_tol_rel" if key == "ellipsoid_tol_rel" else key
         if key == "angle_mode":
             _check_angle_mode(value, raw.get("ue_sin_theta") is not None)
             continue

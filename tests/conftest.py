@@ -124,9 +124,16 @@ def one_wmmse_iteration(eff, cons, W0, S):
                                   initial=W0, num_streams=S)
     J, G = joint_wmmse._receiver_grams(W0, eff, eff.noise_power_w)
     U = np.linalg.solve(J, G)
-    C = joint_wmmse.update_weights(joint_wmmse._mse_at_optimum(U, G))
+    C = joint_wmmse.update_weights(joint_wmmse._mse_at_optimum(U, G))[0]
     mus = [float(m[0]) for m in trace.multipliers[0]]
     return W1, mus, trace, U, C
+
+
+def precoder_step(eff, U, C, S):
+    """joint_wmmse._PrecoderStep for combiners U and weights C on the
+    channel's own transmit basis, as an iteration of solve builds it."""
+    from satmimo import joint_wmmse
+    return joint_wmmse._PrecoderStep(eff, U, C, S, joint_wmmse._TransmitBasis(eff))
 
 
 def dense_subproblem(step, l):

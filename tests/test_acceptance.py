@@ -21,10 +21,11 @@ from satmimo import (ScenarioConfig, approx_se, brute_force_assignment,
                      zf_baseline)
 from satmimo import joint_wmmse, streamwise
 from satmimo.power import residuals
-from satmimo.joint_wmmse import (SolverParams, _mse_at_optimum, _PrecoderStep,
+from satmimo.joint_wmmse import (SolverParams, _mse_at_optimum,
                                  _receiver_grams, _secular, _Spectrum,
                                  init_precoders, update_weights)
-from tests.conftest import crandn, dense_subproblem, synthetic_effective
+from tests.conftest import (crandn, dense_subproblem, precoder_step,
+                            synthetic_effective)
 
 GRID_DBW = (-10.0, 0.0, 10.0, 20.0, 30.0)
 ORTHOGONAL_SINES = (-0.9, -0.4, 0.1, 0.6)
@@ -280,10 +281,9 @@ class TestCriterion8SolverProperties:
             diffs = np.diff(trace.objective)
             if diffs.size:
                 worst_increase = max(worst_increase, float(diffs.max()))
-            # every satellite against its own cap, as the solver's check
-            for l, cap in enumerate(caps):
-                if np.any(residuals(W[l], cons, l) > 1e-5 * cap + 1e-12):
-                    feasible = False
+            # every constraint against its own cap, as the solver's check
+            if np.any(residuals(W, cons) > 1e-5 * np.concatenate(cons.caps) + 1e-12):
+                feasible = False
         ok = worst_increase <= 1e-9 and feasible
         _report(8, ok, f"(a) worst objective increase {worst_increase:.2e} "
                 f"<= 1e-9 over 100 instances; (b) all outputs feasible: {feasible}")
@@ -321,7 +321,7 @@ class TestCriterion8SolverProperties:
             W0 = crandn(rng, *eff.shape[:2], eff.shape[3], S)
             J, G = _receiver_grams(W0, eff, eff.noise_power_w)
             U = np.linalg.solve(J, G)
-            step = _PrecoderStep(eff, U, update_weights(_mse_at_optimum(U, G)), S)
+            step = precoder_step(eff, U, update_weights(_mse_at_optimum(U, G))[0], S)
             curve = _Spectrum(step, [0]).curves[0]
             rho = float(caps[0])
             if _secular(curve, 0.0)[0] <= rho:
@@ -368,7 +368,7 @@ class TestCriterion9OracleEquivalences:
         W0 = crandn(rng, 2, 2, 4, 2) * 0.4
         J, G = _receiver_grams(W0, eff, eff.noise_power_w)
         U = np.linalg.solve(J, G)
-        step = _PrecoderStep(eff, U, update_weights(_mse_at_optimum(U, G)), 2)
+        step = precoder_step(eff, U, update_weights(_mse_at_optimum(U, G))[0], 2)
         mu = 0.6
         W = _Spectrum(step, [0]).precoders(np.array([mu]))[0]
         objective = dense_subproblem(step, 0)[2]
@@ -397,7 +397,7 @@ class TestCriterion9OracleEquivalences:
                 W0[assoc.pi[k, s], k, :, s] = crandn(rng, 4) * 0.4
         J, G = _receiver_grams(W0, eff, eff.noise_power_w)
         U = np.linalg.solve(J, G)
-        step = _PrecoderStep(eff, U, update_weights(_mse_at_optimum(U, G)), 2)
+        step = precoder_step(eff, U, update_weights(_mse_at_optimum(U, G))[0], 2)
         mu = 0.4
         W = _Spectrum(step, [0]).precoders(np.array([mu]))[0]
         objective = dense_subproblem(step, 0)[2]

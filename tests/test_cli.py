@@ -254,11 +254,11 @@ class TestRun:
             row = cli.run_job(job)
             assert len(evaluated) == 1
             assert np.isfinite(float(row["sum_se"]))
-            cons = cli._constraints_for(cfg, 10 ** (job.power_dbw / 10))
-            for l, caps in enumerate(cons.caps):
-                g = residuals(evaluated[0][l], cons, l)
-                assert np.all(g <= cfg.ellipsoid_tol_rel * caps + 1e-12), \
-                    (job.mode, job.power_dbw, l, (g / caps).max())
+            cons = cli._constraints_for(job.config, 10 ** (job.power_dbw / 10))
+            caps = np.concatenate(cons.caps)
+            g = residuals(evaluated[0], cons)
+            assert np.all(g <= cfg.power_tol_rel * caps + 1e-12), \
+                (job.mode, job.power_dbw, (g / caps).max())
 
     def test_approx_gap_rows_meet_per_antenna_caps(self, monkeypatch):
         # both approximation-study designs, the Monte-Carlo and the
@@ -283,11 +283,11 @@ class TestRun:
             row = cli.run_job(job)
             assert len(evaluated) == 1
             assert np.isfinite(float(row["sum_se"]))
-            cons = cli._constraints_for(cfg, 10 ** (job.power_dbw / 10))
-            for l, caps in enumerate(cons.caps):
-                g = residuals(evaluated[0][l], cons, l)
-                assert np.all(g <= cfg.ellipsoid_tol_rel * caps + 1e-12), \
-                    (job.mode, job.power_dbw, l, (g / caps).max())
+            cons = cli._constraints_for(job.config, 10 ** (job.power_dbw / 10))
+            caps = np.concatenate(cons.caps)
+            g = residuals(evaluated[0], cons)
+            assert np.all(g <= cfg.power_tol_rel * caps + 1e-12), \
+                (job.mode, job.power_dbw, (g / caps).max())
 
     def test_pinned_angles_discarded_with_one_warning(self, tmp_path, capsys):
         # every preset sets its own angles: a pinned list in the config
@@ -549,7 +549,7 @@ class TestPointPipeline:
             sample_geometry(cfg, np.random.default_rng(cfg.rng_seed)), cfg)
         rho_w = 10 ** (job.power_dbw / 10)
         cons = cli._constraints_for(cfg, rho_w)
-        slots = [scale_to_caps(W, cons, cfg.ellipsoid_tol_rel) for _, W in
+        slots = [scale_to_caps(W, cons, cfg.power_tol_rel) for _, W in
                  baselines.tdma_mrt_precoders(eff, np.full(cfg.L, rho_w))]
 
         def pairs(W, users):
@@ -665,6 +665,31 @@ class TestPointPipeline:
         with pytest.raises(ValueError):
             run_point([replace(jobs[0], mode="no-such-mode")])
 
+    def test_row_seed_is_the_seed_of_its_draws(self, monkeypatch):
+        # the seed column is the config's: the point's geometry and its
+        # Monte-Carlo walks are drawn from it, whatever built the job
+        from satmimo import cli
+        from satmimo.se_eval import mc_rng
+        cfg = self._config(rng_seed=7)
+        states = {"geometry": [], "walk": []}
+        sample_geometry, sample_plan_gains = cli.sample_geometry, cli.sample_plan_gains
+
+        def geometry_spy(config, rng):
+            states["geometry"].append(rng.bit_generator.state)
+            return sample_geometry(config, rng)
+
+        def walk_spy(effective, trials, rng, plans):
+            states["walk"].append(rng.bit_generator.state)
+            return sample_plan_gains(effective, trials, rng, plans)
+
+        monkeypatch.setattr(cli, "sample_geometry", geometry_spy)
+        monkeypatch.setattr(cli, "sample_plan_gains", walk_spy)
+        row = cli.run_job(cli.Job("custom", "joint", cfg, 10.0, 0))
+        assert row["seed"] == 7
+        assert states == {
+            "geometry": [np.random.default_rng(row["seed"]).bit_generator.state],
+            "walk": [mc_rng(row["seed"], 0).bit_generator.state]}
+
     def test_paired_stderr_in_sidecar(self, tiny_config, tmp_path):
         # each entry against the two modes' per-trial sum SE, recomputed
         # from their designs on fresh generators
@@ -743,8 +768,7 @@ class TestCustomConstraints:
         eff = effective_channels(geo, cfg)
         W, trace = solve_joint(eff, cons, num_streams=cfg.S)
         from satmimo.power import residuals
-        assert max(residuals(W[l], cons, l).max()
-                   for l in range(cons.num_sats)) <= 1e-5 * 1.2 + 1e-12
+        assert residuals(W, cons).max() <= 1e-5 * 1.2 + 1e-12
 
     @pytest.mark.parametrize("family, preset", [
         ({}, "baselines"),
@@ -783,14 +807,13 @@ class TestCustomConstraints:
             return original(W, *args)
 
         monkeypatch.setattr(cli, "plan_users", spy)
-        row = cli.run_job(cli.Job("custom", "tdma-mrt", cfg, 10.0, 0, 3))
+        row = cli.run_job(cli.Job("custom", "tdma-mrt", cfg, 10.0, 0))
         assert np.isfinite(float(row["sum_se"]))
         assert len(evaluated) == cfg.K
         cons = cli._constraints_for(cfg, 10.0)
+        caps = np.concatenate(cons.caps)
         for W in evaluated:
-            ratios = [residuals(W[l], cons, l) / caps
-                      for l, caps in enumerate(cons.caps)]
-            assert max(r.max() for r in ratios) == pytest.approx(0.0, abs=1e-12)
+            assert (residuals(W, cons) / caps).max() == pytest.approx(0.0, abs=1e-12)
 
 
 class TestValidate:

@@ -12,19 +12,19 @@ import pytest
 from satmimo import (InfeasibleError, NumericsError, ScenarioConfig,
                      effective_channels, joint_wmmse, per_antenna,
                      sample_geometry)
-from satmimo.joint_wmmse import (_mse_at_optimum, _PrecoderStep,
-                                 _receiver_grams, _secular, _Spectrum,
-                                 dual_newton_multipliers, update_weights)
+from satmimo.joint_wmmse import (_mse_at_optimum, _receiver_grams, _secular,
+                                 _Spectrum, dual_newton_multipliers,
+                                 update_weights)
 from satmimo.power import make_constraint_set
 from tests.conftest import (bisect_multiplier, crandn, dense_subproblem,
-                            synthetic_effective)
+                            precoder_step, synthetic_effective)
 
 
 def _step(eff, W0, S):
     """The precoder step solve builds at the MMSE receiver of W0."""
     J, G = _receiver_grams(W0, eff, eff.noise_power_w)
     U = np.linalg.solve(J, G)
-    return _PrecoderStep(eff, U, update_weights(_mse_at_optimum(U, G)), S)
+    return precoder_step(eff, U, update_weights(_mse_at_optimum(U, G))[0], S)
 
 
 def _subproblem(rng, L=1, K=2, M=2, N=4, S=2, noise=0.5, scale=0.3):

@@ -8,13 +8,13 @@ from satmimo import (NumericsError, approx_se, make_constraint_set,
 from satmimo import joint_wmmse
 from satmimo.channel import EffectiveChannel
 from satmimo.joint_wmmse import (SolverParams, _mse_at_optimum, _mse_matrices,
-                                 _PrecoderStep, _receiver_grams, _Spectrum,
+                                 _receiver_grams, _Spectrum,
                                  init_precoders, solve, update_weights,
                                  wmmse_objective)
-from satmimo.power import residuals
+from satmimo.power import assert_feasible, residuals
 from tests.conftest import (assert_precoder_kkt, bisect_multiplier, crandn,
                             dense_links, dense_subproblem, one_wmmse_iteration,
-                            synthetic_effective)
+                            precoder_step, synthetic_effective)
 
 LN2 = np.log(2.0)
 
@@ -110,18 +110,18 @@ class TestCombiners:
 
 class TestWeights:
     def test_identity_mse(self):
-        C = update_weights(np.eye(3, dtype=complex)[None])
+        C = update_weights(np.eye(3, dtype=complex)[None])[0]
         np.testing.assert_allclose(C[0], np.eye(3) / LN2, atol=1e-14)
 
     def test_diagonal_inverse(self):
         E = np.diag([0.5, 0.25]).astype(complex)
-        C = update_weights(E[None])[0]
+        C = update_weights(E[None])[0][0]
         np.testing.assert_allclose(C, np.diag([2.0, 4.0]) / LN2, atol=1e-13)
 
     def test_random_pd_inverse_identity(self, rng):
         X = crandn(rng, 4, 4)
         E = X @ X.conj().T + 0.3 * np.eye(4)
-        C = update_weights(E[None])[0]
+        C = update_weights(E[None])[0][0]
         np.testing.assert_allclose(C @ E, np.eye(4) / LN2, atol=1e-10)
 
     def test_indefinite_rejected(self):
@@ -139,7 +139,7 @@ class TestPrecoderGivenMu:
         eff = synthetic_effective(rng, L=2, K=2, M=3, N=4)
         U = np.zeros((2, 3, 4), complex)
         C = np.stack([np.eye(4, dtype=complex)] * 2)
-        W = _Spectrum(_PrecoderStep(eff, U, C, 2), [0]).precoders(np.zeros(1))
+        W = _Spectrum(precoder_step(eff, U, C, 2), [0]).precoders(np.zeros(1))
         assert np.all(W == 0)
 
     def test_identity_path_matches_dense_solve(self, rng):
@@ -147,7 +147,7 @@ class TestPrecoderGivenMu:
         W0 = crandn(rng, 2, 2, 5, 2)
         J, G = _receiver_grams(W0, eff, 0.5)
         U = np.linalg.solve(J, G)
-        step = _PrecoderStep(eff, U, update_weights(_mse_at_optimum(U, G)), 2)
+        step = precoder_step(eff, U, update_weights(_mse_at_optimum(U, G))[0], 2)
         mu = 0.37
         fast = _Spectrum(step, [0]).precoders(np.array([mu]))[0]
         T, B, _ = dense_subproblem(step, 0)
@@ -162,7 +162,7 @@ class TestPrecoderGivenMu:
         W0 = crandn(rng, 1, 1, 4, 1)
         J, G = _receiver_grams(W0, eff, 0.5)
         U = np.linalg.solve(J, G)
-        step = _PrecoderStep(eff, U, update_weights(_mse_at_optimum(U, G)), 1)
+        step = precoder_step(eff, U, update_weights(_mse_at_optimum(U, G))[0], 1)
         mu = 0.8
         got = _Spectrum(step, [0]).precoders(np.array([mu]))[0, 0]
         a_conj = eff.a[0, 0].conj()
@@ -177,7 +177,7 @@ class TestPrecoderGivenMu:
         W0 = crandn(rng, 2, 2, 4, 2)
         J, G = _receiver_grams(W0, eff, 0.5)
         U = np.linalg.solve(J, G)
-        step = _PrecoderStep(eff, U, update_weights(_mse_at_optimum(U, G)), 2)
+        step = precoder_step(eff, U, update_weights(_mse_at_optimum(U, G))[0], 2)
         mu = 0.45
         l = 1
         W = _Spectrum(step, [l]).precoders(np.array([mu]))[0]
@@ -239,8 +239,7 @@ class TestInitPrecoders:
         caps = [np.full(4, 0.25), np.full(4, 0.5)]
         cons = per_antenna(caps)
         W = init_precoders(eff, cons, 2)
-        from satmimo.power import residuals
-        assert max(residuals(W[l], cons, l).max() for l in range(2)) <= 1e-12
+        assert residuals(W, cons).max() <= 1e-12
 
 
 def _rank_one_channel(b, a, beta, noise=0.5):
@@ -371,8 +370,7 @@ class TestSolve:
         cons = per_antenna(caps)
         W, trace = solve(eff, cons, SolverParams(max_iters=15, tol=1e-8),
                          num_streams=2)
-        from satmimo.power import residuals
-        assert max(residuals(W[l], cons, l).max() for l in range(2)) <= 1e-5 * 0.3
+        assert residuals(W, cons).max() <= 1e-5 * 0.3
         base = approx_se(init_precoders(eff, cons, 2), eff).sum_se
         assert approx_se(W, eff).sum_se >= base - 1e-9
 
@@ -381,7 +379,7 @@ class TestSolve:
         W = crandn(rng, 2, 2, 4, 2) * 0.4
         J, G = _receiver_grams(W, eff, 0.5)
         E = _mse_matrices(np.linalg.solve(J, G), J, G)
-        C, logdet = update_weights(E, logdet=True)
+        C, logdet = update_weights(E)
         np.testing.assert_allclose(logdet, np.linalg.slogdet(C)[1], rtol=1e-13)
         val = wmmse_objective(E, C, logdet)
         expect = sum(np.trace(C[k] @ E[k]).real
@@ -428,7 +426,7 @@ class TestBatchedPrecoderStep:
         cons = per_sat_total([0.05, 0.1, 1e6], 5)
         W1, mus, _, U, C = one_wmmse_iteration(eff, cons, W0, 2)
         assert np.all(U[1] == 0)
-        step = _PrecoderStep(eff, U, C, 2)
+        step = precoder_step(eff, U, C, 2)
         for l in range(3):
             assert np.all(step.factor[l][:, 1] == 0)
             assert np.linalg.matrix_rank(dense_subproblem(step, l)[0]) == 1
@@ -448,7 +446,7 @@ class TestBatchedPrecoderStep:
         cons = per_sat_total(caps, 4)
         W1, mus, trace, U, C = one_wmmse_iteration(eff, cons, W0, 2)
         expect = 0
-        step = _PrecoderStep(eff, U, C, 2)
+        step = precoder_step(eff, U, C, 2)
         for l in range(2):
             used = bool(_Spectrum(step, [l]).pinv[0])
             assert used == _pinv_rule(step, l) == (tiny < 1)
@@ -468,7 +466,8 @@ class TestBatchedPrecoderStep:
         W0 = crandn(rng, 2, 2, 4, 2) * 0.5
         cons = per_antenna([np.full(4, 0.01), np.full(4, 0.02)])
         W1, _, trace, U, C = one_wmmse_iteration(eff, cons, W0, 2)
-        step = _PrecoderStep(eff, U, C, 2)
+        step = precoder_step(eff, U, C, 2)
+        g = residuals(W1, cons)
         for l in range(2):
             mu = trace.multipliers[0][l]
             assert mu.shape == (4,) and np.all(mu > 0)
@@ -476,7 +475,7 @@ class TestBatchedPrecoderStep:
             M = T + np.tensordot(mu, cons.weights[l], 1)
             resid = np.einsum("nm,kms->kns", M, W1[l]) - B
             assert np.linalg.norm(resid) <= 1e-9 * np.linalg.norm(B)
-            r = residuals(W1[l], cons, l)
+            r = g[4 * l:4 * l + 4]
             assert np.all(r <= 1e-5 * cons.caps[l])
             assert abs(mu @ r) <= 1e-6 * abs(objective(W1[l]) + mu @ r)
 
@@ -495,7 +494,7 @@ class TestTransmitBasis:
         W0 = crandn(rng, 2, 3, 5, 2) * 0.5
         cons = per_sat_total(caps, 5)
         W1, mus, trace, U, C = one_wmmse_iteration(eff, cons, W0, 2)
-        step = _PrecoderStep(eff, U, C, 2)
+        step = precoder_step(eff, U, C, 2)
         assert np.linalg.matrix_rank(dense_subproblem(step, 0)[0]) == 2
         assert not _Spectrum(step, [0]).keep.all()
         for l in range(2):
@@ -513,7 +512,7 @@ class TestTransmitBasis:
         W0[:, 2] *= tiny
         cons = per_sat_total([1e6, 1e-2], 5)
         W1, mus, trace, U, C = one_wmmse_iteration(eff, cons, W0, 2)
-        step = _PrecoderStep(eff, U, C, 2)
+        step = precoder_step(eff, U, C, 2)
         expect = 0
         for l in range(2):
             spectrum = _Spectrum(step, [l])
@@ -531,7 +530,7 @@ class TestTransmitBasis:
         W0 = crandn(rng, 2, 4, 2, 2) * 0.5
         cons = per_sat_total([1e6, 0.05], 2)
         W1, mus, _, U, C = one_wmmse_iteration(eff, cons, W0, 2)
-        step = _PrecoderStep(eff, U, C, 2)
+        step = precoder_step(eff, U, C, 2)
         assert step.basis.q.shape == (2, 2, 2) and step.basis.r.shape == (2, 2, 4)
         for l in range(2):
             assert_precoder_kkt(eff, cons, U, C, W1, mus, l)
@@ -656,8 +655,8 @@ class TestAssertFeasible:
         cons = make_constraint_set([[(A1, 1.0), (A2, 100.0)]])
         W = np.zeros((1, 1, 2, 1), complex)
         W[0, 0, :, 0] = [np.sqrt(1.0 + 5e-4), 1.0]
-        np.testing.assert_allclose(residuals(W[0], cons, 0), [5e-4, -99.0])
+        np.testing.assert_allclose(residuals(W, cons), [5e-4, -99.0])
         with pytest.raises(NumericsError, match="constraint 0"):
-            joint_wmmse._assert_feasible(residuals(W[0], cons, 0), cons, 1e-5)
+            assert_feasible(residuals(W, cons), cons, 1e-5)
         W[0, 0, 0, 0] = np.sqrt(1.0 + 5e-6)
-        joint_wmmse._assert_feasible(residuals(W[0], cons, 0), cons, 1e-5)
+        assert_feasible(residuals(W, cons), cons, 1e-5)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from satmimo import (ValidationError, make_constraint_set, per_antenna,
-                     per_sat_total, residuals)
-from satmimo.power import scale_to_caps
+from satmimo import (NumericsError, ValidationError, make_constraint_set,
+                     per_antenna, per_sat_total, residuals)
+from satmimo.power import assert_feasible, scale_to_caps
 from tests.conftest import crandn
 
 
@@ -99,9 +99,7 @@ class TestConstruction:
         assert all(w is fast.weights[0] for w in fast.weights)
         assert not fast.weights[0].flags.writeable
         W = crandn(rng, 3, 2, 5, 2)
-        for l in range(3):
-            np.testing.assert_array_equal(residuals(W[l], fast, l),
-                                          residuals(W[l], generic, l))
+        np.testing.assert_array_equal(residuals(W, fast), residuals(W, generic))
         np.testing.assert_array_equal(scale_to_caps(W.copy(), fast, 1e-5),
                                       scale_to_caps(W.copy(), generic, 1e-5))
         for a, b in zip(fast.scaled(2.5).caps, generic.scaled(2.5).caps):
@@ -124,9 +122,7 @@ class TestConstruction:
         assert all(w is fast.weights[0] for w in fast.weights)
         assert not fast.weights[0].flags.writeable
         W = crandn(rng, 3, 2, N, 2)
-        for l in range(3):
-            np.testing.assert_array_equal(residuals(W[l], fast, l),
-                                          residuals(W[l], generic, l))
+        np.testing.assert_array_equal(residuals(W, fast), residuals(W, generic))
         np.testing.assert_array_equal(scale_to_caps(W.copy(), fast, 1e-5),
                                       scale_to_caps(W.copy(), generic, 1e-5))
         for a, b in zip(fast.scaled(2.5).caps, generic.scaled(2.5).caps):
@@ -148,43 +144,152 @@ class TestConstruction:
             per_antenna(caps)
 
 
+def _mixed_set(rng, N=4):
+    """Three satellites of three families: the identity, per-antenna-style
+    single-entry diagonals, and two dense custom weights; all of size N."""
+    B = crandn(rng, N, N)
+    C = crandn(rng, N, 2)
+    return make_constraint_set([
+        [(np.eye(N), 2.0)],
+        [(np.diag(e), rho) for e, rho in zip(np.eye(N), np.linspace(0.3, 0.6, N))],
+        [(B @ B.conj().T, 1.5), (C @ C.conj().T, 0.7)]])
+
+
+def _oracle(W, cons):
+    """sum_k Tr(W_k^H A_x W_k) - rho_x per constraint, satellite by
+    satellite, one einsum per weight matrix."""
+    return np.array([np.einsum("kns,nm,kms->", W[l].conj(), A, W[l]).real - rho
+                     for l in range(cons.num_sats)
+                     for A, rho in zip(cons.weights[l], cons.caps[l])])
+
+
 class TestResiduals:
     def test_zero_precoders_give_minus_rho(self):
         cons = per_sat_total([1.5], 4)
-        g = residuals(np.zeros((2, 4, 2), complex), cons, 0)
+        g = residuals(np.zeros((1, 2, 4, 2), complex), cons)
         np.testing.assert_allclose(g, [-1.5])
 
     def test_total_power_at_cap_is_zero(self, rng):
-        W = crandn(rng, 2, 4, 2)
+        W = crandn(rng, 1, 2, 4, 2)
         W *= np.sqrt(3.0 / np.sum(np.abs(W) ** 2))
         cons = per_sat_total([3.0], 4)
-        assert abs(residuals(W, cons, 0)[0]) < 1e-12
+        assert abs(residuals(W, cons)[0]) < 1e-12
 
     def test_per_antenna_matches_row_norms(self, rng):
-        W = crandn(rng, 3, 4, 2)
+        W = crandn(rng, 1, 3, 4, 2)
         caps = np.array([0.4, 0.3, 0.2, 0.1])
         cons = per_antenna([caps])
-        g = residuals(W, cons, 0)
-        rows = np.sum(np.abs(W) ** 2, axis=(0, 2))
+        g = residuals(W, cons)
+        rows = np.sum(np.abs(W[0]) ** 2, axis=(0, 2))
         np.testing.assert_allclose(g, rows - caps, rtol=1e-12)
 
     def test_per_antenna_sums_to_total(self, rng):
-        W = crandn(rng, 2, 5, 3)
+        W = crandn(rng, 1, 2, 5, 3)
         caps = np.full(5, 0.2)
         total = per_sat_total([1.0], 5)
         per_ant = per_antenna([caps])
-        assert residuals(W, per_ant, 0).sum() == pytest.approx(
-            residuals(W, total, 0)[0], rel=1e-12)
+        assert residuals(W, per_ant).sum() == pytest.approx(
+            residuals(W, total)[0], rel=1e-12)
 
     def test_quadratic_scaling(self, rng):
-        W = crandn(rng, 2, 4, 2)
+        W = crandn(rng, 1, 2, 4, 2)
         cons = per_sat_total([1.0], 4)
-        base = residuals(np.zeros_like(W), cons, 0)
-        g1 = residuals(W, cons, 0) - base
-        g3 = residuals(3.0 * W, cons, 0) - base
+        base = residuals(np.zeros_like(W), cons)
+        g1 = residuals(W, cons) - base
+        g3 = residuals(3.0 * W, cons) - base
         np.testing.assert_allclose(g3, 9.0 * g1, rtol=1e-12)
 
     def test_dimension_mismatch(self, rng):
         cons = per_sat_total([1.0], 4)
         with pytest.raises(ValidationError, match="shape"):
-            residuals(crandn(rng, 2, 3, 2), cons, 0)
+            residuals(crandn(rng, 1, 2, 3, 2), cons)
+
+    @pytest.mark.parametrize("shape", [(2, 4, 2), (2, 2, 4, 2), (3, 2, 5, 2),
+                                       (1, 3, 2, 4, 2)],
+                             ids=["one-satellite", "too-few-satellites",
+                                  "wrong-N", "five-axes"])
+    def test_rejects_shapes_other_than_L_K_N_S(self, shape, rng):
+        with pytest.raises(ValidationError, match=r"shape \(3, K, N, S\)"):
+            residuals(crandn(rng, *shape), _mixed_set(rng))
+
+    def test_mixed_families_match_einsum_oracle(self, rng):
+        # one flat array in np.concatenate(caps) order: 1 + 4 + 2 entries
+        cons = _mixed_set(rng)
+        assert cons.identity == (True, False, False)
+        W = crandn(rng, 3, 2, 4, 3)
+        g = residuals(W, cons)
+        assert g.shape == (7,)
+        np.testing.assert_allclose(g, _oracle(W, cons), rtol=1e-12, atol=1e-12)
+
+    def test_identity_satellites_read_the_batched_sum(self, rng):
+        # the identity family's residual is the satellite's sum of |W|^2,
+        # whatever families the other satellites have
+        cons = make_constraint_set([[(np.eye(3), 1.0)], [(2 * np.eye(3), 1.0)],
+                                    [(np.eye(3), 0.5)]])
+        W = crandn(rng, 3, 2, 3, 2)
+        g = residuals(W, cons)
+        power = np.sum(np.abs(W) ** 2, axis=(1, 2, 3))
+        np.testing.assert_allclose(g[[0, 2]], power[[0, 2]] - [1.0, 0.5], rtol=1e-13)
+        np.testing.assert_allclose(g[1], 2 * power[1] - 1.0, rtol=1e-13)
+
+
+class TestOverCapRule:
+    # scale_to_caps and assert_feasible share one rule: a residual above
+    # tol_rel of its own cap plus 1e-12 W is over its cap
+
+    @staticmethod
+    def _at_ratios(rng, cons, ratios):
+        """Precoders whose satellite l has worst ratio p_x / rho_x equal to
+        ratios[l]."""
+        W = crandn(rng, cons.num_sats, 2, 4, 2)
+        starts = np.cumsum([0] + [len(c) for c in cons.caps])
+        g = residuals(W, cons) / np.concatenate(cons.caps) + 1.0
+        for l, ratio in enumerate(ratios):
+            W[l] *= np.sqrt(ratio / g[starts[l]:starts[l + 1]].max())
+        return W
+
+    def test_scales_exactly_the_over_cap_satellites(self, rng):
+        cons = _mixed_set(rng)
+        tol = 1e-5
+        # satellite 0 below its cap, 1 over it, 2 within the tolerance
+        W = self._at_ratios(rng, cons, [0.5, 1.7, 1.0 + 0.5 * tol])
+        before = W.copy()
+        assert scale_to_caps(W, cons, tol) is W
+        for l in (0, 2):
+            assert W[l].tobytes() == before[l].tobytes()
+        g = residuals(W, cons)
+        assert (g / np.concatenate(cons.caps))[1:5].max() == pytest.approx(0.0, abs=1e-12)
+        np.testing.assert_allclose(W[1], before[1] / np.sqrt(1.7), rtol=1e-12)
+        assert_feasible(g, cons, tol)
+
+    def test_rule_boundary_is_shared(self, rng):
+        # just within the limit: neither scaled nor refused; just over it:
+        # scaled, and refused before the scaling
+        cons = per_sat_total([1.0, 1.0], 4)
+        tol = 1e-5
+        within = self._at_ratios(rng, cons, [1.0 + 0.99 * tol, 0.5])
+        over = self._at_ratios(rng, cons, [0.5, 1.0 + 1.01 * tol])
+        assert_feasible(residuals(within, cons), cons, tol)
+        assert scale_to_caps(within.copy(), cons, tol).tobytes() == within.tobytes()
+        with pytest.raises(NumericsError, match="satellite 1: "):
+            assert_feasible(residuals(over, cons), cons, tol)
+        assert scale_to_caps(over.copy(), cons, tol)[1].tobytes() != over[1].tobytes()
+
+    def test_certificate_names_first_satellite_and_its_worst_constraint(self, rng):
+        cons = _mixed_set(rng)
+        W = self._at_ratios(rng, cons, [0.5, 0.5, 0.5])
+        g = residuals(W, cons)
+        caps = np.concatenate(cons.caps)
+        # satellite 1: antennas 1 and 3 over, antenna 3 by more over its
+        # limit; satellite 2 over as well, by far more
+        g[2] = 3e-3 * caps[2]
+        g[4] = 4e-3 * caps[4]
+        g[6] = 10.0
+        limit = 1e-5 * caps[4] + 1e-12
+        with pytest.raises(NumericsError, match=(
+                rf"^satellite 1: output violates power constraint 3 \(residual "
+                rf"{g[4]:.3e} > {limit:.3e}\)$")):
+            assert_feasible(g, cons, 1e-5)
+        g[2] = g[4] = -1.0
+        with pytest.raises(NumericsError, match="^satellite 2: .* constraint 1 "):
+            assert_feasible(g, cons, 1e-5)

@@ -44,12 +44,23 @@ class TestLoadScenario:
             load_scenario('{"num_satellites": 4}')
 
     def test_retired_ellipsoid_keys_ignored(self):
-        # configs written for the retired ellipsoid search still load
+        # configs written for the retired ellipsoid search still load, its
+        # tolerance under the name power_tol_rel
         cfg = load_scenario('{"ellipsoid_alpha": 3.0, "ellipsoid_max_iters": 50, '
                             '"ellipsoid_tol_rel": 1e-6}')
-        assert cfg.ellipsoid_tol_rel == 1e-6
+        assert cfg.power_tol_rel == 1e-6
+        assert not hasattr(cfg, "ellipsoid_tol_rel")
         assert not hasattr(cfg, "ellipsoid_alpha")
         assert not hasattr(cfg, "ellipsoid_max_iters")
+
+    def test_power_tol_rel_reaches_the_solver(self):
+        from satmimo.joint_wmmse import SolverParams
+        cfg = load_scenario('{"power_tol_rel": 1e-6}')
+        assert SolverParams.from_config(cfg).power_tol_rel == 1e-6
+
+    def test_old_and_new_tolerance_names_together_rejected(self):
+        with pytest.raises(ConfigError, match="^ellipsoid_tol_rel: .*power_tol_rel"):
+            load_scenario('{"ellipsoid_tol_rel": 1e-6, "power_tol_rel": 1e-6}')
 
     def test_bad_syntax(self):
         with pytest.raises(ConfigError):

@@ -8,14 +8,13 @@ from satmimo import (InfeasibleError, NumericsError, ScenarioConfig,
                      sample_geometry, solve_streamwise)
 from satmimo import cli, joint_wmmse
 from satmimo.joint_wmmse import (SolverParams, _mse_at_optimum, _mse_matrices,
-                                 _PrecoderStep, _receiver_grams, _secular,
-                                 _Spectrum)
+                                 _receiver_grams, _secular, _Spectrum)
 from satmimo.power import residuals
 from satmimo.streamwise import StreamAssignment, init_streamwise
 from tests.conftest import (assert_precoder_kkt, bisect_multiplier, crandn,
                             dense_aggregate, dense_eigenmodes, dense_links,
                             dense_subproblem, one_wmmse_iteration,
-                            synthetic_effective)
+                            precoder_step, synthetic_effective)
 
 ORTHOGONAL = (-0.9, -0.4, 0.1, 0.6)
 NON_ORTHOGONAL = (-0.340, -0.119, 0.119, 0.340)
@@ -34,7 +33,7 @@ def _masked(rng, eff, pi, scale=0.4):
             W[assoc.pi[k, s], k, :, s] = crandn(rng, N) * scale
     J, G = _receiver_grams(W, eff, eff.noise_power_w)
     U = np.linalg.solve(J, G)
-    C = joint_wmmse.update_weights(_mse_at_optimum(U, G))
+    C = joint_wmmse.update_weights(_mse_at_optimum(U, G))[0]
     return assoc, W, U, C, J, G
 
 
@@ -196,7 +195,7 @@ class TestCombinersAndWeights:
         assert np.all(U == 0)
         E = _mse_matrices(U[0], J[0], G[0])
         np.testing.assert_allclose(E, np.eye(6), atol=1e-14)
-        C = joint_wmmse.update_weights(E[None])
+        C = joint_wmmse.update_weights(E[None])[0]
         np.testing.assert_allclose(C[0], np.eye(6) / np.log(2), atol=1e-13)
 
     def test_embedding_matches_joint_combiners(self, rng):
@@ -246,13 +245,13 @@ class TestPrecoderAndBisection:
         eff = synthetic_effective(rng, L=3, K=1, M=3, N=4)
         U = np.zeros((1, 3, 6), complex)
         C = np.eye(6, dtype=complex)[None]
-        step = _PrecoderStep(eff, U, C, 2)
+        step = precoder_step(eff, U, C, 2)
         assert np.all(_Spectrum(step, [0]).precoders(np.zeros(1)) == 0)
         # a real masked state: the satellite carrying no stream and every
         # off-support column get exactly zero, at any multiplier
         assoc, W, U, C, *_ = _masked(rng, eff, [[0, 1]])
         off = _off_support(assoc, 3)
-        spectrum = _Spectrum(_PrecoderStep(eff, U, C, 2), np.arange(3))
+        spectrum = _Spectrum(precoder_step(eff, U, C, 2), np.arange(3))
         for mu in (0.0, 0.3):
             Wl = spectrum.precoders(np.full(3, mu))
             assert np.all(Wl.transpose(0, 1, 3, 2)[off] == 0)
@@ -261,7 +260,7 @@ class TestPrecoderAndBisection:
     def test_norm_decreasing_in_mu(self, rng):
         eff = synthetic_effective(rng, L=2, K=2, M=3, N=4)
         assoc, W, U, C, *_ = _masked(rng, eff, [[0, 1], [1, 0]])
-        spectrum = _Spectrum(_PrecoderStep(eff, U, C, 2), [0])
+        spectrum = _Spectrum(precoder_step(eff, U, C, 2), [0])
         prev = np.inf
         for mu in (0.01, 0.1, 1.0, 10.0):
             total = np.sum(np.abs(spectrum.precoders(np.array([mu]))) ** 2)
@@ -275,7 +274,7 @@ class TestPrecoderAndBisection:
         eff = synthetic_effective(rng, L=2, K=2, M=3, N=4)
         assoc, W, U, C, *_ = _masked(rng, eff, [[0, 1], [1, 0]])
         l, mu = 0, 0.3
-        step = _PrecoderStep(eff, U, C, 2)
+        step = precoder_step(eff, U, C, 2)
         Wl = _Spectrum(step, [l]).precoders(np.array([mu]))[0]
         objective = dense_subproblem(step, l)[2]
 
@@ -296,7 +295,7 @@ class TestPrecoderAndBisection:
     def test_bisection_power_tolerance(self, rng):
         eff = synthetic_effective(rng, L=2, K=2, M=3, N=4)
         assoc, W, U, C, *_ = _masked(rng, eff, [[0, 1], [1, 0]], scale=1.0)
-        curve = _Spectrum(_PrecoderStep(eff, U, C, 2), [0]).curves[0]
+        curve = _Spectrum(precoder_step(eff, U, C, 2), [0]).curves[0]
         power = lambda m: _secular(curve, m)[0]
         rho = 0.05
         mu = bisect_multiplier(lambda m: power(m) - rho, 1e-10 * rho)
@@ -307,7 +306,7 @@ class TestPrecoderAndBisection:
         # same certified root on a masked subproblem
         eff = synthetic_effective(rng, L=2, K=2, M=3, N=4)
         assoc, W, U, C, *_ = _masked(rng, eff, [[0, 1], [1, 0]], scale=1.0)
-        curve = _Spectrum(_PrecoderStep(eff, U, C, 2), [0]).curves[0]
+        curve = _Spectrum(precoder_step(eff, U, C, 2), [0]).curves[0]
         power = lambda m: _secular(curve, m)[0]
         rho = 0.05
         mu_b = bisect_multiplier(lambda m: power(m) - rho, 1e-12 * rho)
@@ -450,13 +449,12 @@ class TestSolveStreamwise:
         W_ant, assoc_ant, _ = solve_streamwise(default_effective, antennas,
                                                num_streams=2)
         np.testing.assert_array_equal(assoc.pi, assoc_ant.pi)
-        for l in range(4):
-            r = residuals(W_ant[l], antennas, l)
-            assert np.all(r <= 1e-5 * antennas.caps[l])
+        assert np.all(residuals(W_ant, antennas)
+                      <= 1e-5 * np.concatenate(antennas.caps))
         assert np.all(W_ant.transpose(0, 1, 3, 2)[_off_support(assoc, 4)] == 0)
         assert not np.allclose(W_ant, W_tot)
         # the total-power design overloads some antenna, so it would not do
-        assert max(residuals(W_tot[l], antennas, l).max() for l in range(4)) > 0
+        assert residuals(W_tot, antennas).max() > 0
 
     def test_se_parity_with_direct_evaluator(self, rng):
         # independent streamwise evaluator: build the received covariances
