@@ -213,6 +213,26 @@ def bisect_multiplier(residual_fn, tol: float, alpha: float = 2.0,
     return hi
 
 
+def mp_rician_errors(beta, kappa, u, x, y, *gains):
+    """|g - gamma| entry by entry for each (T, P) array g of gains, gamma
+    the Rician gain sqrt(beta) (sqrt(kappa / (kappa + 1)) e^{2 pi i u}
+    + (x + i y) / sqrt(2 (kappa + 1))) evaluated at 50 digits from the float
+    inputs: beta and kappa (P,) of the pairs, u, x and y (T, P) their
+    variates."""
+    import mpmath as mp
+    errors = [np.empty(g.shape) for g in gains]
+    with mp.workdps(50):
+        for p in range(u.shape[1]):
+            b, kp = mp.mpf(float(beta[p])), mp.mpf(float(kappa[p]))
+            los, nlos = mp.sqrt(b * kp / (kp + 1)), mp.sqrt(b / (2 * (kp + 1)))
+            for t in range(u.shape[0]):
+                exact = (los * mp.expjpi(2 * mp.mpf(float(u[t, p])))
+                         + nlos * mp.mpc(float(x[t, p]), float(y[t, p])))
+                for g, err in zip(gains, errors):
+                    err[t, p] = float(abs(mp.mpc(complex(g[t, p])) - exact))
+    return errors
+
+
 def mp_user_se(precoders, effective, k, gains=None):
     """SE of user k in bits from a 50-digit mpmath log det, every product
     formed from the float inputs in mpmath. With gains (L,), user k's link

@@ -3,7 +3,9 @@ import pytest
 
 from satmimo import (ScenarioConfig, effective_channels, sample_geometry,
                      ula_response)
-from satmimo.channel import link_matrix, sample_gamma
+from satmimo.channel import (_PHASOR_BITS, _PHASOR_TABLE, _TRIAL_CHUNK,
+                             _los_phasors, link_matrix, sample_gamma,
+                             sample_pair_gains)
 from tests.conftest import dense_aggregate, dense_links, synthetic_effective
 
 
@@ -109,6 +111,48 @@ class TestSampleRealization:
         g1 = sample_gamma(default_links.beta, kappa, np.random.default_rng(9))
         g2 = sample_gamma(default_links.beta, kappa, np.random.default_rng(9))
         np.testing.assert_array_equal(g1, g2)
+
+
+class TestLosPhasor:
+    """The table-driven LoS phasor e^{2 pi i u} of sample_pair_gains."""
+
+    def test_within_4_eps_of_exact(self):
+        # every table node k / n and the float just below it, the quarter
+        # points, the largest u below 1 and 10^5 random draws, against the
+        # phasor at 50 digits
+        import mpmath as mp
+        nodes = np.arange(1 << _PHASOR_BITS) / (1 << _PHASOR_BITS)
+        u = np.concatenate([[0.25, 0.5, 0.75, np.nextafter(1.0, 0.0)], nodes,
+                            np.nextafter(nodes[1:], 0.0),
+                            np.random.default_rng(7).random(100_000)])
+        out = np.empty((u.size, 1), complex)
+        _los_phasors(u[:, None], np.ones(1), out)
+        with mp.workdps(50):
+            err = max(abs(mp.mpc(complex(z)) - mp.expjpi(2 * mp.mpf(float(x))))
+                      for x, z in zip(u, out[:, 0]))
+        assert err <= 4 * np.finfo(float).eps
+
+    def test_table_is_read_only(self):
+        assert not _PHASOR_TABLE.flags.writeable
+        with pytest.raises(ValueError):
+            _PHASOR_TABLE[0, 0] = 0.0
+
+    @pytest.mark.parametrize("trials", [1, _TRIAL_CHUNK - 1, _TRIAL_CHUNK,
+                                        _TRIAL_CHUNK + 1, 2 * _TRIAL_CHUNK + 3])
+    def test_walk_is_a_prefix_of_a_longer_walk(self, trials):
+        # the phases come first in a walk, so a walk's uniforms are the first
+        # rows of a longer walk's, and its gains must be that walk's prefix
+        # bitwise wherever the chunk and kernel-block edges fall. At
+        # kappa = 1e300 the scattered amplitude (about 1e-150) is below half
+        # an ulp of every LoS term, so each gain is its LoS term alone.
+        eff = synthetic_effective(np.random.default_rng(8), L=3, K=4)
+        kappa = np.full_like(eff.beta, 1e300)
+        for pairs in (range(12), [7], [3, 9, 3, 0, 11]):
+            longer = sample_pair_gains(eff.beta, kappa, np.random.default_rng(9),
+                                       3 * _TRIAL_CHUNK, pairs)
+            got = sample_pair_gains(eff.beta, kappa, np.random.default_rng(9),
+                                    trials, pairs)
+            assert np.array_equal(got, longer[:trials])
 
 
 def _row_space(effective, k):

@@ -14,7 +14,7 @@ from satmimo import se_eval
 from satmimo.se_eval import (_MAX_MINOR_COLUMNS, _TRIAL_CHUNK, _ldl_pivots,
                              exact_se_trials)
 from tests.conftest import (crandn, dense_approx_se, dense_exact_se,
-                            mp_user_se, synthetic_effective)
+                            mp_rician_errors, mp_user_se, synthetic_effective)
 
 
 def _links_for(config, seed=0):
@@ -388,17 +388,44 @@ class TestStreamedDraw:
     @pytest.mark.parametrize("trials", [1, _TRIAL_CHUNK - 1, _TRIAL_CHUNK,
                                         _TRIAL_CHUNK + 1, 2 * _TRIAL_CHUNK + 3])
     def test_matches_full_draw(self, bit_generator, trials):
+        # the walk consumes the full draw's variates: the generator ends
+        # where the full draw leaves it; a pair's gain is bitwise the same
+        # whichever other pairs, in whatever order, the walk keeps; and each
+        # gain is within 4 eps (los + nlos (|x| + |y|)) of the Rician
+        # formula on its variates at 50 digits, a bound that the formula
+        # with libm's cos and sin of 2 pi u (_full_draw) meets too
         eff = self._channel()
         ref_rng = np.random.Generator(bit_generator(21))
-        ref = self._full_draw(eff.beta, eff.kappa, ref_rng, trials)
+        libm = self._full_draw(eff.beta, eff.kappa, ref_rng, trials)
+        var_rng = np.random.Generator(bit_generator(21))
+        shape = (trials, self.L * self.K)
+        u, x, y = (var_rng.random(shape), var_rng.standard_normal(shape),
+                   var_rng.standard_normal(shape))
+        assert _same_state(var_rng.bit_generator.state,
+                           ref_rng.bit_generator.state)
+        every = None
         for pairs in (range(self.L * self.K), [5, 0, 11, 5], []):
             rng = np.random.Generator(bit_generator(21))
             got = sample_pair_gains(eff.beta, eff.kappa, rng, trials, pairs)
-            want = ref[:, list(pairs)]
-            assert got.shape == want.shape
-            assert np.array_equal(got, want)
+            every = got if every is None else every
+            assert got.shape == (trials, len(pairs))
+            assert np.array_equal(got, every[:, list(pairs)])
             assert _same_state(rng.bit_generator.state,
                                ref_rng.bit_generator.state)
+        # the 50-digit check on every trial next to a chunk edge and on a
+        # stride of the rest
+        edges = np.arange(0, trials + 1, _TRIAL_CHUNK)
+        rows = np.unique(np.concatenate(
+            [edges - 1, edges, edges + 1, np.arange(0, trials, 97),
+             [trials - 1]]).clip(0, trials - 1))
+        beta, kappa = eff.beta.ravel(), eff.kappa.ravel()
+        los = np.sqrt(beta * kappa / (kappa + 1.0))
+        nlos = np.sqrt(beta / (2.0 * (kappa + 1.0)))
+        bound = 4 * np.finfo(float).eps * (
+            los + nlos * (np.abs(x[rows]) + np.abs(y[rows])))
+        for err in mp_rician_errors(beta, kappa, u[rows], x[rows], y[rows],
+                                    every[rows], libm[rows]):
+            assert np.all(err <= bound)
 
     @pytest.mark.parametrize("bit_generator", _BIT_GENERATORS)
     def test_no_live_pair_advances_one_full_draw(self, bit_generator):
