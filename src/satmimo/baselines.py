@@ -1,20 +1,22 @@
 """Reference precoders: MMSE, ZF, orthogonal TDMA-MRT and random association.
 
-Each baseline is defined per satellite on the effective channels. MMSE is
-the WMMSE initializer itself, and ZF is built by the initializer's own
-per-satellite builder (`joint_wmmse.share_rule_blocks`, one K x K solve
-per satellite) with the regularizer set to zero, or to a small ridge for
-nearly collinear users, so both use literally the same
-sqrt(beta)-proportional per-user power sharing and comparisons isolate the
-precoding strategy rather than the power policy. Both put power on the
-first stream of each link only, with the explicit phase of the basis
--b/||b|| (`joint_wmmse.link_bases`), and both spend per-satellite total
-caps; the CLI scales a satellite down to any other constraint family of
-its row (power.scale_to_caps). TDMA-MRT fits each of its slots to the
-row's constraint set the same way, and is evaluated by Monte Carlo only,
-on the same EffectiveChannel it is designed on, one full gain draw per
-slot: alone (tdma_mrt_baseline), or in a sweep point, where slot k rides
-the point's walk k (cli.run_point), which gives the same gains.
+Each baseline is defined per satellite on the effective channels. MMSE
+and ZF are one call each of the builder every closed form uses
+(`joint_wmmse.share_rule`, one K x K solve per satellite) on the per-link
+stream bases -b/||b|| (`joint_wmmse.link_bases`), so both put power on
+the first stream of each link only, with that explicit phase, and both use
+literally the same sqrt(beta)-proportional per-user power sharing as the
+WMMSE start: comparisons isolate the precoding strategy rather than the
+power policy. MMSE regularizes with the noise power; it is the per-link
+variant of the start, whereas `solve` starts from the aggregated basis.
+ZF regularizes with zero, or with a small ridge for nearly collinear
+users. Both spend per-satellite total caps; the CLI scales a satellite
+down to any other constraint family of its row (power.scale_to_caps).
+TDMA-MRT fits each of its slots to the row's constraint set the same way,
+and is evaluated by Monte Carlo only, on the same EffectiveChannel it is
+designed on, one full gain draw per slot: alone (tdma_mrt_baseline), or in
+a sweep point, where slot k rides the point's walk k (cli.run_point),
+which gives the same gains.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ import numpy as np
 
 from .channel import EffectiveChannel
 from .errors import InfeasibleError
-from .joint_wmmse import init_precoders, link_bases, share_rule_blocks
-from .power import PowerConstraintSet, per_sat_total, scale_to_caps
+from .joint_wmmse import link_bases, share_rule
+from .power import PowerConstraintSet, scale_to_caps
 from .se_eval import SEReport, exact_se_trials
 from .streamwise import StreamAssignment
 
@@ -35,41 +37,39 @@ _RIDGE = 1e-8
 
 def mmse_baseline(effective: EffectiveChannel, rho,
                   num_streams: int | None = None) -> np.ndarray:
-    """Regularized-MMSE precoders; identical to the WMMSE initialization."""
-    L, K, M, N = effective.shape
-    rho = np.broadcast_to(np.asarray(rho, float), (L,))
-    return init_precoders(effective, per_sat_total(rho, N), num_streams)
+    """Regularized-MMSE precoders: `share_rule` on the per-link bases with
+    the noise power as regularizer, which is `init_precoders`' default
+    (per-link) variant."""
+    S = effective.shape[2] if num_streams is None else num_streams
+    return share_rule(effective, rho, link_bases(effective, S),
+                      effective.noise_power_w)
 
 
 def zf_baseline(effective: EffectiveChannel, rho,
                 num_streams: int | None = None) -> np.ndarray:
     """Zero-forcing: per satellite, directions that null the other users'
     effective rows, mapped to the dominant user directions and power-shared
-    like the initializer (`share_rule_blocks` without the noise term).
+    like MMSE (`share_rule` on the per-link bases, without the noise term).
 
     Its regularizer comes from the K x K Gram D^(1/2) A A^H D^(1/2) (A and
-    D as in `share_rule_blocks`), whose eigenvalues are the nonzero ones of
-    the N x N Gram G = A^H D A: it is 0, which makes the K x K solve exact
-    zero forcing, when K <= N and the smallest eigenvalue exceeds 1e-10 of
-    the largest; otherwise (rank-deficient or nearly collinear users) it is
-    the ridge 1e-8 tr(G)/N, with a warning."""
+    D as in `share_rule`), whose eigenvalues are the nonzero ones of the
+    N x N Gram G = A^H D A, one batched eigvalsh for every satellite: it is
+    0, which makes the K x K solve exact zero forcing, when K <= N and the
+    smallest eigenvalue exceeds 1e-10 of the largest; otherwise
+    (rank-deficient or nearly collinear users) it is the ridge
+    1e-8 tr(G)/N, with a warning."""
     L, K, M, N = effective.shape
     S = M if num_streams is None else num_streams
-    rho = np.broadcast_to(np.asarray(rho, float), (L,))
-    out = np.empty((L, K, N, S), complex)
-    for l in range(L):
-        a = effective.a[l]
-        root = np.sqrt(effective.beta[l]) * np.linalg.norm(effective.b[l], axis=1)
-        gram = root[:, None] * (a @ a.conj().T) * root
-        eigval = np.linalg.eigvalsh(gram)
-        reg = 0.0
-        if not (K <= N and eigval[0] > 1e-10 * eigval[-1]):
-            warnings.warn(f"satellite {l}: user directions nearly collinear, "
-                          "using ridge-regularized zero forcing")
-            reg = _RIDGE * np.trace(gram).real / N
-        out[l] = share_rule_blocks(effective, l, float(rho[l]),
-                                   enumerate(link_bases(effective, l, S)), reg)
-    return out
+    a = effective.a
+    root = np.sqrt(effective.beta) * np.linalg.norm(effective.b, axis=-1)
+    gram = root[:, :, None] * (a @ a.conj().swapaxes(1, 2)) * root[:, None, :]
+    eigval = np.linalg.eigvalsh(gram)
+    ridge = ~((K <= N) & (eigval[:, 0] > 1e-10 * eigval[:, -1]))
+    for l in np.flatnonzero(ridge):
+        warnings.warn(f"satellite {l}: user directions nearly collinear, "
+                      "using ridge-regularized zero forcing")
+    reg = np.where(ridge, _RIDGE * np.trace(gram, axis1=1, axis2=2).real / N, 0.0)
+    return share_rule(effective, rho, link_bases(effective, S), reg)
 
 
 def tdma_mrt_precoders(effective: EffectiveChannel, rho) -> list:

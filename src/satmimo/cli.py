@@ -131,13 +131,6 @@ def _aggregated_mmse(eff, cons, rho, cfg, params):
                                       stream_basis="aggregated"), None
 
 
-def _approximated_mmse(eff, cons, rho, cfg, params):
-    return _aggregated_mmse(eff, cons, rho, cfg, params)
-
-
-_approximated_mmse.approximate = True
-
-
 def _streamwise(eff, cons, cfg, params, assignment):
     W, _, trace = streamwise.solve_streamwise(
         eff, cons, params, num_streams=cfg.S, assignment=assignment)
@@ -149,8 +142,8 @@ def _streamwise(eff, cons, cfg, params, assignment):
 # every user, or a list of K sets that time-share the users, set k serving
 # user k alone. A solver returns W within the constraints with its trace; a
 # closed form returns trace None and sets spending the per-satellite totals
-# rho, and run_point fits each set to the constraints. A design marked
-# `approximate` is estimated by approx_se, every other one by Monte Carlo.
+# rho, and run_point fits each set to the constraints. A mode in
+# _APPROXIMATED is estimated by approx_se, every other one by Monte Carlo.
 # Entries look their functions up on the modules when the row runs, so a
 # wrapper set on a module attribute sees the call.
 _DESIGNS = {
@@ -170,8 +163,9 @@ _DESIGNS = {
     "tdma-mrt": lambda eff, cons, rho, cfg, params: (
         [W for _, W in baselines.tdma_mrt_precoders(eff, rho)], None),
     "mmse-exact-mc": _aggregated_mmse,
-    "mmse-approx": _approximated_mmse,
+    "mmse-approx": _aggregated_mmse,
 }
+_APPROXIMATED = frozenset({"mmse-approx"})
 
 
 def _point_key(job: Job):
@@ -188,7 +182,7 @@ def run_point(jobs) -> list:
     The shared work runs once: geometry and channels, the solver
     parameters and the constraint set. Then each mode's design from
     `_DESIGNS`, a closed form's sets fitted to the constraints
-    (`power.scale_to_caps`); a design marked approximate is estimated by
+    (`power.scale_to_caps`); a mode in `_APPROXIMATED` is estimated by
     `approx_se`, every other one has each of its sets planned for Monte
     Carlo (`se_eval.plan_users`: every user, or user s alone for set s of
     several). One walk rule serves every mode: walk s, the s-th full draw
@@ -259,7 +253,7 @@ def run_point(jobs) -> list:
         if trace is None:
             for W_s in sets:
                 scale_to_caps(W_s, constraints, params.power_tol_rel)
-        if getattr(_DESIGNS[mode], "approximate", False):
+        if mode in _APPROXIMATED:
             reports[mode] = approx_se(W, effective)
             return
         # several sets time-share the users, set s serving user s alone

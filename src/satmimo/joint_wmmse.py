@@ -38,13 +38,17 @@ multipliers it has certified feasible and optimal
 (`dual_newton_multipliers`). There is no per-satellite or per-user view:
 `solve` runs these kernels directly, and the tests check them.
 
-Every kernel and the regularized-MMSE start read the channel through its
-rank-one link factors b, a and beta only, and no closed form touches an
-N x N matrix: `share_rule_blocks` takes every user's regularized inverse
-direction from one K x K solve per satellite (the push-through identity),
-the aggregated stream basis is the left singular basis of each user's
-M x L link matrix, and `link_bases` writes the rank-one left vector
--b/||b|| directly.
+Every kernel and every closed form read the channel through its rank-one
+link factors b, a and beta only, and no closed form touches an N x N
+matrix. The closed forms are one builder, `share_rule`: regularized
+channel inversion from one K x K solve per satellite (the push-through
+identity), sqrt(beta) shares over the users each satellite serves, and an
+(L, K, M, S) stream basis that says which user each satellite serves and
+along which receive directions. The joint start passes every user's
+aggregated basis, the left singular basis of its M x L link matrix;
+`link_bases` writes the per-link basis, the rank-one left vector
+-b/||b||, that the MMSE and ZF baselines pass; the streamwise start
+passes the aggregated directions masked by its assignment's support.
 """
 
 from __future__ import annotations
@@ -81,9 +85,11 @@ _SCALE_FLOOR = 1e-7
 
 @dataclass
 class SolverParams:
-    max_iters: int = 40
-    tol: float = 1e-4                 # stop when the objective decrease <= tol
-    power_tol_rel: float = 1e-5       # feasibility tolerance relative to the cap
+    """The solver's stopping and feasibility settings; the defaults are
+    ScenarioConfig's."""
+    max_iters: int = ScenarioConfig.max_iters
+    tol: float = ScenarioConfig.tol   # stop when the objective decrease <= tol
+    power_tol_rel: float = ScenarioConfig.power_tol_rel   # relative to the cap
 
     @classmethod
     def from_config(cls, config: ScenarioConfig) -> "SolverParams":
@@ -524,64 +530,74 @@ class _Spectrum:
         return self.q[:, None] @ (y[..., None] * self.row[:, :, None, :])
 
 
-def link_bases(effective: EffectiveChannel, l: int, num_streams: int) -> list:
-    """Per-link stream bases of satellite l: for every user k the (M, S)
-    matrix with the left singular vector -b_{l,k}/||b_{l,k}|| of the
-    rank-one Hb_{l,k} in column 0 and exact zeros after it. The sign is the
-    one LAPACK's SVD gives for the ULA links of the presets, so the phase
-    of the closed forms built on it is explicit."""
-    b = effective.b[l]
+def link_bases(effective: EffectiveChannel, num_streams: int) -> np.ndarray:
+    """Every satellite's per-link stream bases, (L, K, M, S): the left
+    singular vector -b_{l,k}/||b_{l,k}|| of the rank-one Hb_{l,k} in column
+    0 and exact zeros after it. The sign is the one LAPACK's SVD gives for
+    the ULA links of the presets, so the phase of the closed forms built on
+    it is explicit."""
+    b = effective.b
     bases = np.zeros(b.shape + (num_streams,), complex)
-    bases[:, :, 0] = -b / np.linalg.norm(b, axis=1, keepdims=True)
-    return list(bases)
+    bases[..., 0] = -b / np.linalg.norm(b, axis=-1, keepdims=True)
+    return bases
 
 
-def share_rule_blocks(effective: EffectiveChannel, l: int, cap: float,
-                      blocks, reg: float) -> list:
-    """Satellite l's regularized channel-inversion blocks under the
-    sqrt(beta) share rule.
+def share_rule(effective: EffectiveChannel, caps, bases, reg) -> np.ndarray:
+    """Regularized channel inversion under the sqrt(beta) share rule: every
+    closed-form precoder set, (L, K, N, S).
 
-    blocks are (user k, stream basis Q (M, S_b)) pairs; a user may repeat.
-    The block of (k, Q) points along G^{-1} Hb_{l,k}^H Q with the Gram
-    G = reg*I_N + sum_i Hb_{l,i}^H Hb_{l,i} = reg*I_N + A^H D A,
+    bases is an (L, K, M, S) stream-basis array, or one that broadcasts to
+    it; an all-zero basis bases[l, k] means satellite l does not serve user
+    k, and its block stays exactly zero. caps and reg are per satellite (or
+    scalars). Block (l, k) points along G_l^{-1} Hb_{l,k}^H Q with
+    Q = bases[l, k] and the Gram
+    G_l = reg_l*I_N + sum_i Hb_{l,i}^H Hb_{l,i} = reg_l*I_N + A^H D A,
     where row i of A is a_{l,i}^T, D = diag(beta_{l,i} ||b_{l,i}||^2) and
-    Hb_{l,k}^H Q = sqrt(beta_{l,k}) conj(a_{l,k}) (b_{l,k}^H Q). Every
-    user's G^{-1} conj(a_{l,k}) comes from one K x K solve by the
-    push-through identity G^{-1} A^H = A^H (reg*I_K + D A A^H)^{-1}, so G is
-    never formed (Peel, Hochwald & Swindlehurst, IEEE Trans. Commun. 2005).
-    reg = 0 needs D A A^H nonsingular. The block is scaled to squared
-    Frobenius norm exactly cap * sqrt(beta_{l,k}) / sum_j sqrt(beta_{l,k_j}),
-    the sum running over all blocks j, so together they spend the cap. A
+    Hb_{l,k}^H Q = sqrt(beta_{l,k}) conj(a_{l,k}) (b_{l,k}^H Q). A^H D A is
+    a dimensionless gain, while the starts and MMSE pass reg = the noise
+    power in watts, so their directions depend on the unit of power. Every
+    user's G_l^{-1} conj(a_{l,k}) comes from one K x K solve per satellite
+    by the push-through identity G^{-1} A^H = A^H (reg*I_K + D A A^H)^{-1},
+    so G is never formed (Peel, Hochwald & Swindlehurst, IEEE Trans.
+    Commun. 2005); reg = 0 needs D A A^H nonsingular. Each block is scaled
+    to squared Frobenius norm exactly
+    caps_l sqrt(beta_{l,k}) / sum_j sqrt(beta_{l,j}), the sum running over
+    the users satellite l serves, so together they spend its cap. A
     direction below 1e-300 in norm (the basis is invisible on this link)
-    falls back to the matched filter conj(a_{l,k}) in its first column.
-    Returns the (N, S_b) blocks in order.
+    falls back to the matched filter conj(a_{l,k}) in the first
+    column the basis uses.
     """
-    a, b, beta = effective.a[l], effective.b[l], effective.beta[l]
-    load = beta * np.einsum("km,km->k", b.conj(), b).real
-    core = reg * np.eye(len(beta)) + (load[:, None] * a) @ a.conj().T
-    directions = a.conj().T @ np.linalg.inv(core)      # column k: G^{-1} conj(a_k)
-    blocks = list(blocks)
-    root_beta = np.sqrt(beta[[k for k, _ in blocks]])
-    shares = cap * root_beta / root_beta.sum()
-    out = []
-    for (k, q), share in zip(blocks, shares):
-        raw = np.outer(np.sqrt(beta[k]) * directions[:, k], b[k].conj() @ q)
+    L, K, M, N = effective.shape
+    a, b, beta = effective.a, effective.b, effective.beta
+    bases = np.broadcast_to(bases, (L, K, M, np.shape(bases)[-1]))
+    caps = np.broadcast_to(np.asarray(caps, float), (L,))
+    reg = np.broadcast_to(np.asarray(reg, float), (L,))
+    load = beta * np.einsum("lkm,lkm->lk", b.conj(), b).real
+    core = reg[:, None, None] * _eye(K) + (load[:, :, None] * a) @ a.conj().swapaxes(1, 2)
+    directions = a.conj().swapaxes(1, 2) @ np.linalg.inv(core)   # column k: G^{-1} conj(a_k)
+    used = bases.any(axis=2)                         # (L, K, S): columns in use
+    served = used.any(axis=2)
+    root_beta = np.where(served, np.sqrt(beta), 0.0)
+    total = root_beta.sum(axis=1)
+    W = np.zeros((L, K, N, bases.shape[-1]), complex)
+    for l, k in zip(*np.nonzero(served)):
+        raw = np.outer(root_beta[l, k] * directions[l, :, k], b[l, k].conj() @ bases[l, k])
         norm = np.linalg.norm(raw)
         if norm < 1e-300:
             raw = np.zeros_like(raw)
-            raw[:, 0] = a[k].conj()
+            raw[:, np.argmax(used[l, k])] = a[l, k].conj()
             norm = np.linalg.norm(raw)
-        out.append(np.sqrt(share) * raw / norm)
-    return out
+        W[l, k] = np.sqrt(caps[l] * root_beta[l, k] / total[l]) * raw / norm
+    return W
 
 
 def init_precoders(effective: EffectiveChannel, constraints: PowerConstraintSet,
                    num_streams: int | None = None,
                    stream_basis: str = "per-link") -> np.ndarray:
     """Regularized-MMSE initialization with sqrt(beta)-proportional power
-    sharing (`share_rule_blocks` with the noise power as regularizer, one
-    block per user, cap min_x rho_{l,x}); feasible for per-satellite-total
-    constraints by construction.
+    sharing: `share_rule` with the noise power as regularizer, every
+    satellite serving every user on its cap min_x rho_{l,x}; feasible for
+    per-satellite-total constraints by construction.
 
     With the default stream basis, Q is the rank-one Hb_{l,k}'s own left
     vector -b_{l,k}/||b_{l,k}|| in column 0 and zeros after it
@@ -595,19 +611,13 @@ def init_precoders(effective: EffectiveChannel, constraints: PowerConstraintSet,
     approximate SE (all columns share one transmit direction) but only the
     aggregated one lets the solver develop genuine multi-stream structure.
     """
-    L, K, M, N = effective.shape
-    S = M if num_streams is None else num_streams
+    S = effective.shape[2] if num_streams is None else num_streams
     if stream_basis not in ("per-link", "aggregated"):
         raise ValidationError(f"unknown stream basis {stream_basis!r}")
-    if stream_basis == "aggregated":
-        bases = np.linalg.svd(link_matrix(effective))[0][..., :S]
-    out = np.empty((L, K, N, S), complex)
-    for l in range(L):
-        if stream_basis == "per-link":
-            bases = link_bases(effective, l, S)
-        out[l] = share_rule_blocks(effective, l, float(constraints.caps[l].min()),
-                                   enumerate(bases), effective.noise_power_w)
-    return out
+    bases = (np.linalg.svd(link_matrix(effective))[0][..., :S]
+             if stream_basis == "aggregated" else link_bases(effective, S))
+    return share_rule(effective, [c.min() for c in constraints.caps], bases,
+                      effective.noise_power_w)
 
 
 def solve(effective: EffectiveChannel, constraints: PowerConstraintSet,

@@ -11,12 +11,14 @@ eigenmodes and are matched one-to-one to satellites by maximum-weight
 bipartite matching on those factors. Precoding then runs the joint
 weighted-MSE block-coordinate descent (`joint_wmmse.solve`) under the given
 power-constraint set (any family the joint mode accepts), started from the
-streamwise initialization, which is built in joint form. That start is the
-support mask: a precoder column that is zero makes its combiner column zero
-and its MSE block the identity, so the closed-form precoder update keeps
-every entry off the assigned sparsity pattern exactly zero.
-`solve_streamwise` checks that it did and returns the precoders in joint
-form.
+streamwise initialization: `joint_wmmse.share_rule`, the builder of every
+closed form, on the stream directions masked by the assignment's support
+(`StreamAssignment.support`, (L, K, S), derived from the map in one
+place). That start is the support mask of the whole solve: a precoder
+column that is zero makes its combiner column zero and its MSE block the
+identity, so the closed-form precoder update keeps every entry off the
+support exactly zero. `solve_streamwise` checks that it did, against the
+same mask, and returns the precoders in joint form.
 """
 
 from __future__ import annotations
@@ -35,11 +37,11 @@ from . import joint_wmmse
 
 @dataclass(frozen=True)
 class StreamAssignment:
-    """Stream -> satellite map pi (K, S) plus the per-satellite stream sets
-    T[l] = [(k, s), ...]."""
+    """Stream -> satellite map pi (K, S) plus its support (L, K, S):
+    support[l, k, s] is True exactly when pi[k, s] = l."""
 
     pi: np.ndarray
-    sat_streams: tuple
+    support: np.ndarray
 
     @classmethod
     def from_pi(cls, pi: np.ndarray, num_sats: int) -> "StreamAssignment":
@@ -51,11 +53,7 @@ class StreamAssignment:
         for k in range(K):
             if len(set(pi[k])) != S:
                 raise ValidationError(f"user {k}: stream map must be injective")
-        sets = [[] for _ in range(num_sats)]
-        for k in range(K):
-            for s in range(S):
-                sets[pi[k, s]].append((k, s))
-        return cls(pi=pi, sat_streams=tuple(tuple(t) for t in sets))
+        return cls(pi=pi, support=np.arange(num_sats)[:, None, None] == pi)
 
 
 def participation_factors(effective: EffectiveChannel):
@@ -93,25 +91,16 @@ def init_streamwise(effective: EffectiveChannel, constraints: PowerConstraintSet
     eigen-direction directions[k][:, s] (from `participation_factors`) when
     pi_k(s) = l, else zero.
 
-    Each satellite's assigned streams are `joint_wmmse.share_rule_blocks`
-    of one column each, so the sqrt(beta) share counts assigned (user,
-    stream) pairs with multiplicity and every satellite that carries a
-    stream spends exactly its smallest cap min_x rho_{l,x}, as
+    It is `joint_wmmse.share_rule` on those directions masked by the
+    assignment's support, so the sqrt(beta) share runs over the users a
+    satellite carries a stream of, and every satellite that carries one
+    spends exactly its smallest cap min_x rho_{l,x}, as
     `joint_wmmse.init_precoders` does.
     """
-    L, K, M, N = effective.shape
     S = assignment.pi.shape[1]
-    W = np.zeros((L, K, N, S), complex)
-    for l, streams in enumerate(assignment.sat_streams):
-        if not streams:
-            continue
-        blocks = [(k, directions[k][:, s, None]) for k, s in streams]
-        cols = joint_wmmse.share_rule_blocks(
-            effective, l, float(constraints.caps[l].min()), blocks,
-            effective.noise_power_w)
-        for (k, s), col in zip(streams, cols):
-            W[l, k, :, s] = col[:, 0]
-    return W
+    bases = np.where(assignment.support[:, :, None, :], directions[..., :S], 0.0)
+    return joint_wmmse.share_rule(effective, [c.min() for c in constraints.caps],
+                                  bases, effective.noise_power_w)
 
 
 def solve_streamwise(effective: EffectiveChannel, constraints: PowerConstraintSet,
@@ -130,9 +119,9 @@ def solve_streamwise(effective: EffectiveChannel, constraints: PowerConstraintSe
     """
     L, K, M, N = effective.shape
     S = num_streams if num_streams is not None else min(M, L)
-    if assignment is not None and assignment.pi.shape != (K, S):
-        raise ValidationError(
-            f"assignment shape {assignment.pi.shape} does not match (K, S)=({K}, {S})")
+    if assignment is not None and assignment.support.shape != (L, K, S):
+        raise ValidationError(f"assignment support shape {assignment.support.shape} "
+                              f"does not match (L, K, S)=({L}, {K}, {S})")
 
     eta, directions = participation_factors(effective)
     if assignment is None:
@@ -141,9 +130,6 @@ def solve_streamwise(effective: EffectiveChannel, constraints: PowerConstraintSe
     start = init_streamwise(effective, constraints, assignment, directions)
     W, trace = joint_wmmse.solve(effective, constraints, params,
                                  initial=start, num_streams=S)
-    off_support = np.ones((L, K, S), bool)
-    for k in range(K):
-        off_support[assignment.pi[k], k, np.arange(S)] = False
-    if np.any(W.transpose(0, 1, 3, 2)[off_support]):
+    if np.any(W.transpose(0, 1, 3, 2)[~assignment.support]):
         raise NumericsError("streamwise precoders left their assigned satellites")
     return W, assignment, trace

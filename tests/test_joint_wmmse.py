@@ -253,24 +253,14 @@ def _rank_one_channel(b, a, beta, noise=0.5):
 
 
 class TestShareRuleBlocks:
-    def test_repeated_user_counts_per_block(self, rng):
-        # user 0 appears twice: the share denominator counts it twice, and
-        # each block spends exactly its share of the cap
-        eff = synthetic_effective(rng, L=2, K=2, M=3, N=4)
-        bases = joint_wmmse.link_bases(eff, 1, 2)
-        blocks = [(0, bases[0]), (1, bases[1]), (0, bases[0][:, :1])]
-        out = joint_wmmse.share_rule_blocks(eff, 1, 2.5, blocks, 0.5)
-        root = np.sqrt(eff.beta[1])
-        expect = 2.5 * root[[0, 1, 0]] / (2 * root[0] + root[1])
-        assert [w.shape for w in out] == [(4, 2), (4, 2), (4, 1)]
-        powers = [np.sum(np.abs(w) ** 2) for w in out]
-        np.testing.assert_allclose(powers, expect, rtol=1e-12)
-        assert sum(powers) == pytest.approx(2.5, rel=1e-12)
+    # share_rule: the (satellite, user) blocks of the sqrt(beta) share rule
 
     def test_direction_is_regularized_inverse(self, rng):
         eff = synthetic_effective(rng, L=1, K=2, M=3, N=4)
-        q = joint_wmmse.link_bases(eff, 0, 1)[1]
-        w = joint_wmmse.share_rule_blocks(eff, 0, 1.0, [(1, q)], 0.7)[0]
+        bases = joint_wmmse.link_bases(eff, 1)
+        bases[0, 0] = 0                     # the satellite serves user 1 only
+        q = bases[0, 1]
+        w = joint_wmmse.share_rule(eff, 1.0, bases, 0.7)[0, 1]
         hb = dense_links(eff)[0]
         gram = 0.7 * np.eye(4) + sum(h.conj().T @ h for h in hb)
         raw = np.linalg.solve(gram, hb[1].conj().T @ q)
@@ -289,8 +279,8 @@ class TestShareRuleBlocks:
         eff = _rank_one_channel([b, other_b], [a, a[::-1]], [1.0, 4.0])
         q = np.asarray(q, complex) / np.sqrt(2)
         np.testing.assert_array_equal(dense_links(eff)[0, 0].conj().T @ q, 0)
-        out = joint_wmmse.share_rule_blocks(eff, 0, 3.0, [(0, q), (1, q[:, :1])],
-                                            0.5)
+        bases = np.stack([q, q * (np.arange(q.shape[1]) == 0)])[None]
+        out = joint_wmmse.share_rule(eff, 3.0, bases, 0.5)[0]
         share = 3.0 * 1.0 / (1.0 + 2.0)
         np.testing.assert_allclose(
             out[0][:, 0], np.sqrt(share) * a.conj() / np.linalg.norm(a),
@@ -299,6 +289,37 @@ class TestShareRuleBlocks:
         # the visible user keeps its own direction and its share
         assert np.sum(np.abs(out[1]) ** 2) == pytest.approx(3.0 - share,
                                                              rel=1e-12)
+
+    def test_invisible_masked_basis_keeps_its_column(self):
+        # user 0's basis uses column 1 only, and that column is invisible
+        # on its link: the matched filter goes to column 1, not column 0
+        a = np.array([1, 2j, -1])
+        eff = _rank_one_channel([[1, 1], [1, 0]], [a, a[::-1]], [1.0, 4.0])
+        q = np.array([1, -1], complex) / np.sqrt(2)
+        bases = np.zeros((1, 2, 2, 2), complex)
+        bases[0, 0, :, 1] = q
+        bases[0, 1, :, 0] = q
+        np.testing.assert_array_equal(dense_links(eff)[0, 0].conj().T @ q, 0)
+        out = joint_wmmse.share_rule(eff, 3.0, bases, 0.5)[0]
+        share = 3.0 * 1.0 / (1.0 + 2.0)
+        np.testing.assert_allclose(
+            out[0][:, 1], np.sqrt(share) * a.conj() / np.linalg.norm(a),
+            rtol=1e-14)
+        assert np.all(out[0][:, 0] == 0)
+        assert np.all(out[1][:, 1] == 0)
+
+    def test_silent_satellite_stays_zero(self, rng):
+        # satellite 1 serves nobody: its block is exactly zero, and every
+        # other satellite spends its cap exactly over all its users
+        eff = synthetic_effective(rng, L=3, K=2, M=3, N=4)
+        bases = joint_wmmse.link_bases(eff, 2)
+        bases[1] = 0
+        caps = np.array([1.5, 2.0, 0.5])
+        W = joint_wmmse.share_rule(eff, caps, bases, 0.3)
+        assert np.all(W[1] == 0)
+        for l in (0, 2):
+            assert np.sum(np.abs(W[l]) ** 2) == pytest.approx(caps[l], rel=1e-12)
+            assert np.all(np.abs(W[l, :, :, 0]) > 0)
 
 
 class TestSolve:

@@ -58,6 +58,10 @@ class TestLoadScenario:
         cfg = load_scenario('{"power_tol_rel": 1e-6}')
         assert SolverParams.from_config(cfg).power_tol_rel == 1e-6
 
+    def test_solver_defaults_are_the_config_defaults(self):
+        from satmimo.joint_wmmse import SolverParams
+        assert SolverParams() == SolverParams.from_config(ScenarioConfig())
+
     def test_old_and_new_tolerance_names_together_rejected(self):
         with pytest.raises(ConfigError, match="^ellipsoid_tol_rel: .*power_tol_rel"):
             load_scenario('{"ellipsoid_tol_rel": 1e-6, "power_tol_rel": 1e-6}')

@@ -7,6 +7,7 @@ from satmimo import (InfeasibleError, NumericsError, ScenarioConfig,
                      participation_factors, per_antenna, per_sat_total,
                      sample_geometry, solve_streamwise)
 from satmimo import cli, joint_wmmse
+from satmimo.channel import link_matrix
 from satmimo.joint_wmmse import (SolverParams, _mse_at_optimum, _mse_matrices,
                                  _receiver_grams, _secular, _Spectrum)
 from satmimo.power import residuals
@@ -126,8 +127,8 @@ class TestAssociate:
         K, S = assoc.pi.shape
         for k in range(K):
             assert len(set(assoc.pi[k])) == S
-        countable = [(k, s) for l in range(4) for (k, s) in assoc.sat_streams[l]]
-        assert sorted(countable) == [(k, s) for k in range(K) for s in range(S)]
+        # every (user, stream) pair rides exactly one satellite
+        np.testing.assert_array_equal(assoc.support.sum(axis=0), np.ones((K, S)))
 
     def test_too_many_streams_rejected(self, rng):
         eff = synthetic_effective(rng, L=2, K=1, M=4, N=4)
@@ -355,6 +356,19 @@ class TestSolveStreamwise:
         for l in range(3):
             assert np.sum(np.abs(W1[l]) ** 2) <= rho[l] * (1 + 1e-5) + 1e-12
 
+    @pytest.mark.parametrize("pi, num_sats", [([[0, 1], [2, 3]], 5),
+                                              ([[0], [2]], 4)],
+                             ids=["satellites", "streams"])
+    def test_assignment_of_another_shape_rejected(self, rng, pi, num_sats):
+        # the support must be (L, K, S): a map built for five satellites
+        # does not fit a four-satellite channel, even with every stream on
+        # one of the four
+        eff = synthetic_effective(rng, L=4, K=2, M=3, N=5)
+        assoc = StreamAssignment.from_pi(np.array(pi), num_sats)
+        with pytest.raises(ValidationError, match="does not match"):
+            solve_streamwise(eff, _caps(np.ones(4), 5), num_streams=2,
+                             assignment=assoc)
+
     def test_single_satellite_with_fewer_antennas_than_the_user(self):
         # L*N < M is a valid scenario: the association SVD is of the M x L
         # link matrix, and with one satellite and one stream the streamwise
@@ -501,7 +515,7 @@ class TestInitStreamwise:
         assert np.all(W.transpose(0, 1, 3, 2)[_off_support(assoc, 4)] == 0)
         power = np.sum(np.abs(W) ** 2, axis=2)                 # (L, K, S)
         for l in range(3):
-            streams = assoc.sat_streams[l]
+            streams = list(zip(*np.nonzero(assoc.support[l])))
             root = np.sqrt(eff.beta[l, [k for k, _ in streams]])
             np.testing.assert_allclose([power[l, k, s] for k, s in streams],
                                        rho[l] * root / root.sum(), rtol=1e-12)
@@ -515,8 +529,8 @@ class TestInitStreamwise:
         assoc = associate(eta, 2)
         caps = rng.uniform(0.2, 1.0, (3, 5))
         W = init_streamwise(eff, per_antenna(caps), assoc, directions)
-        for l, streams in enumerate(assoc.sat_streams):
-            if streams:
+        for l in range(3):
+            if assoc.support[l].any():
                 assert np.sum(np.abs(W[l]) ** 2) == pytest.approx(caps[l].min(),
                                                                   rel=1e-12)
 
@@ -524,10 +538,10 @@ class TestInitStreamwise:
         eff, assoc, rho, W = self._start(rng)
         # the stream directions are the dense aggregate's left vectors
         agg = dense_aggregate(eff)
-        for l, streams in enumerate(assoc.sat_streams):
+        for l in range(4):
             hb = dense_links(eff)[l]
             gram = eff.noise_power_w * np.eye(5) + sum(h.conj().T @ h for h in hb)
-            for k, s in streams:
+            for k, s in zip(*np.nonzero(assoc.support[l])):
                 u = np.linalg.svd(agg[k])[0][:, s]
                 raw = np.linalg.solve(gram, hb[k].conj().T @ u)
                 col = W[l, k, :, s]
@@ -536,6 +550,15 @@ class TestInitStreamwise:
                 np.testing.assert_allclose(
                     col, phase * np.linalg.norm(col) * raw / np.linalg.norm(raw),
                     rtol=1e-9, atol=1e-12)
+
+    def test_is_share_rule_on_masked_aggregated_basis(self, rng):
+        # the participation directions are the aggregated basis of the joint
+        # start, so the streamwise start is that basis masked by the support
+        eff, assoc, rho, W = self._start(rng)
+        bases = np.linalg.svd(link_matrix(eff))[0][..., :2]
+        masked = np.where(assoc.support[:, :, None, :], bases, 0.0)
+        np.testing.assert_array_equal(
+            W, joint_wmmse.share_rule(eff, rho, masked, eff.noise_power_w))
 
     def test_solver_starts_from_it(self, rng, monkeypatch):
         eff = synthetic_effective(rng, L=3, K=2, M=4, N=5)
