@@ -2,8 +2,9 @@
 
 Each baseline is defined per satellite on the effective channels. MMSE
 and ZF are one call each of the builder every closed form uses
-(`joint_wmmse.share_rule`, one K x K solve per satellite) on the per-link
-stream bases -b/||b|| (`joint_wmmse.link_bases`), so both put power on
+(`joint_wmmse.share_rule`, one K x K solve per satellite; MMSE through
+`init_precoders`) on the per-link stream bases -b/||b||
+(`joint_wmmse.link_bases`), so both put power on
 the first stream of each link only, with that explicit phase, and both use
 literally the same sqrt(beta)-proportional per-user power sharing as the
 WMMSE start: comparisons isolate the precoding strategy rather than the
@@ -27,8 +28,8 @@ import numpy as np
 
 from .channel import EffectiveChannel
 from .errors import InfeasibleError
-from .joint_wmmse import link_bases, share_rule
-from .power import PowerConstraintSet, scale_to_caps
+from .joint_wmmse import init_precoders, link_bases, share_rule
+from .power import PowerConstraintSet, per_sat_total, scale_to_caps
 from .se_eval import SEReport, exact_se_trials
 from .streamwise import StreamAssignment
 
@@ -37,12 +38,11 @@ _RIDGE = 1e-8
 
 def mmse_baseline(effective: EffectiveChannel, rho,
                   num_streams: int | None = None) -> np.ndarray:
-    """Regularized-MMSE precoders: `share_rule` on the per-link bases with
-    the noise power as regularizer, which is `init_precoders`' default
-    (per-link) variant."""
-    S = effective.shape[2] if num_streams is None else num_streams
-    return share_rule(effective, rho, link_bases(effective, S),
-                      effective.noise_power_w)
+    """Regularized-MMSE precoders: `init_precoders`' default (per-link)
+    variant under per-satellite total caps rho, which must be positive."""
+    L, K, M, N = effective.shape
+    rho = np.broadcast_to(np.asarray(rho, float), (L,))
+    return init_precoders(effective, per_sat_total(rho, N), num_streams)
 
 
 def zf_baseline(effective: EffectiveChannel, rho,

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from satmimo import (InfeasibleError, approx_se, exact_se_mc, mc_rng,
+from satmimo import (InfeasibleError, ValidationError, approx_se, exact_se_mc, mc_rng,
                      mmse_baseline, per_sat_total, random_association,
                      solve_streamwise, tdma_mrt_baseline, zf_baseline)
 from satmimo.joint_wmmse import init_precoders, solve
@@ -19,6 +19,11 @@ class TestMmseBaseline:
         cons = per_sat_total(rho, default_config.N)
         np.testing.assert_array_equal(W, init_precoders(default_effective, cons,
                                                         default_config.S))
+
+    @pytest.mark.parametrize("rho", [0.0, -1.0])
+    def test_rejects_nonpositive_cap(self, default_effective, rho):
+        with pytest.raises(ValidationError):
+            mmse_baseline(default_effective, rho, 2)
 
     def test_exhausts_power(self, default_effective):
         W = mmse_baseline(default_effective, np.full(4, 3.0), 2)
