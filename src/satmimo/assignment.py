@@ -12,6 +12,7 @@ brute-force enumerator serves as the test oracle.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -26,27 +27,31 @@ def _hungarian_min(cost: np.ndarray):
     Returns row -> column and the optimal dual potentials (u, v) of the rows
     and columns: cost[i, j] - u[i] - v[j] >= 0, with equality on the
     matching. Classic dual-potential shortest augmenting path; 1-based
-    internal indexing with column 0 as the virtual root.
+    internal indexing with column 0 as the virtual root. The loops run on
+    Python floats and lists (cost.tolist()): the same IEEE arithmetic as on
+    numpy scalars, without their per-element indexing cost.
     """
     n = cost.shape[0]
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    match = np.zeros(n + 1, dtype=int)   # match[j] = row assigned to column j
-    way = np.zeros(n + 1, dtype=int)
+    cost = cost.tolist()
+    u = [0.0] * (n + 1)
+    v = [0.0] * (n + 1)
+    match = [0] * (n + 1)      # match[j] = row assigned to column j
+    way = [0] * (n + 1)
     for i in range(1, n + 1):
         match[0] = i
         j0 = 0
-        minv = np.full(n + 1, np.inf)
-        used = np.zeros(n + 1, dtype=bool)
+        minv = [math.inf] * (n + 1)
+        used = [False] * (n + 1)
         while True:
             used[j0] = True
             i0 = match[j0]
-            delta = np.inf
+            row, u_i0 = cost[i0 - 1], u[i0]
+            delta = math.inf
             j1 = 0
             for j in range(1, n + 1):
                 if used[j]:
                     continue
-                cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
+                cur = row[j - 1] - u_i0 - v[j]
                 if cur < minv[j]:
                     minv[j] = cur
                     way[j] = j0
@@ -69,7 +74,7 @@ def _hungarian_min(cost: np.ndarray):
     rows = np.empty(n, dtype=int)
     for j in range(1, n + 1):
         rows[match[j] - 1] = j - 1
-    return rows, u[1:], v[1:]
+    return rows, np.array(u[1:]), np.array(v[1:])
 
 
 def _check_weights(weights: np.ndarray) -> np.ndarray:

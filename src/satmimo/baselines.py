@@ -27,7 +27,7 @@ import warnings
 import numpy as np
 
 from .channel import EffectiveChannel
-from .errors import InfeasibleError
+from .errors import InfeasibleError, ValidationError
 from .joint_wmmse import init_precoders, link_bases, share_rule
 from .power import PowerConstraintSet, per_sat_total, scale_to_caps
 from .se_eval import SEReport, exact_se_trials
@@ -57,9 +57,15 @@ def zf_baseline(effective: EffectiveChannel, rho,
     0, which makes the K x K solve exact zero forcing, when K <= N and the
     smallest eigenvalue exceeds 1e-10 of the largest; otherwise
     (rank-deficient or nearly collinear users) it is the ridge
-    1e-8 tr(G)/N, with a warning."""
+    1e-8 tr(G)/N, with a warning. The caps rho must be positive and
+    finite, else ValidationError."""
     L, K, M, N = effective.shape
     S = M if num_streams is None else num_streams
+    rho = np.broadcast_to(np.asarray(rho, float), (L,))
+    bad = np.flatnonzero(~(np.isfinite(rho) & (rho > 0)))
+    if bad.size:
+        raise ValidationError(f"satellite {bad[0]}: rho must be positive and "
+                              f"finite, got {rho[bad[0]]}")
     a = effective.a
     root = np.sqrt(effective.beta) * np.linalg.norm(effective.b, axis=-1)
     gram = root[:, :, None] * (a @ a.conj().swapaxes(1, 2)) * root[:, None, :]

@@ -6,10 +6,14 @@ Subcommands:
   validate  check a config file against the schema and invariants
 
 The CSV is deterministic for a fixed seed apart from the wall_time_ms
-column. Each sweep point runs as one pipeline (run_point) that gives the
-rows of all its modes; points can be evaluated by worker processes
-(environment variable SATMIMO_WORKERS), and row order never depends on
-scheduling.
+column. Each variant of a preset (the jobs that share one config: one
+geometry, every power point and mode) runs as one pipeline (run_point)
+that gives the rows of all its points and modes: the geometry, channels,
+stream maps and starts are built once per variant, a solver designs all of
+the variant's power points in one batched solve, and the Monte-Carlo walks
+and evaluation stay per point. Variants can be evaluated by worker
+processes (environment variable SATMIMO_WORKERS), and row order never
+depends on scheduling.
 """
 
 from __future__ import annotations
@@ -55,6 +59,9 @@ class Job:
     # the point's modes in preset order, computed together by run_job;
     # empty for a one-mode point
     modes: tuple = ()
+    # the variant's power grid, point p at powers[p], computed together by
+    # run_job; empty for a one-point variant
+    powers: tuple = ()
 
 
 def _clear_fixed_angles(cfg: ScenarioConfig) -> ScenarioConfig:
@@ -64,8 +71,8 @@ def _clear_fixed_angles(cfg: ScenarioConfig) -> ScenarioConfig:
 def _sweep(variants, modes) -> list:
     """Jobs for (scenario id, config) variants: per variant, every power
     point in grid order, and per point every mode in the given order. The
-    jobs of one point share its config object."""
-    return [Job(sid, mode, sub, dbw, p, tuple(modes))
+    jobs of one variant share its config object."""
+    return [Job(sid, mode, sub, dbw, p, tuple(modes), tuple(sub.power_cap_dbw_grid))
             for sid, sub in variants
             for p, dbw in enumerate(sub.power_cap_dbw_grid)
             for mode in modes]
@@ -124,44 +131,51 @@ def _constraints_for(cfg: ScenarioConfig, rho_w: float):
     return make_constraint_set(cfg.custom_constraints).scaled(rho_w)
 
 
-def _aggregated_mmse(eff, cons, rho, cfg, params):
-    # approximation study: aggregated stream basis so all S streams carry
-    # power (the per-link basis degenerates to one stream)
-    return joint_wmmse.init_precoders(eff, per_sat_total(rho, cfg.N), cfg.S,
-                                      stream_basis="aggregated"), None
+def _closed_form(design):
+    """design(effective, rho, cfg) of one point as the design of a
+    variant's points: one call per point, and no traces."""
+    return lambda eff, cons, rhos, cfg, params: (
+        [design(eff, rho, cfg) for rho in rhos], [None] * len(rhos))
 
 
 def _streamwise(eff, cons, cfg, params, assignment):
-    W, _, trace = streamwise.solve_streamwise(
+    W, _, traces = streamwise.solve_streamwise_sweep(
         eff, cons, params, num_streams=cfg.S, assignment=assignment)
-    return W, trace
+    return W, traces
 
 
-# mode -> design(effective, constraints, rho per satellite, cfg, params),
-# returning (W, SolveTrace or None). W is one precoder set, which serves
-# every user, or a list of K sets that time-share the users, set k serving
-# user k alone. A solver returns W within the constraints with its trace; a
-# closed form returns trace None and sets spending the per-satellite totals
-# rho, and run_point fits each set to the constraints. A mode in
-# _APPROXIMATED is estimated by approx_se, every other one by Monte Carlo.
-# Entries look their functions up on the modules when the row runs, so a
-# wrapper set on a module attribute sees the call.
+# approximation study: aggregated stream basis so all S streams carry power
+# (the per-link basis degenerates to one stream)
+_aggregated_mmse = _closed_form(lambda eff, rho, cfg: joint_wmmse.init_precoders(
+    eff, per_sat_total(rho, cfg.N), cfg.S, stream_basis="aggregated"))
+
+# mode -> design(effective, constraints, rhos, cfg, params) of a variant's
+# points: constraints and rhos (per-satellite caps) hold one entry per
+# point, and the design returns (precoders, traces), one entry per point.
+# A point's precoders are one set, which serves every user, or a list of K
+# sets that time-share the users, set k serving user k alone. A solver
+# designs every point in one batched solve and returns W within the
+# constraints with its SolveTrace; a closed form returns trace None and sets
+# spending the per-satellite totals rho, and run_point fits each set to the
+# constraints. A mode in _APPROXIMATED is estimated by approx_se, every
+# other one by Monte Carlo. Entries look their functions up on the modules
+# when the row runs, so a wrapper set on a module attribute sees the call.
 _DESIGNS = {
-    "joint": lambda eff, cons, rho, cfg, params: joint_wmmse.solve(
+    "joint": lambda eff, cons, rhos, cfg, params: joint_wmmse.solve_sweep(
         eff, cons, params, num_streams=cfg.S),
-    "streamwise": lambda eff, cons, rho, cfg, params: _streamwise(
+    "streamwise": lambda eff, cons, rhos, cfg, params: _streamwise(
         eff, cons, cfg, params, None),
     # the random map has its own generator, disjoint from the Monte-Carlo one
-    "streamwise-random": lambda eff, cons, rho, cfg, params: _streamwise(
+    "streamwise-random": lambda eff, cons, rhos, cfg, params: _streamwise(
         eff, cons, cfg, params, baselines.random_association(
             np.random.default_rng(np.random.SeedSequence([cfg.rng_seed, 1])),
             cfg.S, cfg.L, cfg.K)),
-    "mmse": lambda eff, cons, rho, cfg, params: (
-        baselines.mmse_baseline(eff, rho, cfg.S), None),
-    "zf": lambda eff, cons, rho, cfg, params: (
-        baselines.zf_baseline(eff, rho, cfg.S), None),
-    "tdma-mrt": lambda eff, cons, rho, cfg, params: (
-        [W for _, W in baselines.tdma_mrt_precoders(eff, rho)], None),
+    "mmse": _closed_form(lambda eff, rho, cfg: baselines.mmse_baseline(
+        eff, rho, cfg.S)),
+    "zf": _closed_form(lambda eff, rho, cfg: baselines.zf_baseline(
+        eff, rho, cfg.S)),
+    "tdma-mrt": _closed_form(lambda eff, rho, cfg: [
+        W for _, W in baselines.tdma_mrt_precoders(eff, rho)]),
     "mmse-exact-mc": _aggregated_mmse,
     "mmse-approx": _aggregated_mmse,
 }
@@ -170,31 +184,41 @@ _APPROXIMATED = frozenset({"mmse-approx"})
 
 def _point_key(job: Job):
     """Jobs of one sweep point share this key; the config is compared by
-    identity, as the jobs of a point share one config object."""
+    identity, as the jobs of a variant share one config object."""
     return (id(job.config), job.scenario_id, job.power_dbw, job.point_index,
             job.config.rng_seed)
 
 
-def run_point(jobs) -> list:
-    """Evaluate the rows of one sweep point, one per job (each a mode of the
-    point), in the given order. Pure given the jobs.
+def _variant_key(job: Job):
+    """Jobs of one variant (one config object) share this key."""
+    return (id(job.config), job.scenario_id, job.config.rng_seed)
 
-    The shared work runs once: geometry and channels, the solver
-    parameters and the constraint set. Then each mode's design from
-    `_DESIGNS`, a closed form's sets fitted to the constraints
-    (`power.scale_to_caps`); a mode in `_APPROXIMATED` is estimated by
-    `approx_se`, every other one has each of its sets planned for Monte
-    Carlo (`se_eval.plan_users`: every user, or user s alone for set s of
-    several). One walk rule serves every mode: walk s, the s-th full draw
-    from `mc_rng(seed, point)`, covers the union of the pairs of every
-    mode's set s (`se_eval.sample_plan_gains`), serves those plans
-    (`evaluate_users`) and is released before walk s + 1 is drawn. A mode
-    rides walks 0..len(sets) - 1 unless its design or an evaluation fails;
-    a walk without riders is not drawn. Each gain is bitwise the one a
-    separate walk per mode gives, so the modes compare on common random
-    numbers. Several sets give the time-shared report of
-    `baselines.tdma_mrt_report`, one set that of `mc_report`. A design or
-    estimator error gives an error row for that mode only.
+
+def run_point(jobs) -> list:
+    """Evaluate the rows of one variant's jobs, one row per job, in the
+    given order: any distinct (point, mode) jobs of one variant, a single
+    sweep point's modes among them. Pure given the jobs.
+
+    The shared work runs once per variant: geometry and channels and the
+    solver parameters; then each point's constraint set. Each mode designs
+    all of its points in one `_DESIGNS` call (a solver: one batched solve);
+    when that call raises, the mode's points are designed again one at a
+    time, so an error stays on the row of its own point. A closed form's
+    sets are fitted to the constraints (`power.scale_to_caps`); a mode in
+    `_APPROXIMATED` is estimated by `approx_se`, every other one has each
+    of its sets planned for Monte Carlo (`se_eval.plan_users`: every user,
+    or user s alone for set s of several), and the precoders are released
+    once planned. Then each point in turn runs one walk rule for every
+    mode: walk s, the s-th full draw from `mc_rng(seed, point)`, covers the
+    union of the pairs of every mode's set s at that point
+    (`se_eval.sample_plan_gains`), serves those plans (`evaluate_users`)
+    and is released before walk s + 1 is drawn. A mode rides walks 0..
+    len(sets) - 1 unless its design or an evaluation fails; a walk without
+    riders is not drawn. Each gain is bitwise the one a separate walk per
+    mode gives, so the modes compare on common random numbers. Several sets
+    give the time-shared report of `baselines.tdma_mrt_report`, one set
+    that of `mc_report`. A design or estimator error gives an error row for
+    that point and mode only.
 
     Besides the CSV columns each row carries "converged", False when the
     WMMSE loop stopped at max_iters before meeting its tolerance;
@@ -206,128 +230,171 @@ def run_point(jobs) -> list:
     one, has a single Monte-Carlo set: {"mode", "mean_diff" (this row's
     mean per-trial sum SE minus that mode's), "stderr" (the standard error
     of that difference, nan from a single trial)}. wall_time_ms is the
-    mode's own design and estimate, an equal share of each walk it rides
-    among that walk's riders, and an equal share of the point's shared
-    stages."""
+    row's own fit and estimate, an equal share of its mode's batched design
+    among that batch's points, an equal share of each walk it rides among
+    that walk's riders, an equal share of its point's constraint set among
+    the point's rows and an equal share of the variant's shared stages."""
     job = jobs[0]
-    modes = [j.mode for j in jobs]
-    for mode in modes:
-        if mode not in _DESIGNS:
-            raise ValueError(f"unhandled mode {mode}")
-    if len(set(modes)) < len(modes) or any(
-            _point_key(j) != _point_key(job) for j in jobs):
-        raise ValueError("run_point takes distinct modes of one sweep point")
+    for j in jobs:
+        if j.mode not in _DESIGNS:
+            raise ValueError(f"unhandled mode {j.mode}")
+    keys = [(j.point_index, j.power_dbw, j.mode) for j in jobs]
+    job_of = dict(zip(keys, jobs))
+    if len(job_of) < len(keys) or any(
+            _variant_key(j) != _variant_key(job) for j in jobs):
+        raise ValueError("run_point takes distinct (point, mode) jobs of one "
+                         "variant")
     cfg = job.config
     t0 = time.perf_counter()
-    rho_w = 10 ** (job.power_dbw / 10)
-    rho = np.full(cfg.L, rho_w)
     geometry = sample_geometry(cfg, np.random.default_rng(cfg.rng_seed))
     effective = effective_channels(geometry, cfg)
     params = joint_wmmse.SolverParams.from_config(cfg)
-    errors, own = {}, dict.fromkeys(modes, 0.0)
-    try:
-        constraints = _constraints_for(cfg, rho_w)
-    except _ROW_ERRORS as exc:
-        errors = dict.fromkeys(modes, str(exc))
     shared = time.perf_counter() - t0
+    points = list(dict.fromkeys(k[:2] for k in keys))
+    modes = list(dict.fromkeys(j.mode for j in jobs))
+    at = {p: [k for k in keys if k[:2] == p] for p in points}
+    errors, own = {}, dict.fromkeys(keys, 0.0)
+    constraints, rhos = {}, {}
+    for p in points:
+        t = time.perf_counter()
+        rho_w = 10 ** (p[1] / 10)
+        rhos[p] = np.full(cfg.L, rho_w)
+        try:
+            constraints[p] = _constraints_for(cfg, rho_w)
+        except _ROW_ERRORS as exc:
+            errors.update(dict.fromkeys(at[p], str(exc)))
+        for key in at[p]:
+            own[key] += (time.perf_counter() - t) / len(at[p])
 
     def each(stage, which):
-        """stage(mode) for every listed mode still without an error, timed
-        on the mode's own clock; an error a row reports ends the mode."""
-        for mode in which:
-            if mode not in errors:
+        """stage(key) for every listed key still without an error, timed on
+        the row's own clock; an error a row reports ends the row."""
+        for key in which:
+            if key not in errors:
                 t = time.perf_counter()
                 try:
-                    stage(mode)
+                    stage(key)
                 except _ROW_ERRORS as exc:
-                    errors[mode] = str(exc)
-                own[mode] += time.perf_counter() - t
+                    errors[key] = str(exc)
+                own[key] += time.perf_counter() - t
 
-    # per mode: (design, SolveTrace); its plans and per-trial SE, per set
-    designs, plans, se, reports = {}, {}, {}, {}
+    # per row: SolveTrace; its plans and per-trial SE, per set
+    made, traces, plans, se, reports = {}, {}, {}, {}, {}
 
-    def design(mode):
-        W, trace = designs[mode] = _DESIGNS[mode](effective, constraints, rho,
-                                                  cfg, params)
+    def design(mode, batch):
+        made.update(zip(batch, zip(*_DESIGNS[mode](
+            effective, [constraints[p] for p in batch],
+            [rhos[p] for p in batch], cfg, params))))
+
+    def finish(key):
+        # fit, then plan or estimate; the precoders are not kept
+        W, traces[key] = made.pop(key[:2])
         sets = W if isinstance(W, list) else [W]
-        if trace is None:
+        if traces[key] is None:
             for W_s in sets:
-                scale_to_caps(W_s, constraints, params.power_tol_rel)
-        if mode in _APPROXIMATED:
-            reports[mode] = approx_se(W, effective)
+                scale_to_caps(W_s, constraints[key[:2]], params.power_tol_rel)
+        if key[2] in _APPROXIMATED:
+            reports[key] = approx_se(W, effective)
             return
         # several sets time-share the users, set s serving user s alone
-        plans[mode] = [plan_users(W_s, effective,
-                                  [s] if len(sets) > 1 else range(cfg.K))
-                       for s, W_s in enumerate(sets)]
-        se[mode] = []
+        plans[key] = [plan_users(W_s, effective,
+                                 [s] if len(sets) > 1 else range(cfg.K))
+                      for s, W_s in enumerate(sets)]
+        se[key] = []
 
-    def evaluate(mode):
-        # the mode's next set on the current walk
-        se[mode].append(evaluate_users(plans[mode][len(se[mode])], *walk))
-        if len(se[mode]) == len(plans[mode]):
-            reports[mode] = (mc_report(se[mode][0]) if len(se[mode]) == 1 else
-                             baselines.tdma_mrt_report([t[0] for t in se[mode]]))
+    def alone(key):
+        if key[:2] not in made:
+            design(key[2], [key[:2]])
 
-    each(design, modes)
-    rng = mc_rng(cfg.rng_seed, job.point_index)
-    for s in itertools.count():
-        riders = [m for m in plans if m not in errors and s < len(plans[m])]
-        if not riders:
-            break
-        t = time.perf_counter()
-        walk = sample_plan_gains(effective, cfg.mc_trials, rng,
-                                 [p for m in riders for p in plans[m][s]])
-        for m in riders:
-            own[m] += (time.perf_counter() - t) / len(riders)
-        each(evaluate, riders)
-        del walk
-    paired = [m for m in plans if m in reports and len(plans[m]) == 1]
-    rows = []
-    for j in jobs:
-        row = _row(j, reports.get(j.mode), designs.get(j.mode, (None, None))[1],
-                   own[j.mode] + shared / len(jobs), errors.get(j.mode))
-        later = paired[paired.index(j.mode) + 1:] if j.mode in paired else []
-        row["paired_stderr"] = []
-        for m in later:
-            # the mean and standard error of the per-trial difference
-            diff = mc_report((se[j.mode][0].sum(0) - se[m][0].sum(0))[None])
-            row["paired_stderr"].append({"mode": m, "mean_diff": diff.sum_se,
-                                         "stderr": diff.sum_se_stderr})
-        rows.append(row)
-    return rows
+    for mode in modes:
+        batch = [k for k in keys if k[2] == mode and k not in errors]
+        if len(batch) > 1:
+            t = time.perf_counter()
+            try:
+                design(mode, [k[:2] for k in batch])
+            except _ROW_ERRORS:
+                made.clear()        # each point alone, its error its own
+            for key in batch:
+                own[key] += (time.perf_counter() - t) / len(batch)
+        each(alone, batch)
+        each(finish, batch)
+
+    def evaluate(key):
+        # the row's next set on the current walk
+        se[key].append(evaluate_users(plans[key][len(se[key])], *walk))
+        if len(se[key]) == len(plans[key]):
+            reports[key] = (mc_report(se[key][0]) if len(se[key]) == 1 else
+                            baselines.tdma_mrt_report([t[0] for t in se[key]]))
+
+    rows = {}
+    for p in points:
+        rng = mc_rng(cfg.rng_seed, p[0])
+        for s in itertools.count():
+            riders = [k for k in at[p] if k in plans and k not in errors
+                      and s < len(plans[k])]
+            if not riders:
+                break
+            t = time.perf_counter()
+            walk = sample_plan_gains(effective, cfg.mc_trials, rng,
+                                     [pair for k in riders for pair in plans[k][s]])
+            for k in riders:
+                own[k] += (time.perf_counter() - t) / len(riders)
+            each(evaluate, riders)
+            del walk
+        paired = [k for k in at[p] if k in reports and k in plans
+                  and len(plans[k]) == 1]
+        for key in at[p]:
+            row = _row(job_of[key], reports.get(key), traces.get(key),
+                       own[key] + shared / len(jobs), errors.get(key))
+            later = paired[paired.index(key) + 1:] if key in paired else []
+            row["paired_stderr"] = []
+            for k in later:
+                # the mean and standard error of the per-trial difference
+                diff = mc_report((se[key][0].sum(0) - se[k][0].sum(0))[None])
+                row["paired_stderr"].append({"mode": k[2], "mean_diff": diff.sum_se,
+                                             "stderr": diff.sum_se_stderr})
+            rows[key] = row
+        for key in at[p]:
+            se.pop(key, None)
+            plans.pop(key, None)
+    return [rows[key] for key in keys]
 
 
-# rows of the last point run_job computed that it has not handed out yet:
-# at most one (job of that point, {mode: row})
+# rows of the last variant run_job computed that it has not handed out yet:
+# at most one {job key: row}
 _held = []
+
+
+def _job_key(job: Job):
+    return _point_key(job), job.mode, job.modes, job.powers
 
 
 def run_job(job: Job) -> dict:
     """Evaluate one (scenario, mode, sweep point) row: the one-row view of
-    run_point. The first call for a point computes every mode in
+    run_point. The first call for a variant computes every point in
+    job.powers (only the job's point when it is empty) and every mode in
     job.modes (only job.mode when it is empty) and returns its own row; the
-    point's other rows are held, and each is handed out once, to the next
-    run_job call for that mode of the same point. Any other call drops
-    them. So a preset's jobs called in order compute each point once."""
-    held = _held.pop() if _held else None
-    if held is not None:
-        point, rows = held
-        if (_point_key(point) == _point_key(job) and point.modes == job.modes
-                and job.mode in rows):
-            row = rows.pop(job.mode)
-            if rows:
-                _held.append(held)
-            return row
-    modes = job.modes or (job.mode,)
-    if job.mode not in modes:
-        raise ValueError(f"mode {job.mode} is not among the point's modes "
-                         f"{modes}")
-    rows = run_point([replace(job, mode=m) for m in modes])
-    own = rows.pop(modes.index(job.mode))
-    if rows:
-        _held.append((job, {r["mode"]: r for r in rows}))
-    return own
+    variant's other rows are held, and each is handed out once, to the next
+    run_job call for that job. Any other call drops them. So a preset's
+    jobs called in order compute each variant once."""
+    held = _held.pop() if _held else {}
+    row = held.pop(_job_key(job), None)
+    if row is None:
+        modes = job.modes or (job.mode,)
+        if job.mode not in modes:
+            raise ValueError(f"mode {job.mode} is not among the point's modes "
+                             f"{modes}")
+        points = list(enumerate(job.powers)) or [(job.point_index, job.power_dbw)]
+        if (job.point_index, job.power_dbw) not in points:
+            raise ValueError(f"point {job.point_index} at {job.power_dbw} dBW "
+                             f"is not on the variant's grid {job.powers}")
+        jobs = [replace(job, mode=m, point_index=p, power_dbw=dbw)
+                for p, dbw in points for m in modes]
+        held = dict(zip(map(_job_key, jobs), run_point(jobs)))
+        row = held.pop(_job_key(job))
+    if held:
+        _held.append(held)
+    return row
 
 
 def _row(job, report, trace, seconds, error):
@@ -352,6 +419,11 @@ def _row(job, report, trace, seconds, error):
 def _points(jobs) -> list:
     """The preset's jobs as one list per sweep point, in order."""
     return [list(point) for _, point in itertools.groupby(jobs, _point_key)]
+
+
+def _variants(jobs) -> list:
+    """The preset's jobs as one list per variant, in order."""
+    return [list(variant) for _, variant in itertools.groupby(jobs, _variant_key)]
 
 
 def _write_outputs(rows, unconverged, paired, out_path, cfg, args):
@@ -475,10 +547,12 @@ def cmd_run(args, parser) -> int:
         # imported here: it loads multiprocessing, which a serial run never uses
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(run_point, _points(jobs)))
+            variants = list(pool.map(run_point, _variants(jobs)))
     else:
-        points = [run_point(point) for point in _points(jobs)]
-    rows = [row for point in points for row in point]
+        variants = [run_point(variant) for variant in _variants(jobs)]
+    rows = [row for variant in variants for row in variant]
+    points = list(itertools.accumulate(map(len, _points(jobs)), initial=0))
+    points = [rows[a:b] for a, b in zip(points, points[1:])]
     unconverged = _unconverged(rows)
     _write_outputs(rows, unconverged, _paired(points), args.out, cfg, args)
     failures = [r for r in rows if r["sum_se"] == "nan"]

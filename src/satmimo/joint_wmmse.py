@@ -12,18 +12,30 @@ positive definite for any precoders, and the per-satellite precoder update
 keeps the familiar regularized closed form
     W_{l,k}(mu) = (sum_i Hb^H U_i C_i U_i^H Hb + sum_x mu_x A_x)^{-1} B_{l,k}.
 
-One iteration is batched array work on a few kernels, which are the whole
-design: every user's mean received Gram J_k and desired blocks G_k come
-from `se_eval._receiver_grams`, whose Grams `se_eval.approx_se` also reads
+One engine, `solve_sweep`, runs the design for B instances that share
+one channel and differ in their caps and starts (a power sweep); `solve`
+is its B = 1 call. One iteration is batched array work on a few kernels,
+which are the whole design, each batched over the instances as well:
+every user's mean received Gram J_k and desired blocks G_k come from
+`se_eval._GramKernel`, the kernel that `se_eval.approx_se` also reads
 (log2 det(J_k / noise) - log2 det((J_k - G_k G_k^H) / noise)), so the
 design and the approximation share one formula; the MSE matrices come from
 `_mse_at_optimum` (at the MMSE combiner) or `_mse_matrices` (any
 combiner), and for fixed combiners and weights all satellites' precoder
-subproblems from one `_PrecoderStep`.
+subproblems from one `_PrecoderStep`. Every kernel works slice by slice,
+so an instance's result is bitwise the one it gets alone.
+
+A stream that is zero at the start stays exactly zero, so the receiver
+arrays keep only the live effective streams (live in some instance's
+start, `_live_columns`): n per user, padded with dead columns to the
+largest count, in place of L*S. A streamwise user has n = S, a joint one
+n = L*S. Each dropped stream would contribute the constant
+1/ln 2 + log2 ln 2 (MSE 1, weight 1/ln 2) to the objective, and the
+trace adds it back, so the objective reads as over all L*S streams.
 
 The links are rank one, so satellite l's coupling matrix and right-hand
 sides lie in the span of its K array responses A_l = [conj(a_{l,k})]_k for
-the whole solve; an iteration changes only K coefficients. `solve`
+the whole solve; an iteration changes only K coefficients. The engine
 factors every A_l = Q_l R_l once (`_TransmitBasis`, one batched QR), and a
 satellite with a single total-power cap takes its step in K x K
 coordinates (`_Spectrum`): the eigenpairs of R_l diag(c_l) R_l^H, the
@@ -35,8 +47,9 @@ constraint family (per-antenna, custom, a single weighted cap) works on
 the same state: it takes its multipliers from a safeguarded Newton search
 on the concave dual of the dense subproblem, which returns only
 multipliers it has certified feasible and optimal
-(`dual_newton_multipliers`). There is no per-satellite or per-user view:
-`solve` runs these kernels directly, and the tests check them.
+(`dual_newton_multipliers`), one instance at a time. There is no
+per-satellite or per-user view: `solve_sweep` runs these kernels directly,
+and the tests check them.
 
 Every kernel and every closed form read the channel through its rank-one
 link factors b, a and beta only, and no closed form touches an N x N
@@ -63,7 +76,7 @@ from .channel import EffectiveChannel, link_matrix
 from .errors import InfeasibleError, NumericsError, ValidationError
 from .power import PowerConstraintSet, assert_feasible, residuals as power_residuals
 from .scenario import ScenarioConfig
-from .se_eval import _receiver_grams
+from .se_eval import _GramKernel, _antenna_major, _receiver_grams
 
 _LN2 = np.log(2.0)
 _RANK_TOL = 1e-12
@@ -81,6 +94,9 @@ _MAX_DUAL_EVALS = 100
 # point at the floor meets the gap certificate)
 _MAX_RATE = np.log(1e2)
 _SCALE_FLOOR = 1e-7
+# the objective term Tr(C E) - log2 det C of a dead effective stream, whose
+# MSE is 1 and weight 1/ln 2
+_DEAD_STREAM = float(1.0 / _LN2 + np.log2(_LN2))
 
 
 @dataclass
@@ -144,7 +160,8 @@ def update_weights(mse: np.ndarray):
     try:
         chol = np.linalg.cholesky(mse)
     except np.linalg.LinAlgError:
-        k = int(np.argmin(np.linalg.eigvalsh(mse)[:, 0]))
+        least = np.linalg.eigvalsh(mse)[..., 0]
+        k = int(np.unravel_index(np.argmin(least), least.shape)[-1])
         raise NumericsError(
             f"MSE matrix of user {k} is not positive definite") from None
     weights = _hermitian(np.linalg.inv(mse) / _LN2)
@@ -428,7 +445,7 @@ class _TransmitBasis:
     solve, A_l = Q_l R_l with q (L, N, r) and r (L, r, K), r = min(N, K),
     turns every total-power step into r x r work (`_Spectrum`): T_l =
     Q_l R_l diag(c_l) R_l^H Q_l^H and rhs_dir[l]^T = Q_l rhs_coords[l].
-    dir_sq holds beta ||a||^2 per link, b_conj the conjugate receive factors.
+    dir_sq holds beta ||a||^2 per link, b_rows (K, L, M) the rows b_{l,k}^H.
     """
 
     def __init__(self, effective: EffectiveChannel):
@@ -438,7 +455,7 @@ class _TransmitBasis:
         self.rhs_coords = self.r * root_beta[:, None, :]          # R diag(sqrt(beta))
         self.rhs_dir = root_beta[:, :, None] * self.a_conj
         self.dir_sq = np.einsum("lkn,lkn->lk", self.rhs_dir.conj(), self.rhs_dir).real
-        self.b_conj = effective.b.conj()
+        self.b_rows = effective.b.conj().transpose(1, 0, 2)
 
 
 class _PrecoderStep:
@@ -449,29 +466,52 @@ class _PrecoderStep:
     under its power constraints, where T_l = factor[l] factor[l]^H has rank
     <= K, factor[l] = A_l diag(sqrt(coeff[l])) (`_TransmitBasis`), and
     B_{l,k} = rhs_dir[l, k] rhs_row[l, k]^T is rank one. Arrays: coeff
-    (L, K), rhs_dir (L, K, N), rhs_row (L, K, S); the (L, N, K) factor is
-    built on first use, by the dense dual path only. basis is the solve's
-    `_TransmitBasis`.
+    (..., L, K), rhs_dir (L, K, N), rhs_row (..., L, K, S); the
+    (..., L, N, K) factor is built on first use, by the dense dual path
+    only. basis is the solve's `_TransmitBasis`.
+
+    The combiners (..., K, M, n) and weights (..., K, n, n) hold the
+    effective streams of a column map of `se_eval._GramKernel`, whose
+    `_block_index` is blocks (all L*S streams, satellite major, when it is
+    None); leading axes are a batch of independent instances.
     """
 
     def __init__(self, effective: EffectiveChannel, combiners: np.ndarray,
-                 weights: np.ndarray, num_streams: int, basis: _TransmitBasis):
+                 weights: np.ndarray, num_streams: int, basis: _TransmitBasis,
+                 blocks=None):
         L, K, M, N = effective.shape
         S = num_streams
         self.basis = basis
-        # u[l, i] = b_{l,i}^H U_i and uc[l, i] = u[l, i] C_i, both (L*S,)
-        u = np.einsum("lim,imj->lij", self.basis.b_conj, combiners)
-        uc = np.einsum("lij,ijh->lih", u, weights)
-        self.coeff = np.maximum(
-            effective.beta * np.einsum("lih,lih->li", uc, u.conj()).real, 0.0)
-        self.rhs_dir = self.basis.rhs_dir
-        sats = np.arange(L)
-        self.rhs_row = uc.reshape(L, K, L, S)[sats, :, sats]       # block l
+        # u[..., i, l] = b_{l,i}^H U_i and uc = u C_i, over user i's columns
+        u = basis.b_rows @ combiners                              # (..., K, L, n)
+        uc = u @ weights
+        self.coeff = np.maximum(effective.beta * (
+            uc.real * u.real + uc.imag * u.imag).sum(axis=-1).swapaxes(-1, -2), 0.0)
+        self.rhs_dir = basis.rhs_dir
+        index, kept = blocks or _block_index(
+            np.broadcast_to(np.arange(L * S), (K, L * S)), L, K, S)
+        # block l of uc: stream s of satellite l, zero where it is not kept
+        self.rhs_row = uc.reshape(uc.shape[:-3] + (-1,))[..., index] * kept
 
     @functools.cached_property
     def factor(self) -> np.ndarray:
-        """T's (L, N, K) factors A_l diag(sqrt(coeff[l]))."""
-        return (np.sqrt(self.coeff)[:, :, None] * self.basis.a_conj).swapaxes(1, 2)
+        """T's (..., L, N, K) factors A_l diag(sqrt(coeff[l]))."""
+        return (np.sqrt(self.coeff)[..., None] * self.basis.a_conj).swapaxes(-1, -2)
+
+
+def _block_index(columns: np.ndarray, L: int, K: int, S: int):
+    """Where stream s of satellite l sits among user k's n kept columns of
+    the column map (K, n) of `se_eval._GramKernel`: flat indices into a
+    (K, L, n) array and a 0/1 mask of the kept streams, both (L, K, S)."""
+    n = columns.shape[1]
+    users = np.arange(K)[:, None]
+    position = np.zeros((K, L * S + 1), int)
+    kept = np.zeros((K, L * S + 1))
+    position[users, columns] = np.arange(n)
+    kept[users, columns] = 1.0        # a dead column lands in the last slot
+    position, kept = (x[:, :-1].reshape(K, L, S).swapaxes(0, 1)
+                      for x in (position, kept))
+    return (users.T[..., None] * L + np.arange(L)[:, None, None]) * n + position, kept
 
 
 class _Spectrum:
@@ -487,18 +527,24 @@ class _Spectrum:
     its range; the right-hand side's part along the masked directions is
     the part outside the range, the d/mu^2 term of the power curve.
     Nothing here is N-dimensional until `precoders` writes them back.
+    sats index the step's satellites with any batch axes folded in: entry
+    b*L + l is satellite l of instance b.
     """
 
-    def __init__(self, step: _PrecoderStep, sats: np.ndarray):
+    def __init__(self, step: _PrecoderStep, sats):
         basis = step.basis
-        self.q = basis.q[sats]
-        r = basis.r[sats]
+        L, K = basis.rhs_dir.shape[:2]
+        sats = np.asarray(sats)
+        own = sats % L
+        self.q = basis.q[own]
+        r = basis.r[own]
+        coeff = step.coeff.reshape(-1, K)[sats]
         # eigh reads the lower triangle only: no symmetrisation needed
         self.lam, self.z = np.linalg.eigh(
-            (r * step.coeff[sats][:, None, :]) @ r.conj().swapaxes(1, 2))
+            (r * coeff[:, None, :]) @ r.conj().swapaxes(1, 2))
         self.keep = self.lam > _RANK_TOL * np.maximum(self.lam[:, -1:], 1e-300)
-        self.coords = self.z.conj().swapaxes(1, 2) @ basis.rhs_coords[sats]
-        self.row = step.rhs_row[sats]
+        self.coords = self.z.conj().swapaxes(1, 2) @ basis.rhs_coords[own]
+        self.row = step.rhs_row.reshape(-1, K, step.rhs_row.shape[-1])[sats]
         row_sq = np.square(np.abs(self.row)).sum(axis=2)
         energy = np.square(np.abs(self.coords))                   # (n, r, K)
         c = (energy @ row_sq[:, :, None])[:, :, 0]
@@ -514,20 +560,23 @@ class _Spectrum:
             # active user's right-hand side
             perp_sq = (masked[:, None, :] @ energy)[:, 0]
             self.pinv = np.any((row_sq > 0) & (perp_sq > _DIRECTION_TOL * np.maximum(
-                basis.dir_sq[sats], 1e-300)), axis=1)
+                basis.dir_sq[own], 1e-300)), axis=1)
 
     def precoders(self, mu: np.ndarray) -> np.ndarray:
         """Closed-form precoders (n, K, N, S) at per-satellite multipliers:
         the coordinates scaled by 1/(lam + mu) on the range and by 1/mu
         (0 at mu = 0) on the masked directions, then written back through
-        Q z."""
+        Q z. The result is a view of an antenna-major (n, N, K, S) array."""
         mu = np.asarray(mu, float)[:, None]
         gain = np.divide(1.0, np.where(self.keep, self.lam + mu, mu),
                          out=np.zeros_like(self.lam), where=self.keep | (mu > 0))
-        # user k's coordinates times its row, (n, K, r, S): one product per
-        # user writes its precoder
-        y = (self.z @ (gain[:, :, None] * self.coords)).swapaxes(1, 2)
-        return self.q[:, None] @ (y[..., None] * self.row[:, :, None, :])
+        y = self.z @ (gain[:, :, None] * self.coords)              # (n, r, K)
+        # every user's coordinates times its row: one product per satellite
+        # writes all of its precoders
+        n, r, K = y.shape
+        S = self.row.shape[-1]
+        coef = (y[..., None] * self.row[:, None]).reshape(n, r, K * S)
+        return (self.q @ coef).reshape(n, -1, K, S).swapaxes(1, 2)
 
 
 def link_bases(effective: EffectiveChannel, num_streams: int) -> np.ndarray:
@@ -549,8 +598,9 @@ def share_rule(effective: EffectiveChannel, caps, bases, reg) -> np.ndarray:
     bases is an (L, K, M, S) stream-basis array, or one that broadcasts to
     it; an all-zero basis bases[l, k] means satellite l does not serve user
     k, and its block stays exactly zero. caps and reg are per satellite (or
-    scalars). Block (l, k) points along G_l^{-1} Hb_{l,k}^H Q with
-    Q = bases[l, k] and the Gram
+    scalars); caps (B, L) give B sets (B, L, K, N, S) on one set of
+    directions, each bitwise the set of its own caps. Block (l, k) points
+    along G_l^{-1} Hb_{l,k}^H Q with Q = bases[l, k] and the Gram
     G_l = reg_l*I_N + sum_i Hb_{l,i}^H Hb_{l,i} = reg_l*I_N + A^H D A,
     where row i of A is a_{l,i}^T, D = diag(beta_{l,i} ||b_{l,i}||^2) and
     Hb_{l,k}^H Q = sqrt(beta_{l,k}) conj(a_{l,k}) (b_{l,k}^H Q). A^H D A is
@@ -570,7 +620,8 @@ def share_rule(effective: EffectiveChannel, caps, bases, reg) -> np.ndarray:
     L, K, M, N = effective.shape
     a, b, beta = effective.a, effective.b, effective.beta
     bases = np.broadcast_to(bases, (L, K, M, np.shape(bases)[-1]))
-    caps = np.broadcast_to(np.asarray(caps, float), (L,))
+    caps = np.asarray(caps, float)
+    caps = np.broadcast_to(caps, caps.shape[:-1] + (L,))
     reg = np.broadcast_to(np.asarray(reg, float), (L,))
     load = beta * np.einsum("lkm,lkm->lk", b.conj(), b).real
     core = reg[:, None, None] * _eye(K) + (load[:, :, None] * a) @ a.conj().swapaxes(1, 2)
@@ -579,7 +630,7 @@ def share_rule(effective: EffectiveChannel, caps, bases, reg) -> np.ndarray:
     served = used.any(axis=2)
     root_beta = np.where(served, np.sqrt(beta), 0.0)
     total = root_beta.sum(axis=1)
-    W = np.zeros((L, K, N, bases.shape[-1]), complex)
+    W = np.zeros(caps.shape[:-1] + (L, K, N, bases.shape[-1]), complex)
     for l, k in zip(*np.nonzero(served)):
         raw = np.outer(root_beta[l, k] * directions[l, :, k], b[l, k].conj() @ bases[l, k])
         norm = np.linalg.norm(raw)
@@ -587,17 +638,28 @@ def share_rule(effective: EffectiveChannel, caps, bases, reg) -> np.ndarray:
             raw = np.zeros_like(raw)
             raw[:, np.argmax(used[l, k])] = a[l, k].conj()
             norm = np.linalg.norm(raw)
-        W[l, k] = np.sqrt(caps[l] * root_beta[l, k] / total[l]) * raw / norm
+        share = np.sqrt(caps[..., l] * root_beta[l, k] / total[l])
+        W[..., l, k, :, :] = share[..., None, None] * raw / norm
     return W
 
 
-def init_precoders(effective: EffectiveChannel, constraints: PowerConstraintSet,
+def smallest_caps(constraints) -> np.ndarray:
+    """Every satellite's smallest cap min_x rho_{l,x}: (L,) for one
+    constraint set, (B, L) for a sequence of B sets."""
+    if isinstance(constraints, PowerConstraintSet):
+        return np.array([c.min() for c in constraints.caps])
+    return np.array([smallest_caps(c) for c in constraints])
+
+
+def init_precoders(effective: EffectiveChannel, constraints,
                    num_streams: int | None = None,
                    stream_basis: str = "per-link") -> np.ndarray:
     """Regularized-MMSE initialization with sqrt(beta)-proportional power
     sharing: `share_rule` with the noise power as regularizer, every
     satellite serving every user on its cap min_x rho_{l,x}; feasible for
-    per-satellite-total constraints by construction.
+    per-satellite-total constraints by construction. A sequence of B
+    constraint sets gives the B starts (B, L, K, N, S) of one set of
+    directions.
 
     With the default stream basis, Q is the rank-one Hb_{l,k}'s own left
     vector -b_{l,k}/||b_{l,k}|| in column 0 and zeros after it
@@ -616,107 +678,170 @@ def init_precoders(effective: EffectiveChannel, constraints: PowerConstraintSet,
         raise ValidationError(f"unknown stream basis {stream_basis!r}")
     bases = (np.linalg.svd(link_matrix(effective))[0][..., :S]
              if stream_basis == "aggregated" else link_bases(effective, S))
-    return share_rule(effective, [c.min() for c in constraints.caps], bases,
+    return share_rule(effective, smallest_caps(constraints), bases,
                       effective.noise_power_w)
 
 
-def solve(effective: EffectiveChannel, constraints: PowerConstraintSet,
-          params: SolverParams | None = None, initial: np.ndarray | None = None,
-          num_streams: int | None = None):
-    """Run the block-coordinate WMMSE design.
+def _live_columns(precoders: np.ndarray, num_streams: int) -> np.ndarray:
+    """The column map (K, n) of `se_eval._GramKernel` that keeps each user's
+    effective streams (l, s) with a nonzero column in any of the
+    antenna-major precoders (B, L, N, K*S), satellite major, padded with
+    dead columns to n = max(1, most live streams of a user)."""
+    L = precoders.shape[1]
+    live = precoders.any(axis=(0, 2)).reshape(L, -1, num_streams)
+    live = live.transpose(1, 0, 2).reshape(live.shape[1], -1)     # (K, L*S)
+    count = live.sum(axis=1)
+    order = np.argsort(~live, axis=1, kind="stable")[:, :max(1, count.max())]
+    return np.where(np.arange(order.shape[1]) < count[:, None], order, live.shape[1])
 
-    Alternates MMSE combiners, inverse-MSE weights and per-satellite
-    closed-form precoders. Satellites with a single total-power cap are
-    updated together in the K x K coordinates of the solve's transmit basis
-    (`_TransmitBasis`, factored once): one stacked eigendecomposition, a
-    safeguarded Newton root of each secular power curve
-    (`secular_multiplier`, certified) and one batched precoder expression.
-    Satellites with any other constraint family take their multipliers from
-    `dual_newton_multipliers` (certified feasible and optimal), warm-started
-    at the previous iteration's.
+
+def _stream_major(precoders: np.ndarray, num_streams: int) -> np.ndarray:
+    """Antenna-major precoders (..., L, N, K*S) as a (..., L, K, N, S) view."""
+    *lead, L, N, KS = precoders.shape
+    return precoders.reshape(*lead, L, N, KS // num_streams,
+                             num_streams).swapaxes(-3, -2)
+
+
+def solve_sweep(effective: EffectiveChannel, constraints,
+                params: SolverParams | None = None,
+                initial: np.ndarray | None = None,
+                num_streams: int | None = None):
+    """Run the block-coordinate WMMSE design for B instances on one channel.
+
+    constraints is a sequence of B constraint sets and initial the B starts
+    (B, L, K, N, S), by default the aggregated `init_precoders` start of
+    each set. Alternates MMSE combiners, inverse-MSE weights and
+    per-satellite closed-form precoders for every instance at once: the
+    batch is folded into the user axis of the receiver kernels and into the
+    satellite axis of the precoder step. Satellites with a single
+    total-power cap are updated together in the K x K coordinates of the
+    solve's transmit basis (`_TransmitBasis`, factored once): one stacked
+    eigendecomposition, a safeguarded Newton root of each secular power
+    curve (`secular_multiplier`, certified) and one batched precoder
+    expression. Satellites with any other constraint family take their
+    multipliers from `dual_newton_multipliers` (certified feasible and
+    optimal), one instance at a time, warm-started at that instance's
+    previous multipliers. Each instance stops on its own tolerance and then
+    leaves the batch; every kernel works slice by slice, so an instance's
+    result is bitwise the one it gets alone.
+
     A precoder column W[l, k, :, s] that is zero at the start stays exactly
     zero (its combiner column is zero and its MSE block the identity),
     which is how the streamwise mode restricts the design to its sparsity
-    pattern. Returns (precoders, SolveTrace); the objective trace is
-    non-increasing, the trace counts every multiplier search (secular or
-    dual) and its evaluations, and the output satisfies every power
-    constraint within the feasibility tolerance of its own cap.
+    pattern. The receiver arrays therefore keep only the effective streams
+    live in some start (`_live_columns`): n per user, not L*S, with dead
+    padding columns where users differ. The objective trace still counts
+    every dropped stream's exact term 1/ln 2 + log2 ln 2, so it reads as
+    over all L*S streams. Returns (precoders (B, L, K, N, S), [SolveTrace]
+    * B); each objective trace is non-increasing, each trace counts every
+    multiplier search (secular or dual) and its evaluations, and each
+    output satisfies every power constraint within the feasibility
+    tolerance of its own cap, else NumericsError.
     """
     if params is None:
         params = SolverParams()
     L, K, M, N = effective.shape
+    B = len(constraints)
     if num_streams is None:
         num_streams = initial.shape[-1] if initial is not None else M
     S = num_streams
-    noise = effective.noise_power_w
-
-    # default start: aggregated stream basis (same approximate SE as the
-    # MMSE baseline, but with S live stream directions per link)
-    W = initial.copy() if initial is not None else init_precoders(
-        effective, constraints, S, stream_basis="aggregated")
-    trace = SolveTrace()
-    prev_obj = np.inf
+    if initial is None:
+        # aggregated stream basis: the approximate SE of the MMSE baseline,
+        # but with S live stream directions per link
+        initial = init_precoders(effective, constraints, S, stream_basis="aggregated")
+    W = _antenna_major(initial)                                  # (B, L, N, K*S)
+    columns = _live_columns(W, S)
+    grams = _GramKernel(effective, columns, S, effective.noise_power_w)
+    blocks = _block_index(columns, L, K, S)
+    dead = K * (L * S - columns.shape[1]) * _DEAD_STREAM
     basis = _TransmitBasis(effective)
-    identity = np.array(constraints.identity, bool)
+    traces = [SolveTrace() for _ in range(B)]
     # a silent satellite stays silent: its combiner columns, hence its
     # right-hand sides, are exactly zero
-    live = W.reshape(L, -1).any(axis=1)
-    single = np.flatnonzero(live & identity)
-    general = np.flatnonzero(live & ~identity)
-    single_caps = [float(constraints.caps[l][0]) for l in single]
-    caps = np.concatenate(constraints.caps)
-    J, G = _receiver_grams(W, effective, noise)
-    resid = None
+    live = W.reshape(B, L, -1).any(axis=2)
+    identity = np.array([c.identity for c in constraints], bool)
+    single_all, general_all = live & identity, live & ~identity
+    single_caps = [[float(c[0]) for c in cons.caps] for cons in constraints]
+    caps = [np.concatenate(cons.caps) for cons in constraints]
+    resid = [None] * B
+    prev_obj = np.full(B, np.inf)
+    out = np.empty_like(W)
+    active = np.arange(B)
+    J, G = grams(W)
 
     for it in range(1, params.max_iters + 1):
         U = np.linalg.solve(J, G)
         C, logdet_c = update_weights(_mse_at_optimum(U, G))
-
-        iter_mus = [np.zeros(constraints.num_constraints(l)) for l in range(L)]
-        step = _PrecoderStep(effective, U, C, S, basis)
+        iter_mus = [[np.zeros(constraints[b].num_constraints(l)) for l in range(L)]
+                    for b in active]
+        step = _PrecoderStep(effective, U, C, S, basis, blocks)
+        single = np.flatnonzero(single_all[active])              # a*L + l
         if single.size:
             spectrum = _Spectrum(step, single)
             mus = np.empty(single.size)
-            for x, l in enumerate(single):
-                mus[x], evals = secular_multiplier(spectrum.curves[x], single_caps[x])
+            for x, (a, l) in enumerate(zip(*np.divmod(single, L))):
+                trace = traces[active[a]]
+                mus[x], evals = secular_multiplier(spectrum.curves[x],
+                                                   single_caps[active[a]][l])
                 trace.multiplier_evals += evals
-                iter_mus[l] = mus[x:x + 1]
-            trace.multiplier_searches += single.size
-            trace.pinv_fallbacks += int(np.sum((mus == 0.0) & spectrum.pinv))
-            W[single] = spectrum.precoders(mus)
-        for l in general:
+                trace.multiplier_searches += 1
+                trace.pinv_fallbacks += int(mus[x] == 0.0 and spectrum.pinv[x])
+                iter_mus[a][l] = mus[x:x + 1]
+            W.reshape(-1, N, K * S)[single] = spectrum.precoders(mus).swapaxes(
+                1, 2).reshape(single.size, N, K * S)
+        for a, l in zip(*np.nonzero(general_all[active])):
             # B_{l,k} is rank one: search on its directions scaled by the
             # row norms, warm at the previous iteration's multipliers, then
             # give every user's solution its unit row back
-            row = step.rhs_row[l]
+            cons, trace = constraints[active[a]], traces[active[a]]
+            row = step.rhs_row[a, l]
             norms = np.linalg.norm(row, axis=1)
-            iter_mus[l], v, evals = dual_newton_multipliers(
-                step.factor[l], step.rhs_dir[l].T * norms, constraints.weights[l],
-                constraints.caps[l], params.power_tol_rel,
+            iter_mus[a][l], v, evals = dual_newton_multipliers(
+                step.factor[a, l], step.rhs_dir[l].T * norms, cons.weights[l],
+                cons.caps[l], params.power_tol_rel,
                 start=trace.multipliers[-1][l] if trace.multipliers else None)
             unit = np.divide(row, norms[:, None], out=np.zeros_like(row),
                              where=norms[:, None] > 0)
-            W[l] = np.einsum("nk,ks->kns", v, unit)
+            W[a, l] = (v[:, :, None] * unit).reshape(N, K * S)
             trace.multiplier_searches += 1
             trace.multiplier_evals += evals
 
         # the grams at the new precoders serve this iteration's objective
         # and the next iteration's combiners
-        J, G = _receiver_grams(W, effective, noise)
-        obj = wmmse_objective(_mse_matrices(U, J, G), C, logdet_c)
-        resid = power_residuals(W, constraints)
-        trace.objective.append(obj)
-        trace.multipliers.append(iter_mus)
-        trace.max_residual.append(float(np.max(resid / caps)))
-        trace.iterations = it
-        delta = prev_obj - obj
-        prev_obj = obj
-        if delta <= params.tol:
-            trace.converged = True
+        J, G = grams(W)
+        mse = _mse_matrices(U, J, G)
+        going = np.ones(active.size, bool)
+        for a, b in enumerate(active):
+            obj = wmmse_objective(mse[a], C[a], logdet_c[a]) + dead
+            resid[b] = power_residuals(_stream_major(W[a], S), constraints[b])
+            trace = traces[b]
+            trace.objective.append(obj)
+            trace.multipliers.append(iter_mus[a])
+            trace.max_residual.append(float(np.max(resid[b] / caps[b])))
+            trace.iterations = it
+            if prev_obj[b] - obj <= params.tol:
+                trace.converged = True
+                going[a] = False
+            prev_obj[b] = obj
+        out[active[~going]] = W[~going]
+        active, W, J, G = active[going], W[going], J[going], G[going]
+        if not active.size:
             break
+    out[active] = W                 # the instances stopped by max_iters
 
-    if resid is None:
-        resid = power_residuals(W, constraints)
-    assert_feasible(resid, constraints, params.power_tol_rel)
-    return W, trace
+    for b in range(B):
+        if resid[b] is None:
+            resid[b] = power_residuals(_stream_major(out[b], S), constraints[b])
+        assert_feasible(resid[b], constraints[b], params.power_tol_rel)
+    return np.ascontiguousarray(_stream_major(out, S)), traces
 
+
+def solve(effective: EffectiveChannel, constraints: PowerConstraintSet,
+          params: SolverParams | None = None, initial: np.ndarray | None = None,
+          num_streams: int | None = None):
+    """The block-coordinate WMMSE design of one instance: `solve_sweep` with
+    B = 1. Returns (precoders (L, K, N, S), SolveTrace)."""
+    W, traces = solve_sweep(effective, [constraints], params,
+                            None if initial is None else initial[None],
+                            num_streams)
+    return W[0], traces[0]

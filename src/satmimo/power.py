@@ -10,6 +10,7 @@ dual (`joint_wmmse.dual_newton_multipliers`).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,12 +86,24 @@ def make_constraint_set(per_sat_pairs) -> PowerConstraintSet:
     return PowerConstraintSet(tuple(weights), tuple(caps), tuple(ident))
 
 
+@functools.lru_cache(maxsize=None)
+def _weight_stack(n: int, selectors: bool) -> np.ndarray:
+    """The read-only weight stack of the two standard families, built once
+    per size: the (1, n, n) identity, or the (n, n, n) single-entry
+    selectors e_i e_i^T. Every satellite of every such set shares it, so
+    the constraint sets of a sweep's points hold no copy of their own."""
+    stack = np.zeros((n if selectors else 1, n, n), complex)
+    stack[np.arange(n) if selectors else 0, np.arange(n), np.arange(n)] = 1.0
+    stack.flags.writeable = False
+    return stack
+
+
 def per_sat_total(rho_per_sat, num_antennas: int) -> PowerConstraintSet:
     """One total-power constraint per satellite: A = I_N, cap rho_l. Every
-    satellite shares one read-only (1, N, N) identity stack."""
+    satellite shares one read-only (1, N, N) identity stack, built once per
+    N."""
     rho_per_sat = np.atleast_1d(np.array(rho_per_sat, float))
-    eye = np.eye(num_antennas, dtype=complex)[None]
-    eye.flags.writeable = False
+    eye = _weight_stack(num_antennas, False)
     return PowerConstraintSet((eye,) * len(rho_per_sat),
                               tuple(rho_per_sat[:, None]), (True,) * len(rho_per_sat))
 
@@ -98,7 +111,7 @@ def per_sat_total(rho_per_sat, num_antennas: int) -> PowerConstraintSet:
 def per_antenna(rho_per_antenna) -> PowerConstraintSet:
     """N single-entry diagonal constraints per satellite: A_i = e_i e_i^T,
     cap rho_{l,i}. Every satellite shares one read-only (N, N, N) stack of
-    those selectors.
+    those selectors, built once per N.
 
     rho_per_antenna: array (L, N) or list of per-satellite cap vectors,
     all of one length N >= 1.
@@ -110,10 +123,7 @@ def per_antenna(rho_per_antenna) -> PowerConstraintSet:
             raise ValidationError(
                 f"satellite {l}: {rhos.size} per-antenna caps, satellite 0 "
                 f"has {n}; every satellite needs the same N >= 1")
-    selectors = np.zeros((n, n, n), complex)
-    selectors[np.arange(n), np.arange(n), np.arange(n)] = 1.0
-    selectors.flags.writeable = False
-    return PowerConstraintSet((selectors,) * len(caps), tuple(caps),
+    return PowerConstraintSet((_weight_stack(n, True),) * len(caps), tuple(caps),
                               (n == 1,) * len(caps))
 
 

@@ -11,8 +11,9 @@ D_i[:, s] = sum_l gamma_{l,k} b_{l,k} (a_{l,k}^T W_{l,i})_s. Its mean
 received Gram is J_k = noise I + sum_l beta_{l,k} ||a_{l,k}^T W_l||^2
 b_{l,k} b_{l,k}^H, and G_k, the desired blocks sqrt(beta_{l,k}) b_{l,k}
 a_{l,k}^T W_{l,k} side by side, gives its signal part G_k G_k^H
-(_receiver_grams, which the WMMSE solver reads as well). The approximation
-is log2 det(J_k / noise) - log2 det((J_k - G_k G_k^H) / noise): the one
+(_GramKernel, which the WMMSE solver reads as well, batched over a sweep's
+instances and on the live effective streams only). The approximation is
+log2 det(J_k / noise) - log2 det((J_k - G_k G_k^H) / noise): the one
 formula the design and the estimate share.
 
 For Monte Carlo every received column is a fixed M x L factor matrix
@@ -91,24 +92,65 @@ class SEReport:
     sum_se_stderr: float = 0.0
 
 
-def _receiver_grams(precoders: np.ndarray, effective: EffectiveChannel,
-                    noise: float):
-    """J (K, M, M) and G (K, M, L*S) of every user at the given precoders.
+def _antenna_major(precoders: np.ndarray) -> np.ndarray:
+    """Precoders (..., L, K, N, S) as a new contiguous (..., L, N, K*S)
+    array: column i*S + s of satellite l is W_{l,i}[:, s]."""
+    *lead, L, K, N, S = precoders.shape
+    return np.array(precoders.swapaxes(-3, -2), order="C").reshape(
+        *lead, L, N, K * S)
+
+
+class _GramKernel:
+    """Every user's mean received Gram J_k and desired blocks G_k: the one
+    formula of the WMMSE solver and of approx_se.
 
     G_k holds the desired blocks Hb_{l,k} W_{l,k} side by side (satellite
     major) and J_k = noise*I + sum_{l,i} (Hb_{l,k} W_{l,i})(Hb_{l,k} W_{l,i})^H,
     which for rank-one links is noise*I + sum_l beta_{l,k} ||a_{l,k}^T W_l||^2
     b_{l,k} b_{l,k}^H: the mean received Gram, E[gamma gamma^H] = diag(beta).
+
+    columns (K, n) names the effective streams kept in G: entry [k, j] is
+    l*S + s for stream s of satellite l, or L*S for a dead column, which is
+    exactly zero. The constants (the b_{l,k} side by side, the selected
+    sqrt(beta_{l,k}) b_{l,k} of every kept column and the noise identity)
+    are built once; a call takes antenna-major precoders (..., L, N, K*S)
+    (`_antenna_major`) and returns J (..., K, M, M) and G (..., K, M, n),
+    each from batched products over every leading axis.
     """
+
+    def __init__(self, effective: EffectiveChannel, columns: np.ndarray,
+                 num_streams: int, noise: float):
+        L, K, M, N = effective.shape
+        S = num_streams
+        self.a, self.beta = effective.a, effective.beta
+        self.b = effective.b.transpose(1, 2, 0)                    # (K, M, L)
+        self.b_h = self.b.conj().swapaxes(1, 2)                    # (K, L, M)
+        self.noise_eye = noise * np.eye(M)
+        kept = columns < L * S
+        sat, stream = np.where(kept, columns // S, 0), columns % S
+        users = np.arange(K)[:, None]
+        self.desired = np.where(kept[:, None, :], (
+            np.sqrt(self.beta)[sat, users][..., None]
+            * effective.b[sat, users]).swapaxes(1, 2), 0.0)        # (K, M, n)
+        # the flat index of a_{l,k}^T W_{l,k}[:, s] in the (L, K, K*S) rows
+        self.own = ((sat * K + users) * K + users) * S + stream
+
+    def __call__(self, precoders: np.ndarray):
+        rows = self.a @ precoders                                  # (..., L, K, K*S)
+        load = self.beta * (rows.real ** 2 + rows.imag ** 2).sum(axis=-1)
+        J = (self.b * load.swapaxes(-1, -2)[..., None, :]) @ self.b_h
+        own = rows.reshape(rows.shape[:-3] + (-1,))[..., self.own]
+        return J + self.noise_eye, self.desired * own[..., None, :]
+
+
+def _receiver_grams(precoders: np.ndarray, effective: EffectiveChannel,
+                    noise: float):
+    """J (K, M, M) and G (K, M, L*S) of every user at precoders
+    (L, K, N, S), every effective stream kept (`_GramKernel`)."""
     L, K, M, N = effective.shape
     S = precoders.shape[-1]
-    rows = np.einsum("lkn,lins->lkis", effective.a, precoders)    # (L, K, K, S)
-    load = effective.beta * np.einsum("lkis,lkis->lk", rows, rows.conj()).real
-    J = np.einsum("lk,lkm,lkn->kmn", load, effective.b, effective.b.conj())
-    J += noise * np.eye(M)
-    own = rows[:, np.arange(K), np.arange(K)]                    # (L, K, S)
-    G = np.einsum("lk,lkm,lks->kmls", np.sqrt(effective.beta), effective.b, own)
-    return J, G.reshape(K, M, L * S)
+    columns = np.broadcast_to(np.arange(L * S), (K, L * S))
+    return _GramKernel(effective, columns, S, noise)(_antenna_major(precoders))
 
 
 def _stream_columns(precoders, effective, k):
@@ -367,9 +409,10 @@ def approx_se(precoders: np.ndarray, effective: EffectiveChannel) -> SEReport:
     """Deterministic SE approximation: the exact SE with each user's
     received Grams replaced by their means (E[gamma gamma^H] = diag(beta)),
     log2 det(J_k / noise) - log2 det((J_k - G_k G_k^H) / noise) with J_k and
-    G_k the solver's (_receiver_grams). Both are factored by one LDL^H with
-    the users on the trial axis. Depends on the precoders only through
-    W W^H, hence invariant to any per-link unit-modulus phase rotation.
+    G_k from the solver's _GramKernel (_receiver_grams). Both are factored
+    by one LDL^H with the users on the trial axis. Depends on the precoders
+    only through W W^H, hence invariant to any per-link unit-modulus phase
+    rotation.
     """
     noise = effective.noise_power_w
     if noise <= 0:

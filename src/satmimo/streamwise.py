@@ -19,6 +19,12 @@ column that is zero makes its combiner column zero and its MSE block the
 identity, so the closed-form precoder update keeps every entry off the
 support exactly zero. `solve_streamwise` checks that it did, against the
 same mask, and returns the precoders in joint form.
+
+A power sweep is one `solve_streamwise_sweep` call: the participation
+factors and the stream map do not depend on the caps, so they are
+computed once, the starts of all caps come from one `share_rule` call, and
+`joint_wmmse.solve_sweep` designs every cap in one batched solve on the S
+live effective streams per user. `solve_streamwise` is its B = 1 call.
 """
 
 from __future__ import annotations
@@ -83,13 +89,14 @@ def associate(eta: np.ndarray, num_streams: int) -> StreamAssignment:
     return StreamAssignment.from_pi(pi, L)
 
 
-def init_streamwise(effective: EffectiveChannel, constraints: PowerConstraintSet,
+def init_streamwise(effective: EffectiveChannel, constraints,
                     assignment: StreamAssignment,
                     directions: np.ndarray) -> np.ndarray:
     """Per-stream initialization in joint form (L, K, N, S): column s of
     W[l, k] is the regularized-MMSE response to user k's s-th aggregated
     eigen-direction directions[k][:, s] (from `participation_factors`) when
-    pi_k(s) = l, else zero.
+    pi_k(s) = l, else zero. A sequence of B constraint sets gives the B
+    starts (B, L, K, N, S) of one set of directions.
 
     It is `joint_wmmse.share_rule` on those directions masked by the
     assignment's support, so the sqrt(beta) share runs over the users a
@@ -99,23 +106,24 @@ def init_streamwise(effective: EffectiveChannel, constraints: PowerConstraintSet
     """
     S = assignment.pi.shape[1]
     bases = np.where(assignment.support[:, :, None, :], directions[..., :S], 0.0)
-    return joint_wmmse.share_rule(effective, [c.min() for c in constraints.caps],
+    return joint_wmmse.share_rule(effective, joint_wmmse.smallest_caps(constraints),
                                   bases, effective.noise_power_w)
 
 
-def solve_streamwise(effective: EffectiveChannel, constraints: PowerConstraintSet,
-                     params: SolverParams | None = None,
-                     num_streams: int | None = None,
-                     assignment: StreamAssignment | None = None):
-    """Streamwise association plus precoder design under a constraint set.
+def solve_streamwise_sweep(effective: EffectiveChannel, constraints,
+                           params: SolverParams | None = None,
+                           num_streams: int | None = None,
+                           assignment: StreamAssignment | None = None):
+    """Streamwise association plus precoder design for B constraint sets on
+    one channel (a power sweep).
 
-    When no assignment is given, streams are matched to satellites by
-    participation factors. The precoders come from
-    `joint_wmmse.solve` under `constraints`, started at the joint-form
-    streamwise initialization, which keeps them on the assignment's
-    support. Returns (W, StreamAssignment, SolveTrace) with W the joint-form
-    precoders (L, K, N, S); raises NumericsError if an entry off the
-    support is not zero.
+    The participation factors and, when no assignment is given, the
+    stream map by participation factors are computed once: neither depends
+    on the caps. The precoders of all B sets come from one
+    `joint_wmmse.solve_sweep`, each started at its joint-form streamwise
+    initialization, which keeps it on the assignment's support. Returns (W
+    (B, L, K, N, S), StreamAssignment, [SolveTrace] * B); raises
+    NumericsError if an entry off the support is not zero.
     """
     L, K, M, N = effective.shape
     S = num_streams if num_streams is not None else min(M, L)
@@ -127,9 +135,24 @@ def solve_streamwise(effective: EffectiveChannel, constraints: PowerConstraintSe
     if assignment is None:
         assignment = associate(eta, S)
 
-    start = init_streamwise(effective, constraints, assignment, directions)
-    W, trace = joint_wmmse.solve(effective, constraints, params,
-                                 initial=start, num_streams=S)
-    if np.any(W.transpose(0, 1, 3, 2)[~assignment.support]):
+    starts = init_streamwise(effective, constraints, assignment, directions)
+    W, traces = joint_wmmse.solve_sweep(effective, constraints, params,
+                                        initial=starts, num_streams=S)
+    if np.any(W.transpose(0, 1, 2, 4, 3)[:, ~assignment.support]):
         raise NumericsError("streamwise precoders left their assigned satellites")
-    return W, assignment, trace
+    return W, assignment, traces
+
+
+def solve_streamwise(effective: EffectiveChannel, constraints: PowerConstraintSet,
+                     params: SolverParams | None = None,
+                     num_streams: int | None = None,
+                     assignment: StreamAssignment | None = None):
+    """Streamwise association plus precoder design under a constraint set:
+    `solve_streamwise_sweep` with B = 1. When no assignment is given,
+    streams are matched to satellites by participation factors. Returns (W,
+    StreamAssignment, SolveTrace) with W the joint-form precoders (L, K, N,
+    S); raises NumericsError if an entry off the support is not zero.
+    """
+    W, assignment, traces = solve_streamwise_sweep(
+        effective, [constraints], params, num_streams, assignment)
+    return W[0], assignment, traces[0]

@@ -57,6 +57,16 @@ class TestMmseBaseline:
 
 
 class TestZfBaseline:
+    @pytest.mark.parametrize("rho", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_nonpositive_or_nonfinite_cap(self, default_effective, rho):
+        # as mmse_baseline does: no all-zero or NaN precoders from a bad cap
+        with pytest.raises(ValidationError):
+            zf_baseline(default_effective, rho, 2)
+        caps = np.full(4, 2.0)
+        caps[2] = rho
+        with pytest.raises(ValidationError, match="satellite 2"):
+            zf_baseline(default_effective, caps, 2)
+
     def test_feasible(self, default_effective):
         W = zf_baseline(default_effective, np.full(4, 2.0), 2)
         cons = per_sat_total(np.full(4, 2.0), 64)

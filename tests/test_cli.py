@@ -121,14 +121,14 @@ class TestRun:
                                              monkeypatch):
         # a solver error at one sweep point annotates that row only
         from satmimo import NumericsError, cli, streamwise
-        solve = streamwise.solve_streamwise
+        solve = streamwise.solve_streamwise_sweep
 
         def flaky(effective, constraints, *args, **kwargs):
-            if constraints.caps[0][0] > 5.0:
+            if any(c.caps[0][0] > 5.0 for c in constraints):
                 raise NumericsError("MSE matrix of user 0 is not positive definite")
             return solve(effective, constraints, *args, **kwargs)
 
-        monkeypatch.setattr(cli.streamwise, "solve_streamwise", flaky)
+        monkeypatch.setattr(cli.streamwise, "solve_streamwise_sweep", flaky)
         out = str(tmp_path / "flaky.csv")
         assert main(["run", "--preset", "joint-vs-streamwise-orthogonal",
                      "--config", tiny_config, "--out", out, "--quiet",
@@ -214,14 +214,14 @@ class TestRun:
         with open(tiny_config) as fh:
             cfg = load_scenario(fh.read())
         traces = []
-        original = joint_wmmse.solve
+        original = joint_wmmse.solve_sweep
 
         def spy(*args, **kwargs):
             result = original(*args, **kwargs)
-            traces.append(result[1])
+            traces.extend(result[1])
             return result
 
-        monkeypatch.setattr(joint_wmmse, "solve", spy)
+        monkeypatch.setattr(joint_wmmse, "solve_sweep", spy)
         rows = [run_job(job) for job in PRESETS["baselines"](cfg)]
         assert "multiplier_evals" not in COLUMNS
         assert [r["multiplier_evals"] for r in rows if r["mode"] == "joint"] == \
@@ -246,8 +246,9 @@ class TestRun:
             return original(W, *args)
 
         monkeypatch.setattr(cli, "plan_users", spy)
-        # one-mode points: the only precoders planned are the job's own
-        jobs = [replace(job, modes=()) for job in PRESETS["baselines"](cfg)
+        # one-mode, one-point variants: the only precoders planned are the
+        # job's own
+        jobs = [replace(job, modes=(), powers=()) for job in PRESETS["baselines"](cfg)
                 if job.mode in ("mmse", "zf")]
         for job in jobs:
             evaluated.clear()
@@ -276,7 +277,7 @@ class TestRun:
                 return original(W, *args)
 
             monkeypatch.setattr(cli, name, spy)
-        jobs = [replace(job, modes=()) for job in PRESETS["approx-gap"](cfg)]
+        jobs = [replace(job, modes=(), powers=()) for job in PRESETS["approx-gap"](cfg)]
         assert {job.mode for job in jobs} == {"mmse-exact-mc", "mmse-approx"}
         for job in jobs:
             evaluated.clear()
@@ -318,14 +319,14 @@ class TestRun:
                                         monkeypatch):
         # one trial has no sample variance, and an error row no estimate
         from satmimo import NumericsError, cli, streamwise
-        solve = streamwise.solve_streamwise
+        solve = streamwise.solve_streamwise_sweep
 
         def flaky(effective, constraints, *args, **kwargs):
-            if constraints.caps[0][0] > 5.0:
+            if any(c.caps[0][0] > 5.0 for c in constraints):
                 raise NumericsError("forced failure")
             return solve(effective, constraints, *args, **kwargs)
 
-        monkeypatch.setattr(cli.streamwise, "solve_streamwise", flaky)
+        monkeypatch.setattr(cli.streamwise, "solve_streamwise_sweep", flaky)
         out = str(tmp_path / "one.csv")
         assert main(["run", "--preset", "joint-vs-streamwise-orthogonal",
                      "--config", tiny_config, "--out", out, "--quiet",
@@ -424,7 +425,7 @@ def _reference_row(job):
     if job.mode == "tdma-mrt":
         return (baselines.tdma_mrt_baseline(eff, rho, cons, params.power_tol_rel,
                                             cfg.mc_trials, rng), None, None)
-    W, trace = _DESIGNS[job.mode](eff, cons, rho, cfg, params)
+    (W,), (trace,) = _DESIGNS[job.mode](eff, [cons], [rho], cfg, params)
     if trace is None:
         scale_to_caps(W, cons, params.power_tol_rel)
     if job.mode == "mmse-approx":
@@ -632,8 +633,8 @@ class TestPointPipeline:
         monkeypatch.setattr(cli, "run_point",
                             lambda jobs: calls.append(jobs) or run_point(jobs))
         jobs = PRESETS["association"](self._config())
-        cli.run_job(jobs[0])           # holds jobs[1]'s row
-        cli.run_job(jobs[2])           # another point: computed, drops it
+        cli.run_job(jobs[0])           # holds the rows of jobs[1:4]
+        cli.run_job(jobs[4])           # another variant: computed, drops them
         cli.run_job(jobs[1])
         assert len(calls) == 3
 
@@ -659,7 +660,7 @@ class TestPointPipeline:
         from satmimo.cli import run_point
         jobs = PRESETS["association"](self._config())
         with pytest.raises(ValueError):
-            run_point([jobs[0], jobs[2]])
+            run_point([jobs[0], jobs[4]])
         with pytest.raises(ValueError):
             run_point([jobs[0], jobs[0]])
         with pytest.raises(ValueError):
@@ -744,6 +745,119 @@ class TestPointPipeline:
             points = len(read_rows(out)) // len(PRESETS[preset](
                 self._config())[0].modes)
             assert [p["modes"] for p in paired] == expect * points
+
+
+class TestVariantBatch:
+    """A variant's points share one batched design per mode: each point's
+    design is bitwise the one it gets alone, and an error stays on its own
+    row."""
+
+    GRID = [-10.0, 0.0, 10.0, 20.0, 30.0]
+
+    @classmethod
+    def _config(cls):
+        from satmimo import load_scenario
+        return load_scenario(json.dumps(dict(
+            TINY, power_cap_dbw_grid=cls.GRID, mc_trials=30, max_iters=40)))
+
+    @classmethod
+    def _variant(cls, preset, index=0):
+        from satmimo.cli import _variants
+        return _variants(PRESETS[preset](cls._config()))[index]
+
+    @pytest.mark.parametrize("preset, index", [("association", 0),
+                                               ("association", 2),
+                                               ("user-loading", 2)])
+    def test_batched_design_equals_each_point_alone(self, preset, index):
+        from satmimo import joint_wmmse
+        from satmimo.channel import effective_channels
+        from satmimo.cli import _DESIGNS, _constraints_for
+        from satmimo.scenario import sample_geometry
+        jobs = self._variant(preset, index)
+        cfg = jobs[0].config
+        eff = effective_channels(
+            sample_geometry(cfg, np.random.default_rng(cfg.rng_seed)), cfg)
+        params = joint_wmmse.SolverParams.from_config(cfg)
+        rhos = [np.full(cfg.L, 10 ** (dbw / 10)) for dbw in self.GRID]
+        cons = [_constraints_for(cfg, rho[0]) for rho in rhos]
+        modes = [m for m in jobs[0].modes if m in ("joint", "streamwise",
+                                                   "streamwise-random")]
+        assert len(modes) >= 1
+        for mode in modes:
+            Ws, traces = _DESIGNS[mode](eff, cons, rhos, cfg, params)
+            assert len(Ws) == len(traces) == len(self.GRID)
+            for p in range(len(self.GRID)):
+                (W,), (trace,) = _DESIGNS[mode](eff, [cons[p]], [rhos[p]], cfg,
+                                                params)
+                assert np.array_equal(Ws[p], W), (mode, p)
+                assert traces[p].iterations == trace.iterations
+                assert traces[p].converged == trace.converged
+                assert traces[p].objective == trace.objective
+                assert traces[p].multiplier_evals == trace.multiplier_evals
+
+    @pytest.mark.parametrize("preset", ["association", "user-loading"])
+    def test_variant_rows_equal_point_rows(self, preset):
+        from satmimo.cli import run_point
+        jobs = self._variant(preset)
+        rows = run_point(jobs)
+        alone = [row for point in _points(jobs) for row in run_point(point)]
+        for row in rows + alone:
+            row.pop("wall_time_ms")
+        assert rows == alone
+
+    @pytest.mark.parametrize("preset", ["association", "user-loading"])
+    def test_failing_point_stays_its_own_row(self, preset, monkeypatch):
+        # the secular search fails at one cap: the batched design raises, the
+        # mode's points are designed again one at a time, and only the
+        # solver rows at that cap are error rows
+        from satmimo import NumericsError, cli, joint_wmmse
+        jobs = self._variant(preset)
+        clean = cli.run_point(jobs)
+        secular = joint_wmmse.secular_multiplier
+
+        def failing(curve, rho):
+            if rho == 10 ** (20.0 / 10):
+                raise NumericsError("secular search failed at 20 dBW")
+            return secular(curve, rho)
+
+        monkeypatch.setattr(joint_wmmse, "secular_multiplier", failing)
+        rows = cli.run_point(jobs)
+        solvers = ("joint", "streamwise", "streamwise-random")
+        failed = [(j.mode, j.power_dbw) for j, r in zip(jobs, rows)
+                  if r["per_user_se"].startswith("error=")]
+        assert failed == [(j.mode, 20.0) for j in jobs
+                          if j.power_dbw == 20.0 and j.mode in solvers]
+        for job, row, ref in zip(jobs, rows, clean):
+            if (job.mode, job.power_dbw) in failed:
+                assert row["per_user_se"] == "error=secular search failed at 20 dBW"
+                assert row["sum_se"] == "nan"
+                continue
+            for r in (row, ref):
+                r.pop("wall_time_ms")
+                if job.power_dbw == 20.0:
+                    r.pop("paired_stderr")     # its partner failed
+            assert row == ref
+
+    def test_run_job_computes_each_variant_once(self, monkeypatch):
+        from satmimo import cli
+        calls = []
+        run_point = cli.run_point
+        monkeypatch.setattr(cli, "run_point",
+                            lambda jobs: calls.append(jobs) or run_point(jobs))
+        jobs = PRESETS["association"](self._config())
+        rows = [cli.run_job(job) for job in jobs]
+        variants = cli._variants(jobs)
+        assert [len(c) for c in calls] == [len(v) for v in variants]
+        assert len(calls) == 2 * jobs[0].config.association_seeds
+        assert [(r["mode"], r["power_cap_dbw"]) for r in rows] == [
+            (j.mode, repr(j.power_dbw)) for j in jobs]
+
+    def test_job_off_its_grid_rejected(self):
+        from dataclasses import replace
+        from satmimo import cli
+        job = self._variant("association")[0]
+        with pytest.raises(ValueError):
+            cli.run_job(replace(job, power_dbw=5.0))
 
 
 class TestCustomConstraints:
@@ -898,7 +1012,7 @@ class TestEntryPoint:
         assert out.exists()
 
     def test_worker_pool_matches_serial(self, tiny_config, tmp_path):
-        # the pool maps run_point over whole points: association's points
+        # the pool maps run_point over whole variants: association's points
         # have two modes, approx-gap's one Monte-Carlo and one approximate
         env = child_env(SATMIMO_WORKERS="2")
         for preset in ("approx-gap", "association"):

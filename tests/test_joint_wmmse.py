@@ -12,6 +12,7 @@ from satmimo.joint_wmmse import (SolverParams, _mse_at_optimum, _mse_matrices,
                                  init_precoders, solve, update_weights,
                                  wmmse_objective)
 from satmimo.power import assert_feasible, residuals
+from satmimo.se_eval import _antenna_major
 from tests.conftest import (assert_precoder_kkt, bisect_multiplier, crandn,
                             dense_links, dense_subproblem, one_wmmse_iteration,
                             precoder_step, synthetic_effective)
@@ -407,6 +408,75 @@ class TestSolve:
                      - np.linalg.slogdet(C[k])[1] / LN2 for k in range(2))
         assert val == pytest.approx(expect, rel=1e-12)
 
+
+
+class TestSolveSweep:
+    # the batched engine: live-stream compaction and one batch of caps
+
+    @staticmethod
+    def _streamwise_start(rng, caps):
+        from satmimo.streamwise import (associate, init_streamwise,
+                                        participation_factors)
+        eff = synthetic_effective(rng, L=3, K=2, M=4, N=5)
+        eta, directions = participation_factors(eff)
+        cons = [per_sat_total(np.full(3, c), 5) for c in caps]
+        return eff, cons, init_streamwise(eff, cons, associate(eta, 2), directions)
+
+    def test_streamwise_start_keeps_its_live_streams(self, rng):
+        eff, cons, starts = self._streamwise_start(rng, [1.0, 4.0])
+        columns = joint_wmmse._live_columns(_antenna_major(starts), 2)
+        assert columns.shape == (2, 2)            # S live of L*S = 6 per user
+        joint = init_precoders(eff, cons, 2, stream_basis="aggregated")
+        assert joint_wmmse._live_columns(_antenna_major(joint), 2).tolist() == \
+            [list(range(6))] * 2
+
+    def test_kept_columns_are_those_of_the_full_grams(self, rng):
+        from satmimo.se_eval import _GramKernel
+        eff, cons, starts = self._streamwise_start(rng, [1.0])
+        W = starts[0]
+        # user 0 keeps one stream fewer than user 1: one padding column
+        W[np.flatnonzero(W[:, 0].any(axis=(1, 2)))[0], 0] = 0.0
+        columns = joint_wmmse._live_columns(_antenna_major(W[None]), 2)
+        assert (columns == 6).sum() == 1
+        J, G = _GramKernel(eff, columns, 2, 0.5)(_antenna_major(W))
+        J_full, G_full = _receiver_grams(W, eff, 0.5)
+        np.testing.assert_allclose(J, J_full, rtol=1e-14, atol=0)
+        padded = np.concatenate([G_full, np.zeros((2, 4, 1))], axis=2)
+        np.testing.assert_allclose(
+            G, np.take_along_axis(padded, columns[:, None, :], axis=2),
+            rtol=1e-14, atol=0)
+
+    def test_dead_streams_keep_the_full_objective(self, rng):
+        # the trace reads as over all L*S effective streams: one iteration's
+        # objective from the full (K, L*S, L*S) arrays of its combiners
+        eff, cons, starts = self._streamwise_start(rng, [2.0])
+        W1, mus, trace, U, C = one_wmmse_iteration(eff, cons[0], starts[0], 2)
+        assert C.shape == (2, 6, 6)
+        J, G = _receiver_grams(W1, eff, eff.noise_power_w)
+        full = wmmse_objective(_mse_matrices(U, J, G), C, np.linalg.slogdet(C)[1])
+        assert trace.objective[0] == pytest.approx(full, rel=1e-12)
+
+    @pytest.mark.parametrize("K", [1, 2])
+    def test_start_is_left_as_it_was(self, rng, K):
+        # K = 1 makes the antenna-major start contiguous already: the engine
+        # must still iterate on its own copy
+        eff = synthetic_effective(rng, L=2, K=K, M=3, N=4)
+        cons = per_sat_total([1.0, 1.0], 4)
+        W0 = init_precoders(eff, cons, 2, stream_basis="aggregated")
+        kept = W0.copy()
+        solve(eff, cons, initial=W0, num_streams=2)
+        assert np.array_equal(W0, kept)
+
+    def test_instances_stop_on_their_own(self, rng):
+        eff = synthetic_effective(rng, L=3, K=2, M=4, N=6)
+        cons = [per_sat_total(np.full(3, c), 6) for c in (0.1, 1.0, 30.0)]
+        W, traces = joint_wmmse.solve_sweep(eff, cons, num_streams=2)
+        assert W.shape == (3, 3, 2, 6, 2)
+        for b, c in enumerate(cons):
+            alone, trace = solve(eff, c, num_streams=2)
+            assert np.array_equal(W[b], alone)
+            assert traces[b].objective == trace.objective
+        assert len({t.iterations for t in traces}) > 1
 
 
 def _pinv_rule(step, l):

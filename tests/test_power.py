@@ -92,6 +92,8 @@ class TestConstruction:
         rho = [0.7, 2.0, 1.3]
         fast = per_sat_total(rho, 5)
         generic = make_constraint_set([[(np.eye(5), r)] for r in rho])
+        # the sets of a sweep's points share one stack
+        assert per_sat_total([9.0], 5).weights[0] is fast.weights[0]
         assert fast.identity == generic.identity == (True,) * 3
         for a, b in zip(fast.weights + fast.caps, generic.weights + generic.caps):
             assert a.dtype == b.dtype
@@ -112,6 +114,7 @@ class TestConstruction:
         # the same
         caps = rng.uniform(0.1, 2.0, (3, N))
         fast = per_antenna(caps)
+        assert per_antenna(2 * caps).weights[0] is fast.weights[0]
         generic = make_constraint_set([[(np.diag(e), rho)
                                         for e, rho in zip(np.eye(N), c)]
                                        for c in caps])

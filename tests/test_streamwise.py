@@ -440,15 +440,15 @@ class TestSolveStreamwise:
         assert np.all(w[off] == 0)
         assert np.all(np.abs(w[~off]).sum(axis=-1) > 0)
 
-        solve = joint_wmmse.solve
+        solve = joint_wmmse.solve_sweep
 
         def leaky(*args, **kwargs):
-            W, trace = solve(*args, **kwargs)
+            W, traces = solve(*args, **kwargs)
             l, k, s = np.argwhere(off)[0]
-            W[l, k, 0, s] = 1e-300
-            return W, trace
+            W[0, l, k, 0, s] = 1e-300
+            return W, traces
 
-        monkeypatch.setattr(joint_wmmse, "solve", leaky)
+        monkeypatch.setattr(joint_wmmse, "solve_sweep", leaky)
         with pytest.raises(NumericsError):
             solve_streamwise(eff, cons, num_streams=2)
 
@@ -564,13 +564,13 @@ class TestInitStreamwise:
         eff = synthetic_effective(rng, L=3, K=2, M=4, N=5)
         cons = _caps(np.ones(3), 5)
         seen = {}
-        solve = joint_wmmse.solve
+        solve = joint_wmmse.solve_sweep
 
         def spy(*args, **kwargs):
-            seen["initial"] = kwargs["initial"].copy()
+            seen["initial"] = kwargs["initial"][0].copy()
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(joint_wmmse, "solve", spy)
+        monkeypatch.setattr(joint_wmmse, "solve_sweep", spy)
         _, assoc, _ = solve_streamwise(eff, cons, num_streams=2)
         _, directions = participation_factors(eff)
         np.testing.assert_array_equal(seen["initial"],

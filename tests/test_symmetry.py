@@ -32,7 +32,7 @@ def _design(mode, eff, cfg, power_dbw):
         W, assignment, trace = streamwise.solve_streamwise(
             eff, cons, params, num_streams=cfg.S)
         return approx_se(W, eff).sum_se, trace.iterations, assignment.pi
-    W, trace = _DESIGNS[mode](eff, cons, rho, cfg, params)
+    (W,), (trace,) = _DESIGNS[mode](eff, [cons], [rho], cfg, params)
     if trace is None:
         scale_to_caps(W, cons, params.power_tol_rel)
         return approx_se(W, eff).sum_se, None, None
