@@ -12,7 +12,8 @@ that gives the rows of all its points and modes: the geometry, channels,
 stream maps and starts are built once per variant, a solver designs all of
 the variant's power points in one batched solve, and the Monte-Carlo walks
 and evaluation stay per point. Variants can be evaluated by worker
-processes (environment variable SATMIMO_WORKERS), and row order never
+processes (environment variable SATMIMO_WORKERS; a preset with fewer
+variants than workers has its points evaluated apart), and row order never
 depends on scheduling.
 """
 
@@ -59,9 +60,6 @@ class Job:
     # the point's modes in preset order, computed together by run_job;
     # empty for a one-mode point
     modes: tuple = ()
-    # the variant's power grid, point p at powers[p], computed together by
-    # run_job; empty for a one-point variant
-    powers: tuple = ()
 
 
 def _clear_fixed_angles(cfg: ScenarioConfig) -> ScenarioConfig:
@@ -72,7 +70,7 @@ def _sweep(variants, modes) -> list:
     """Jobs for (scenario id, config) variants: per variant, every power
     point in grid order, and per point every mode in the given order. The
     jobs of one variant share its config object."""
-    return [Job(sid, mode, sub, dbw, p, tuple(modes), tuple(sub.power_cap_dbw_grid))
+    return [Job(sid, mode, sub, dbw, p, tuple(modes))
             for sid, sub in variants
             for p, dbw in enumerate(sub.power_cap_dbw_grid)
             for mode in modes]
@@ -154,12 +152,14 @@ _aggregated_mmse = _closed_form(lambda eff, rho, cfg: joint_wmmse.init_precoders
 # point, and the design returns (precoders, traces), one entry per point.
 # A point's precoders are one set, which serves every user, or a list of K
 # sets that time-share the users, set k serving user k alone. A solver
-# designs every point in one batched solve and returns W within the
-# constraints with its SolveTrace; a closed form returns trace None and sets
-# spending the per-satellite totals rho, and run_point fits each set to the
-# constraints. A mode in _APPROXIMATED is estimated by approx_se, every
-# other one by Monte Carlo. Entries look their functions up on the modules
-# when the row runs, so a wrapper set on a module attribute sees the call.
+# (a mode in _BATCHED) designs every point in one batched solve and returns
+# W within the constraints with its SolveTrace; a closed form returns trace
+# None and sets spending the per-satellite totals rho, and run_point fits
+# each set to the constraints. run_point calls a mode outside _BATCHED one
+# point at a time, so only one point's sets are held. A mode in
+# _APPROXIMATED is estimated by approx_se, every other one by Monte Carlo.
+# Entries look their functions up on the modules when the row runs, so a
+# wrapper set on a module attribute sees the call.
 _DESIGNS = {
     "joint": lambda eff, cons, rhos, cfg, params: joint_wmmse.solve_sweep(
         eff, cons, params, num_streams=cfg.S),
@@ -179,6 +179,7 @@ _DESIGNS = {
     "mmse-exact-mc": _aggregated_mmse,
     "mmse-approx": _aggregated_mmse,
 }
+_BATCHED = frozenset({"joint", "streamwise", "streamwise-random"})
 _APPROXIMATED = frozenset({"mmse-approx"})
 
 
@@ -200,25 +201,26 @@ def run_point(jobs) -> list:
     sweep point's modes among them. Pure given the jobs.
 
     The shared work runs once per variant: geometry and channels and the
-    solver parameters; then each point's constraint set. Each mode designs
-    all of its points in one `_DESIGNS` call (a solver: one batched solve);
-    when that call raises, the mode's points are designed again one at a
-    time, so an error stays on the row of its own point. A closed form's
-    sets are fitted to the constraints (`power.scale_to_caps`); a mode in
-    `_APPROXIMATED` is estimated by `approx_se`, every other one has each
-    of its sets planned for Monte Carlo (`se_eval.plan_users`: every user,
-    or user s alone for set s of several), and the precoders are released
-    once planned. Then each point in turn runs one walk rule for every
-    mode: walk s, the s-th full draw from `mc_rng(seed, point)`, covers the
-    union of the pairs of every mode's set s at that point
-    (`se_eval.sample_plan_gains`), serves those plans (`evaluate_users`)
-    and is released before walk s + 1 is drawn. A mode rides walks 0..
-    len(sets) - 1 unless its design or an evaluation fails; a walk without
-    riders is not drawn. Each gain is bitwise the one a separate walk per
-    mode gives, so the modes compare on common random numbers. Several sets
-    give the time-shared report of `baselines.tdma_mrt_report`, one set
-    that of `mc_report`. A design or estimator error gives an error row for
-    that point and mode only.
+    solver parameters; then each point's constraint set. A solver (a mode
+    in `_BATCHED`) designs all of its points in one `_DESIGNS` call, one
+    batched solve; when that call raises, the mode's points are designed
+    again one at a time, so an error stays on the row of its own point.
+    Every other mode is designed one point at a time, each point finished
+    before the next is designed. A closed form's sets are fitted to the
+    constraints (`power.scale_to_caps`); a mode in `_APPROXIMATED` is
+    estimated by `approx_se`, every other one has each of its sets planned
+    for Monte Carlo (`se_eval.plan_users`: every user, or user s alone for
+    set s of several), and the precoders are released once planned. Then
+    each point in turn runs one walk rule for every mode: walk s, the s-th
+    full draw from `mc_rng(seed, point)`, covers the union of the pairs of
+    every mode's set s at that point (`se_eval.sample_plan_gains`), serves
+    those plans (`evaluate_users`) and is released before walk s + 1 is
+    drawn. A mode rides walks 0..len(sets) - 1 unless its design or an
+    evaluation fails; a walk without riders is not drawn. Each gain is
+    bitwise the one a separate walk per mode gives, so the modes compare on
+    common random numbers. Several sets give the time-shared report of
+    `baselines.tdma_mrt_report`, one set that of `mc_report`. A design or
+    estimator error gives an error row for that point and mode only.
 
     Besides the CSV columns each row carries "converged", False when the
     WMMSE loop stopped at max_iters before meeting its tolerance;
@@ -230,10 +232,11 @@ def run_point(jobs) -> list:
     one, has a single Monte-Carlo set: {"mode", "mean_diff" (this row's
     mean per-trial sum SE minus that mode's), "stderr" (the standard error
     of that difference, nan from a single trial)}. wall_time_ms is the
-    row's own fit and estimate, an equal share of its mode's batched design
-    among that batch's points, an equal share of each walk it rides among
-    that walk's riders, an equal share of its point's constraint set among
-    the point's rows and an equal share of the variant's shared stages."""
+    row's own design (unless batched), fit and estimate, an equal share of
+    its mode's batched design among that batch's points, an equal share of
+    each walk it rides among that walk's riders, an equal share of its
+    point's constraint set among the point's rows and an equal share of the
+    variant's shared stages."""
     job = jobs[0]
     for j in jobs:
         if j.mode not in _DESIGNS:
@@ -308,7 +311,7 @@ def run_point(jobs) -> list:
 
     for mode in modes:
         batch = [k for k in keys if k[2] == mode and k not in errors]
-        if len(batch) > 1:
+        if len(batch) > 1 and mode in _BATCHED:
             t = time.perf_counter()
             try:
                 design(mode, [k[:2] for k in batch])
@@ -316,8 +319,9 @@ def run_point(jobs) -> list:
                 made.clear()        # each point alone, its error its own
             for key in batch:
                 own[key] += (time.perf_counter() - t) / len(batch)
-        each(alone, batch)
-        each(finish, batch)
+        for key in batch:
+            each(alone, [key])
+            each(finish, [key])
 
     def evaluate(key):
         # the row's next set on the current walk
@@ -366,17 +370,17 @@ _held = []
 
 
 def _job_key(job: Job):
-    return _point_key(job), job.mode, job.modes, job.powers
+    return _point_key(job), job.mode, job.modes
 
 
 def run_job(job: Job) -> dict:
     """Evaluate one (scenario, mode, sweep point) row: the one-row view of
-    run_point. The first call for a variant computes every point in
-    job.powers (only the job's point when it is empty) and every mode in
-    job.modes (only job.mode when it is empty) and returns its own row; the
-    variant's other rows are held, and each is handed out once, to the next
-    run_job call for that job. Any other call drops them. So a preset's
-    jobs called in order compute each variant once."""
+    run_point. The first call for a variant computes every point of its
+    config's power grid and every mode in job.modes (only job.mode when it
+    is empty) and returns its own row; the variant's other rows are held,
+    and each is handed out once, to the next run_job call for that job. Any
+    other call drops them. So a preset's jobs called in order compute each
+    variant once. A job whose point is not on the grid is rejected."""
     held = _held.pop() if _held else {}
     row = held.pop(_job_key(job), None)
     if row is None:
@@ -384,10 +388,10 @@ def run_job(job: Job) -> dict:
         if job.mode not in modes:
             raise ValueError(f"mode {job.mode} is not among the point's modes "
                              f"{modes}")
-        points = list(enumerate(job.powers)) or [(job.point_index, job.power_dbw)]
+        points = list(enumerate(job.config.power_cap_dbw_grid))
         if (job.point_index, job.power_dbw) not in points:
-            raise ValueError(f"point {job.point_index} at {job.power_dbw} dBW "
-                             f"is not on the variant's grid {job.powers}")
+            raise ValueError(f"point {job.point_index} at {job.power_dbw} dBW is "
+                             f"not on the grid {job.config.power_cap_dbw_grid}")
         jobs = [replace(job, mode=m, point_index=p, power_dbw=dbw)
                 for p, dbw in points for m in modes]
         held = dict(zip(map(_job_key, jobs), run_point(jobs)))
@@ -543,14 +547,19 @@ def cmd_run(args, parser) -> int:
         except OSError as exc:
             print(f"error: cannot write {path}: {exc.strerror}", file=sys.stderr)
             return 1
+    units = _variants(jobs)
     if workers > 1:
         # imported here: it loads multiprocessing, which a serial run never uses
         from concurrent.futures import ProcessPoolExecutor
+        if len(units) < workers:
+            # too few variants to keep the workers busy: run their points
+            # apart, which give the same rows
+            units = _points(jobs)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            variants = list(pool.map(run_point, _variants(jobs)))
+            units = list(pool.map(run_point, units))
     else:
-        variants = [run_point(variant) for variant in _variants(jobs)]
-    rows = [row for variant in variants for row in variant]
+        units = [run_point(unit) for unit in units]
+    rows = [row for unit in units for row in unit]
     points = list(itertools.accumulate(map(len, _points(jobs)), initial=0))
     points = [rows[a:b] for a, b in zip(points, points[1:])]
     unconverged = _unconverged(rows)

@@ -472,15 +472,12 @@ class _PrecoderStep:
 
     The combiners (..., K, M, n) and weights (..., K, n, n) hold the
     effective streams of a column map of `se_eval._GramKernel`, whose
-    `_block_index` is blocks (all L*S streams, satellite major, when it is
-    None); leading axes are a batch of independent instances.
+    `_block_index` is blocks; leading axes are a batch of independent
+    instances.
     """
 
     def __init__(self, effective: EffectiveChannel, combiners: np.ndarray,
-                 weights: np.ndarray, num_streams: int, basis: _TransmitBasis,
-                 blocks=None):
-        L, K, M, N = effective.shape
-        S = num_streams
+                 weights: np.ndarray, basis: _TransmitBasis, blocks):
         self.basis = basis
         # u[..., i, l] = b_{l,i}^H U_i and uc = u C_i, over user i's columns
         u = basis.b_rows @ combiners                              # (..., K, L, n)
@@ -488,8 +485,7 @@ class _PrecoderStep:
         self.coeff = np.maximum(effective.beta * (
             uc.real * u.real + uc.imag * u.imag).sum(axis=-1).swapaxes(-1, -2), 0.0)
         self.rhs_dir = basis.rhs_dir
-        index, kept = blocks or _block_index(
-            np.broadcast_to(np.arange(L * S), (K, L * S)), L, K, S)
+        index, kept = blocks
         # block l of uc: stream s of satellite l, zero where it is not kept
         self.rhs_row = uc.reshape(uc.shape[:-3] + (-1,))[..., index] * kept
 
@@ -643,23 +639,28 @@ def share_rule(effective: EffectiveChannel, caps, bases, reg) -> np.ndarray:
     return W
 
 
-def smallest_caps(constraints) -> np.ndarray:
-    """Every satellite's smallest cap min_x rho_{l,x}: (L,) for one
-    constraint set, (B, L) for a sequence of B sets."""
-    if isinstance(constraints, PowerConstraintSet):
-        return np.array([c.min() for c in constraints.caps])
-    return np.array([smallest_caps(c) for c in constraints])
+def smallest_caps(constraints: PowerConstraintSet) -> np.ndarray:
+    """Every satellite's smallest cap min_x rho_{l,x}, (L,)."""
+    return np.array([c.min() for c in constraints.caps])
 
 
-def init_precoders(effective: EffectiveChannel, constraints,
+def _start_bases(effective: EffectiveChannel, num_streams: int,
+                 stream_basis: str) -> np.ndarray:
+    """The (L, K, M, S) stream bases of `init_precoders`."""
+    if stream_basis not in ("per-link", "aggregated"):
+        raise ValidationError(f"unknown stream basis {stream_basis!r}")
+    if stream_basis == "aggregated":
+        return np.linalg.svd(link_matrix(effective))[0][..., :num_streams]
+    return link_bases(effective, num_streams)
+
+
+def init_precoders(effective: EffectiveChannel, constraints: PowerConstraintSet,
                    num_streams: int | None = None,
                    stream_basis: str = "per-link") -> np.ndarray:
     """Regularized-MMSE initialization with sqrt(beta)-proportional power
     sharing: `share_rule` with the noise power as regularizer, every
     satellite serving every user on its cap min_x rho_{l,x}; feasible for
-    per-satellite-total constraints by construction. A sequence of B
-    constraint sets gives the B starts (B, L, K, N, S) of one set of
-    directions.
+    per-satellite-total constraints by construction.
 
     With the default stream basis, Q is the rank-one Hb_{l,k}'s own left
     vector -b_{l,k}/||b_{l,k}|| in column 0 and zeros after it
@@ -674,11 +675,8 @@ def init_precoders(effective: EffectiveChannel, constraints,
     aggregated one lets the solver develop genuine multi-stream structure.
     """
     S = effective.shape[2] if num_streams is None else num_streams
-    if stream_basis not in ("per-link", "aggregated"):
-        raise ValidationError(f"unknown stream basis {stream_basis!r}")
-    bases = (np.linalg.svd(link_matrix(effective))[0][..., :S]
-             if stream_basis == "aggregated" else link_bases(effective, S))
-    return share_rule(effective, smallest_caps(constraints), bases,
+    return share_rule(effective, smallest_caps(constraints),
+                      _start_bases(effective, S, stream_basis),
                       effective.noise_power_w)
 
 
@@ -747,8 +745,11 @@ def solve_sweep(effective: EffectiveChannel, constraints,
     S = num_streams
     if initial is None:
         # aggregated stream basis: the approximate SE of the MMSE baseline,
-        # but with S live stream directions per link
-        initial = init_precoders(effective, constraints, S, stream_basis="aggregated")
+        # but with S live stream directions per link; one share-rule call
+        # gives every set's start
+        initial = share_rule(effective, [smallest_caps(c) for c in constraints],
+                             _start_bases(effective, S, "aggregated"),
+                             effective.noise_power_w)
     W = _antenna_major(initial)                                  # (B, L, N, K*S)
     columns = _live_columns(W, S)
     grams = _GramKernel(effective, columns, S, effective.noise_power_w)
@@ -765,7 +766,7 @@ def solve_sweep(effective: EffectiveChannel, constraints,
     caps = [np.concatenate(cons.caps) for cons in constraints]
     resid = [None] * B
     prev_obj = np.full(B, np.inf)
-    out = np.empty_like(W)
+    out = np.empty((B, L, K, N, S), complex)     # each instance as it stops
     active = np.arange(B)
     J, G = grams(W)
 
@@ -774,7 +775,7 @@ def solve_sweep(effective: EffectiveChannel, constraints,
         C, logdet_c = update_weights(_mse_at_optimum(U, G))
         iter_mus = [[np.zeros(constraints[b].num_constraints(l)) for l in range(L)]
                     for b in active]
-        step = _PrecoderStep(effective, U, C, S, basis, blocks)
+        step = _PrecoderStep(effective, U, C, basis, blocks)
         single = np.flatnonzero(single_all[active])              # a*L + l
         if single.size:
             spectrum = _Spectrum(step, single)
@@ -823,17 +824,17 @@ def solve_sweep(effective: EffectiveChannel, constraints,
                 trace.converged = True
                 going[a] = False
             prev_obj[b] = obj
-        out[active[~going]] = W[~going]
+        out[active[~going]] = _stream_major(W[~going], S)
         active, W, J, G = active[going], W[going], J[going], G[going]
         if not active.size:
             break
-    out[active] = W                 # the instances stopped by max_iters
+    out[active] = _stream_major(W, S)  # the instances stopped by max_iters
 
     for b in range(B):
         if resid[b] is None:
-            resid[b] = power_residuals(_stream_major(out[b], S), constraints[b])
+            resid[b] = power_residuals(out[b], constraints[b])
         assert_feasible(resid[b], constraints[b], params.power_tol_rel)
-    return np.ascontiguousarray(_stream_major(out, S)), traces
+    return out, traces
 
 
 def solve(effective: EffectiveChannel, constraints: PowerConstraintSet,

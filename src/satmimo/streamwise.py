@@ -89,14 +89,13 @@ def associate(eta: np.ndarray, num_streams: int) -> StreamAssignment:
     return StreamAssignment.from_pi(pi, L)
 
 
-def init_streamwise(effective: EffectiveChannel, constraints,
+def init_streamwise(effective: EffectiveChannel, constraints: PowerConstraintSet,
                     assignment: StreamAssignment,
                     directions: np.ndarray) -> np.ndarray:
     """Per-stream initialization in joint form (L, K, N, S): column s of
     W[l, k] is the regularized-MMSE response to user k's s-th aggregated
     eigen-direction directions[k][:, s] (from `participation_factors`) when
-    pi_k(s) = l, else zero. A sequence of B constraint sets gives the B
-    starts (B, L, K, N, S) of one set of directions.
+    pi_k(s) = l, else zero.
 
     It is `joint_wmmse.share_rule` on those directions masked by the
     assignment's support, so the sqrt(beta) share runs over the users a
@@ -104,10 +103,16 @@ def init_streamwise(effective: EffectiveChannel, constraints,
     spends exactly its smallest cap min_x rho_{l,x}, as
     `joint_wmmse.init_precoders` does.
     """
-    S = assignment.pi.shape[1]
-    bases = np.where(assignment.support[:, :, None, :], directions[..., :S], 0.0)
     return joint_wmmse.share_rule(effective, joint_wmmse.smallest_caps(constraints),
-                                  bases, effective.noise_power_w)
+                                  _support_bases(assignment, directions),
+                                  effective.noise_power_w)
+
+
+def _support_bases(assignment: StreamAssignment, directions: np.ndarray):
+    """The (L, K, M, S) stream bases of `init_streamwise`: directions masked
+    by the assignment's support."""
+    S = assignment.pi.shape[1]
+    return np.where(assignment.support[:, :, None, :], directions[..., :S], 0.0)
 
 
 def solve_streamwise_sweep(effective: EffectiveChannel, constraints,
@@ -135,7 +140,10 @@ def solve_streamwise_sweep(effective: EffectiveChannel, constraints,
     if assignment is None:
         assignment = associate(eta, S)
 
-    starts = init_streamwise(effective, constraints, assignment, directions)
+    # every set's `init_streamwise` start from one share-rule call
+    starts = joint_wmmse.share_rule(
+        effective, [joint_wmmse.smallest_caps(c) for c in constraints],
+        _support_bases(assignment, directions), effective.noise_power_w)
     W, traces = joint_wmmse.solve_sweep(effective, constraints, params,
                                         initial=starts, num_streams=S)
     if np.any(W.transpose(0, 1, 2, 4, 3)[:, ~assignment.support]):

@@ -130,10 +130,15 @@ def one_wmmse_iteration(eff, cons, W0, S):
 
 
 def precoder_step(eff, U, C, S):
-    """joint_wmmse._PrecoderStep for combiners U and weights C on the
-    channel's own transmit basis, as an iteration of solve builds it."""
+    """joint_wmmse._PrecoderStep for combiners U and weights C over all L*S
+    effective streams, on the channel's own transmit basis, as an iteration
+    of solve builds it."""
     from satmimo import joint_wmmse
-    return joint_wmmse._PrecoderStep(eff, U, C, S, joint_wmmse._TransmitBasis(eff))
+    L, K = eff.shape[:2]
+    blocks = joint_wmmse._block_index(
+        np.broadcast_to(np.arange(L * S), (K, L * S)), L, K, S)
+    return joint_wmmse._PrecoderStep(eff, U, C, joint_wmmse._TransmitBasis(eff),
+                                     blocks)
 
 
 def dense_subproblem(step, l):

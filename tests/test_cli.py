@@ -234,7 +234,6 @@ class TestRun:
         # mmse and zf are designed on per-satellite totals; under per-antenna
         # caps every antenna of the evaluated precoders must be within the
         # solver's tolerance of its cap, as the joint row it is compared with
-        from dataclasses import replace
         from satmimo import cli, load_scenario
         from satmimo.power import residuals
         cfg = load_scenario(json.dumps(dict(TINY, constraint_kind="per-antenna")))
@@ -246,13 +245,11 @@ class TestRun:
             return original(W, *args)
 
         monkeypatch.setattr(cli, "plan_users", spy)
-        # one-mode, one-point variants: the only precoders planned are the
-        # job's own
-        jobs = [replace(job, modes=(), powers=()) for job in PRESETS["baselines"](cfg)
-                if job.mode in ("mmse", "zf")]
+        # one job at a time: the only precoders planned are the job's own
+        jobs = [job for job in PRESETS["baselines"](cfg) if job.mode in ("mmse", "zf")]
         for job in jobs:
             evaluated.clear()
-            row = cli.run_job(job)
+            row, = cli.run_point([job])
             assert len(evaluated) == 1
             assert np.isfinite(float(row["sum_se"]))
             cons = cli._constraints_for(job.config, 10 ** (job.power_dbw / 10))
@@ -264,7 +261,6 @@ class TestRun:
     def test_approx_gap_rows_meet_per_antenna_caps(self, monkeypatch):
         # both approximation-study designs, the Monte-Carlo and the
         # approximate row, are fitted to per-antenna caps like mmse and zf
-        from dataclasses import replace
         from satmimo import cli, load_scenario
         from satmimo.power import residuals
         cfg = load_scenario(json.dumps(dict(TINY, constraint_kind="per-antenna")))
@@ -277,11 +273,11 @@ class TestRun:
                 return original(W, *args)
 
             monkeypatch.setattr(cli, name, spy)
-        jobs = [replace(job, modes=(), powers=()) for job in PRESETS["approx-gap"](cfg)]
+        jobs = PRESETS["approx-gap"](cfg)
         assert {job.mode for job in jobs} == {"mmse-exact-mc", "mmse-approx"}
         for job in jobs:
             evaluated.clear()
-            row = cli.run_job(job)
+            row, = cli.run_point([job])
             assert len(evaluated) == 1
             assert np.isfinite(float(row["sum_se"]))
             cons = cli._constraints_for(job.config, 10 ** (job.power_dbw / 10))
@@ -685,7 +681,7 @@ class TestPointPipeline:
 
         monkeypatch.setattr(cli, "sample_geometry", geometry_spy)
         monkeypatch.setattr(cli, "sample_plan_gains", walk_spy)
-        row = cli.run_job(cli.Job("custom", "joint", cfg, 10.0, 0))
+        row, = cli.run_point([cli.Job("custom", "joint", cfg, 10.0, 0)])
         assert row["seed"] == 7
         assert states == {
             "geometry": [np.random.default_rng(row["seed"]).bit_generator.state],
@@ -838,6 +834,30 @@ class TestVariantBatch:
                     r.pop("paired_stderr")     # its partner failed
             assert row == ref
 
+    def test_closed_form_points_designed_one_at_a_time(self, monkeypatch):
+        # a closed form gains nothing from a batch: each point's slots are
+        # planned before the next point is designed, so one point's sets are
+        # held at a time
+        from satmimo import baselines, cli
+        jobs = self._variant("user-loading")
+        K = jobs[0].config.K
+        events = []
+        design, plan = baselines.tdma_mrt_precoders, cli.plan_users
+
+        def design_spy(eff, rho):
+            events.append("design")
+            return design(eff, rho)
+
+        def plan_spy(*args):
+            events.append("plan")
+            return plan(*args)
+
+        monkeypatch.setattr(baselines, "tdma_mrt_precoders", design_spy)
+        monkeypatch.setattr(cli, "plan_users", plan_spy)
+        cli.run_point(jobs)
+        tdma = events[events.index("design"):]
+        assert tdma == (["design"] + ["plan"] * K) * len(self.GRID)
+
     def test_run_job_computes_each_variant_once(self, monkeypatch):
         from satmimo import cli
         calls = []
@@ -921,7 +941,7 @@ class TestCustomConstraints:
             return original(W, *args)
 
         monkeypatch.setattr(cli, "plan_users", spy)
-        row = cli.run_job(cli.Job("custom", "tdma-mrt", cfg, 10.0, 0))
+        row, = cli.run_point([cli.Job("custom", "tdma-mrt", cfg, 10.0, 0)])
         assert np.isfinite(float(row["sum_se"]))
         assert len(evaluated) == cfg.K
         cons = cli._constraints_for(cfg, 10.0)
@@ -1013,9 +1033,11 @@ class TestEntryPoint:
 
     def test_worker_pool_matches_serial(self, tiny_config, tmp_path):
         # the pool maps run_point over whole variants: association's points
-        # have two modes, approx-gap's one Monte-Carlo and one approximate
+        # have two modes, approx-gap's one Monte-Carlo and one approximate;
+        # the orthogonal preset's one variant runs point by point
         env = child_env(SATMIMO_WORKERS="2")
-        for preset in ("approx-gap", "association"):
+        for preset in ("approx-gap", "association",
+                       "joint-vs-streamwise-orthogonal"):
             out_par = tmp_path / f"par-{preset}.csv"
             proc = subprocess.run(
                 [sys.executable, "-m", "satmimo.cli", "run", "--preset",

@@ -420,14 +420,15 @@ class TestSolveSweep:
         eff = synthetic_effective(rng, L=3, K=2, M=4, N=5)
         eta, directions = participation_factors(eff)
         cons = [per_sat_total(np.full(3, c), 5) for c in caps]
-        return eff, cons, init_streamwise(eff, cons, associate(eta, 2), directions)
+        return eff, cons, np.stack([init_streamwise(eff, c, associate(eta, 2),
+                                                    directions) for c in cons])
 
     def test_streamwise_start_keeps_its_live_streams(self, rng):
         eff, cons, starts = self._streamwise_start(rng, [1.0, 4.0])
         columns = joint_wmmse._live_columns(_antenna_major(starts), 2)
         assert columns.shape == (2, 2)            # S live of L*S = 6 per user
-        joint = init_precoders(eff, cons, 2, stream_basis="aggregated")
-        assert joint_wmmse._live_columns(_antenna_major(joint), 2).tolist() == \
+        joint = init_precoders(eff, cons[0], 2, stream_basis="aggregated")
+        assert joint_wmmse._live_columns(_antenna_major(joint[None]), 2).tolist() == \
             [list(range(6))] * 2
 
     def test_kept_columns_are_those_of_the_full_grams(self, rng):
