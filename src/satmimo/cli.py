@@ -9,9 +9,9 @@ The CSV is deterministic for a fixed seed apart from the wall_time_ms
 column. Each variant of a preset (the jobs that share one config: one
 geometry, every power point and mode) runs as one pipeline (run_point)
 that gives the rows of all its points and modes: the geometry, channels,
-stream maps and starts are built once per variant, a solver designs all of
-the variant's power points in one batched solve, and the Monte-Carlo walks
-and evaluation stay per point. Variants can be evaluated by worker
+stream maps and starts are built once per variant, every solver row of the
+variant (all of its points and solver modes) is designed by one WMMSE
+engine call, and the Monte-Carlo walks and evaluation stay per point. Variants can be evaluated by worker
 processes (environment variable SATMIMO_WORKERS; a preset with fewer
 variants than workers has its points evaluated apart), and row order never
 depends on scheduling.
@@ -129,58 +129,40 @@ def _constraints_for(cfg: ScenarioConfig, rho_w: float):
     return make_constraint_set(cfg.custom_constraints).scaled(rho_w)
 
 
-def _closed_form(design):
-    """design(effective, rho, cfg) of one point as the design of a
-    variant's points: one call per point, and no traces."""
-    return lambda eff, cons, rhos, cfg, params: (
-        [design(eff, rho, cfg) for rho in rhos], [None] * len(rhos))
-
-
-def _streamwise(eff, cons, cfg, params, assignment):
-    W, _, traces = streamwise.solve_streamwise_sweep(
-        eff, cons, params, num_streams=cfg.S, assignment=assignment)
-    return W, traces
-
-
-# approximation study: aggregated stream basis so all S streams carry power
-# (the per-link basis degenerates to one stream)
-_aggregated_mmse = _closed_form(lambda eff, rho, cfg: joint_wmmse.init_precoders(
-    eff, per_sat_total(rho, cfg.N), cfg.S, stream_basis="aggregated"))
-
-# mode -> design(effective, constraints, rhos, cfg, params) of a variant's
-# points: constraints and rhos (per-satellite caps) hold one entry per
-# point, and the design returns (precoders, traces), one entry per point.
-# A point's precoders are one set, which serves every user, or a list of K
-# sets that time-share the users, set k serving user k alone. A solver
-# (a mode in _BATCHED) designs every point in one batched solve and returns
-# W within the constraints with its SolveTrace; a closed form returns trace
-# None and sets spending the per-satellite totals rho, and run_point fits
-# each set to the constraints. run_point calls a mode outside _BATCHED one
-# point at a time, so only one point's sets are held. A mode in
-# _APPROXIMATED is estimated by approx_se, every other one by Monte Carlo.
-# Entries look their functions up on the modules when the row runs, so a
-# wrapper set on a module attribute sees the call.
+# mode -> design(effective, rho per satellite, cfg) of one point's closed
+# form: one precoder set spending the per-satellite totals rho, which
+# serves every user, or a list of K sets that time-share the users, set k
+# serving user k alone; run_point fits each set to the constraints. A mode
+# in _APPROXIMATED is estimated by approx_se, every other one by Monte
+# Carlo. Entries look their functions up on the modules when the row runs,
+# so a wrapper set on a module attribute sees the call.
 _DESIGNS = {
-    "joint": lambda eff, cons, rhos, cfg, params: joint_wmmse.solve_sweep(
-        eff, cons, params, num_streams=cfg.S),
-    "streamwise": lambda eff, cons, rhos, cfg, params: _streamwise(
-        eff, cons, cfg, params, None),
+    "mmse": lambda eff, rho, cfg: baselines.mmse_baseline(eff, rho, cfg.S),
+    "zf": lambda eff, rho, cfg: baselines.zf_baseline(eff, rho, cfg.S),
+    "tdma-mrt": lambda eff, rho, cfg: [
+        W for _, W in baselines.tdma_mrt_precoders(eff, rho)],
+    # approximation study: aggregated stream basis so all S streams carry
+    # power (the per-link basis degenerates to one stream)
+    "mmse-exact-mc": lambda eff, rho, cfg: joint_wmmse.init_precoders(
+        eff, per_sat_total(rho, cfg.N), cfg.S, stream_basis="aggregated"),
+}
+_DESIGNS["mmse-approx"] = _DESIGNS["mmse-exact-mc"]
+_APPROXIMATED = frozenset({"mmse-approx"})
+
+# solver mode -> starts(effective, constraints, cfg) of a variant's points:
+# the (B, L, K, N, S) starts of the WMMSE engine, one per constraint set,
+# and the StreamAssignment whose support every design must keep, or None
+_STARTS = {
+    "joint": lambda eff, cons, cfg: (
+        joint_wmmse.joint_starts(eff, cons, cfg.S), None),
+    "streamwise": lambda eff, cons, cfg: streamwise.streamwise_starts(
+        eff, cons, cfg.S),
     # the random map has its own generator, disjoint from the Monte-Carlo one
-    "streamwise-random": lambda eff, cons, rhos, cfg, params: _streamwise(
-        eff, cons, cfg, params, baselines.random_association(
+    "streamwise-random": lambda eff, cons, cfg: streamwise.streamwise_starts(
+        eff, cons, cfg.S, baselines.random_association(
             np.random.default_rng(np.random.SeedSequence([cfg.rng_seed, 1])),
             cfg.S, cfg.L, cfg.K)),
-    "mmse": _closed_form(lambda eff, rho, cfg: baselines.mmse_baseline(
-        eff, rho, cfg.S)),
-    "zf": _closed_form(lambda eff, rho, cfg: baselines.zf_baseline(
-        eff, rho, cfg.S)),
-    "tdma-mrt": _closed_form(lambda eff, rho, cfg: [
-        W for _, W in baselines.tdma_mrt_precoders(eff, rho)]),
-    "mmse-exact-mc": _aggregated_mmse,
-    "mmse-approx": _aggregated_mmse,
 }
-_BATCHED = frozenset({"joint", "streamwise", "streamwise-random"})
-_APPROXIMATED = frozenset({"mmse-approx"})
 
 
 def _point_key(job: Job):
@@ -201,13 +183,17 @@ def run_point(jobs) -> list:
     sweep point's modes among them. Pure given the jobs.
 
     The shared work runs once per variant: geometry and channels and the
-    solver parameters; then each point's constraint set. A solver (a mode
-    in `_BATCHED`) designs all of its points in one `_DESIGNS` call, one
-    batched solve; when that call raises, the mode's points are designed
-    again one at a time, so an error stays on the row of its own point.
-    Every other mode is designed one point at a time, each point finished
-    before the next is designed. A closed form's sets are fitted to the
-    constraints (`power.scale_to_caps`); a mode in `_APPROXIMATED` is
+    solver parameters; then each point's constraint set. The solver modes
+    (`_STARTS`) build the starts of all of their points, and every solver
+    row of the variant, whatever its mode, is designed by one
+    `joint_wmmse.solve_sweep` call, each instance on its own live-stream
+    map; when that call raises, each (point, mode) is designed again
+    alone, so an error stays on its own row. A streamwise row's design must
+    pass the off-support certificate of its assignment
+    (`streamwise.check_support`). Every closed form (`_DESIGNS`) is
+    designed one point at a time, each point finished before the next is
+    designed, and its sets are fitted to the constraints
+    (`power.scale_to_caps`). A mode in `_APPROXIMATED` is
     estimated by `approx_se`, every other one has each of its sets planned
     for Monte Carlo (`se_eval.plan_users`: every user, or user s alone for
     set s of several), and the precoders are released once planned. Then
@@ -232,14 +218,15 @@ def run_point(jobs) -> list:
     one, has a single Monte-Carlo set: {"mode", "mean_diff" (this row's
     mean per-trial sum SE minus that mode's), "stderr" (the standard error
     of that difference, nan from a single trial)}. wall_time_ms is the
-    row's own design (unless batched), fit and estimate, an equal share of
-    its mode's batched design among that batch's points, an equal share of
+    row's own design (a closed form's or a solve alone), fit and estimate,
+    an equal share of its mode's starts among that mode's points and of
+    the variant's engine call among its instances, an equal share of
     each walk it rides among that walk's riders, an equal share of its
     point's constraint set among the point's rows and an equal share of the
     variant's shared stages."""
     job = jobs[0]
     for j in jobs:
-        if j.mode not in _DESIGNS:
+        if j.mode not in _DESIGNS and j.mode not in _STARTS:
             raise ValueError(f"unhandled mode {j.mode}")
     keys = [(j.point_index, j.power_dbw, j.mode) for j in jobs]
     job_of = dict(zip(keys, jobs))
@@ -281,19 +268,27 @@ def run_point(jobs) -> list:
                     errors[key] = str(exc)
                 own[key] += time.perf_counter() - t
 
-    # per row: SolveTrace; its plans and per-trial SE, per set
-    made, traces, plans, se, reports = {}, {}, {}, {}, {}
+    # per row: precoders until planned; SolveTrace and stream map of a
+    # solver row; its plans and per-trial SE, per set
+    made, traces, maps, plans, se, reports = {}, {}, {}, {}, {}, {}
 
-    def design(mode, batch):
-        made.update(zip(batch, zip(*_DESIGNS[mode](
-            effective, [constraints[p] for p in batch],
-            [rhos[p] for p in batch], cfg, params))))
+    def solve(batch, initial):
+        W, found = joint_wmmse.solve_sweep(
+            effective, [constraints[k[:2]] for k in batch], params, initial,
+            cfg.S)
+        made.update(zip(batch, W))
+        traces.update(zip(batch, found))
+
+    def design(key):
+        made[key] = _DESIGNS[key[2]](effective, rhos[key[:2]], cfg)
 
     def finish(key):
-        # fit, then plan or estimate; the precoders are not kept
-        W, traces[key] = made.pop(key[:2])
+        # check or fit, then plan or estimate; the precoders are not kept
+        W = made.pop(key)
         sets = W if isinstance(W, list) else [W]
-        if traces[key] is None:
+        if key in maps:
+            streamwise.check_support(W, maps[key])
+        elif key not in traces:
             for W_s in sets:
                 scale_to_caps(W_s, constraints[key[:2]], params.power_tol_rel)
         if key[2] in _APPROXIMATED:
@@ -305,23 +300,42 @@ def run_point(jobs) -> list:
                       for s, W_s in enumerate(sets)]
         se[key] = []
 
-    def alone(key):
-        if key[:2] not in made:
-            design(key[2], [key[:2]])
-
+    solved, starts = [], []
     for mode in modes:
         batch = [k for k in keys if k[2] == mode and k not in errors]
-        if len(batch) > 1 and mode in _BATCHED:
-            t = time.perf_counter()
-            try:
-                design(mode, [k[:2] for k in batch])
-            except _ROW_ERRORS:
-                made.clear()        # each point alone, its error its own
-            for key in batch:
-                own[key] += (time.perf_counter() - t) / len(batch)
+        if mode not in _STARTS or not batch:
+            continue
+        t = time.perf_counter()
+        try:
+            initial, assignment = _STARTS[mode](
+                effective, [constraints[k[:2]] for k in batch], cfg)
+        except _ROW_ERRORS as exc:
+            errors.update(dict.fromkeys(batch, str(exc)))
+        else:
+            solved += batch
+            starts.append(initial)
+            if assignment is not None:
+                maps.update(dict.fromkeys(batch, assignment))
         for key in batch:
-            each(alone, [key])
-            each(finish, [key])
+            own[key] += (time.perf_counter() - t) / len(batch)
+    if solved:
+        t = time.perf_counter()
+        starts = np.concatenate(starts)
+        try:
+            solve(solved, starts)
+        except _ROW_ERRORS:
+            # each instance alone, its error its own
+            start = dict(zip(solved, starts[:, None]))
+            each(lambda key: solve([key], start[key]), solved)
+        for key in solved:
+            own[key] += (time.perf_counter() - t) / len(solved)
+        del starts
+    for mode in modes:
+        for key in keys:
+            if key[2] == mode:
+                if mode in _DESIGNS:
+                    each(design, [key])
+                each(finish, [key])
 
     def evaluate(key):
         # the row's next set on the current walk

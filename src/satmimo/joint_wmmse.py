@@ -74,9 +74,10 @@ import numpy as np
 
 from .channel import EffectiveChannel, link_matrix
 from .errors import InfeasibleError, NumericsError, ValidationError
-from .power import PowerConstraintSet, assert_feasible, residuals as power_residuals
+from .power import (PowerConstraintSet, assert_feasible, residuals as power_residuals,
+                    sat_powers)
 from .scenario import ScenarioConfig
-from .se_eval import _GramKernel, _antenna_major, _receiver_grams
+from .se_eval import _GramKernel, _antenna_major, _batch_flat, _receiver_grams
 
 _LN2 = np.log(2.0)
 _RANK_TOL = 1e-12
@@ -170,11 +171,23 @@ def update_weights(mse: np.ndarray):
 
 
 def wmmse_objective(mse: np.ndarray, weights: np.ndarray,
-                    logdet: np.ndarray) -> float:
+                    logdet: np.ndarray) -> np.ndarray:
     """sum_k Tr(C_k E_k) - log2 det(C_k), with logdet the log det C_k per
-    user that `update_weights` returns."""
-    traces = np.einsum("kij,kji->k", weights, mse).real
-    return float(np.sum(traces - logdet / _LN2))
+    user that `update_weights` returns: one value per instance of the
+    leading axes, each bitwise the value of that instance alone."""
+    traces = np.einsum("...kij,...kji->...k", weights, mse).real
+    return np.sum(traces - logdet / _LN2, axis=-1)
+
+
+def _combiners(J: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """The MMSE combiners U_k = J_k^{-1} G_k; NumericsError naming a user
+    whose receiver Gram J_k is singular."""
+    try:
+        return np.linalg.solve(J, G)
+    except np.linalg.LinAlgError:
+        singular = np.linalg.det(J) == 0
+        k = int(np.unravel_index(np.argmax(singular), singular.shape)[-1])
+        raise NumericsError(f"receiver Gram of user {k} is singular") from None
 
 
 # -- single-cap multiplier: the secular equation ------------------------------
@@ -471,9 +484,9 @@ class _PrecoderStep:
     only. basis is the solve's `_TransmitBasis`.
 
     The combiners (..., K, M, n) and weights (..., K, n, n) hold the
-    effective streams of a column map of `se_eval._GramKernel`, whose
-    `_block_index` is blocks; leading axes are a batch of independent
-    instances.
+    effective streams of the column maps (..., K, n) of
+    `se_eval._GramKernel`, whose `_block_index` is blocks; leading axes are
+    a batch of independent instances, each on its own map.
     """
 
     def __init__(self, effective: EffectiveChannel, combiners: np.ndarray,
@@ -487,7 +500,7 @@ class _PrecoderStep:
         self.rhs_dir = basis.rhs_dir
         index, kept = blocks
         # block l of uc: stream s of satellite l, zero where it is not kept
-        self.rhs_row = uc.reshape(uc.shape[:-3] + (-1,))[..., index] * kept
+        self.rhs_row = uc.reshape(-1)[index] * kept
 
     @functools.cached_property
     def factor(self) -> np.ndarray:
@@ -497,17 +510,20 @@ class _PrecoderStep:
 
 def _block_index(columns: np.ndarray, L: int, K: int, S: int):
     """Where stream s of satellite l sits among user k's n kept columns of
-    the column map (K, n) of `se_eval._GramKernel`: flat indices into a
-    (K, L, n) array and a 0/1 mask of the kept streams, both (L, K, S)."""
-    n = columns.shape[1]
+    the column maps (..., K, n) of `se_eval._GramKernel`, one per instance:
+    flat indices into the batch's (..., K, L, n) array (instance i's
+    entries start at i * K*L*n) and a 0/1 mask of the kept streams, both
+    (..., L, K, S)."""
+    *lead, _, n = columns.shape
     users = np.arange(K)[:, None]
-    position = np.zeros((K, L * S + 1), int)
-    kept = np.zeros((K, L * S + 1))
-    position[users, columns] = np.arange(n)
-    kept[users, columns] = 1.0        # a dead column lands in the last slot
-    position, kept = (x[:, :-1].reshape(K, L, S).swapaxes(0, 1)
+    position = np.zeros((*lead, K, L * S + 1), int)
+    kept = np.zeros((*lead, K, L * S + 1))
+    np.put_along_axis(position, columns, np.arange(n), axis=-1)
+    np.put_along_axis(kept, columns, 1.0, axis=-1)   # a dead column lands in the last slot
+    position, kept = (x[..., :-1].reshape(*lead, K, L, S).swapaxes(-3, -2)
                       for x in (position, kept))
-    return (users.T[..., None] * L + np.arange(L)[:, None, None]) * n + position, kept
+    index = (users.T[..., None] * L + np.arange(L)[:, None, None]) * n + position
+    return _batch_flat(index, K * L * n, 3), kept
 
 
 class _Spectrum:
@@ -680,17 +696,30 @@ def init_precoders(effective: EffectiveChannel, constraints: PowerConstraintSet,
                       effective.noise_power_w)
 
 
+def joint_starts(effective: EffectiveChannel, constraints,
+                 num_streams: int) -> np.ndarray:
+    """The aggregated `init_precoders` start of every constraint set of a
+    sequence, (B, L, K, N, S), from one `share_rule` call: the approximate
+    SE of the MMSE baseline, with S live stream directions per link."""
+    caps = np.reshape([smallest_caps(c) for c in constraints], (-1, effective.shape[0]))
+    return share_rule(effective, caps, _start_bases(effective, num_streams, "aggregated"),
+                      effective.noise_power_w)
+
+
 def _live_columns(precoders: np.ndarray, num_streams: int) -> np.ndarray:
-    """The column map (K, n) of `se_eval._GramKernel` that keeps each user's
-    effective streams (l, s) with a nonzero column in any of the
-    antenna-major precoders (B, L, N, K*S), satellite major, padded with
-    dead columns to n = max(1, most live streams of a user)."""
-    L = precoders.shape[1]
-    live = precoders.any(axis=(0, 2)).reshape(L, -1, num_streams)
-    live = live.transpose(1, 0, 2).reshape(live.shape[1], -1)     # (K, L*S)
-    count = live.sum(axis=1)
-    order = np.argsort(~live, axis=1, kind="stable")[:, :max(1, count.max())]
-    return np.where(np.arange(order.shape[1]) < count[:, None], order, live.shape[1])
+    """The column maps (B, K, n) of `se_eval._GramKernel`, one per instance
+    of the antenna-major precoders (B, L, N, K*S): map b keeps each user's
+    effective streams (l, s) with a nonzero column in precoders[b],
+    satellite major, then dead columns up to n = max(1, most live streams
+    of a user in any instance). Instance b's own map, of its own width,
+    is the first max(1, most live streams of one of its users) columns."""
+    B, L = precoders.shape[:2]
+    live = precoders.any(axis=2).reshape(B, L, -1, num_streams)
+    live = live.transpose(0, 2, 1, 3).reshape(B, live.shape[2], -1)  # (B, K, L*S)
+    count = live.sum(axis=-1)
+    order = np.argsort(~live, axis=-1, kind="stable")[..., :max(1, count.max())]
+    return np.where(np.arange(order.shape[-1]) < count[..., None], order,
+                    live.shape[-1])
 
 
 def _stream_major(precoders: np.ndarray, num_streams: int) -> np.ndarray:
@@ -707,34 +736,36 @@ def solve_sweep(effective: EffectiveChannel, constraints,
     """Run the block-coordinate WMMSE design for B instances on one channel.
 
     constraints is a sequence of B constraint sets and initial the B starts
-    (B, L, K, N, S), by default the aggregated `init_precoders` start of
-    each set. Alternates MMSE combiners, inverse-MSE weights and
-    per-satellite closed-form precoders for every instance at once: the
-    batch is folded into the user axis of the receiver kernels and into the
-    satellite axis of the precoder step. Satellites with a single
-    total-power cap are updated together in the K x K coordinates of the
-    solve's transmit basis (`_TransmitBasis`, factored once): one stacked
-    eigendecomposition, a safeguarded Newton root of each secular power
-    curve (`secular_multiplier`, certified) and one batched precoder
-    expression. Satellites with any other constraint family take their
-    multipliers from `dual_newton_multipliers` (certified feasible and
-    optimal), one instance at a time, warm-started at that instance's
-    previous multipliers. Each instance stops on its own tolerance and then
-    leaves the batch; every kernel works slice by slice, so an instance's
-    result is bitwise the one it gets alone.
+    (B, L, K, N, S), by default `joint_starts`; the starts may differ in
+    their supports (a joint and a streamwise start, or two stream maps).
+    Alternates MMSE combiners, inverse-MSE weights and per-satellite
+    closed-form precoders. Satellites with a single total-power cap are
+    updated together in the K x K coordinates of the solve's transmit basis
+    (`_TransmitBasis`, factored once): one stacked eigendecomposition, a
+    safeguarded Newton root of each secular power curve
+    (`secular_multiplier`, certified) and one batched precoder expression.
+    Satellites with any other constraint family take their multipliers from
+    `dual_newton_multipliers` (certified feasible and optimal), one
+    instance at a time, warm-started at that instance's previous
+    multipliers.
 
     A precoder column W[l, k, :, s] that is zero at the start stays exactly
     zero (its combiner column is zero and its MSE block the identity),
     which is how the streamwise mode restricts the design to its sparsity
-    pattern. The receiver arrays therefore keep only the effective streams
-    live in some start (`_live_columns`): n per user, not L*S, with dead
-    padding columns where users differ. The objective trace still counts
+    pattern. Each instance's receiver arrays therefore keep only the
+    effective streams live in its own start (`_live_columns`): n per user,
+    not L*S, with dead padding columns where its users differ. Instances
+    of one width n iterate as one batch (`_descend`), folded into the user
+    axis of the receiver kernels and into the satellite axis of the
+    precoder step; each stops on its own tolerance and then leaves the
+    batch, and every kernel works slice by slice, so an instance's result
+    is bitwise the one it gets alone. The objective trace still counts
     every dropped stream's exact term 1/ln 2 + log2 ln 2, so it reads as
     over all L*S streams. Returns (precoders (B, L, K, N, S), [SolveTrace]
-    * B); each objective trace is non-increasing, each trace counts every
-    multiplier search (secular or dual) and its evaluations, and each
-    output satisfies every power constraint within the feasibility
-    tolerance of its own cap, else NumericsError.
+    * B), empty for B = 0; each objective trace is non-increasing, each
+    trace counts every multiplier search (secular or dual) and its
+    evaluations, and each output satisfies every power constraint within
+    the feasibility tolerance of its own cap, else NumericsError.
     """
     if params is None:
         params = SolverParams()
@@ -743,97 +774,146 @@ def solve_sweep(effective: EffectiveChannel, constraints,
     if num_streams is None:
         num_streams = initial.shape[-1] if initial is not None else M
     S = num_streams
+    if not B:
+        return np.empty((0, L, K, N, S), complex), []
     if initial is None:
-        # aggregated stream basis: the approximate SE of the MMSE baseline,
-        # but with S live stream directions per link; one share-rule call
-        # gives every set's start
-        initial = share_rule(effective, [smallest_caps(c) for c in constraints],
-                             _start_bases(effective, S, "aggregated"),
-                             effective.noise_power_w)
+        initial = joint_starts(effective, constraints, S)
     W = _antenna_major(initial)                                  # (B, L, N, K*S)
     columns = _live_columns(W, S)
+    widths = np.maximum(1, (columns < L * S).sum(axis=-1).max(axis=-1))
+    basis = _TransmitBasis(effective)
+    out = np.empty((B, L, K, N, S), complex)
+    traces = [None] * B
+    for n in np.unique(widths):
+        group = np.flatnonzero(widths == n)
+        pick = group if group.size < B else slice(None)
+        out[pick], found = _descend(effective, [constraints[b] for b in group],
+                                    params, W[pick], columns[pick, :, :n], basis, S)
+        for b, trace in zip(group, found):
+            traces[b] = trace
+    for b in range(B):
+        assert_feasible(power_residuals(out[b], constraints[b]), constraints[b],
+                        params.power_tol_rel)
+    return out, traces
+
+
+def _descend(effective: EffectiveChannel, constraints, params: SolverParams,
+             W: np.ndarray, columns: np.ndarray, basis: _TransmitBasis, S: int):
+    """The WMMSE iterations of B instances whose column maps columns
+    (B, K, n) share one width n, from the antenna-major starts W
+    (B, L, N, K*S), which it overwrites. The record of every instance
+    (objective, worst residual ratio, multipliers and search counters) is
+    kept in arrays over the batch and becomes its SolveTrace at the end.
+    Returns (precoders (B, L, K, N, S), [SolveTrace] * B)."""
+    L, K, M, N = effective.shape
+    B, _, n = columns.shape
+    T = params.max_iters
     grams = _GramKernel(effective, columns, S, effective.noise_power_w)
     blocks = _block_index(columns, L, K, S)
-    dead = K * (L * S - columns.shape[1]) * _DEAD_STREAM
-    basis = _TransmitBasis(effective)
-    traces = [SolveTrace() for _ in range(B)]
+    dead = K * (L * S - n) * _DEAD_STREAM
     # a silent satellite stays silent: its combiner columns, hence its
     # right-hand sides, are exactly zero
     live = W.reshape(B, L, -1).any(axis=2)
     identity = np.array([c.identity for c in constraints], bool)
     single_all, general_all = live & identity, live & ~identity
-    single_caps = [[float(c[0]) for c in cons.caps] for cons in constraints]
-    caps = [np.concatenate(cons.caps) for cons in constraints]
-    resid = [None] * B
+    first_caps = np.array([[c[0] for c in cons.caps] for cons in constraints])
+    single_caps = first_caps.tolist()
+    # an instance with a single total-power cap on every satellite has the
+    # satellites' total powers less first_caps as its residuals
+    totals = identity.all(axis=1)
+    # instance b's multipliers of satellite l at record[it, b, first[b, l]:
+    # first[b, l] + sizes[b, l]], in the flat order of its caps
+    sizes = np.array([[len(c) for c in cons.caps] for cons in constraints])
+    first = np.cumsum(sizes, axis=1) - sizes
+    record = np.zeros((T, B, sizes.sum(axis=1).max()))
+    objective, worst = np.empty((T, B)), np.empty((T, B))
+    searches, evals, fallbacks = (np.zeros(B, int) for _ in range(3))
+    iterations, converged = np.full(B, T), np.zeros(B, bool)
     prev_obj = np.full(B, np.inf)
     out = np.empty((B, L, K, N, S), complex)     # each instance as it stops
     active = np.arange(B)
     J, G = grams(W)
 
-    for it in range(1, params.max_iters + 1):
-        U = np.linalg.solve(J, G)
+    for it in range(T):
+        U = _combiners(J, G)
         C, logdet_c = update_weights(_mse_at_optimum(U, G))
-        iter_mus = [[np.zeros(constraints[b].num_constraints(l)) for l in range(L)]
-                    for b in active]
         step = _PrecoderStep(effective, U, C, basis, blocks)
         single = np.flatnonzero(single_all[active])              # a*L + l
         if single.size:
             spectrum = _Spectrum(step, single)
-            mus = np.empty(single.size)
-            for x, (a, l) in enumerate(zip(*np.divmod(single, L))):
-                trace = traces[active[a]]
-                mus[x], evals = secular_multiplier(spectrum.curves[x],
-                                                   single_caps[active[a]][l])
-                trace.multiplier_evals += evals
-                trace.multiplier_searches += 1
-                trace.pinv_fallbacks += int(mus[x] == 0.0 and spectrum.pinv[x])
-                iter_mus[a][l] = mus[x:x + 1]
+            a, l = np.divmod(single, L)
+            b = active[a]
+            roots = np.array([secular_multiplier(curve, single_caps[i][j])
+                              for curve, i, j in zip(spectrum.curves, b.tolist(),
+                                                     l.tolist())])
+            mus = roots[:, 0]
+            record[it, b, first[b, l]] = mus
+            tally = functools.partial(np.bincount, a, minlength=active.size)
+            searches[active] += tally()
+            evals[active] += tally(roots[:, 1]).astype(int)
+            fallbacks[active] += tally((mus == 0.0) & spectrum.pinv).astype(int)
             W.reshape(-1, N, K * S)[single] = spectrum.precoders(mus).swapaxes(
                 1, 2).reshape(single.size, N, K * S)
         for a, l in zip(*np.nonzero(general_all[active])):
             # B_{l,k} is rank one: search on its directions scaled by the
             # row norms, warm at the previous iteration's multipliers, then
             # give every user's solution its unit row back
-            cons, trace = constraints[active[a]], traces[active[a]]
+            b = active[a]
+            cons, own = constraints[b], slice(first[b, l], first[b, l] + sizes[b, l])
             row = step.rhs_row[a, l]
             norms = np.linalg.norm(row, axis=1)
-            iter_mus[a][l], v, evals = dual_newton_multipliers(
+            record[it, b, own], v, spent = dual_newton_multipliers(
                 step.factor[a, l], step.rhs_dir[l].T * norms, cons.weights[l],
                 cons.caps[l], params.power_tol_rel,
-                start=trace.multipliers[-1][l] if trace.multipliers else None)
+                start=record[it - 1, b, own] if it else None)
             unit = np.divide(row, norms[:, None], out=np.zeros_like(row),
                              where=norms[:, None] > 0)
             W[a, l] = (v[:, :, None] * unit).reshape(N, K * S)
-            trace.multiplier_searches += 1
-            trace.multiplier_evals += evals
+            searches[b] += 1
+            evals[b] += spent
 
         # the grams at the new precoders serve this iteration's objective
         # and the next iteration's combiners
         J, G = grams(W)
-        mse = _mse_matrices(U, J, G)
-        going = np.ones(active.size, bool)
-        for a, b in enumerate(active):
-            obj = wmmse_objective(mse[a], C[a], logdet_c[a]) + dead
-            resid[b] = power_residuals(_stream_major(W[a], S), constraints[b])
-            trace = traces[b]
-            trace.objective.append(obj)
-            trace.multipliers.append(iter_mus[a])
-            trace.max_residual.append(float(np.max(resid[b] / caps[b])))
-            trace.iterations = it
-            if prev_obj[b] - obj <= params.tol:
-                trace.converged = True
-                going[a] = False
-            prev_obj[b] = obj
-        out[active[~going]] = _stream_major(W[~going], S)
-        active, W, J, G = active[going], W[going], J[going], G[going]
-        if not active.size:
-            break
+        obj = wmmse_objective(_mse_matrices(U, J, G), C, logdet_c) + dead
+        objective[it, active] = obj
+        streams = _stream_major(W, S)
+        summed = totals[active]
+        if summed.any():
+            caps = first_caps[active[summed]]
+            worst[it, active[summed]] = np.max(
+                (sat_powers(streams)[summed] - caps) / caps, axis=1)
+        for a in np.flatnonzero(~summed):
+            b = active[a]
+            worst[it, b] = np.max(power_residuals(streams[a], constraints[b])
+                                  / np.concatenate(constraints[b].caps))
+        stop = prev_obj[active] - obj <= params.tol
+        prev_obj[active] = obj
+        if stop.any():
+            done = active[stop]
+            iterations[done], converged[done] = it + 1, True
+            out[done] = streams[stop]
+            going = ~stop
+            active, W, J, G = active[going], W[going], J[going], G[going]
+            if not active.size:
+                break
+            columns = columns[going]
+            grams, blocks = grams.select(going), _block_index(columns, L, K, S)
     out[active] = _stream_major(W, S)  # the instances stopped by max_iters
 
+    traces = []
     for b in range(B):
-        if resid[b] is None:
-            resid[b] = power_residuals(out[b], constraints[b])
-        assert_feasible(resid[b], constraints[b], params.power_tol_rel)
+        used = iterations[b]
+        cuts = list(zip(first[b].tolist(), (first[b] + sizes[b]).tolist()))
+        traces.append(SolveTrace(
+            objective=objective[:used, b].tolist(),
+            multipliers=[[row[i:j] for i, j in cuts]
+                         for row in record[:used, b].copy()],
+            max_residual=worst[:used, b].tolist(),
+            iterations=int(used), converged=bool(converged[b]),
+            pinv_fallbacks=int(fallbacks[b]),
+            multiplier_searches=int(searches[b]),
+            multiplier_evals=int(evals[b])))
     return out, traces
 
 

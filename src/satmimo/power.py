@@ -26,7 +26,7 @@ class PowerConstraintSet:
 
     weights[l] is the (X_l, N, N) stack of satellite l's Hermitian PSD
     weight matrices, caps[l][x] the cap in watts, which construction checks
-    to be positive. identity[l] is True when satellite l has the single
+    to be positive and finite. identity[l] is True when satellite l has the single
     constraint A = I (enables the closed-form multiplier search).
     """
 
@@ -36,10 +36,10 @@ class PowerConstraintSet:
 
     def __post_init__(self):
         for l, caps in enumerate(self.caps):
-            bad = np.flatnonzero(~(caps > 0))
+            bad = np.flatnonzero(~((caps > 0) & np.isfinite(caps)))
             if bad.size:
-                raise ValidationError(
-                    f"satellite {l} constraint {bad[0]}: rho must be positive")
+                raise ValidationError(f"satellite {l} constraint {bad[0]}: rho "
+                                      f"must be positive and finite")
 
     @property
     def num_sats(self) -> int:
@@ -49,8 +49,10 @@ class PowerConstraintSet:
         return len(self.weights[l])
 
     def scaled(self, factor: float) -> "PowerConstraintSet":
-        """Same subspace weights with every cap multiplied by factor."""
-        caps = tuple(c * factor for c in self.caps)
+        """Same subspace weights with every cap multiplied by factor; a cap
+        that overflows is rejected as not finite."""
+        with np.errstate(over="ignore"):
+            caps = tuple(c * factor for c in self.caps)
         return PowerConstraintSet(self.weights, caps, self.identity)
 
 
@@ -142,13 +144,21 @@ def residuals(precoders: np.ndarray, constraints: PowerConstraintSet) -> np.ndar
             A.shape[1] != W.shape[2] for A in constraints.weights):
         raise ValidationError(f"precoders must have shape ({L}, K, N, S) with "
                               f"N the constraints' size, got {W.shape}")
-    flat = W.reshape(L, -1)
-    power = np.einsum("ij,ij->i", flat.conj(), flat).real
+    power = sat_powers(W)
     if not all(constraints.identity):
         power = np.concatenate([power[l:l + 1] if constraints.identity[l]
                                 else _weighted_power(W[l], A)
                                 for l, A in enumerate(constraints.weights)])
     return power - np.concatenate(constraints.caps)
+
+
+def sat_powers(precoders: np.ndarray) -> np.ndarray:
+    """Every satellite's total power sum_k ||W_{l,k}||_F^2, (..., L), of
+    precoders (..., L, K, N, S): the residual of a single total-power cap
+    plus that cap. Each instance of the leading axes is bitwise the value
+    it gets alone."""
+    flat = precoders.reshape(precoders.shape[:-3] + (-1,))
+    return np.einsum("...j,...j->...", flat.conj(), flat).real
 
 
 def _weighted_power(W: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -65,6 +65,8 @@ NumericsError.
 
 from __future__ import annotations
 
+import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,13 +111,15 @@ class _GramKernel:
     which for rank-one links is noise*I + sum_l beta_{l,k} ||a_{l,k}^T W_l||^2
     b_{l,k} b_{l,k}^H: the mean received Gram, E[gamma gamma^H] = diag(beta).
 
-    columns (K, n) names the effective streams kept in G: entry [k, j] is
-    l*S + s for stream s of satellite l, or L*S for a dead column, which is
-    exactly zero. The constants (the b_{l,k} side by side, the selected
+    columns (..., K, n) names the effective streams kept in G, one map per
+    instance of a batch (its leading axes): entry [k, j] is l*S + s for
+    stream s of satellite l, or L*S for a dead column, which is exactly
+    zero. The constants (the b_{l,k} side by side, the selected
     sqrt(beta_{l,k}) b_{l,k} of every kept column and the noise identity)
     are built once; a call takes antenna-major precoders (..., L, N, K*S)
-    (`_antenna_major`) and returns J (..., K, M, M) and G (..., K, M, n),
-    each from batched products over every leading axis.
+    (`_antenna_major`) with the map's leading axes and returns J
+    (..., K, M, M) and G (..., K, M, n), each from batched products over
+    every leading axis. `select` gives the kernel of some instances.
     """
 
     def __init__(self, effective: EffectiveChannel, columns: np.ndarray,
@@ -129,18 +133,36 @@ class _GramKernel:
         kept = columns < L * S
         sat, stream = np.where(kept, columns // S, 0), columns % S
         users = np.arange(K)[:, None]
-        self.desired = np.where(kept[:, None, :], (
+        self.desired = np.where(kept[..., None, :], (
             np.sqrt(self.beta)[sat, users][..., None]
-            * effective.b[sat, users]).swapaxes(1, 2), 0.0)        # (K, M, n)
-        # the flat index of a_{l,k}^T W_{l,k}[:, s] in the (L, K, K*S) rows
-        self.own = ((sat * K + users) * K + users) * S + stream
+            * effective.b[sat, users]).swapaxes(-1, -2), 0.0)      # (..., K, M, n)
+        # the flat index of a_{l,k}^T W_{l,k}[:, s] in an instance's
+        # (L, K, K*S) rows, then in the rows of the whole batch
+        self.size = L * K * K * S
+        self.own = _batch_flat(((sat * K + users) * K + users) * S + stream,
+                               self.size, 2)
+
+    def select(self, keep) -> "_GramKernel":
+        """The kernel of the instances keep (an index of the leading axis)."""
+        kernel = copy.copy(self)
+        kernel.desired = self.desired[keep]
+        kernel.own = _batch_flat(self.own[keep] % self.size, self.size, 2)
+        return kernel
 
     def __call__(self, precoders: np.ndarray):
         rows = self.a @ precoders                                  # (..., L, K, K*S)
         load = self.beta * (rows.real ** 2 + rows.imag ** 2).sum(axis=-1)
         J = (self.b * load.swapaxes(-1, -2)[..., None, :]) @ self.b_h
-        own = rows.reshape(rows.shape[:-3] + (-1,))[..., self.own]
+        own = rows.reshape(-1)[self.own]
         return J + self.noise_eye, self.desired * own[..., None, :]
+
+
+def _batch_flat(index: np.ndarray, size: int, core: int) -> np.ndarray:
+    """Flat positions index (..., *core axes) into each instance's own size
+    entries, as positions in the whole flattened batch: the instances are
+    the leading axes, in C order, and instance i's entries start at i * size."""
+    lead = index.shape[:index.ndim - core]
+    return index + size * np.arange(math.prod(lead)).reshape(lead + (1,) * core)
 
 
 def _receiver_grams(precoders: np.ndarray, effective: EffectiveChannel,

@@ -9,22 +9,26 @@ the factors are the squared moduli of its right vectors' entries, and the
 stream directions are its left vectors. Streams ride the strongest
 eigenmodes and are matched one-to-one to satellites by maximum-weight
 bipartite matching on those factors. Precoding then runs the joint
-weighted-MSE block-coordinate descent (`joint_wmmse.solve`) under the given
-power-constraint set (any family the joint mode accepts), started from the
-streamwise initialization: `joint_wmmse.share_rule`, the builder of every
-closed form, on the stream directions masked by the assignment's support
-(`StreamAssignment.support`, (L, K, S), derived from the map in one
-place). That start is the support mask of the whole solve: a precoder
+weighted-MSE block-coordinate descent (`joint_wmmse.solve_sweep`) under the
+given power-constraint set (any family the joint mode accepts), started
+from the streamwise initialization: `joint_wmmse.share_rule`, the builder
+of every closed form, on the stream directions masked by the assignment's
+support (`StreamAssignment.support`, (L, K, S), derived from the map in
+one place). That start is the support mask of the whole solve: a precoder
 column that is zero makes its combiner column zero and its MSE block the
 identity, so the closed-form precoder update keeps every entry off the
-support exactly zero. `solve_streamwise` checks that it did, against the
-same mask, and returns the precoders in joint form.
+support exactly zero, and the engine keeps only the S live effective
+streams per user. `check_support` certifies that it did, against the same
+mask.
 
-A power sweep is one `solve_streamwise_sweep` call: the participation
+`streamwise_starts` builds the starts of a power sweep: the participation
 factors and the stream map do not depend on the caps, so they are
-computed once, the starts of all caps come from one `share_rule` call, and
-`joint_wmmse.solve_sweep` designs every cap in one batched solve on the S
-live effective streams per user. `solve_streamwise` is its B = 1 call.
+computed once, and the starts of all caps come from one `share_rule` call.
+The CLI puts those starts beside every other solver mode's into one
+engine call per variant. `solve_streamwise_sweep` is the library's sweep
+form (the starts, one `joint_wmmse.solve_sweep` on them alone and the
+certificate) and `solve_streamwise` its B = 1 call; both return the
+precoders in joint form.
 """
 
 from __future__ import annotations
@@ -115,39 +119,55 @@ def _support_bases(assignment: StreamAssignment, directions: np.ndarray):
     return np.where(assignment.support[:, :, None, :], directions[..., :S], 0.0)
 
 
-def solve_streamwise_sweep(effective: EffectiveChannel, constraints,
-                           params: SolverParams | None = None,
-                           num_streams: int | None = None,
-                           assignment: StreamAssignment | None = None):
-    """Streamwise association plus precoder design for B constraint sets on
-    one channel (a power sweep).
+def streamwise_starts(effective: EffectiveChannel, constraints,
+                      num_streams: int | None = None,
+                      assignment: StreamAssignment | None = None):
+    """The streamwise starts of B constraint sets on one channel (a power
+    sweep), (B, L, K, N, S), and their StreamAssignment.
 
-    The participation factors and, when no assignment is given, the
-    stream map by participation factors are computed once: neither depends
-    on the caps. The precoders of all B sets come from one
-    `joint_wmmse.solve_sweep`, each started at its joint-form streamwise
-    initialization, which keeps it on the assignment's support. Returns (W
-    (B, L, K, N, S), StreamAssignment, [SolveTrace] * B); raises
-    NumericsError if an entry off the support is not zero.
+    The participation factors and, when no assignment is given, the stream
+    map by participation factors are computed once: neither depends on the
+    caps. Every set's `init_streamwise` start comes from one `share_rule`
+    call; it is the support mask of the set's solve (`check_support`).
     """
     L, K, M, N = effective.shape
     S = num_streams if num_streams is not None else min(M, L)
     if assignment is not None and assignment.support.shape != (L, K, S):
         raise ValidationError(f"assignment support shape {assignment.support.shape} "
                               f"does not match (L, K, S)=({L}, {K}, {S})")
-
     eta, directions = participation_factors(effective)
     if assignment is None:
         assignment = associate(eta, S)
+    caps = np.reshape([joint_wmmse.smallest_caps(c) for c in constraints], (-1, L))
+    starts = joint_wmmse.share_rule(effective, caps, _support_bases(assignment, directions),
+                                    effective.noise_power_w)
+    return starts, assignment
 
-    # every set's `init_streamwise` start from one share-rule call
-    starts = joint_wmmse.share_rule(
-        effective, [joint_wmmse.smallest_caps(c) for c in constraints],
-        _support_bases(assignment, directions), effective.noise_power_w)
-    W, traces = joint_wmmse.solve_sweep(effective, constraints, params,
-                                        initial=starts, num_streams=S)
-    if np.any(W.transpose(0, 1, 2, 4, 3)[:, ~assignment.support]):
+
+def check_support(precoders: np.ndarray, assignment: StreamAssignment) -> None:
+    """The off-support certificate of joint-form precoders (..., L, K, N,
+    S): NumericsError if an entry off the assignment's support is not
+    exactly zero."""
+    if np.any(np.moveaxis(precoders, -2, -1)[..., ~assignment.support, :]):
         raise NumericsError("streamwise precoders left their assigned satellites")
+
+
+def solve_streamwise_sweep(effective: EffectiveChannel, constraints,
+                           params: SolverParams | None = None,
+                           num_streams: int | None = None,
+                           assignment: StreamAssignment | None = None):
+    """Streamwise association plus precoder design for B constraint sets on
+    one channel (a power sweep): `streamwise_starts`, one
+    `joint_wmmse.solve_sweep` on them and `check_support`. Returns (W
+    (B, L, K, N, S), StreamAssignment, [SolveTrace] * B); raises
+    NumericsError if an entry off the support is not zero.
+    """
+    starts, assignment = streamwise_starts(effective, constraints, num_streams,
+                                           assignment)
+    W, traces = joint_wmmse.solve_sweep(effective, constraints, params,
+                                        initial=starts,
+                                        num_streams=starts.shape[-1])
+    check_support(W, assignment)
     return W, assignment, traces
 
 

@@ -25,6 +25,15 @@ class TestMmseBaseline:
         with pytest.raises(ValidationError):
             mmse_baseline(default_effective, rho, 2)
 
+    @pytest.mark.parametrize("rho", [np.inf, np.nan])
+    def test_rejects_nonfinite_cap(self, default_effective, rho):
+        # no NaN precoders from a cap that is not finite, as zf_baseline
+        caps = np.full(4, 2.0)
+        caps[1] = rho
+        with pytest.raises(ValidationError,
+                           match="satellite 1 constraint 0: rho must be positive and finite"):
+            mmse_baseline(default_effective, caps, 2)
+
     def test_exhausts_power(self, default_effective):
         W = mmse_baseline(default_effective, np.full(4, 3.0), 2)
         for l in range(4):

@@ -38,6 +38,22 @@ def child_env(**extra):
     return env
 
 
+def flaky_streamwise_engine(monkeypatch, message):
+    """Make the WMMSE engine raise NumericsError(message) for any batch that
+    holds a streamwise instance (a start with S of its L*S streams per user
+    live) whose cap is above 5 W."""
+    from satmimo import NumericsError, joint_wmmse
+    solve = joint_wmmse.solve_sweep
+
+    def flaky(effective, constraints, params, initial, *args, **kwargs):
+        if any(c.caps[0][0] > 5.0 and not start.any(axis=-2).all()
+               for c, start in zip(constraints, initial)):
+            raise NumericsError(message)
+        return solve(effective, constraints, params, initial, *args, **kwargs)
+
+    monkeypatch.setattr(joint_wmmse, "solve_sweep", flaky)
+
+
 def read_rows(path):
     with open(path) as fh:
         first = fh.readline().rstrip("\n")
@@ -120,15 +136,8 @@ class TestRun:
     def test_failing_point_keeps_sweep_alive(self, tiny_config, tmp_path,
                                              monkeypatch):
         # a solver error at one sweep point annotates that row only
-        from satmimo import NumericsError, cli, streamwise
-        solve = streamwise.solve_streamwise_sweep
-
-        def flaky(effective, constraints, *args, **kwargs):
-            if any(c.caps[0][0] > 5.0 for c in constraints):
-                raise NumericsError("MSE matrix of user 0 is not positive definite")
-            return solve(effective, constraints, *args, **kwargs)
-
-        monkeypatch.setattr(cli.streamwise, "solve_streamwise_sweep", flaky)
+        flaky_streamwise_engine(monkeypatch,
+                                "MSE matrix of user 0 is not positive definite")
         out = str(tmp_path / "flaky.csv")
         assert main(["run", "--preset", "joint-vs-streamwise-orthogonal",
                      "--config", tiny_config, "--out", out, "--quiet",
@@ -314,15 +323,7 @@ class TestRun:
     def test_nan_stderr_written_as_null(self, tiny_config, tmp_path,
                                         monkeypatch):
         # one trial has no sample variance, and an error row no estimate
-        from satmimo import NumericsError, cli, streamwise
-        solve = streamwise.solve_streamwise_sweep
-
-        def flaky(effective, constraints, *args, **kwargs):
-            if any(c.caps[0][0] > 5.0 for c in constraints):
-                raise NumericsError("forced failure")
-            return solve(effective, constraints, *args, **kwargs)
-
-        monkeypatch.setattr(cli.streamwise, "solve_streamwise_sweep", flaky)
+        flaky_streamwise_engine(monkeypatch, "forced failure")
         out = str(tmp_path / "one.csv")
         assert main(["run", "--preset", "joint-vs-streamwise-orthogonal",
                      "--config", tiny_config, "--out", out, "--quiet",
@@ -364,6 +365,30 @@ class TestRun:
         assert err.startswith("error:") and "rng_seed" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("preset", ["association", "stream-count"])
+    def test_singular_receiver_gram_gives_error_rows(self, preset, tmp_path):
+        # at 300 dBW the noise is lost to rounding in the receiver Grams: a
+        # singular one makes an error row, not a traceback, and the 0 dBW
+        # rows are those of a run without the 300 dBW point
+        rows = {}
+        for grid in ([0.0], [0.0, 300.0]):
+            path = tmp_path / "grid.json"
+            path.write_text(json.dumps(dict(TINY, power_cap_dbw_grid=grid)))
+            out = str(tmp_path / "res.csv")
+            assert main(["run", "--preset", preset, "--config", str(path),
+                         "--out", out, "--quiet"]) == 0
+            rows[len(grid)] = read_rows(out)
+        high = [r for r in rows[2] if r["power_cap_dbw"] == "300.0"]
+        failed = [r for r in high if r["sum_se"] == "nan"]
+        if preset == "association":
+            assert failed == high
+        assert any(r["per_user_se"].startswith("error=receiver Gram of user ")
+                   for r in failed)
+        low = [r for r in rows[2] if r["power_cap_dbw"] == "0.0"]
+        for r in low + rows[1]:
+            r.pop("wall_time_ms")
+        assert low == rows[1]
+
     def test_more_streams_than_satellites_gives_error_rows(self, tmp_path):
         # S = 10 > L = 8: both association modes are infeasible at every
         # point, and the sweep still writes one error row per job
@@ -401,15 +426,17 @@ class TestRun:
 
 def _reference_row(job):
     """The row of one mode evaluated alone, as one job per row did: its own
-    geometry, constraint set and design, and exact_se_mc (tdma-mrt: its K
-    slot walks; mmse-approx: approx_se) on a fresh mc_rng. Returns
-    (report, trace, precoders or None)."""
+    geometry, constraint set and design (a solver mode's from its library
+    call, streamwise-random's map from its own generator), and exact_se_mc
+    (tdma-mrt: its K slot walks; mmse-approx: approx_se) on a fresh mc_rng.
+    Returns (report, trace, precoders or None)."""
     from satmimo import baselines, joint_wmmse
     from satmimo.channel import effective_channels
     from satmimo.power import scale_to_caps
     from satmimo.scenario import sample_geometry
     from satmimo.se_eval import approx_se, exact_se_mc, mc_rng
     from satmimo.cli import _DESIGNS, _constraints_for
+    from satmimo.streamwise import solve_streamwise
     cfg = job.config
     rho_w = 10 ** (job.power_dbw / 10)
     rho = np.full(cfg.L, rho_w)
@@ -421,9 +448,20 @@ def _reference_row(job):
     if job.mode == "tdma-mrt":
         return (baselines.tdma_mrt_baseline(eff, rho, cons, params.power_tol_rel,
                                             cfg.mc_trials, rng), None, None)
-    (W,), (trace,) = _DESIGNS[job.mode](eff, [cons], [rho], cfg, params)
-    if trace is None:
-        scale_to_caps(W, cons, params.power_tol_rel)
+    trace = None
+    if job.mode == "joint":
+        W, trace = joint_wmmse.solve(eff, cons, params, num_streams=cfg.S)
+    elif job.mode == "streamwise":
+        W, _, trace = solve_streamwise(eff, cons, params, num_streams=cfg.S)
+    elif job.mode == "streamwise-random":
+        W, _, trace = solve_streamwise(
+            eff, cons, params, num_streams=cfg.S,
+            assignment=baselines.random_association(
+                np.random.default_rng(np.random.SeedSequence([cfg.rng_seed, 1])),
+                cfg.S, cfg.L, cfg.K))
+    else:
+        W = scale_to_caps(_DESIGNS[job.mode](eff, rho, cfg), cons,
+                          params.power_tol_rel)
     if job.mode == "mmse-approx":
         return approx_se(W, eff), trace, W
     return exact_se_mc(W, eff, cfg.mc_trials, rng), trace, W
@@ -744,9 +782,9 @@ class TestPointPipeline:
 
 
 class TestVariantBatch:
-    """A variant's points share one batched design per mode: each point's
-    design is bitwise the one it gets alone, and an error stays on its own
-    row."""
+    """A variant's solver rows, every point and mode, share one engine call:
+    each row's design is bitwise the one it gets alone, and an error stays
+    on its own row."""
 
     GRID = [-10.0, 0.0, 10.0, 20.0, 30.0]
 
@@ -765,31 +803,33 @@ class TestVariantBatch:
                                                ("association", 2),
                                                ("user-loading", 2)])
     def test_batched_design_equals_each_point_alone(self, preset, index):
+        # every solver mode's starts of every point, in one engine call
         from satmimo import joint_wmmse
         from satmimo.channel import effective_channels
-        from satmimo.cli import _DESIGNS, _constraints_for
+        from satmimo.cli import _STARTS, _constraints_for
         from satmimo.scenario import sample_geometry
         jobs = self._variant(preset, index)
         cfg = jobs[0].config
         eff = effective_channels(
             sample_geometry(cfg, np.random.default_rng(cfg.rng_seed)), cfg)
         params = joint_wmmse.SolverParams.from_config(cfg)
-        rhos = [np.full(cfg.L, 10 ** (dbw / 10)) for dbw in self.GRID]
-        cons = [_constraints_for(cfg, rho[0]) for rho in rhos]
-        modes = [m for m in jobs[0].modes if m in ("joint", "streamwise",
-                                                   "streamwise-random")]
+        cons = [_constraints_for(cfg, 10 ** (dbw / 10)) for dbw in self.GRID]
+        modes = [m for m in jobs[0].modes if m in _STARTS]
         assert len(modes) >= 1
-        for mode in modes:
-            Ws, traces = _DESIGNS[mode](eff, cons, rhos, cfg, params)
-            assert len(Ws) == len(traces) == len(self.GRID)
-            for p in range(len(self.GRID)):
-                (W,), (trace,) = _DESIGNS[mode](eff, [cons[p]], [rhos[p]], cfg,
-                                                params)
-                assert np.array_equal(Ws[p], W), (mode, p)
-                assert traces[p].iterations == trace.iterations
-                assert traces[p].converged == trace.converged
-                assert traces[p].objective == trace.objective
-                assert traces[p].multiplier_evals == trace.multiplier_evals
+        starts = np.concatenate([_STARTS[mode](eff, cons, cfg)[0]
+                                 for mode in modes])
+        Ws, traces = joint_wmmse.solve_sweep(eff, cons * len(modes), params,
+                                             starts, cfg.S)
+        assert len(Ws) == len(traces) == len(self.GRID) * len(modes)
+        for i, start in enumerate(starts):
+            p = i % len(self.GRID)
+            (W,), (trace,) = joint_wmmse.solve_sweep(eff, [cons[p]], params,
+                                                     start[None], cfg.S)
+            assert np.array_equal(Ws[i], W), (modes[i // len(self.GRID)], p)
+            assert traces[i].iterations == trace.iterations
+            assert traces[i].converged == trace.converged
+            assert traces[i].objective == trace.objective
+            assert traces[i].multiplier_evals == trace.multiplier_evals
 
     @pytest.mark.parametrize("preset", ["association", "user-loading"])
     def test_variant_rows_equal_point_rows(self, preset):
@@ -833,6 +873,63 @@ class TestVariantBatch:
                 if job.power_dbw == 20.0:
                     r.pop("paired_stderr")     # its partner failed
             assert row == ref
+
+    def test_merged_batch_failure_stays_on_its_rows(self, monkeypatch):
+        # joint and streamwise share one engine call; it raises for the
+        # streamwise instances above 5 W, each (point, mode) is designed
+        # again alone, and only those rows are error rows
+        from satmimo import cli
+        jobs = self._variant("stream-count")
+        clean = cli.run_point(jobs)
+        flaky_streamwise_engine(monkeypatch, "forced failure")
+        rows = cli.run_point(jobs)
+        failed = [(j.mode, j.power_dbw) for j, r in zip(jobs, rows)
+                  if r["per_user_se"].startswith("error=")]
+        assert failed == [("streamwise", dbw) for dbw in self.GRID if dbw > 7.0]
+        for job, row, ref in zip(jobs, rows, clean):
+            if (job.mode, job.power_dbw) in failed:
+                assert row["per_user_se"] == "error=forced failure"
+                continue
+            for r in (row, ref):
+                r.pop("wall_time_ms")
+                if job.power_dbw > 7.0:
+                    r.pop("paired_stderr")     # its partner failed
+            assert row == ref
+
+    @pytest.mark.parametrize("preset", ["association", "stream-count"])
+    def test_one_engine_call_per_variant(self, preset, monkeypatch):
+        # every solver row of a variant, whatever its mode, in one call
+        from satmimo import cli, joint_wmmse
+        batches = []
+        original = joint_wmmse.solve_sweep
+
+        def spy(effective, constraints, *args, **kwargs):
+            batches.append(len(constraints))
+            return original(effective, constraints, *args, **kwargs)
+
+        monkeypatch.setattr(joint_wmmse, "solve_sweep", spy)
+        jobs = PRESETS[preset](self._config())
+        for job in jobs:
+            cli.run_job(job)
+        assert batches == [len(v) for v in cli._variants(jobs)]
+
+    def test_no_engine_call_without_a_constraint_set(self, monkeypatch):
+        # a custom cap that overflows at every point: every row is an error
+        # row and the engine is not called
+        from satmimo import cli, joint_wmmse, load_scenario
+        calls = []
+        monkeypatch.setattr(joint_wmmse, "solve_sweep",
+                            lambda *args, **kwargs: calls.append(args))
+        cfg = load_scenario(json.dumps(dict(
+            TINY, constraint_kind="custom", power_cap_dbw_grid=[30.0, 40.0],
+            custom_constraints=[[{"A": np.eye(8).tolist(), "rho": 1e307}]] * 4)))
+        jobs = cli._variants(PRESETS["stream-count"](cfg))[0]
+        rows = cli.run_point(jobs)
+        assert calls == []
+        assert len(rows) == 4
+        for row in rows:
+            assert row["per_user_se"] == (
+                "error=satellite 0 constraint 0: rho must be positive and finite")
 
     def test_closed_form_points_designed_one_at_a_time(self, monkeypatch):
         # a closed form gains nothing from a batch: each point's slots are

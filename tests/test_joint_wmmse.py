@@ -426,10 +426,13 @@ class TestSolveSweep:
     def test_streamwise_start_keeps_its_live_streams(self, rng):
         eff, cons, starts = self._streamwise_start(rng, [1.0, 4.0])
         columns = joint_wmmse._live_columns(_antenna_major(starts), 2)
-        assert columns.shape == (2, 2)            # S live of L*S = 6 per user
+        # one map per start: S live of L*S = 6 per user, one support for
+        # both caps
+        assert columns.shape == (2, 2, 2)
+        assert np.array_equal(columns[0], columns[1])
         joint = init_precoders(eff, cons[0], 2, stream_basis="aggregated")
         assert joint_wmmse._live_columns(_antenna_major(joint[None]), 2).tolist() == \
-            [list(range(6))] * 2
+            [[list(range(6))] * 2]
 
     def test_kept_columns_are_those_of_the_full_grams(self, rng):
         from satmimo.se_eval import _GramKernel
@@ -437,7 +440,7 @@ class TestSolveSweep:
         W = starts[0]
         # user 0 keeps one stream fewer than user 1: one padding column
         W[np.flatnonzero(W[:, 0].any(axis=(1, 2)))[0], 0] = 0.0
-        columns = joint_wmmse._live_columns(_antenna_major(W[None]), 2)
+        columns = joint_wmmse._live_columns(_antenna_major(W[None]), 2)[0]
         assert (columns == 6).sum() == 1
         J, G = _GramKernel(eff, columns, 2, 0.5)(_antenna_major(W))
         J_full, G_full = _receiver_grams(W, eff, 0.5)
@@ -478,6 +481,93 @@ class TestSolveSweep:
             assert np.array_equal(W[b], alone)
             assert traces[b].objective == trace.objective
         assert len({t.iterations for t in traces}) > 1
+
+
+class TestHeterogeneousBatch:
+    # one engine call on instances with different supports: each keeps its
+    # own live-stream map and is bitwise its solve alone
+
+    @staticmethod
+    def _assert_each_alone(eff, cons, starts, W, traces):
+        for b, (c, start) in enumerate(zip(cons, starts)):
+            (alone,), (trace,) = joint_wmmse.solve_sweep(
+                eff, [c], initial=start[None], num_streams=start.shape[-1])
+            got = traces[b]
+            assert np.array_equal(W[b], alone), b
+            assert got.objective == trace.objective
+            assert got.max_residual == trace.max_residual
+            assert len(got.multipliers) == len(trace.multipliers)
+            for mine, ref in zip(got.multipliers, trace.multipliers):
+                assert len(mine) == len(ref)
+                assert all(np.array_equal(x, y) for x, y in zip(mine, ref))
+            for name in ("iterations", "converged", "pinv_fallbacks",
+                         "multiplier_searches", "multiplier_evals"):
+                assert getattr(got, name) == getattr(trace, name), name
+
+    @staticmethod
+    def _sets(family, caps, N=5):
+        if family == "per-sat-total":
+            return [per_sat_total(np.full(3, c), N) for c in caps]
+        return [per_antenna(np.full((3, N), c / N)) for c in caps]
+
+    @pytest.mark.parametrize("family", ["per-sat-total", "per-antenna"])
+    def test_two_stream_maps_in_one_batch(self, rng, family):
+        from satmimo.streamwise import StreamAssignment, streamwise_starts
+        eff = synthetic_effective(rng, L=3, K=2, M=4, N=5)
+        cons = self._sets(family, [4.0, 30.0])
+        maps = [StreamAssignment.from_pi(pi, 3)
+                for pi in ([[0, 1], [2, 0]], [[2, 1], [1, 0]])]
+        starts = np.concatenate([streamwise_starts(eff, cons, 2, m)[0]
+                                 for m in maps])
+        columns = joint_wmmse._live_columns(_antenna_major(starts), 2)
+        # two maps of one width: one batch
+        assert columns.shape == (4, 2, 2)
+        assert not np.array_equal(columns[0], columns[2])
+        W, traces = joint_wmmse.solve_sweep(eff, cons * 2, initial=starts,
+                                            num_streams=2)
+        self._assert_each_alone(eff, cons * 2, starts, W, traces)
+
+    @pytest.mark.parametrize("family", ["per-sat-total", "per-antenna"])
+    def test_joint_and_streamwise_in_one_call(self, rng, family):
+        from satmimo.streamwise import solve_streamwise_sweep, streamwise_starts
+        eff = synthetic_effective(rng, L=3, K=2, M=4, N=5)
+        cons = self._sets(family, [4.0, 10.0, 30.0])
+        joint = joint_wmmse.joint_starts(eff, cons, 2)
+        streams, assignment = streamwise_starts(eff, cons, 2)
+        W, traces = joint_wmmse.solve_sweep(
+            eff, cons * 2, initial=np.concatenate([joint, streams]),
+            num_streams=2)
+        W_joint, t_joint = joint_wmmse.solve_sweep(eff, cons, num_streams=2)
+        W_sw, _, t_sw = solve_streamwise_sweep(eff, cons, num_streams=2,
+                                               assignment=assignment)
+        assert np.array_equal(W, np.concatenate([W_joint, W_sw]))
+        for got, ref in zip(traces, t_joint + t_sw):
+            assert got.objective == ref.objective
+            assert got.max_residual == ref.max_residual
+            assert (got.iterations, got.converged, got.multiplier_evals) == (
+                ref.iterations, ref.converged, ref.multiplier_evals)
+        self._assert_each_alone(eff, cons * 2, np.concatenate([joint, streams]),
+                                W, traces)
+
+    def test_no_instances(self, rng):
+        from satmimo.streamwise import solve_streamwise_sweep
+        eff = synthetic_effective(rng, L=3, K=2, M=4, N=5)
+        W, traces = joint_wmmse.solve_sweep(eff, [], num_streams=2)
+        assert W.shape == (0, 3, 2, 5, 2) and traces == []
+        W, traces = joint_wmmse.solve_sweep(eff, [])
+        assert W.shape == (0, 3, 2, 5, 4) and traces == []
+        W, assignment, traces = solve_streamwise_sweep(eff, [], num_streams=2)
+        assert W.shape == (0, 3, 2, 5, 2) and traces == []
+        assert assignment.pi.shape == (2, 2)
+
+    def test_singular_receiver_gram_names_the_user(self, rng):
+        # noiseless, and every link of user 1 lands on one receive
+        # direction: J_1 = c e_0 e_0^H is exactly singular
+        eff = synthetic_effective(rng, L=3, K=2, M=4, N=5, noise=0.0)
+        eff.b[:, 1] = [1.0, 0.0, 0.0, 0.0]
+        with pytest.raises(NumericsError,
+                           match="^receiver Gram of user 1 is singular$"):
+            solve(eff, per_sat_total(np.ones(3), 5), num_streams=2)
 
 
 def _pinv_rule(step, l):

@@ -139,6 +139,25 @@ class TestConstruction:
                            match="satellite 2 constraint 1: rho must be positive"):
             per_antenna(caps)
 
+    def test_rejects_infinite_caps(self):
+        # every family: an infinite cap is refused at construction, before
+        # any solver sees it
+        message = "satellite 1 constraint 0: rho must be positive and finite"
+        with pytest.raises(ValidationError, match=message):
+            per_sat_total([1.0, np.inf], 3)
+        with pytest.raises(ValidationError, match=message):
+            per_antenna([[0.5, 0.5], [np.inf, 0.5]])
+        with pytest.raises(ValidationError, match=message):
+            make_constraint_set([[(np.eye(2), 1.0)], [(np.eye(2), np.inf)]])
+
+    def test_scaled_cap_that_overflows_rejected(self):
+        # a finite custom cap times the sweep's watts overflows to inf
+        cons = make_constraint_set([[(np.eye(2), 1.0)], [(np.eye(2), 1e307)]])
+        assert cons.scaled(10.0).caps[1][0] == 1e308
+        with pytest.raises(ValidationError,
+                           match="satellite 1 constraint 0: rho must be positive and finite"):
+            cons.scaled(100.0)
+
     @pytest.mark.parametrize("caps, sat", [([[0.5, 0.5], [0.5]], 1),
                                            ([[], []], 0)],
                              ids=["lengths-differ", "no-antenna"])

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from satmimo import approx_se, streamwise
+from satmimo import approx_se, solve_joint, streamwise
 from satmimo.cli import _DESIGNS
 from satmimo.joint_wmmse import SolverParams
 from satmimo.power import per_sat_total, scale_to_caps
@@ -32,11 +32,11 @@ def _design(mode, eff, cfg, power_dbw):
         W, assignment, trace = streamwise.solve_streamwise(
             eff, cons, params, num_streams=cfg.S)
         return approx_se(W, eff).sum_se, trace.iterations, assignment.pi
-    (W,), (trace,) = _DESIGNS[mode](eff, [cons], [rho], cfg, params)
-    if trace is None:
-        scale_to_caps(W, cons, params.power_tol_rel)
-        return approx_se(W, eff).sum_se, None, None
-    return approx_se(W, eff).sum_se, trace.iterations, None
+    if mode == "joint":
+        W, trace = solve_joint(eff, cons, params, num_streams=cfg.S)
+        return approx_se(W, eff).sum_se, trace.iterations, None
+    W = scale_to_caps(_DESIGNS[mode](eff, rho, cfg), cons, params.power_tol_rel)
+    return approx_se(W, eff).sum_se, None, None
 
 
 def _relabelled(eff, sats, users):
