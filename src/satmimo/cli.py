@@ -11,10 +11,10 @@ geometry, every power point and mode) runs as one pipeline (run_point)
 that gives the rows of all its points and modes: the geometry, channels,
 stream maps and starts are built once per variant, every solver row of the
 variant (all of its points and solver modes) is designed by one WMMSE
-engine call, and the Monte-Carlo walks and evaluation stay per point. Variants can be evaluated by worker
-processes (environment variable SATMIMO_WORKERS; a preset with fewer
-variants than workers has its points evaluated apart), and row order never
-depends on scheduling.
+engine call, and the Monte-Carlo walks and evaluation stay per point.
+Variants can be evaluated by worker processes (environment variable
+SATMIMO_WORKERS; a preset with fewer variants than workers has its points
+evaluated apart), and row order never depends on scheduling.
 """
 
 from __future__ import annotations
@@ -177,6 +177,33 @@ def _variant_key(job: Job):
     return (id(job.config), job.scenario_id, job.config.rng_seed)
 
 
+class _Ledger:
+    """Each row's seconds and error. lap(rows) books the time since the
+    previous lap (the first: since the ledger was made) to the rows in
+    equal shares; each(stage, rows) runs stage(row) for every row still
+    without an error, makes a _ROW_ERRORS exception that row's error and
+    laps to the row."""
+
+    def __init__(self):
+        self.seconds, self.errors = {}, {}
+        self.t = time.perf_counter()
+
+    def lap(self, rows):
+        t, self.t = self.t, time.perf_counter()
+        share = (self.t - t) / len(rows)
+        for key in rows:
+            self.seconds[key] = self.seconds.get(key, 0.0) + share
+
+    def each(self, stage, rows):
+        for key in rows:
+            if key not in self.errors:
+                try:
+                    stage(key)
+                except _ROW_ERRORS as exc:
+                    self.errors[key] = str(exc)
+                self.lap([key])
+
+
 def run_point(jobs) -> list:
     """Evaluate the rows of one variant's jobs, one row per job, in the
     given order: any distinct (point, mode) jobs of one variant, a single
@@ -188,15 +215,14 @@ def run_point(jobs) -> list:
     row of the variant, whatever its mode, is designed by one
     `joint_wmmse.solve_sweep` call, each instance on its own live-stream
     map; when that call raises, each (point, mode) is designed again
-    alone, so an error stays on its own row. A streamwise row's design must
-    pass the off-support certificate of its assignment
-    (`streamwise.check_support`). Every closed form (`_DESIGNS`) is
-    designed one point at a time, each point finished before the next is
-    designed, and its sets are fitted to the constraints
-    (`power.scale_to_caps`). A mode in `_APPROXIMATED` is
+    alone, so an error stays on its own row. Then each row in mode order
+    is finished: a closed form (`_DESIGNS`) is designed, a streamwise
+    design must pass the off-support certificate of its assignment
+    (`streamwise.check_support`), a closed form's sets are fitted to the
+    constraints (`power.scale_to_caps`), and a mode in `_APPROXIMATED` is
     estimated by `approx_se`, every other one has each of its sets planned
     for Monte Carlo (`se_eval.plan_users`: every user, or user s alone for
-    set s of several), and the precoders are released once planned. Then
+    set s of several); the precoders are released once planned. Then
     each point in turn runs one walk rule for every mode: walk s, the s-th
     full draw from `mc_rng(seed, point)`, covers the union of the pairs of
     every mode's set s at that point (`se_eval.sample_plan_gains`), serves
@@ -217,13 +243,9 @@ def run_point(jobs) -> list:
     "paired_stderr", one entry per later mode of the point that, as this
     one, has a single Monte-Carlo set: {"mode", "mean_diff" (this row's
     mean per-trial sum SE minus that mode's), "stderr" (the standard error
-    of that difference, nan from a single trial)}. wall_time_ms is the
-    row's own design (a closed form's or a solve alone), fit and estimate,
-    an equal share of its mode's starts among that mode's points and of
-    the variant's engine call among its instances, an equal share of
-    each walk it rides among that walk's riders, an equal share of its
-    point's constraint set among the point's rows and an equal share of the
-    variant's shared stages."""
+    of that difference, nan from a single trial)}. wall_time_ms books each
+    stage's time in equal shares to the rows it serves."""
+    ledger = _Ledger()
     job = jobs[0]
     for j in jobs:
         if j.mode not in _DESIGNS and j.mode not in _STARTS:
@@ -235,38 +257,20 @@ def run_point(jobs) -> list:
         raise ValueError("run_point takes distinct (point, mode) jobs of one "
                          "variant")
     cfg = job.config
-    t0 = time.perf_counter()
     geometry = sample_geometry(cfg, np.random.default_rng(cfg.rng_seed))
     effective = effective_channels(geometry, cfg)
     params = joint_wmmse.SolverParams.from_config(cfg)
-    shared = time.perf_counter() - t0
+    ledger.lap(keys)
     points = list(dict.fromkeys(k[:2] for k in keys))
     modes = list(dict.fromkeys(j.mode for j in jobs))
     at = {p: [k for k in keys if k[:2] == p] for p in points}
-    errors, own = {}, dict.fromkeys(keys, 0.0)
-    constraints, rhos = {}, {}
+    errors, constraints = ledger.errors, {}
     for p in points:
-        t = time.perf_counter()
-        rho_w = 10 ** (p[1] / 10)
-        rhos[p] = np.full(cfg.L, rho_w)
         try:
-            constraints[p] = _constraints_for(cfg, rho_w)
+            constraints[p] = _constraints_for(cfg, 10 ** (p[1] / 10))
         except _ROW_ERRORS as exc:
             errors.update(dict.fromkeys(at[p], str(exc)))
-        for key in at[p]:
-            own[key] += (time.perf_counter() - t) / len(at[p])
-
-    def each(stage, which):
-        """stage(key) for every listed key still without an error, timed on
-        the row's own clock; an error a row reports ends the row."""
-        for key in which:
-            if key not in errors:
-                t = time.perf_counter()
-                try:
-                    stage(key)
-                except _ROW_ERRORS as exc:
-                    errors[key] = str(exc)
-                own[key] += time.perf_counter() - t
+        ledger.lap(at[p])
 
     # per row: precoders until planned; SolveTrace and stream map of a
     # solver row; its plans and per-trial SE, per set
@@ -279,12 +283,11 @@ def run_point(jobs) -> list:
         made.update(zip(batch, W))
         traces.update(zip(batch, found))
 
-    def design(key):
-        made[key] = _DESIGNS[key[2]](effective, rhos[key[:2]], cfg)
-
     def finish(key):
-        # check or fit, then plan or estimate; the precoders are not kept
-        W = made.pop(key)
+        # design a closed form, check or fit, then plan or estimate; the
+        # precoders are not kept
+        W = made.pop(key) if key[2] in _STARTS else _DESIGNS[key[2]](
+            effective, np.full(cfg.L, 10 ** (key[1] / 10)), cfg)
         sets = W if isinstance(W, list) else [W]
         if key in maps:
             streamwise.check_support(W, maps[key])
@@ -305,7 +308,6 @@ def run_point(jobs) -> list:
         batch = [k for k in keys if k[2] == mode and k not in errors]
         if mode not in _STARTS or not batch:
             continue
-        t = time.perf_counter()
         try:
             initial, assignment = _STARTS[mode](
                 effective, [constraints[k[:2]] for k in batch], cfg)
@@ -316,26 +318,19 @@ def run_point(jobs) -> list:
             starts.append(initial)
             if assignment is not None:
                 maps.update(dict.fromkeys(batch, assignment))
-        for key in batch:
-            own[key] += (time.perf_counter() - t) / len(batch)
+        ledger.lap(batch)
     if solved:
-        t = time.perf_counter()
         starts = np.concatenate(starts)
         try:
             solve(solved, starts)
         except _ROW_ERRORS:
             # each instance alone, its error its own
+            ledger.lap(solved)
             start = dict(zip(solved, starts[:, None]))
-            each(lambda key: solve([key], start[key]), solved)
-        for key in solved:
-            own[key] += (time.perf_counter() - t) / len(solved)
+            ledger.each(lambda key: solve([key], start[key]), solved)
+        ledger.lap(solved)
         del starts
-    for mode in modes:
-        for key in keys:
-            if key[2] == mode:
-                if mode in _DESIGNS:
-                    each(design, [key])
-                each(finish, [key])
+    ledger.each(finish, sorted(keys, key=lambda k: modes.index(k[2])))
 
     def evaluate(key):
         # the row's next set on the current walk
@@ -352,18 +347,17 @@ def run_point(jobs) -> list:
                       and s < len(plans[k])]
             if not riders:
                 break
-            t = time.perf_counter()
             walk = sample_plan_gains(effective, cfg.mc_trials, rng,
                                      [pair for k in riders for pair in plans[k][s]])
-            for k in riders:
-                own[k] += (time.perf_counter() - t) / len(riders)
-            each(evaluate, riders)
+            ledger.lap(riders)
+            ledger.each(evaluate, riders)
             del walk
+        ledger.lap(at[p])
         paired = [k for k in at[p] if k in reports and k in plans
                   and len(plans[k]) == 1]
         for key in at[p]:
             row = _row(job_of[key], reports.get(key), traces.get(key),
-                       own[key] + shared / len(jobs), errors.get(key))
+                       ledger.seconds[key], errors.get(key))
             later = paired[paired.index(key) + 1:] if key in paired else []
             row["paired_stderr"] = []
             for k in later:

@@ -92,6 +92,10 @@ class ScenarioConfig:
             _check(all(_finite(rho) and np.isfinite(A).all()
                        for sat in sats for A, rho in sat),
                    "custom_constraints", "every A and rho must be finite")
+        else:
+            _check(self.custom_constraints is None, "custom_constraints",
+                   "apply only under constraint_kind custom, not "
+                   f"{self.constraint_kind}")
         for name in ("ue_sin_theta", "sat_sin_phi", "elevation_deg"):
             val = getattr(self, name)
             if val is not None:

@@ -896,6 +896,31 @@ class TestVariantBatch:
                     r.pop("paired_stderr")     # its partner failed
             assert row == ref
 
+    @pytest.mark.parametrize("fallback", [False, True],
+                             ids=["clean", "engine-fallback"])
+    def test_rows_book_the_variants_wall_time(self, fallback, monkeypatch):
+        # on a clock that advances 1 ms per reading, the rows' wall_time_ms
+        # add up to the time from the variant's first reading to its last,
+        # each row within its rounding to whole milliseconds; a failed
+        # engine call's solves one at a time are booked once
+        from satmimo import cli
+        readings = []
+
+        class Clock:
+            @staticmethod
+            def perf_counter():
+                readings.append(len(readings) / 1000)
+                return readings[-1]
+
+        if fallback:
+            flaky_streamwise_engine(monkeypatch, "forced failure")
+        monkeypatch.setattr(cli, "time", Clock)
+        rows = cli.run_point(self._variant("stream-count"))
+        assert fallback == any(r["per_user_se"] == "error=forced failure"
+                               for r in rows)
+        booked = sum(r["wall_time_ms"] for r in rows)
+        assert abs(booked - 1000 * (readings[-1] - readings[0])) <= 0.5 * len(rows)
+
     @pytest.mark.parametrize("preset", ["association", "stream-count"])
     def test_one_engine_call_per_variant(self, preset, monkeypatch):
         # every solver row of a variant, whatever its mode, in one call
@@ -1018,6 +1043,23 @@ class TestCustomConstraints:
         assert main(["run", "--preset", preset, "--config", str(path),
                      "--out", str(out), "--quiet"]) == 1
         assert capsys.readouterr().err.startswith("error: custom_constraints:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_list_without_custom_kind_refused(self, command, tmp_path, capsys):
+        # one satellite's 2x2 weight against L = 4 and N = 64: under the
+        # default per-sat-total kind the list would be silently ignored
+        path = tmp_path / "stray.json"
+        path.write_text(json.dumps({
+            "custom_constraints": [[{"A": [[1, 0], [0, 1]], "rho": 1.0}]],
+            "mc_trials": 50}))
+        out = tmp_path / "res.csv"
+        argv = (["validate", str(path)] if command == "validate" else
+                ["run", "--preset", "approx-gap", "--config", str(path),
+                 "--out", str(out), "--quiet"])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.split(": ", 1)[1].startswith("custom_constraints:")
         assert not out.exists()
 
     def test_tdma_slots_meet_custom_caps(self, monkeypatch):
